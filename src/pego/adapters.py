@@ -138,9 +138,23 @@ def loss_or(model) -> float:
     return total
 
 
-def loss_or_tensor(model, preserve_on: bool = True, diversify_on: bool = True) -> Tensor:
-    """Differentiable orthogonality loss, with each penalty maskable."""
-    terms: list[Tensor] = []
+def _sum_tensors(terms: list[Tensor]) -> Tensor | None:
+    if not terms:
+        return None
+    total = terms[0]
+    for t in terms[1:]:
+        total = ag.add(total, t)
+    return total
+
+
+def loss_or_tensor(
+    model, preserve_on: bool = True, diversify_on: bool = True
+) -> tuple[Tensor | None, Tensor | None]:
+    """The two differentiable penalty sums of the orthogonality loss,
+    ``(preserve, diversify)``, over every adapted projection. A sum is
+    None when its penalty is masked off or no layer carries a group."""
+    preserve: list[Tensor] = []
+    diversify: list[Tensor] = []
     for block in model.blocks:
         for lin in (block.attn.wq, block.attn.wv):
             if lin.group is None:
@@ -148,17 +162,12 @@ def loss_or_tensor(model, preserve_on: bool = True, diversify_on: bool = True) -
             deltas = [ag.matmul(m.b, m.a) for m in lin.group.modules]
             if preserve_on:
                 for d in deltas:
-                    terms.append(ag.abs_sum(ag.matmul(lin.base, d, transpose_a=True)))
+                    preserve.append(ag.abs_sum(ag.matmul(lin.base, d, transpose_a=True)))
             if diversify_on:
                 for i in range(len(deltas)):
                     for j in range(i + 1, len(deltas)):
-                        terms.append(ag.abs_sum(ag.matmul(deltas[i], deltas[j], transpose_a=True)))
-    if not terms:
-        return ag.constant(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = ag.add(total, t)
-    return total
+                        diversify.append(ag.abs_sum(ag.matmul(deltas[i], deltas[j], transpose_a=True)))
+    return _sum_tensors(preserve), _sum_tensors(diversify)
 
 
 def final_loss(
@@ -179,7 +188,7 @@ def final_loss(
         out = batch_loss_tensor(
             model, batch.images, batch.labels, alpha, preserve_on=preserve_on, diversify_on=diversify_on
         )
-    return float(out.data)
+    return float(out.total.data)
 
 
 def merge_all(model):

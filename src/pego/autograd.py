@@ -6,7 +6,9 @@ layernorm, GELU, softmax, mean cross-entropy, and the entrywise
 absolute-value sum. Each operator stores a closure mapping the output
 gradient to parent gradients; ``backprop`` walks the tape once in
 reverse topological order and accumulates into every leaf that requires
-a gradient.
+a gradient. The closures of matmul, add and layernorm return ``None``
+for a parent that needs no gradient (a frozen weight or a constant) and
+skip its work; ``backprop`` skips ``None`` entries.
 
 Everything is float64. Parameters are 2-D; activations may carry
 leading batch axes, and broadcasting against parameters is undone by
@@ -93,11 +95,14 @@ def matmul(a: Tensor, b: Tensor, transpose_a: bool = False, transpose_b: bool = 
     out = lhs @ rhs
 
     def grad_fn(g):
-        gl = g @ _swap(rhs)
-        gr = _swap(lhs) @ g
-        ga = _swap(gl) if transpose_a else gl
-        gb = _swap(gr) if transpose_b else gr
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            gl = g @ _swap(rhs)
+            ga = _unbroadcast(_swap(gl) if transpose_a else gl, a.data.shape)
+        if b.requires_grad:
+            gr = _swap(lhs) @ g
+            gb = _unbroadcast(_swap(gr) if transpose_b else gr, b.data.shape)
+        return ga, gb
 
     return _node(out, (a, b), grad_fn)
 
@@ -106,7 +111,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _node(out, (a, b), grad_fn)
 
@@ -179,12 +187,14 @@ def layernorm(x: Tensor, scale_p: Tensor, offset_p: Tensor, eps: float = 1e-5) -
     out = xhat * scale_p.data + offset_p.data
 
     def grad_fn(g):
-        gs = _unbroadcast(g * xhat, scale_p.data.shape)
-        go = _unbroadcast(g, offset_p.data.shape)
-        gh = g * scale_p.data
-        m1 = gh.mean(axis=-1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gh - m1 - xhat * m2)
+        gs = _unbroadcast(g * xhat, scale_p.data.shape) if scale_p.requires_grad else None
+        go = _unbroadcast(g, offset_p.data.shape) if offset_p.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gh = g * scale_p.data
+            m1 = gh.mean(axis=-1, keepdims=True)
+            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+            gx = inv * (gh - m1 - xhat * m2)
         return gx, gs, go
 
     return _node(out, (x, scale_p, offset_p), grad_fn)
@@ -195,15 +205,29 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU in its tanh approximation."""
+    """GELU in its tanh approximation.
+
+    The cube is taken by multiplication (``xd**3`` goes through a slow
+    ``pow``). The tanh argument and the output are each built in place
+    in a single buffer, which keeps the peak memory of large no-grad
+    forwards down.
+    """
     xd = x.data
-    t = np.tanh(_GELU_C * (xd + _GELU_A * xd**3))
+    t = xd * xd
+    t *= xd
+    t *= _GELU_A
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 1.0 + t
+    out *= xd
+    out *= 0.5
 
     def grad_fn(g):
         dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
         return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner),)
 
-    return _node(0.5 * xd * (1.0 + t), (x,), grad_fn)
+    return _node(out, (x,), grad_fn)
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -272,6 +296,6 @@ def backprop(root: Tensor) -> None:
             continue
         grads = node.grad_fn(node.grad)
         for parent, g in zip(node.parents, grads):
-            if not parent.requires_grad:
+            if g is None or not parent.requires_grad:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g

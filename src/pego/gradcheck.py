@@ -23,6 +23,9 @@ from .numerics import make_rng
 from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_params
 
 GradientSet = dict[str, np.ndarray]
+# (cross-entropy, preserve, diversify) as the tape computed them; a
+# penalty the tape did not carry is None.
+LossParts = tuple[float, float | None, float | None]
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,9 @@ def backward(
     alpha: float,
     preserve_on: bool = True,
     diversify_on: bool = True,
-) -> tuple[float, GradientSet]:
-    """Loss value and exact gradients for every trainable parameter.
+) -> tuple[float, GradientSet, LossParts]:
+    """Loss value, exact gradients for every trainable parameter, and the
+    parts of the loss read off the same tape.
 
     The loss equals the forward-only objective bitwise, since both walk
     the same tape. Gradients of the L1 terms use sign(x) with
@@ -53,10 +57,10 @@ def backward(
         raise InputError("empty batch")
     for _, t in named_params(model):
         t.grad = None
-    loss = batch_loss_tensor(
+    terms = batch_loss_tensor(
         model, batch.images, batch.labels, alpha, preserve_on=preserve_on, diversify_on=diversify_on
     )
-    ag.backprop(loss)
+    ag.backprop(terms.total)
     grads: GradientSet = {}
     for name, t in named_params(model):
         if not is_trainable_name(name):
@@ -67,7 +71,8 @@ def backward(
             raise NumericError(f"non-finite gradient for parameter {name}")
         grads[name] = np.array(g)
         t.grad = None
-    return float(loss.data), grads
+    parts = tuple(None if t is None else float(t.data) for t in (terms.ce, terms.preserve, terms.diversify))
+    return float(terms.total.data), grads, parts
 
 
 def central_diff(f, x: float, h: float) -> float:
@@ -151,7 +156,7 @@ def grad_check(
     sizes = np.array([int(np.prod(r.shape)) for r in refs])
     offsets = np.cumsum(sizes)
     total = int(offsets[-1])
-    _, grads = backward(model, batch, alpha)
+    _, grads, _ = backward(model, batch, alpha)
     floors = _ambiguity_floor(model) if alpha != 0.0 else {}
     max_rel = 0.0
     accepted = 0

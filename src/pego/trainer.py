@@ -164,16 +164,6 @@ def evaluate(model: VitModel, dataset: DomainDataset, domains: list[str] | None 
     return correct / total
 
 
-def _component_losses(model: VitModel) -> tuple[float, float]:
-    pres = 0.0
-    div = 0.0
-    for block in model.blocks:
-        for lin in (block.attn.wq, block.attn.wv):
-            pres += adapters.loss_preserve(lin)
-            div += adapters.loss_diversify(lin.group)
-    return pres, div
-
-
 def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResult:
     """Inject adapter groups into a frozen base, optimize on the source
     domains, keep the best validation snapshot, and merge."""
@@ -193,22 +183,21 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
     best_acc = -1.0
     best_iter = 0
     best_params = {k: np.array(p) for k, p in params.items()}
+    adapted = [lin for block in model.blocks for lin in (block.attn.wq, block.attn.wv)]
     for it in range(1, cfg.iterations + 1):
         batch = make_batch(train_ds, cfg.batch_per_domain, batch_rng)
         touched.update(dom for dom, _ in batch.tags)
-        loss, grads = gradcheck.backward(
+        _, grads, (ce, pres, div) = gradcheck.backward(
             model, batch, cfg.alpha, preserve_on=cfg.preserve_on, diversify_on=cfg.diversify_on
         )
+        # A row describes the parameters the step was taken at, so a
+        # penalty the tape did not carry is evaluated before the update.
+        if pres is None:
+            pres = sum((adapters.loss_preserve(lin) for lin in adapted), 0.0)
+        if div is None:
+            div = sum((adapters.loss_diversify(lin.group) for lin in adapted), 0.0)
         adam_step(params, grads, state, cfg.lr)
-        pres, div = _component_losses(model)
-        reg = (pres if cfg.preserve_on else 0.0) + (div if cfg.diversify_on else 0.0)
-        row = HistoryRow(
-            iteration=it,
-            loss_cls=loss - cfg.alpha * reg,
-            loss_preserve=pres,
-            loss_diversify=div,
-            loss_or=pres + div,
-        )
+        row = HistoryRow(iteration=it, loss_cls=ce, loss_preserve=pres, loss_diversify=div, loss_or=pres + div)
         if it % cfg.eval_every == 0 or it == cfg.iterations:
             acc = evaluate(model, val_ds)
             touched.update(val_ds.domains)
@@ -270,7 +259,7 @@ def pretrain_base(
         batch = make_batch(ds, batch_per_domain, rng)
         for _, t in vit.named_params(model):
             t.grad = None
-        loss = vit.batch_loss_tensor(model, batch.images, batch.labels, alpha=0.0)
+        loss = vit.batch_loss_tensor(model, batch.images, batch.labels, alpha=0.0).total
         ag.backprop(loss)
         grads = {name: t.grad for name, t in vit.named_params(model)}
         adam_step(params, grads, state, 1e-3)
@@ -341,15 +330,15 @@ def _run_single_task(payload):
     return run_single(*payload)
 
 
-def _map_runs(payloads, jobs: int):
+def _map_runs(task, payloads, jobs: int):
     # Runs are independent and deterministic, so the pool only changes
     # wall-clock time, never results; map preserves order.
     if jobs <= 1:
-        return [_run_single_task(p) for p in payloads]
+        return [task(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_single_task, payloads))
+        return list(pool.map(task, payloads))
 
 
 def leave_one_domain_out(
@@ -368,7 +357,7 @@ def leave_one_domain_out(
     if base is None:
         base = pretrain_base(cfg.vit, cfg.seed)
     payloads = [(dataset, cfg, base, dom, seed) for dom in dataset.domains for seed in seeds]
-    records = _map_runs(payloads, jobs)
+    records = _map_runs(_run_single_task, payloads, jobs)
     return LodoResult(records=records, domains=list(dataset.domains), seeds=list(seeds))
 
 
@@ -465,13 +454,7 @@ def sweep_n(
             for dom in dataset.domains
             for seed in seeds
         ]
-        if jobs <= 1:
-            accs = [_sweep_task(p) for p in payloads]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                accs = list(pool.map(_sweep_task, payloads))
+        accs = _map_runs(_sweep_task, payloads, jobs)
         mean_acc = float(np.mean(accs))
         rows.append(SweepRow(n=n, mean_val_acc=mean_acc, stderr=stderr(accs)))
         if mean_acc > best_acc:

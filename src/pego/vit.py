@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -372,6 +373,20 @@ def batch_logits_tensor(model: VitModel, images: np.ndarray, capture=None) -> Te
     return ag.add(ag.matmul(feats, model.head_w, transpose_b=True), model.head_b)
 
 
+class LossTerms(NamedTuple):
+    """The objective on one batch and the tape tensors of its parts.
+
+    ``total`` is ``ce + alpha * (preserve + diversify)``. A penalty is
+    None when it is not on the tape: masked off, ``alpha`` is 0, or the
+    model carries no adapter group.
+    """
+
+    total: Tensor
+    ce: Tensor
+    preserve: Tensor | None
+    diversify: Tensor | None
+
+
 def batch_loss_tensor(
     model: VitModel,
     images: np.ndarray,
@@ -379,11 +394,17 @@ def batch_loss_tensor(
     alpha: float,
     preserve_on: bool = True,
     diversify_on: bool = True,
-) -> Tensor:
-    loss = ag.cross_entropy_mean(batch_logits_tensor(model, images), labels)
-    if alpha != 0.0 and (preserve_on or diversify_on):
-        loss = ag.add(loss, ag.scale(adapters.loss_or_tensor(model, preserve_on, diversify_on), alpha))
-    return loss
+) -> LossTerms:
+    ce = ag.cross_entropy_mean(batch_logits_tensor(model, images), labels)
+    if alpha == 0.0 or not (preserve_on or diversify_on):
+        return LossTerms(ce, ce, None, None)
+    preserve, diversify = adapters.loss_or_tensor(model, preserve_on, diversify_on)
+    if preserve is None or diversify is None:
+        reg = preserve if diversify is None else diversify
+    else:
+        reg = ag.add(preserve, diversify)
+    total = ce if reg is None else ag.add(ce, ag.scale(reg, alpha))
+    return LossTerms(total, ce, preserve, diversify)
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:

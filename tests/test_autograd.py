@@ -132,3 +132,96 @@ def test_backprop_requires_scalar_root():
     x = ag.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
         ag.backprop(ag.add(x, x))
+
+
+def test_gelu_forward_matches_reference():
+    x = np.concatenate([np.linspace(-6.0, 6.0, 2401), [0.0, 1e-8, -1e-8, 30.0, -30.0]])
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    reference = 0.5 * x * (1.0 + np.tanh(c * (x + a * x**3)))
+    assert np.max(np.abs(ag.gelu(ag.constant(x)).data - reference)) <= 1e-15
+
+
+def _t(m):
+    return np.swapaxes(m, -1, -2)
+
+
+def _matmul_grads(a, b, g, transpose_a, transpose_b):
+    """Parent gradients of op(a) @ op(b), written out per transpose case;
+    a batched gradient of a 2-D ``b`` is summed over the batch."""
+    if not transpose_a and not transpose_b:
+        ga, gb = g @ _t(b), _t(a) @ g
+    elif transpose_a and not transpose_b:
+        ga, gb = _t(g @ _t(b)), a @ g
+    elif not transpose_a:
+        ga, gb = g @ b, _t(_t(a) @ g)
+    else:
+        ga, gb = _t(g @ b), _t(a @ g)
+    return ga, gb.sum(axis=0) if gb.ndim > b.ndim else gb
+
+
+@pytest.mark.parametrize("transpose_a", [False, True])
+@pytest.mark.parametrize("transpose_b", [False, True])
+@pytest.mark.parametrize("frozen", [0, 1])
+def test_matmul_skips_frozen_operand(transpose_a, transpose_b, frozen):
+    rng = make_rng(40)
+    a = rng.normal(size=(4, 3) if transpose_a else (3, 4))
+    b = rng.normal(size=(2, 4) if transpose_b else (4, 2))
+    leaves = [ag.Tensor(a, requires_grad=frozen != 0), ag.Tensor(b, requires_grad=frozen != 1)]
+    out = ag.matmul(*leaves, transpose_a=transpose_a, transpose_b=transpose_b)
+    g = rng.normal(size=out.shape)
+    grads = out.grad_fn(g)
+    assert grads[frozen] is None
+    expected = _matmul_grads(a, b, g, transpose_a, transpose_b)[1 - frozen]
+    assert np.array_equal(grads[1 - frozen], expected)
+
+
+@pytest.mark.parametrize("frozen", [0, 1])
+def test_batched_matmul_against_weight_skips_frozen_operand(frozen):
+    # activation (batch, n, k) @ weight (m, k)^T, the projection in every layer
+    rng = make_rng(41)
+    x, w = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4))
+    out = ag.matmul(ag.Tensor(x, requires_grad=frozen != 0), ag.Tensor(w, requires_grad=frozen != 1), transpose_b=True)
+    g = rng.normal(size=out.shape)
+    grads = out.grad_fn(g)
+    assert grads[frozen] is None
+    expected = _matmul_grads(x, w, g, False, True)[1 - frozen]
+    assert np.array_equal(grads[1 - frozen], expected)
+
+
+@pytest.mark.parametrize("frozen", [0, 1])
+def test_add_with_broadcast_bias_skips_frozen_operand(frozen):
+    rng = make_rng(42)
+    x, bias = rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 4))
+    out = ag.add(ag.Tensor(x, requires_grad=frozen != 0), ag.Tensor(bias, requires_grad=frozen != 1))
+    g = rng.normal(size=out.shape)
+    grads = out.grad_fn(g)
+    assert grads[frozen] is None
+    expected = (g, g.sum(axis=0).sum(axis=0, keepdims=True))[1 - frozen]
+    assert np.array_equal(grads[1 - frozen], expected)
+
+
+@pytest.mark.parametrize("x_frozen", [False, True])
+def test_layernorm_skips_frozen_operands(x_frozen):
+    rng = make_rng(43)
+    x, s, o = rng.normal(size=(2, 3, 6)), rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
+    eps = 1e-5
+    out = ag.layernorm(
+        ag.Tensor(x, requires_grad=not x_frozen),
+        ag.Tensor(s, requires_grad=x_frozen),
+        ag.Tensor(o, requires_grad=x_frozen),
+        eps,
+    )
+    g = rng.normal(size=out.shape)
+    gx, gs, go = out.grad_fn(g)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    if x_frozen:
+        assert gx is None
+        assert np.array_equal(gs, (g * xhat).sum(axis=0).sum(axis=0, keepdims=True))
+        assert np.array_equal(go, g.sum(axis=0).sum(axis=0, keepdims=True))
+    else:
+        assert gs is None and go is None
+        gh = g * s
+        expected = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        assert np.array_equal(gx, expected)

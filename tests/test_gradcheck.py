@@ -17,13 +17,13 @@ def probe():
 def test_backward_loss_matches_forward_only_loss(probe):
     model, batch = probe
     for alpha in (0.0, 1e-3, 0.1):
-        loss, _ = backward(model, batch, alpha)
+        loss, _, _ = backward(model, batch, alpha)
         assert loss == final_loss(model, batch, alpha)
 
 
 def test_gradient_set_contains_exactly_the_trainables(probe):
     model, batch = probe
-    _, grads = backward(model, batch, 1e-3)
+    _, grads, _ = backward(model, batch, 1e-3)
     trainable = {n for n, _ in vit.named_params(model) if vit.is_trainable_name(n)}
     assert set(grads) == trainable
     for name, g in grads.items():
@@ -43,7 +43,7 @@ def test_head_bias_gradient_matches_closed_form(probe):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     p[np.arange(len(batch.labels)), batch.labels] -= 1.0
-    _, grads = backward(model, batch, 0.0)
+    _, grads, _ = backward(model, batch, 0.0)
     assert np.allclose(grads["head.b"], p.mean(axis=0, keepdims=True), atol=1e-12)
 
 
@@ -54,8 +54,8 @@ def test_fresh_group_diversify_gradient_is_zero():
     for name, t in vit.named_params(model):
         if ".lora." in name and name.endswith(".B"):
             t.data[...] = 0.0
-    _, with_div = backward(model, batch, 1.0, preserve_on=False, diversify_on=True)
-    _, without = backward(model, batch, 0.0)
+    _, with_div, _ = backward(model, batch, 1.0, preserve_on=False, diversify_on=True)
+    _, without, _ = backward(model, batch, 0.0)
     for name in with_div:
         assert np.array_equal(with_div[name], without[name]), name
 
@@ -98,7 +98,7 @@ def test_finite_diff_error_shrinks_quadratically(probe):
     # On the smooth cross-entropy-only loss, halving h cuts the
     # truncation error by about four.
     model, batch = probe
-    _, grads = backward(model, batch, 0.0)
+    _, grads, _ = backward(model, batch, 0.0)
     name = "head.w"
     entry = int(np.argmax(np.abs(grads[name])))
     exact = grads[name].reshape(-1)[entry]

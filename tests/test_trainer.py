@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pego import trainer, vit
+from pego import gradcheck, trainer, vit
 from pego.data import DatasetSpec, generate_dataset
 from pego.errors import ConfigError, NumericError
 from pego.numerics import make_rng
@@ -178,6 +178,40 @@ class TestTrain:
         assert result.domains_touched == set(sources.domains)
 
 
+class TestHistoryLogging:
+    def test_rows_log_the_tape_that_produced_the_step(self, tiny_dataset, tiny_base, monkeypatch):
+        # The penalties start at exactly 0 (B = 0 at the first step) and
+        # every row repeats the values the differentiated tape computed.
+        parts = []
+        real_backward = gradcheck.backward
+
+        def recording(*args, **kwargs):
+            out = real_backward(*args, **kwargs)
+            parts.append(out[2])
+            return out
+
+        monkeypatch.setattr(gradcheck, "backward", recording)
+        result = train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=4))
+        first = result.history[0]
+        assert (first.loss_preserve, first.loss_diversify, first.loss_or) == (0.0, 0.0, 0.0)
+        assert [(r.loss_cls, r.loss_preserve, r.loss_diversify) for r in result.history] == parts
+        assert all(r.loss_or == r.loss_preserve + r.loss_diversify for r in result.history)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(preserve_on=False, diversify_on=False), dict(alpha=0.0), dict(preserve_on=False)],
+    )
+    def test_penalties_off_the_tape_are_still_logged(self, tiny_dataset, tiny_base, overrides):
+        result = train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=4, **overrides))
+        pres = np.array([r.loss_preserve for r in result.history])
+        div = np.array([r.loss_diversify for r in result.history])
+        assert np.all(np.isfinite(pres)) and np.all(pres >= 0.0)
+        assert np.all(np.isfinite(div)) and np.all(div >= 0.0)
+        # logged before the update: zero at the first step, nonzero once B moves
+        assert pres[0] == 0.0 and div[0] == 0.0
+        assert pres[-1] > 0.0 and div[-1] > 0.0
+
+
 class TestLodo:
     def test_counting_and_aggregation(self, tiny_dataset, tiny_base):
         result = leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=3), [0, 1], base=tiny_base)
@@ -260,6 +294,12 @@ class TestSweep:
         assert seen
         for domains in seen:
             assert len(domains) < len(tiny_dataset.domains)
+
+    def test_pool_matches_serial(self, tiny_dataset, tiny_base):
+        cfg = _tiny_cfg(iterations=2)
+        serial = sweep_n(tiny_dataset, cfg, values=(1, 2), seeds=[0], base=tiny_base, jobs=1)
+        pooled = sweep_n(tiny_dataset, cfg, values=(1, 2), seeds=[0], base=tiny_base, jobs=2)
+        assert pooled == serial
 
     def test_empty_values_rejected(self, tiny_dataset, tiny_base):
         with pytest.raises(ConfigError):
