@@ -13,9 +13,11 @@ arguments:
   updates pairwise apart.
 
 Fresh groups start with B_i = 0, so both penalties are exactly zero at
-initialization. The forward path always applies adapters in factored
-order (A_i z first); the d-by-k products are materialized only inside
-the penalties.
+initialization. The forward path (``autograd.linear``) always applies
+adapters in factored order (A_i z first); the d-by-k products are
+materialized only inside the penalties, whose arguments one helper,
+``autograd.penalty_args``, computes for the tape and for the numpy
+values here alike.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ class LoraGroup:
     @property
     def n(self) -> int:
         return len(self.modules)
+
+    def factors(self) -> tuple[list[Tensor], list[Tensor]]:
+        """The modules' A tensors and B tensors, in module order."""
+        return [m.a for m in self.modules], [m.b for m in self.modules]
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The modules' A's stacked to (N, r, k) and B's to (N, d, r)."""
+        return np.stack([m.a.data for m in self.modules]), np.stack([m.b.data for m in self.modules])
 
 
 @dataclass
@@ -88,41 +98,18 @@ def group_delta(group: LoraGroup) -> np.ndarray:
     return total
 
 
-def adapted_forward(layer: AdaptedLinear, z_in: np.ndarray) -> np.ndarray:
-    """W z + sum_i B_i (A_i z) for a column-stacked input batch.
-
-    The factored order is deliberate: the products B_i A_i are never
-    formed here.
-    """
-    z_in = np.asarray(z_in, dtype=np.float64)
-    w = layer.base.data
-    if z_in.ndim != 2 or z_in.shape[0] != w.shape[1]:
-        raise ShapeError(f"input shape {z_in.shape} does not match weight {w.shape}")
-    out = w @ z_in
-    if layer.group is not None:
-        for m in layer.group.modules:
-            out = out + m.b.data @ (m.a.data @ z_in)
-    return out
-
-
 def loss_preserve(layer: AdaptedLinear) -> float:
     """sum_i ||W^T (B_i A_i)||_1; zero when the layer has no group."""
     if layer.group is None:
         return 0.0
-    w = layer.base.data
-    return float(sum(np.abs(w.T @ m.delta()).sum() for m in layer.group.modules))
+    return float(np.abs(ag.penalty_args(*layer.group.stacked(), layer.base.data)[1]).sum())
 
 
 def loss_diversify(group: LoraGroup | None) -> float:
     """sum over pairs i < j of ||(B_i A_i)^T (B_j A_j)||_1; zero for N = 1."""
     if group is None or group.n < 2:
         return 0.0
-    deltas = [m.delta() for m in group.modules]
-    total = 0.0
-    for i in range(len(deltas)):
-        for j in range(i + 1, len(deltas)):
-            total += float(np.abs(deltas[i].T @ deltas[j]).sum())
-    return total
+    return float(np.abs(ag.penalty_args(*group.stacked())[1]).sum())
 
 
 def loss_orthogonal(layer: AdaptedLinear) -> float:
@@ -151,22 +138,22 @@ def loss_or_tensor(
     model, preserve_on: bool = True, diversify_on: bool = True
 ) -> tuple[Tensor | None, Tensor | None]:
     """The two differentiable penalty sums of the orthogonality loss,
-    ``(preserve, diversify)``, over every adapted projection. A sum is
-    None when its penalty is masked off or no layer carries a group."""
+    ``(preserve, diversify)``, over every adapted projection. Each layer
+    adds one L1 term per penalty, over the stacked arguments of all its
+    modules or module pairs. A sum is None when its penalty is masked
+    off or no layer carries a group (for diversify, a group of two or
+    more modules)."""
     preserve: list[Tensor] = []
     diversify: list[Tensor] = []
     for block in model.blocks:
         for lin in (block.attn.wq, block.attn.wv):
             if lin.group is None:
                 continue
-            deltas = [ag.matmul(m.b, m.a) for m in lin.group.modules]
+            a, b = lin.group.factors()
             if preserve_on:
-                for d in deltas:
-                    preserve.append(ag.abs_sum(ag.matmul(lin.base, d, transpose_a=True)))
-            if diversify_on:
-                for i in range(len(deltas)):
-                    for j in range(i + 1, len(deltas)):
-                        diversify.append(ag.abs_sum(ag.matmul(deltas[i], deltas[j], transpose_a=True)))
+                preserve.append(ag.abs_sum(ag.preserve_args(lin.base, a, b)))
+            if diversify_on and lin.group.n > 1:
+                diversify.append(ag.abs_sum(ag.diversify_args(a, b)))
     return _sum_tensors(preserve), _sum_tensors(diversify)
 
 

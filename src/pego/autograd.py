@@ -2,13 +2,18 @@
 
 The operator vocabulary is the fixed set the transformer and its
 regularizers need: matmul, broadcasting add, a handful of shape movers,
-layernorm, GELU, softmax, mean cross-entropy, and the entrywise
-absolute-value sum. Each operator stores a closure mapping the output
-gradient to parent gradients; ``backprop`` walks the tape once in
-reverse topological order and accumulates into every leaf that requires
-a gradient. The closures of matmul, add and layernorm return ``None``
-for a parent that needs no gradient (a frozen weight or a constant) and
-skip its work; ``backprop`` skips ``None`` entries.
+layernorm, GELU, softmax, mean cross-entropy, the entrywise
+absolute-value sum, and three fused adapter ops. ``linear`` is a whole
+projection, ``x W^T + (x A^T) B^T + bias``, with the adapter factors of
+a group stacked inside the op; ``preserve_args`` and ``diversify_args``
+stack the matrix arguments of a layer's two orthogonality penalties,
+whose L1 norm ``abs_sum`` then takes. Each operator stores a closure
+mapping the output gradient to parent gradients; ``backprop`` walks the
+tape once in reverse topological order and accumulates into every leaf
+that requires a gradient. The closures of matmul, add, layernorm and the
+fused ops return ``None`` for a parent that needs no gradient (a frozen
+weight or a constant) and skip its work; ``backprop`` skips ``None``
+entries.
 
 Everything is float64. Parameters are 2-D; activations may carry
 leading batch axes, and broadcasting against parameters is undone by
@@ -210,7 +215,7 @@ def gelu(x: Tensor) -> Tensor:
     The cube is taken by multiplication (``xd**3`` goes through a slow
     ``pow``). The tanh argument and the output are each built in place
     in a single buffer, which keeps the peak memory of large no-grad
-    forwards down.
+    forwards down; the backward likewise uses two buffers.
     """
     xd = x.data
     t = xd * xd
@@ -224,8 +229,20 @@ def gelu(x: Tensor) -> Tensor:
     out *= 0.5
 
     def grad_fn(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner),)
+        # 0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2)) g, in two buffers
+        s = xd * xd
+        s *= 3.0 * _GELU_A
+        s += 1.0
+        s *= _GELU_C
+        u = t * t
+        np.subtract(1.0, u, out=u)
+        u *= xd
+        u *= s
+        u += t
+        u += 1.0
+        u *= 0.5
+        u *= g
+        return (u,)
 
     return _node(out, (x,), grad_fn)
 
@@ -269,6 +286,124 @@ def abs_sum(x: Tensor) -> Tensor:
         return (float(g) * np.sign(x.data),)
 
     return _node(np.float64(np.abs(x.data).sum()), (x,), grad_fn)
+
+
+def _any_grad(parts) -> bool:
+    return any(p.requires_grad for p in parts)
+
+
+def _row_blocks(parts, stacked, axis):
+    """Per-part blocks of the gradient of ``np.concatenate(parts, axis)``;
+    None for a part that needs no gradient, or when ``stacked`` is None."""
+    if stacked is None:
+        return [None] * len(parts)
+    cuts = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return [g if p.requires_grad else None for p, g in zip(parts, np.split(stacked, cuts, axis=axis))]
+
+
+def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts=()) -> Tensor:
+    """One projection: ``x W^T + sum_i (x A_i^T) B_i^T + bias``.
+
+    ``x`` is (..., k), ``w`` is (d, k), ``bias`` is (1, d) or None, and
+    adapter module i is the pair ``a_parts[i]`` (r_i, k), ``b_parts[i]``
+    (d, r_i). The A's are stacked by rows and the B's by columns, so
+    every module's term comes from one GEMM pair in factored order and
+    no d-by-k product B_i A_i is formed. Leading axes of ``x`` stay
+    batch axes rather than GEMM rows: GEMMs that large would start
+    OpenBLAS threads, which oversubscribe the cores under ``--jobs``.
+    """
+    xd = x.data
+    out = xd @ w.data.T
+    a = b = h = None
+    if a_parts:
+        a = np.concatenate([p.data for p in a_parts], axis=0)
+        b = np.concatenate([p.data for p in b_parts], axis=1)
+        h = xd @ a.T
+        out += h @ b.T
+    if bias is not None:
+        out += bias.data
+    head = (x, w) if bias is None else (x, w, bias)
+
+    def grad_fn(g):
+        gh = g @ b if h is not None and (x.requires_grad or _any_grad(a_parts)) else None
+        gx = None
+        if x.requires_grad:
+            gx = g @ w.data
+            if gh is not None:
+                gx += gh @ a
+        grads = [gx, _unbroadcast(_swap(g) @ xd, w.data.shape) if w.requires_grad else None]
+        if bias is not None:
+            grads.append(_unbroadcast(g, bias.data.shape) if bias.requires_grad else None)
+        ga = _unbroadcast(_swap(gh) @ xd, a.shape) if _any_grad(a_parts) else None
+        gb = _unbroadcast(_swap(g) @ h, b.shape) if _any_grad(b_parts) else None
+        return grads + _row_blocks(a_parts, ga, 0) + _row_blocks(b_parts, gb, 1)
+
+    return _node(out, head + tuple(a_parts) + tuple(b_parts), grad_fn)
+
+
+def penalty_args(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None):
+    """The matrix arguments of the orthogonality penalties, from adapter
+    factors stacked by module: ``a`` (N, r, k) and ``b`` (N, d, r).
+
+    Returns ``(deltas, args)``: the updates D_i = B_i A_i stacked
+    (N, d, k), and with ``w`` (d, k) the preserve arguments W^T D_i
+    stacked (N, k, k); without it, the diversify arguments D_i^T D_j for
+    i < j in row-major pair order, stacked (N (N - 1) / 2, k, k).
+    """
+    deltas = b @ a
+    if w is not None:
+        return deltas, w.T @ deltas
+    i, j = np.triu_indices(len(deltas), 1)
+    return deltas, _swap(deltas[i]) @ deltas[j]
+
+
+def _factor_grads(gd, a, b, a_parts, b_parts) -> list:
+    """Per-module gradients of the A's then the B's, from the gradient
+    ``gd`` of the stacked updates D_i = B_i A_i; None where not needed."""
+    ga = _swap(b) @ gd if gd is not None and _any_grad(a_parts) else None
+    gb = gd @ _swap(a) if gd is not None and _any_grad(b_parts) else None
+    return [
+        None if stacked is None or not p.requires_grad else stacked[i]
+        for parts, stacked in ((a_parts, ga), (b_parts, gb))
+        for i, p in enumerate(parts)
+    ]
+
+
+def preserve_args(w: Tensor, a_parts, b_parts) -> Tensor:
+    """The preserve penalty's arguments W^T B_i A_i stacked to (N, k, k);
+    ``w`` is (d, k) and the module factors are as in ``linear``."""
+    a = np.stack([p.data for p in a_parts])
+    b = np.stack([p.data for p in b_parts])
+    deltas, out = penalty_args(a, b, w.data)
+
+    def grad_fn(g):
+        gw = (deltas @ _swap(g)).sum(axis=0) if w.requires_grad else None
+        gd = w.data @ g if _any_grad(a_parts) or _any_grad(b_parts) else None
+        return [gw] + _factor_grads(gd, a, b, a_parts, b_parts)
+
+    return _node(out, (w,) + tuple(a_parts) + tuple(b_parts), grad_fn)
+
+
+def diversify_args(a_parts, b_parts) -> Tensor:
+    """The diversify penalty's arguments (B_i A_i)^T (B_j A_j) for i < j,
+    in row-major pair order, stacked to (N (N - 1) / 2, k, k)."""
+    a = np.stack([p.data for p in a_parts])
+    b = np.stack([p.data for p in b_parts])
+    deltas, out = penalty_args(a, b)
+    n = len(deltas)
+    i, j = np.triu_indices(n, 1)
+
+    def grad_fn(g):
+        gd = None
+        if _any_grad(a_parts) or _any_grad(b_parts):
+            # Pair p adds D_j G_p^T to the gradient of D_i and D_i G_p to
+            # that of D_j; one GEMM against a 0/1 matrix sums them per module.
+            terms = np.concatenate([deltas[j] @ _swap(g), deltas[i] @ g])
+            owner = np.arange(n)[:, None] == np.concatenate([i, j])
+            gd = (owner.astype(np.float64) @ terms.reshape(len(terms), -1)).reshape(deltas.shape)
+        return _factor_grads(gd, a, b, a_parts, b_parts)
+
+    return _node(out, tuple(a_parts) + tuple(b_parts), grad_fn)
 
 
 def backprop(root: Tensor) -> None:

@@ -117,21 +117,16 @@ def _ambiguity_floor(model: VitModel) -> dict[str, float]:
             lin = getattr(block.attn, proj)
             if lin.group is None:
                 continue
-            deltas = [m.delta() for m in lin.group.modules]
-            w = lin.base.data
-            n = len(deltas)
-            preserve_min = [float(np.abs(w.T @ d).min()) for d in deltas]
-            pair_min = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    pair_min[(i, j)] = float(np.abs(deltas[i].T @ deltas[j]).min())
-            for i in range(n):
-                lows = [preserve_min[i]]
-                lows += [v for (a, c), v in pair_min.items() if i in (a, c)]
-                floor = min(lows)
-                prefix = f"blocks.{b}.attn.{proj}.lora.{i}"
-                floors[f"{prefix}.A"] = floor
-                floors[f"{prefix}.B"] = floor
+            factors = lin.group.stacked()
+            low = np.abs(ag.penalty_args(*factors, lin.base.data)[1]).min(axis=(1, 2))
+            pair_low = np.abs(ag.penalty_args(*factors)[1]).min(axis=(1, 2))
+            i, j = np.triu_indices(lin.group.n, 1)
+            np.minimum.at(low, i, pair_low)
+            np.minimum.at(low, j, pair_low)
+            for m, floor in enumerate(low):
+                prefix = f"blocks.{b}.attn.{proj}.lora.{m}"
+                floors[f"{prefix}.A"] = float(floor)
+                floors[f"{prefix}.B"] = float(floor)
     return floors
 
 

@@ -309,14 +309,8 @@ def extract_patches(images: np.ndarray, patch: int) -> np.ndarray:
 
 
 def _linear(x: Tensor, lin: AdaptedLinear) -> Tensor:
-    # Factored adapter order: (x A_i^T) B_i^T, never the dense product.
-    y = ag.matmul(x, lin.base, transpose_b=True)
-    if lin.group is not None:
-        for m in lin.group.modules:
-            y = ag.add(y, ag.matmul(ag.matmul(x, m.a, transpose_b=True), m.b, transpose_b=True))
-    if lin.bias is not None:
-        y = ag.add(y, lin.bias)
-    return y
+    a, b = lin.group.factors() if lin.group is not None else ((), ())
+    return ag.linear(x, lin.base, lin.bias, a, b)
 
 
 def _attention(x: Tensor, block: Block, cfg: VitConfig, capture) -> Tensor:
@@ -341,9 +335,10 @@ def _block_forward(x: Tensor, block: Block, cfg: VitConfig, capture) -> Tensor:
     a = _attention(ag.layernorm(x, block.ln1_scale, block.ln1_offset), block, cfg, capture)
     x = ag.add(x, a)
     m = ag.layernorm(x, block.ln2_scale, block.ln2_offset)
-    m = ag.add(ag.matmul(m, block.fc1_w, transpose_b=True), block.fc1_b)
+    # Two statements, so the layernorm output is freed before GELU runs.
+    m = ag.linear(m, block.fc1_w, block.fc1_b)
     m = ag.gelu(m)
-    m = ag.add(ag.matmul(m, block.fc2_w, transpose_b=True), block.fc2_b)
+    m = ag.linear(m, block.fc2_w, block.fc2_b)
     return ag.add(x, m)
 
 
@@ -358,7 +353,7 @@ def batch_features_tensor(model: VitModel, images: np.ndarray, capture=None) -> 
     bs = images.shape[0]
     d = cfg.embed_dim
     patches = ag.constant(extract_patches(images, cfg.patch_size))
-    x = ag.add(ag.matmul(patches, model.patch_w, transpose_b=True), model.patch_b)
+    x = ag.linear(patches, model.patch_w, model.patch_b)
     cls = ag.broadcast_to(ag.reshape(model.class_token, (1, 1, d)), (bs, 1, d))
     x = ag.concat(cls, x, axis=1)
     x = ag.add(x, model.pos_embed)
@@ -370,7 +365,7 @@ def batch_features_tensor(model: VitModel, images: np.ndarray, capture=None) -> 
 
 def batch_logits_tensor(model: VitModel, images: np.ndarray, capture=None) -> Tensor:
     feats = batch_features_tensor(model, images, capture)
-    return ag.add(ag.matmul(feats, model.head_w, transpose_b=True), model.head_b)
+    return ag.linear(feats, model.head_w, model.head_b)
 
 
 class LossTerms(NamedTuple):
@@ -411,13 +406,6 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{what} contains non-finite values")
     return arr
-
-
-def forward_features(model: VitModel, image: np.ndarray) -> np.ndarray:
-    """Feature vector of a single image (the representation before the head)."""
-    with ag.no_grad():
-        out = batch_features_tensor(model, np.asarray(image, dtype=np.float64)[None])
-    return _check_finite(out.data[0], "feature vector")
 
 
 def forward_logits(model: VitModel, image: np.ndarray) -> np.ndarray:

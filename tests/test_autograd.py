@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pego import autograd as ag
+from pego import trainer, vit
 from pego.errors import ShapeError
 from pego.numerics import make_rng
 
@@ -225,3 +226,99 @@ def test_layernorm_skips_frozen_operands(x_frozen):
         gh = g * s
         expected = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
         assert np.array_equal(gx, expected)
+
+
+def _skewed_sum(t):
+    """``_sum_all`` of ``t @ M`` for a fixed random M: the gradient reaching
+    ``t`` is then not symmetric, so a transposed gradient in a backward shows."""
+    m = make_rng(53).normal(size=(t.shape[-1], t.shape[-1]))
+    return _sum_all(ag.matmul(t, ag.constant(m)))
+
+
+def _linear_build(n_parts, bias, w_trainable, w_fixed):
+    """A scalar tape through ``linear`` whose leaves are x, then W when
+    trainable, then the bias when present, then the A's and the B's."""
+
+    def build(x, *rest):
+        rest = list(rest)
+        w = rest.pop(0) if w_trainable else ag.constant(w_fixed)
+        b = rest.pop(0) if bias else None
+        return _skewed_sum(ag.linear(x, w, b, rest[:n_parts], rest[n_parts:]))
+
+    return build
+
+
+@pytest.mark.parametrize("n_parts", [0, 1, 3])
+@pytest.mark.parametrize("bias", [False, True])
+def test_linear_grad(n_parts, bias):
+    # 3-D activation against a 2-D frozen weight, the projection in every layer
+    w = make_rng(44).normal(size=(4, 5))
+    shapes = [(2, 3, 5)] + ([(1, 4)] if bias else []) + [(2, 5)] * n_parts + [(4, 2)] * n_parts
+    _fd_check(_linear_build(n_parts, bias, False, w), shapes)
+
+
+def test_linear_grad_trainable_weight():
+    shapes = [(2, 3, 5), (4, 5), (1, 4), (2, 5), (1, 5), (4, 2), (4, 1)]
+    _fd_check(_linear_build(2, True, True, None), shapes)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_preserve_args_grad(n):
+    shapes = [(5, 4)] + [(2, 4)] * n + [(5, 2)] * n
+    _fd_check(lambda w, *f: _skewed_sum(ag.preserve_args(w, f[:n], f[n:])), shapes)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_diversify_args_grad(n):
+    shapes = [(2, 4)] * n + [(5, 2)] * n
+    _fd_check(lambda *f: _skewed_sum(ag.diversify_args(f[:n], f[n:])), shapes)
+
+
+def _fused_cases():
+    rng = make_rng(47)
+    x, w, bias = rng.normal(size=(2, 3, 5)), rng.normal(size=(4, 5)), rng.normal(size=(1, 4))
+    a = [rng.normal(size=(2, 5)) for _ in range(2)]
+    b = [rng.normal(size=(4, 2)) for _ in range(2)]
+    return {
+        "linear": ([x, w, bias] + a + b, lambda p: ag.linear(p[0], p[1], p[2], p[3:5], p[5:])),
+        "preserve_args": ([w] + a + b, lambda p: ag.preserve_args(p[0], p[1:3], p[3:])),
+        "diversify_args": (a + b, lambda p: ag.diversify_args(p[:2], p[2:])),
+    }
+
+
+@pytest.mark.parametrize("op", ["linear", "preserve_args", "diversify_args"])
+def test_fused_ops_skip_each_frozen_parent(op):
+    arrays, build = _fused_cases()[op]
+    g = None
+    for frozen in [None] + list(range(len(arrays))):
+        out = build([ag.Tensor(arr, requires_grad=i != frozen) for i, arr in enumerate(arrays)])
+        if g is None:
+            g = make_rng(48).normal(size=out.shape)
+        grads = out.grad_fn(g)
+        if frozen is None:
+            reference = grads
+            assert all(gr is not None for gr in grads)
+            continue
+        assert grads[frozen] is None
+        for i, gr in enumerate(grads):
+            if i != frozen:
+                assert np.array_equal(gr, reference[i])
+
+
+def test_canonical_step_tape_size():
+    # The training step of the benchmark's canonical config: N=4, r=4, batch 24.
+    cfg = trainer.canonical_vit_config()
+    model = vit.init_vit(cfg, make_rng(49))
+    vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
+    images = make_rng(51).random((24, cfg.image_size, cfg.image_size))
+    labels = make_rng(52).integers(0, cfg.num_classes, 24)
+    total = vit.batch_loss_tensor(model, images, labels, 1e-3).total
+    seen, stack, nodes = set(), [total], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t.grad_fn is None:
+            continue
+        seen.add(id(t))
+        nodes += 1
+        stack.extend(t.parents)
+    assert nodes <= 100
