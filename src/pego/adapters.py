@@ -134,15 +134,12 @@ def _sum_tensors(terms: list[Tensor]) -> Tensor | None:
     return total
 
 
-def loss_or_tensor(
-    model, preserve_on: bool = True, diversify_on: bool = True
-) -> tuple[Tensor | None, Tensor | None]:
+def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
     """The two differentiable penalty sums of the orthogonality loss,
     ``(preserve, diversify)``, over every adapted projection. Each layer
     adds one L1 term per penalty, over the stacked arguments of all its
-    modules or module pairs. A sum is None when its penalty is masked
-    off or no layer carries a group (for diversify, a group of two or
-    more modules)."""
+    modules or module pairs. A sum is None when no layer carries a group
+    (for diversify, a group of two or more modules)."""
     preserve: list[Tensor] = []
     diversify: list[Tensor] = []
     for block in model.blocks:
@@ -150,20 +147,13 @@ def loss_or_tensor(
             if lin.group is None:
                 continue
             a, b = lin.group.factors()
-            if preserve_on:
-                preserve.append(ag.abs_sum(ag.preserve_args(lin.base, a, b)))
-            if diversify_on and lin.group.n > 1:
+            preserve.append(ag.abs_sum(ag.preserve_args(lin.base, a, b)))
+            if lin.group.n > 1:
                 diversify.append(ag.abs_sum(ag.diversify_args(a, b)))
     return _sum_tensors(preserve), _sum_tensors(diversify)
 
 
-def final_loss(
-    model,
-    batch,
-    alpha: float,
-    preserve_on: bool = True,
-    diversify_on: bool = True,
-) -> float:
+def final_loss(model, batch, alpha: float) -> float:
     """Mean cross-entropy plus ``alpha`` times the orthogonality loss."""
     from .vit import batch_loss_tensor
 
@@ -172,9 +162,7 @@ def final_loss(
     if len(batch.labels) == 0:
         raise InputError("empty batch")
     with ag.no_grad():
-        out = batch_loss_tensor(
-            model, batch.images, batch.labels, alpha, preserve_on=preserve_on, diversify_on=diversify_on
-        )
+        out = batch_loss_tensor(model, batch.images, batch.labels, alpha)
     return float(out.total.data)
 
 

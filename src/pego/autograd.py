@@ -93,19 +93,18 @@ def _unbroadcast(g, shape):
     return g
 
 
-def matmul(a: Tensor, b: Tensor, transpose_a: bool = False, transpose_b: bool = False) -> Tensor:
-    """Batched matrix product over the last two axes, with optional transposes."""
-    lhs = _swap(a.data) if transpose_a else a.data
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Batched matrix product over the last two axes; ``transpose_b``
+    multiplies by ``b`` with its last two axes swapped."""
     rhs = _swap(b.data) if transpose_b else b.data
-    out = lhs @ rhs
+    out = a.data @ rhs
 
     def grad_fn(g):
         ga = gb = None
         if a.requires_grad:
-            gl = g @ _swap(rhs)
-            ga = _unbroadcast(_swap(gl) if transpose_a else gl, a.data.shape)
+            ga = _unbroadcast(g @ _swap(rhs), a.data.shape)
         if b.requires_grad:
-            gr = _swap(lhs) @ g
+            gr = _swap(a.data) @ g
             gb = _unbroadcast(_swap(gr) if transpose_b else gr, b.data.shape)
         return ga, gb
 

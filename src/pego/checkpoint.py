@@ -6,9 +6,9 @@ Layout, all integers little-endian:
     | u64 tensor count | per tensor: u64 name length, name (UTF-8),
       u64 ndim, u64 dims..., row-major IEEE-754 payload
 
-The header's ``dtype`` flag selects f64 or f32 payloads for the whole
-file; loading always upcasts to f64. Files are written to a temp path
-and renamed into place.
+Payloads are always f64, and the header's ``dtype`` flag says so; a file
+with any other flag is rejected on load. Files are written to a temp
+path and renamed into place.
 """
 
 from __future__ import annotations
@@ -26,15 +26,11 @@ from .vit import VitConfig, VitModel, model_from_arrays, model_to_arrays
 
 MAGIC = b"PEGO"
 FORMAT_VERSION = 1
-_DTYPES = {"f64": "<f8", "f32": "<f4"}
+_F64 = np.dtype("<f8")
 
 
 def write_container(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
-    dtype = header.get("dtype", "f64")
-    if dtype not in _DTYPES:
-        raise CheckpointError(f"unknown dtype flag {dtype!r}")
-    header = dict(header)
-    header["format_version"] = FORMAT_VERSION
+    header = dict(header, dtype="f64", format_version=FORMAT_VERSION)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
@@ -50,7 +46,7 @@ def write_container(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
             fh.write(struct.pack("<Q", arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=_F64).tobytes())
     os.replace(tmp, path)
 
 
@@ -91,9 +87,8 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
     dtype = header.get("dtype", "f64")
-    if dtype not in _DTYPES:
-        raise CheckpointError(f"{path}: unknown dtype flag {dtype!r}")
-    np_dtype = np.dtype(_DTYPES[dtype])
+    if dtype != "f64":
+        raise CheckpointError(f"{path}: unsupported dtype flag {dtype!r}")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u64()):
         name = r.take(r.u64()).decode("utf-8")
@@ -102,13 +97,13 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: implausible rank {ndim} for tensor {name}")
         shape = tuple(r.u64() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
-        raw = r.take(count * np_dtype.itemsize)
-        tensors[name] = np.frombuffer(raw, dtype=np_dtype).astype(np.float64).reshape(shape)
+        raw = r.take(count * _F64.itemsize)
+        tensors[name] = np.frombuffer(raw, dtype=_F64).astype(np.float64).reshape(shape)
     return header, tensors
 
 
-def save_model(path, model: VitModel, dtype: str = "f64") -> None:
-    header = {"kind": "model", "dtype": dtype, "config": dataclasses.asdict(model.cfg)}
+def save_model(path, model: VitModel) -> None:
+    header = {"kind": "model", "config": dataclasses.asdict(model.cfg)}
     write_container(path, header, model_to_arrays(model))
 
 
@@ -123,10 +118,9 @@ def load_model(path) -> VitModel:
         raise CheckpointError(f"{path}: incomplete model checkpoint: {exc}") from exc
 
 
-def save_dataset(path, dataset: DomainDataset, dtype: str = "f64") -> None:
+def save_dataset(path, dataset: DomainDataset) -> None:
     header = {
         "kind": "dataset",
-        "dtype": dtype,
         "config": {"num_classes": dataset.num_classes, "domains": list(dataset.domains)},
     }
     tensors: dict[str, np.ndarray] = {}

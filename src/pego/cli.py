@@ -200,25 +200,16 @@ def _options_dict(args) -> dict:
 
 
 def _load_train_config(args, dataset):
+    from dataclasses import replace
+
     from .errors import ConfigError
     from .trainer import TrainConfig, canonical_vit_config
-    from .vit import VitConfig
 
     if args.config:
         cfg = TrainConfig.from_dict(_read_json(args.config))
     else:
         image_size = next(iter(dataset.images.values())).shape[1]
-        vit_cfg = canonical_vit_config(num_classes=dataset.num_classes)
-        if image_size != vit_cfg.image_size:
-            vit_cfg = VitConfig(
-                image_size=image_size,
-                patch_size=vit_cfg.patch_size,
-                embed_dim=vit_cfg.embed_dim,
-                num_blocks=vit_cfg.num_blocks,
-                num_heads=vit_cfg.num_heads,
-                mlp_ratio=vit_cfg.mlp_ratio,
-                num_classes=dataset.num_classes,
-            )
+        vit_cfg = replace(canonical_vit_config(num_classes=dataset.num_classes), image_size=image_size)
         cfg = TrainConfig(batch_per_domain=8, vit=vit_cfg)
     overrides = {}
     for name in ("seed", "alpha", "rank", "group_n", "lr"):
@@ -232,8 +223,6 @@ def _load_train_config(args, dataset):
     elif getattr(args, "iters", None) is not None:
         overrides["iterations"] = args.iters
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     cfg.validate()
     image_size = next(iter(dataset.images.values())).shape[1]

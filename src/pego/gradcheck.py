@@ -11,8 +11,6 @@ choice is ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autograd as ag
@@ -23,20 +21,10 @@ from .numerics import make_rng
 from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_params
 
 GradientSet = dict[str, np.ndarray]
-# (cross-entropy, preserve, diversify) as the tape computed them; a
-# penalty the tape did not carry is None.
+# (cross-entropy, preserve, diversify) as the tape computed them, masked
+# penalties included; a penalty is None only when no layer carries a
+# group (for diversify, a group of two or more modules).
 LossParts = tuple[float, float | None, float | None]
-
-
-@dataclass(frozen=True)
-class ParamRef:
-    name: str
-    shape: tuple[int, ...]
-    trainable: bool
-
-
-def param_refs(model: VitModel) -> list[ParamRef]:
-    return [ParamRef(n, tuple(t.data.shape), is_trainable_name(n)) for n, t in named_params(model)]
 
 
 def backward(
@@ -80,20 +68,10 @@ def central_diff(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def finite_diff(
-    model: VitModel,
-    batch,
-    alpha: float,
-    param,
-    entry: int,
-    h: float,
-    preserve_on: bool = True,
-    diversify_on: bool = True,
-) -> float:
+def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: float) -> float:
     """Central difference of the objective along one parameter entry."""
     if h <= 0:
         raise ConfigError(f"step size must be positive, got {h}")
-    name = param.name if isinstance(param, ParamRef) else param
     if not is_trainable_name(name):
         raise ConfigError(f"parameter {name} is frozen; no gradient is defined for it")
     flat = vit.get_param(model, name).data.reshape(-1)
@@ -101,7 +79,7 @@ def finite_diff(
 
     def f(p):
         flat[entry] = p
-        return final_loss(model, batch, alpha, preserve_on=preserve_on, diversify_on=diversify_on)
+        return final_loss(model, batch, alpha)
 
     try:
         return central_diff(f, saved, h)
@@ -147,8 +125,8 @@ def grad_check(
     """
     if samples < 1:
         raise ConfigError(f"need at least one probe, got {samples}")
-    refs = [r for r in param_refs(model) if r.trainable]
-    sizes = np.array([int(np.prod(r.shape)) for r in refs])
+    names, tensors = zip(*vit.trainable_params(model).items())
+    sizes = np.array([t.data.size for t in tensors])
     offsets = np.cumsum(sizes)
     total = int(offsets[-1])
     _, grads, _ = backward(model, batch, alpha)
@@ -157,16 +135,16 @@ def grad_check(
     accepted = 0
     for _ in range(samples):
         flat_idx = int(rng.integers(0, total))
-        ref_idx = int(np.searchsorted(offsets, flat_idx, side="right"))
-        ref = refs[ref_idx]
-        entry = flat_idx - (int(offsets[ref_idx - 1]) if ref_idx > 0 else 0)
-        if floors.get(ref.name, np.inf) < ambiguity_tol:
+        idx = int(np.searchsorted(offsets, flat_idx, side="right"))
+        name = names[idx]
+        entry = flat_idx - (int(offsets[idx - 1]) if idx > 0 else 0)
+        if floors.get(name, np.inf) < ambiguity_tol:
             continue
         accepted += 1
-        p0 = float(vit.get_param(model, ref.name).data.reshape(-1)[entry])
+        p0 = float(tensors[idx].data.reshape(-1)[entry])
         h = 1e-5 * max(1.0, abs(p0))
-        numeric = finite_diff(model, batch, alpha, ref, entry, h)
-        analytic = float(grads[ref.name].reshape(-1)[entry])
+        numeric = finite_diff(model, batch, alpha, name, entry, h)
+        analytic = float(grads[name].reshape(-1)[entry])
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
         max_rel = max(max_rel, rel)
     if accepted < samples / 2:

@@ -32,27 +32,6 @@ def derive_seed(seed: int, tag: int) -> int:
     return int(state >> np.uint64(1))
 
 
-def _as_matrix(m, op: str) -> Matrix:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{op} expects a 2-D matrix, got shape {m.shape}")
-    return m
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Product of two 2-D matrices."""
-    a = _as_matrix(a, "matmul")
-    b = _as_matrix(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def l1_entrywise(m: Matrix) -> float:
-    """Sum of absolute values of all entries."""
-    return float(np.abs(np.asarray(m, dtype=np.float64)).sum())
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD; columns of ``u`` and ``v`` are the left/right singular vectors."""
@@ -69,7 +48,9 @@ def svd(m: Matrix) -> SvdResult:
     that its largest-magnitude entry is positive, which keeps repeated runs
     and downstream principal-component reports reproducible.
     """
-    m = _as_matrix(m, "svd")
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError(f"svd expects a 2-D matrix, got shape {m.shape}")
     if min(m.shape) < 1:
         raise ShapeError(f"svd needs a non-empty matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -104,23 +85,3 @@ def numerical_rank(s: np.ndarray, rel_tol: float) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))
-
-
-def cosine_similarity(u, v) -> float:
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ShapeError(f"vector lengths differ: {u.size} vs {v.size}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInputError("cosine similarity of a zero-norm vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
-def softmax_rows(m: Matrix) -> Matrix:
-    """Row-wise softmax, computed with max subtraction for stability."""
-    m = _as_matrix(m, "softmax_rows")
-    z = m - m.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)

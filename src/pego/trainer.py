@@ -183,19 +183,14 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
     best_acc = -1.0
     best_iter = 0
     best_params = {k: np.array(p) for k, p in params.items()}
-    adapted = [lin for block in model.blocks for lin in (block.attn.wq, block.attn.wv)]
     for it in range(1, cfg.iterations + 1):
         batch = make_batch(train_ds, cfg.batch_per_domain, batch_rng)
         touched.update(dom for dom, _ in batch.tags)
         _, grads, (ce, pres, div) = gradcheck.backward(
             model, batch, cfg.alpha, preserve_on=cfg.preserve_on, diversify_on=cfg.diversify_on
         )
-        # A row describes the parameters the step was taken at, so a
-        # penalty the tape did not carry is evaluated before the update.
-        if pres is None:
-            pres = sum((adapters.loss_preserve(lin) for lin in adapted), 0.0)
-        if div is None:
-            div = sum((adapters.loss_diversify(lin.group) for lin in adapted), 0.0)
+        if div is None:  # a group of one module has no pair to diversify
+            div = 0.0
         adam_step(params, grads, state, cfg.lr)
         row = HistoryRow(iteration=it, loss_cls=ce, loss_preserve=pres, loss_diversify=div, loss_or=pres + div)
         if it % cfg.eval_every == 0 or it == cfg.iterations:

@@ -313,7 +313,7 @@ def _linear(x: Tensor, lin: AdaptedLinear) -> Tensor:
     return ag.linear(x, lin.base, lin.bias, a, b)
 
 
-def _attention(x: Tensor, block: Block, cfg: VitConfig, capture) -> Tensor:
+def _attention(x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
     bs, n, d = x.data.shape
     h, dh = cfg.num_heads, cfg.head_dim
 
@@ -325,14 +325,12 @@ def _attention(x: Tensor, block: Block, cfg: VitConfig, capture) -> Tensor:
     v = split(_linear(x, block.attn.wv))
     scores = ag.scale(ag.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(dh))
     probs = ag.softmax_last(scores)
-    if capture is not None:
-        capture.setdefault("attention", []).append(np.array(probs.data))
     ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, n, d))
     return _linear(ctx, block.attn.wo)
 
 
-def _block_forward(x: Tensor, block: Block, cfg: VitConfig, capture) -> Tensor:
-    a = _attention(ag.layernorm(x, block.ln1_scale, block.ln1_offset), block, cfg, capture)
+def _block_forward(x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
+    a = _attention(ag.layernorm(x, block.ln1_scale, block.ln1_offset), block, cfg)
     x = ag.add(x, a)
     m = ag.layernorm(x, block.ln2_scale, block.ln2_offset)
     # Two statements, so the layernorm output is freed before GELU runs.
@@ -342,7 +340,7 @@ def _block_forward(x: Tensor, block: Block, cfg: VitConfig, capture) -> Tensor:
     return ag.add(x, m)
 
 
-def batch_features_tensor(model: VitModel, images: np.ndarray, capture=None) -> Tensor:
+def batch_features_tensor(model: VitModel, images: np.ndarray) -> Tensor:
     """Class-token embeddings after the final layernorm, (batch, d)."""
     cfg = model.cfg
     images = np.asarray(images, dtype=np.float64)
@@ -358,22 +356,24 @@ def batch_features_tensor(model: VitModel, images: np.ndarray, capture=None) -> 
     x = ag.concat(cls, x, axis=1)
     x = ag.add(x, model.pos_embed)
     for block in model.blocks:
-        x = _block_forward(x, block, cfg, capture)
+        x = _block_forward(x, block, cfg)
     cls_out = ag.reshape(ag.narrow(x, 1, 0, 1), (bs, d))
     return ag.layernorm(cls_out, model.final_ln_scale, model.final_ln_offset)
 
 
-def batch_logits_tensor(model: VitModel, images: np.ndarray, capture=None) -> Tensor:
-    feats = batch_features_tensor(model, images, capture)
+def batch_logits_tensor(model: VitModel, images: np.ndarray) -> Tensor:
+    feats = batch_features_tensor(model, images)
     return ag.linear(feats, model.head_w, model.head_b)
 
 
 class LossTerms(NamedTuple):
     """The objective on one batch and the tape tensors of its parts.
 
-    ``total`` is ``ce + alpha * (preserve + diversify)``. A penalty is
-    None when it is not on the tape: masked off, ``alpha`` is 0, or the
-    model carries no adapter group.
+    ``total`` is ``ce + alpha * (preserve + diversify)`` over the
+    penalties left on; with ``alpha`` 0 or both masked off it is ``ce``.
+    Both penalties are on the tape either way, so their values describe
+    the same parameters as ``ce``. A penalty is None only when no layer
+    carries a group (for diversify, a group of two or more modules).
     """
 
     total: Tensor
@@ -391,14 +391,12 @@ def batch_loss_tensor(
     diversify_on: bool = True,
 ) -> LossTerms:
     ce = ag.cross_entropy_mean(batch_logits_tensor(model, images), labels)
-    if alpha == 0.0 or not (preserve_on or diversify_on):
-        return LossTerms(ce, ce, None, None)
-    preserve, diversify = adapters.loss_or_tensor(model, preserve_on, diversify_on)
-    if preserve is None or diversify is None:
-        reg = preserve if diversify is None else diversify
-    else:
-        reg = ag.add(preserve, diversify)
-    total = ce if reg is None else ag.add(ce, ag.scale(reg, alpha))
+    preserve, diversify = adapters.loss_or_tensor(model)
+    terms = [t for t, on in ((preserve, preserve_on), (diversify, diversify_on)) if on and t is not None]
+    total = ce
+    if terms and alpha != 0.0:
+        reg = terms[0] if len(terms) == 1 else ag.add(*terms)
+        total = ag.add(ce, ag.scale(reg, alpha))
     return LossTerms(total, ce, preserve, diversify)
 
 
@@ -408,22 +406,12 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def forward_logits(model: VitModel, image: np.ndarray) -> np.ndarray:
-    with ag.no_grad():
-        out = batch_logits_tensor(model, np.asarray(image, dtype=np.float64)[None])
-    return _check_finite(out.data[0], "logits")
-
-
 def forward_logits_batch(model: VitModel, images: np.ndarray) -> np.ndarray:
     with ag.no_grad():
         out = batch_logits_tensor(model, images)
     return _check_finite(out.data, "logits")
 
 
-def predict(model: VitModel, image: np.ndarray) -> int:
-    """Argmax class; ties resolve to the lowest class index."""
-    return int(np.argmax(forward_logits(model, image)))
-
-
 def predict_batch(model: VitModel, images: np.ndarray) -> np.ndarray:
+    """Argmax class per image; ties resolve to the lowest class index."""
     return np.argmax(forward_logits_batch(model, images), axis=1)

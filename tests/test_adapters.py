@@ -288,8 +288,8 @@ class TestMerge:
         _randomize_adapters(model, make_rng(18))
         merged = merge_all(model)
         for i in range(5):
-            img = make_rng(19, i).random((8, 8))
-            assert vit.predict(model, img) == vit.predict(merged, img)
+            img = make_rng(19, i).random((1, 8, 8))
+            assert np.array_equal(vit.predict_batch(model, img), vit.predict_batch(merged, img))
 
 
 class TestFeatureOrthogonalityGap:

@@ -32,17 +32,16 @@ def test_model_roundtrip_is_bitwise_for_f64(tmp_path):
         assert ta.requires_grad == tb.requires_grad
 
 
-def test_f32_mode_shrinks_the_file_and_upcasts_on_load(tmp_path):
-    model = _model()
-    p64 = tmp_path / "m64.ckpt"
-    p32 = tmp_path / "m32.ckpt"
-    save_model(p64, model)
-    save_model(p32, model, dtype="f32")
-    assert p32.stat().st_size < p64.stat().st_size
-    loaded = load_model(p32)
-    assert loaded.patch_w.data.dtype == np.float64
-    for (name, ta), (_, tb) in zip(vit.named_params(model), vit.named_params(loaded)):
-        assert np.allclose(ta.data, tb.data, atol=1e-6), name
+def test_payload_dtype_flag_other_than_f64_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(path, _model())
+    blob = path.read_bytes()
+    assert blob.count(b'"dtype":"f64"') == 1
+    for flag in (b"f32", b"i64"):
+        bad = tmp_path / f"{flag.decode()}.ckpt"
+        bad.write_bytes(blob.replace(b'"dtype":"f64"', b'"dtype":"' + flag + b'"'))
+        with pytest.raises(CheckpointError, match="dtype"):
+            load_model(bad)
 
 
 def test_save_is_deterministic(tmp_path):

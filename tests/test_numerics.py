@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
+from pego import autograd as ag
 from pego.errors import DegenerateInputError, NumericError, ShapeError
-from pego.numerics import (
-    cosine_similarity,
-    explained_variance_ratio,
-    l1_entrywise,
-    make_rng,
-    matmul,
-    numerical_rank,
-    softmax_rows,
-    svd,
-)
+from pego.numerics import explained_variance_ratio, make_rng, numerical_rank, svd
+
+
+# The package's matrix product, entrywise L1 norm and row softmax are the
+# tape ops; these read their forward values.
+def matmul(a, b):
+    return ag.matmul(ag.constant(a), ag.constant(b)).data
+
+
+def l1_entrywise(m):
+    return float(ag.abs_sum(ag.constant(m)).data)
+
+
+def softmax_rows(m):
+    return ag.softmax_last(ag.constant(m)).data
 
 
 def test_matmul_identity():
@@ -28,11 +34,6 @@ def test_matmul_outer_product():
     b = np.array([[1.0], [0.0]])
     a = np.array([[0.0, 1.0]])
     assert np.array_equal(matmul(b, a), np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 def test_matmul_associativity():
@@ -148,19 +149,6 @@ def test_numerical_rank_matches_construction():
         assert numerical_rank(res.s, 1e-10) == q
         evr = explained_variance_ratio(res, res.s.size)
         assert sum(1 for e in evr if e > 1e-10) == q
-
-
-def test_cosine_similarity():
-    assert cosine_similarity([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-    assert cosine_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
-
-
-def test_cosine_similarity_errors():
-    with pytest.raises(DegenerateInputError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ShapeError):
-        cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_softmax_rows_uniform():

@@ -179,9 +179,16 @@ class TestTrain:
 
 
 class TestHistoryLogging:
-    def test_rows_log_the_tape_that_produced_the_step(self, tiny_dataset, tiny_base, monkeypatch):
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(preserve_on=False, diversify_on=False), dict(alpha=0.0), dict(preserve_on=False), dict(group_n=1)],
+        ids=["default", "both_off", "alpha_0", "preserve_off", "group_n_1"],
+    )
+    def test_rows_log_the_tape_that_produced_the_step(self, tiny_dataset, tiny_base, monkeypatch, overrides):
         # The penalties start at exactly 0 (B = 0 at the first step) and
-        # every row repeats the values the differentiated tape computed.
+        # every row repeats the values the tape computed, masked or
+        # alpha-0 penalties included; only a group of one module has no
+        # diversify term, which logs as 0.
         parts = []
         real_backward = gradcheck.backward
 
@@ -191,10 +198,12 @@ class TestHistoryLogging:
             return out
 
         monkeypatch.setattr(gradcheck, "backward", recording)
-        result = train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=4))
+        cfg = _tiny_cfg(iterations=4, **overrides)
+        result = train(tiny_base, tiny_dataset.without("d0"), cfg)
         first = result.history[0]
         assert (first.loss_preserve, first.loss_diversify, first.loss_or) == (0.0, 0.0, 0.0)
-        assert [(r.loss_cls, r.loss_preserve, r.loss_diversify) for r in result.history] == parts
+        expected = [(ce, pres, 0.0 if div is None and cfg.group_n == 1 else div) for ce, pres, div in parts]
+        assert [(r.loss_cls, r.loss_preserve, r.loss_diversify) for r in result.history] == expected
         assert all(r.loss_or == r.loss_preserve + r.loss_diversify for r in result.history)
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pego import adapters, vit
+from pego import autograd as ag
 from pego.errors import ConfigError, ShapeError
 from pego.numerics import make_rng
 from pego.vit import VitConfig, VitModel, extract_patches, init_vit, inject_groups
@@ -132,33 +133,39 @@ def test_zero_head_gives_zero_logits():
     model = init_vit(_cfg(), make_rng(11))
     model.head_w.data[...] = 0.0
     model.head_b.data[...] = 0.0
-    assert np.array_equal(vit.forward_logits(model, make_rng(12).random((16, 16))), np.zeros(4))
+    assert np.array_equal(vit.forward_logits_batch(model, make_rng(12).random((1, 16, 16))), np.zeros((1, 4)))
 
 
 def test_predict_tie_breaks_to_lowest_index():
     model = init_vit(_cfg(), make_rng(13))
     model.head_w.data[...] = 0.0
     model.head_b.data[...] = 0.0
-    assert vit.predict(model, make_rng(14).random((16, 16))) == 0
+    assert vit.predict_batch(model, make_rng(14).random((1, 16, 16))).tolist() == [0]
 
 
 def test_argmax_invariant_under_constant_logit_shift():
     model = init_vit(_cfg(), make_rng(15))
-    img = make_rng(16).random((16, 16))
-    before = vit.predict(model, img)
+    img = make_rng(16).random((1, 16, 16))
+    before = vit.predict_batch(model, img)
     model.head_b.data[...] += 3.7
-    assert vit.predict(model, img) == before
+    assert np.array_equal(vit.predict_batch(model, img), before)
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(monkeypatch):
     model = init_vit(_cfg(), make_rng(17))
-    capture = {}
-    import pego.autograd as ag
+    captured = []
+    real_softmax = ag.softmax_last
 
+    def recording(x):
+        out = real_softmax(x)
+        captured.append(np.array(out.data))
+        return out
+
+    monkeypatch.setattr(ag, "softmax_last", recording)
     with ag.no_grad():
-        vit.batch_logits_tensor(model, make_rng(18).random((3, 16, 16)), capture=capture)
-    assert len(capture["attention"]) == 2
-    for probs in capture["attention"]:
+        vit.batch_logits_tensor(model, make_rng(18).random((3, 16, 16)))
+    assert len(captured) == 2
+    for probs in captured:
         assert probs.shape == (3, 4, 17, 17)
         assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-12
 
@@ -166,7 +173,7 @@ def test_attention_rows_sum_to_one():
 def test_forward_shape_errors():
     model = init_vit(_cfg(), make_rng(19))
     with pytest.raises(ShapeError):
-        vit.forward_logits(model, np.zeros((8, 8)))
+        vit.forward_logits_batch(model, np.zeros((1, 8, 8)))
     with pytest.raises(ShapeError):
         vit.forward_logits_batch(model, np.zeros((2, 16, 8)))
 
