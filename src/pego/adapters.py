@@ -13,11 +13,12 @@ arguments:
   updates pairwise apart.
 
 Fresh groups start with B_i = 0, so both penalties are exactly zero at
-initialization. The forward path (``autograd.linear``) always applies
-adapters in factored order (A_i z first); the d-by-k products are
-materialized only inside the penalties, whose arguments one helper,
-``autograd.penalty_args``, computes for the tape and for the numpy
-values here alike.
+initialization. The forward path (``autograd.linear``) applies
+adapters in factored order (A_i z first), and the penalties' arguments
+come in factored order too, as (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
+from one helper, ``autograd.penalty_args``, for the tape and for the
+numpy values here alike. The d-by-k products B_i A_i are formed only
+for merge-back and the diagnostics.
 """
 
 from __future__ import annotations
@@ -98,18 +99,31 @@ def group_delta(group: LoraGroup) -> np.ndarray:
     return total
 
 
+def adapted_layers(model) -> list[tuple[str, AdaptedLinear]]:
+    """``(name prefix, layer)`` of every projection carrying a group, in
+    block order, query before value."""
+    return [
+        (f"blocks.{b}.attn.{proj}", lin)
+        for b, block in enumerate(model.blocks)
+        for proj, lin in (("wq", block.attn.wq), ("wv", block.attn.wv))
+        if lin.group is not None
+    ]
+
+
 def loss_preserve(layer: AdaptedLinear) -> float:
     """sum_i ||W^T (B_i A_i)||_1; zero when the layer has no group."""
     if layer.group is None:
         return 0.0
-    return float(np.abs(ag.penalty_args(*layer.group.stacked(), layer.base.data)[1]).sum())
+    a, b = layer.group.stacked()
+    return float(np.abs(ag.penalty_args(a[None], b[None], layer.base.data[None])[1]).sum())
 
 
 def loss_diversify(group: LoraGroup | None) -> float:
     """sum over pairs i < j of ||(B_i A_i)^T (B_j A_j)||_1; zero for N = 1."""
     if group is None or group.n < 2:
         return 0.0
-    return float(np.abs(ag.penalty_args(*group.stacked())[1]).sum())
+    a, b = group.stacked()
+    return float(np.abs(ag.penalty_args(a[None], b[None])[1]).sum())
 
 
 def loss_orthogonal(layer: AdaptedLinear) -> float:
@@ -118,39 +132,22 @@ def loss_orthogonal(layer: AdaptedLinear) -> float:
 
 def loss_or(model) -> float:
     """Sum of per-layer orthogonality losses over every adapted projection."""
-    total = 0.0
-    for block in model.blocks:
-        total += loss_orthogonal(block.attn.wq)
-        total += loss_orthogonal(block.attn.wv)
-    return total
-
-
-def _sum_tensors(terms: list[Tensor]) -> Tensor | None:
-    if not terms:
-        return None
-    total = terms[0]
-    for t in terms[1:]:
-        total = ag.add(total, t)
-    return total
+    return sum(loss_orthogonal(lin) for _, lin in adapted_layers(model))
 
 
 def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
     """The two differentiable penalty sums of the orthogonality loss,
-    ``(preserve, diversify)``, over every adapted projection. Each layer
-    adds one L1 term per penalty, over the stacked arguments of all its
-    modules or module pairs. A sum is None when no layer carries a group
-    (for diversify, a group of two or more modules)."""
-    preserve: list[Tensor] = []
-    diversify: list[Tensor] = []
-    for block in model.blocks:
-        for lin in (block.attn.wq, block.attn.wv):
-            if lin.group is None:
-                continue
-            a, b = lin.group.factors()
-            preserve.append(ag.abs_sum(ag.preserve_args(lin.base, a, b)))
-            if lin.group.n > 1:
-                diversify.append(ag.abs_sum(ag.diversify_args(a, b)))
-    return _sum_tensors(preserve), _sum_tensors(diversify)
+    ``(preserve, diversify)``, each one L1 norm over the stacked
+    arguments of every adapted projection. A sum is None when no layer
+    carries a group (for diversify, a group of two or more modules).
+    Groups of different shapes raise ``ShapeError``."""
+    layers = [lin for _, lin in adapted_layers(model)]
+    if not layers:
+        return None, None
+    a, b = zip(*(lin.group.factors() for lin in layers))
+    preserve = ag.abs_sum(ag.preserve_args([lin.base for lin in layers], a, b))
+    diversify = ag.abs_sum(ag.diversify_args(a, b)) if layers[0].group.n > 1 else None
+    return preserve, diversify
 
 
 def final_loss(model, batch, alpha: float) -> float:
@@ -176,12 +173,8 @@ def merge_all(model):
     from . import vit
 
     arrays = {name: arr for name, arr in vit.model_to_arrays(model).items() if ".lora." not in name}
-    for b, block in enumerate(model.blocks):
-        for proj in ("wq", "wv"):
-            lin = getattr(block.attn, proj)
-            if lin.group is not None:
-                key = f"blocks.{b}.attn.{proj}.base"
-                arrays[key] = arrays[key] + group_delta(lin.group)
+    for prefix, lin in adapted_layers(model):
+        arrays[f"{prefix}.base"] = arrays[f"{prefix}.base"] + group_delta(lin.group)
     return vit.model_from_arrays(model.cfg, arrays)
 
 

@@ -6,8 +6,9 @@ layernorm, GELU, softmax, mean cross-entropy, the entrywise
 absolute-value sum, and three fused adapter ops. ``linear`` is a whole
 projection, ``x W^T + (x A^T) B^T + bias``, with the adapter factors of
 a group stacked inside the op; ``preserve_args`` and ``diversify_args``
-stack the matrix arguments of a layer's two orthogonality penalties,
-whose L1 norm ``abs_sum`` then takes. Each operator stores a closure
+each stack the matrix arguments of one orthogonality penalty over every
+adapted projection of the model, in rank-factored order, and one
+``abs_sum`` then takes their L1 norm. Each operator stores a closure
 mapping the output gradient to parent gradients; ``backprop`` walks the
 tape once in reverse topological order and accumulates into every leaf
 that requires a gradient. The closures of matmul, add, layernorm and the
@@ -341,68 +342,96 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts
 
 
 def penalty_args(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None):
-    """The matrix arguments of the orthogonality penalties, from adapter
-    factors stacked by module: ``a`` (N, r, k) and ``b`` (N, d, r).
+    """The matrix arguments of the orthogonality penalties, from the
+    adapter factors of P projections with N modules each: ``a``
+    (P, N, r, k) and ``b`` (P, N, d, r). No d-by-k update B_i A_i is
+    formed; every product runs in rank-factored order.
 
-    Returns ``(deltas, args)``: the updates D_i = B_i A_i stacked
-    (N, d, k), and with ``w`` (d, k) the preserve arguments W^T D_i
-    stacked (N, k, k); without it, the diversify arguments D_i^T D_j for
-    i < j in row-major pair order, stacked (N (N - 1) / 2, k, k).
+    Returns ``(inner, args)``. With the host weights ``w`` (P, d, k),
+    ``inner`` holds W^T B_i (P, N, k, r) and ``args`` the preserve
+    arguments (W^T B_i) A_i (P, N, k, k). Without them, ``inner`` holds
+    the r-by-r Grams B_i^T B_j and ``args`` the diversify arguments
+    A_i^T (B_i^T B_j) A_j, for i < j in row-major pair order, stacked
+    (P, N (N - 1) / 2, ...).
     """
-    deltas = b @ a
     if w is not None:
-        return deltas, w.T @ deltas
-    i, j = np.triu_indices(len(deltas), 1)
-    return deltas, _swap(deltas[i]) @ deltas[j]
+        inner = _swap(w)[:, None] @ b
+        return inner, inner @ a
+    i, j = np.triu_indices(a.shape[1], 1)
+    gram = _swap(b[:, i]) @ b[:, j]
+    return gram, _swap(a[:, i]) @ (gram @ a[:, j])
 
 
-def _factor_grads(gd, a, b, a_parts, b_parts) -> list:
-    """Per-module gradients of the A's then the B's, from the gradient
-    ``gd`` of the stacked updates D_i = B_i A_i; None where not needed."""
-    ga = _swap(b) @ gd if gd is not None and _any_grad(a_parts) else None
-    gb = gd @ _swap(a) if gd is not None and _any_grad(b_parts) else None
-    return [
-        None if stacked is None or not p.requires_grad else stacked[i]
-        for parts, stacked in ((a_parts, ga), (b_parts, gb))
-        for i, p in enumerate(parts)
-    ]
+def _stack_groups(groups) -> tuple[np.ndarray, list[Tensor]]:
+    """The data of P groups of N equal-shaped tensors stacked (P, N, ...),
+    and the tensors in one flat list, group by group."""
+    parts = [p for g in groups for p in g]
+    shapes = {p.data.shape for p in parts}
+    n = len(groups[0])
+    if len(shapes) != 1 or any(len(g) != n for g in groups):
+        raise ShapeError(f"adapter groups differ: sizes {[len(g) for g in groups]}, shapes {sorted(shapes)}")
+    return np.stack([p.data for p in parts]).reshape((len(groups), n) + shapes.pop()), parts
 
 
-def preserve_args(w: Tensor, a_parts, b_parts) -> Tensor:
-    """The preserve penalty's arguments W^T B_i A_i stacked to (N, k, k);
-    ``w`` is (d, k) and the module factors are as in ``linear``."""
-    a = np.stack([p.data for p in a_parts])
-    b = np.stack([p.data for p in b_parts])
-    deltas, out = penalty_args(a, b, w.data)
+def _module_grads(stacked, parts) -> list:
+    """Per-tensor blocks of a gradient stacked (P, N, ...) over the flat
+    list ``parts``; None for a part that needs no gradient, or when
+    ``stacked`` is None."""
+    if stacked is None:
+        return [None] * len(parts)
+    flat = stacked.reshape((-1,) + stacked.shape[2:])
+    return [flat[q] if p.requires_grad else None for q, p in enumerate(parts)]
+
+
+def preserve_args(ws, a_groups, b_groups) -> Tensor:
+    """The preserve arguments (W^T B_i) A_i of every adapted projection,
+    stacked (P, N, k, k). Projection p has the host weight ``ws[p]``
+    (d, k) and the module factors ``a_groups[p]``, ``b_groups[p]`` as
+    in ``linear``; all P groups must have the same shapes.
+
+    The host weights are read as constants and get no gradient: only
+    adapter factors are trained while groups are attached.
+    """
+    (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
+    w = np.stack([t.data for t in ws])
+    inner, out = penalty_args(a, b, w)
 
     def grad_fn(g):
-        gw = (deltas @ _swap(g)).sum(axis=0) if w.requires_grad else None
-        gd = w.data @ g if _any_grad(a_parts) or _any_grad(b_parts) else None
-        return [gw] + _factor_grads(gd, a, b, a_parts, b_parts)
+        ga = _swap(inner) @ g if _any_grad(a_parts) else None
+        gb = w[:, None] @ (g @ _swap(a)) if _any_grad(b_parts) else None
+        return _module_grads(ga, a_parts) + _module_grads(gb, b_parts)
 
-    return _node(out, (w,) + tuple(a_parts) + tuple(b_parts), grad_fn)
+    return _node(out, a_parts + b_parts, grad_fn)
 
 
-def diversify_args(a_parts, b_parts) -> Tensor:
-    """The diversify penalty's arguments (B_i A_i)^T (B_j A_j) for i < j,
-    in row-major pair order, stacked to (N (N - 1) / 2, k, k)."""
-    a = np.stack([p.data for p in a_parts])
-    b = np.stack([p.data for p in b_parts])
-    deltas, out = penalty_args(a, b)
-    n = len(deltas)
+def diversify_args(a_groups, b_groups) -> Tensor:
+    """The diversify arguments A_i^T (B_i^T B_j) A_j of every adapted
+    projection, for i < j in row-major pair order, stacked
+    (P, N (N - 1) / 2, k, k); the groups are as in ``preserve_args``."""
+    (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
+    gram, out = penalty_args(a, b)
+    n = a.shape[1]
     i, j = np.triu_indices(n, 1)
+    # Pair p feeds modules i[p] and j[p]; a GEMM against this 0/1 matrix
+    # sums the pair terms per module.
+    owner = (np.arange(n)[:, None] == np.concatenate([i, j])).astype(np.float64)
+
+    def per_module(terms, like):
+        return (owner @ terms.reshape(terms.shape[:2] + (-1,))).reshape(like.shape)
 
     def grad_fn(g):
-        gd = None
-        if _any_grad(a_parts) or _any_grad(b_parts):
-            # Pair p adds D_j G_p^T to the gradient of D_i and D_i G_p to
-            # that of D_j; one GEMM against a 0/1 matrix sums them per module.
-            terms = np.concatenate([deltas[j] @ _swap(g), deltas[i] @ g])
-            owner = np.arange(n)[:, None] == np.concatenate([i, j])
-            gd = (owner.astype(np.float64) @ terms.reshape(len(terms), -1)).reshape(deltas.shape)
-        return _factor_grads(gd, a, b, a_parts, b_parts)
+        need_a, need_b = _any_grad(a_parts), _any_grad(b_parts)
+        ga = gb = None
+        if need_a or need_b:
+            aig = a[:, i] @ g  # A_i G_p
+        if need_a:
+            ga = per_module(np.concatenate([gram @ (a[:, j] @ _swap(g)), _swap(gram) @ aig], axis=1), a)
+        if need_b:
+            gg = aig @ _swap(a[:, j])  # gradient of the Gram B_i^T B_j
+            gb = per_module(np.concatenate([b[:, j] @ _swap(gg), b[:, i] @ gg], axis=1), b)
+        return _module_grads(ga, a_parts) + _module_grads(gb, b_parts)
 
-    return _node(out, tuple(a_parts) + tuple(b_parts), grad_fn)
+    return _node(out, a_parts + b_parts, grad_fn)
 
 
 def backprop(root: Tensor) -> None:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd as ag
 from . import vit
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .numerics import explained_variance_ratio, numerical_rank, svd
@@ -78,8 +77,7 @@ def feature_projection(
     feats = []
     tags: list[str] = []
     for tag, model in models:
-        with ag.no_grad():
-            feats.append(vit.batch_features_tensor(model, images).data)
+        feats.append(vit.features_batch(model, images))
         tags.extend([tag] * images.shape[0])
     pooled = np.concatenate(feats, axis=0)
     centered = pooled - pooled.mean(axis=0, keepdims=True)

@@ -13,18 +13,55 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import adapters, vit
 from . import autograd as ag
-from . import vit
 from .adapters import final_loss
 from .errors import ConfigError, InconclusiveCheckError, InputError, NumericError
 from .numerics import make_rng
 from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_params
 
-GradientSet = dict[str, np.ndarray]
 # (cross-entropy, preserve, diversify) as the tape computed them, masked
 # penalties included; a penalty is None only when no layer carries a
 # group (for diversify, a group of two or more modules).
 LossParts = tuple[float, float | None, float | None]
+
+
+def split_flat(flat: np.ndarray, tensors) -> list[np.ndarray]:
+    """Views into ``flat`` shaped like ``tensors``, laid end to end in order."""
+    views = []
+    start = 0
+    for t in tensors:
+        stop = start + t.data.size
+        views.append(flat[start:stop].reshape(t.data.shape))
+        start = stop
+    return views
+
+
+def check_finite_grad(flat: np.ndarray, names, sizes, context: str = "") -> None:
+    """Raise ``NumericError`` naming the parameter that holds the first
+    non-finite entry of ``flat``, where parameters ``names`` of ``sizes``
+    entries lie end to end."""
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = names[int(np.searchsorted(np.cumsum(sizes), int(np.argmin(finite)), side="right"))]
+        raise NumericError(f"non-finite gradient for parameter {bad}{context}")
+
+
+def gather_grads(params: dict[str, ag.Tensor]) -> np.ndarray:
+    """The gradients of ``params`` in one vector, laid end to end in dict
+    order and zero where backprop left none, after a non-finite check."""
+    flat = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel() for t in params.values()])
+    check_finite_grad(flat, list(params), [t.data.size for t in params.values()])
+    return flat
+
+
+class GradientSet(dict):
+    """Gradients by parameter name, each a view into ``flat``, the one
+    vector that holds them end to end in ``vit.trainable_params`` order."""
+
+    def __init__(self, flat: np.ndarray, params: dict[str, ag.Tensor]):
+        super().__init__(zip(params, split_flat(flat, params.values())))
+        self.flat = flat
 
 
 def backward(
@@ -49,15 +86,9 @@ def backward(
         model, batch.images, batch.labels, alpha, preserve_on=preserve_on, diversify_on=diversify_on
     )
     ag.backprop(terms.total)
-    grads: GradientSet = {}
-    for name, t in named_params(model):
-        if not is_trainable_name(name):
-            t.grad = None
-            continue
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name}")
-        grads[name] = np.array(g)
+    params = vit.trainable_params(model)
+    grads = GradientSet(gather_grads(params), params)
+    for _, t in named_params(model):
         t.grad = None
     parts = tuple(None if t is None else float(t.data) for t in (terms.ce, terms.preserve, terms.diversify))
     return float(terms.total.data), grads, parts
@@ -89,22 +120,21 @@ def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: 
 
 def _ambiguity_floor(model: VitModel) -> dict[str, float]:
     """Smallest |entry| of any L1 argument each adapter parameter feeds."""
+    layers = adapters.adapted_layers(model)
+    if not layers:
+        return {}
+    a, b = (np.stack(f) for f in zip(*(lin.group.stacked() for _, lin in layers)))
+    w = np.stack([lin.base.data for _, lin in layers])
+    low = np.abs(ag.penalty_args(a, b, w)[1]).min(axis=(2, 3))
+    pair_low = np.abs(ag.penalty_args(a, b)[1]).min(axis=(2, 3))
+    i, j = np.triu_indices(a.shape[1], 1)
+    np.minimum.at(low.T, i, pair_low.T)
+    np.minimum.at(low.T, j, pair_low.T)
     floors: dict[str, float] = {}
-    for b, block in enumerate(model.blocks):
-        for proj in ("wq", "wv"):
-            lin = getattr(block.attn, proj)
-            if lin.group is None:
-                continue
-            factors = lin.group.stacked()
-            low = np.abs(ag.penalty_args(*factors, lin.base.data)[1]).min(axis=(1, 2))
-            pair_low = np.abs(ag.penalty_args(*factors)[1]).min(axis=(1, 2))
-            i, j = np.triu_indices(lin.group.n, 1)
-            np.minimum.at(low, i, pair_low)
-            np.minimum.at(low, j, pair_low)
-            for m, floor in enumerate(low):
-                prefix = f"blocks.{b}.attn.{proj}.lora.{m}"
-                floors[f"{prefix}.A"] = float(floor)
-                floors[f"{prefix}.B"] = float(floor)
+    for (prefix, _), layer_low in zip(layers, low):
+        for m, floor in enumerate(layer_low):
+            floors[f"{prefix}.lora.{m}.A"] = float(floor)
+            floors[f"{prefix}.lora.{m}.B"] = float(floor)
     return floors
 
 

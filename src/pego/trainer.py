@@ -24,7 +24,7 @@ from . import adapters
 from . import autograd as ag
 from . import gradcheck, vit
 from .data import DatasetSpec, DomainDataset, generate_dataset, make_batch, split_train_val
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .numerics import derive_seed, make_rng
 from .vit import VitConfig, VitModel
 
@@ -96,10 +96,25 @@ class TrainConfig:
         return cfg
 
 
+def flatten_params(params: dict[str, ag.Tensor]) -> np.ndarray:
+    """Move the data of ``params`` into one new contiguous vector, laid end
+    to end in dict order, and rebind each tensor's ``data`` to its view
+    into it. Names, shapes and values stay as they were."""
+    flat = np.concatenate([t.data.ravel() for t in params.values()])
+    for t, view in zip(params.values(), gradcheck.split_flat(flat, params.values())):
+        t.data = view
+    return flat
+
+
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam moments for parameters laid end to end in one vector, with
+    the parameters' names and sizes to name one in an error."""
+
+    m: np.ndarray
+    v: np.ndarray
+    names: list[str]
+    sizes: list[int]
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -107,31 +122,26 @@ class AdamState:
 
 
 def adam_init(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
+    """Zero moments for ``params`` laid end to end in dict order."""
+    sizes = [p.size for p in params.values()]
+    return AdamState(m=np.zeros(sum(sizes)), v=np.zeros(sum(sizes)), names=list(params), sizes=sizes)
 
 
-def adam_step(
-    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied in place to ``params``."""
+def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update of the parameter vector ``flat``,
+    applied in place; ``grad`` is laid out as ``flat``. Every operation
+    is elementwise, so the result equals a per-parameter update bitwise."""
     state.t += 1
+    gradcheck.check_finite_grad(grad, state.names, state.sizes, f" at step {state.t}")
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name} at step {state.t}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grad * grad)
+    flat -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    return flat, state
 
 
 @dataclass
@@ -175,14 +185,15 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
         name: np.array(t.data) for name, t in vit.named_params(model) if not vit.is_trainable_name(name)
     }
     train_ds, val_ds = split_train_val(sources, cfg.val_fraction, cfg.seed)
-    params = {name: t.data for name, t in vit.trainable_params(model).items()}
-    state = adam_init(params)
+    params = vit.trainable_params(model)
+    flat = flatten_params(params)
+    state = adam_init({name: t.data for name, t in params.items()})
     batch_rng = make_rng(cfg.seed, 13)
     touched: set[str] = set()
     history: list[HistoryRow] = []
     best_acc = -1.0
     best_iter = 0
-    best_params = {k: np.array(p) for k, p in params.items()}
+    best_flat = flat.copy()
     for it in range(1, cfg.iterations + 1):
         batch = make_batch(train_ds, cfg.batch_per_domain, batch_rng)
         touched.update(dom for dom, _ in batch.tags)
@@ -191,7 +202,7 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
         )
         if div is None:  # a group of one module has no pair to diversify
             div = 0.0
-        adam_step(params, grads, state, cfg.lr)
+        adam_step(flat, grads.flat, state, cfg.lr)
         row = HistoryRow(iteration=it, loss_cls=ce, loss_preserve=pres, loss_diversify=div, loss_or=pres + div)
         if it % cfg.eval_every == 0 or it == cfg.iterations:
             acc = evaluate(model, val_ds)
@@ -200,13 +211,12 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
             if acc > best_acc:
                 best_acc = acc
                 best_iter = it
-                best_params = {k: np.array(p) for k, p in params.items()}
+                best_flat = flat.copy()
         history.append(row)
     if cfg.iterations == 0:
         best_acc = evaluate(model, val_ds)
         touched.update(val_ds.domains)
-    for name, snap in best_params.items():
-        np.copyto(params[name], snap)
+    np.copyto(flat, best_flat)
     for name, before in frozen_before.items():
         if not np.array_equal(vit.get_param(model, name).data, before):
             raise RuntimeError(f"frozen parameter {name} changed during training")
@@ -245,20 +255,20 @@ def pretrain_base(
     spec = DatasetSpec(domains=4, classes=cfg.num_classes, per_class=per_class, image_size=cfg.image_size)
     ds = generate_dataset(spec, derive_seed(seed, 91))
     model = vit.init_vit(cfg, make_rng(seed, 90))
-    for _, t in vit.named_params(model):
+    params = dict(vit.named_params(model))
+    for t in params.values():
         t.requires_grad = True
-    params = {name: t.data for name, t in vit.named_params(model)}
-    state = adam_init(params)
+    flat = flatten_params(params)
+    state = adam_init({name: t.data for name, t in params.items()})
     rng = make_rng(seed, 92)
     for _ in range(iterations):
         batch = make_batch(ds, batch_per_domain, rng)
-        for _, t in vit.named_params(model):
+        for t in params.values():
             t.grad = None
         loss = vit.batch_loss_tensor(model, batch.images, batch.labels, alpha=0.0).total
         ag.backprop(loss)
-        grads = {name: t.grad for name, t in vit.named_params(model)}
-        adam_step(params, grads, state, 1e-3)
-    for _, t in vit.named_params(model):
+        adam_step(flat, gradcheck.gather_grads(params), state, 1e-3)
+    for t in params.values():
         t.grad = None
     vit.apply_trainability(model)
     _PRETRAIN_CACHE[key] = model

@@ -5,6 +5,10 @@ The layout is the usual pre-norm encoder: patch embedding with a class
 token and learned positions, then blocks of layernorm, multi-head
 attention, layernorm, and a GELU MLP, with residual connections. The
 class-token embedding after a final layernorm feeds a linear head.
+Since no other row reaches the head, the last block computes the class
+token's row alone: it queries with that row against keys and values
+from every token, and its output projection, residual, MLP and
+layernorm run on that one row.
 
 Only the adapter matrices and the head are ever trainable; everything
 else is frozen by name. A model is single-writer: training mutates the
@@ -313,25 +317,33 @@ def _linear(x: Tensor, lin: AdaptedLinear) -> Tensor:
     return ag.linear(x, lin.base, lin.bias, a, b)
 
 
-def _attention(x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
+def _attention(q_in: Tensor, x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
+    """Multi-head attention of the query rows ``q_in`` over all tokens ``x``."""
     bs, n, d = x.data.shape
+    nq = q_in.data.shape[1]
     h, dh = cfg.num_heads, cfg.head_dim
 
-    def split(t):
-        return ag.transpose(ag.reshape(t, (bs, n, h, dh)), (0, 2, 1, 3))
+    def split(t, rows):
+        return ag.transpose(ag.reshape(t, (bs, rows, h, dh)), (0, 2, 1, 3))
 
-    q = split(_linear(x, block.attn.wq))
-    k = split(_linear(x, block.attn.wk))
-    v = split(_linear(x, block.attn.wv))
+    q = split(_linear(q_in, block.attn.wq), nq)
+    k = split(_linear(x, block.attn.wk), n)
+    v = split(_linear(x, block.attn.wv), n)
     scores = ag.scale(ag.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(dh))
     probs = ag.softmax_last(scores)
-    ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, n, d))
+    ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, nq, d))
     return _linear(ctx, block.attn.wo)
 
 
-def _block_forward(x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
-    a = _attention(ag.layernorm(x, block.ln1_scale, block.ln1_offset), block, cfg)
-    x = ag.add(x, a)
+def _block_forward(x: Tensor, block: Block, cfg: VitConfig, last: bool) -> Tensor:
+    h = ag.layernorm(x, block.ln1_scale, block.ln1_offset)
+    q_in = h
+    if last:
+        # Only the class-token row reaches the logits, so the last block
+        # queries with that row alone and carries only it onwards; keys
+        # and values still come from every token.
+        x, q_in = ag.narrow(x, 1, 0, 1), ag.narrow(h, 1, 0, 1)
+    x = ag.add(x, _attention(q_in, h, block, cfg))
     m = ag.layernorm(x, block.ln2_scale, block.ln2_offset)
     # Two statements, so the layernorm output is freed before GELU runs.
     m = ag.linear(m, block.fc1_w, block.fc1_b)
@@ -340,14 +352,19 @@ def _block_forward(x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
     return ag.add(x, m)
 
 
-def batch_features_tensor(model: VitModel, images: np.ndarray) -> Tensor:
-    """Class-token embeddings after the final layernorm, (batch, d)."""
-    cfg = model.cfg
+def _check_images(cfg: VitConfig, images) -> np.ndarray:
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3 or images.shape[1:] != (cfg.image_size, cfg.image_size):
         raise ShapeError(
             f"expected images of shape (batch, {cfg.image_size}, {cfg.image_size}), got {images.shape}"
         )
+    return images
+
+
+def batch_features_tensor(model: VitModel, images: np.ndarray) -> Tensor:
+    """Class-token embeddings after the final layernorm, (batch, d)."""
+    cfg = model.cfg
+    images = _check_images(cfg, images)
     bs = images.shape[0]
     d = cfg.embed_dim
     patches = ag.constant(extract_patches(images, cfg.patch_size))
@@ -355,10 +372,10 @@ def batch_features_tensor(model: VitModel, images: np.ndarray) -> Tensor:
     cls = ag.broadcast_to(ag.reshape(model.class_token, (1, 1, d)), (bs, 1, d))
     x = ag.concat(cls, x, axis=1)
     x = ag.add(x, model.pos_embed)
-    for block in model.blocks:
-        x = _block_forward(x, block, cfg)
-    cls_out = ag.reshape(ag.narrow(x, 1, 0, 1), (bs, d))
-    return ag.layernorm(cls_out, model.final_ln_scale, model.final_ln_offset)
+    last = len(model.blocks) - 1
+    for b, block in enumerate(model.blocks):
+        x = _block_forward(x, block, cfg, b == last)
+    return ag.layernorm(ag.reshape(x, (bs, d)), model.final_ln_scale, model.final_ln_offset)
 
 
 def batch_logits_tensor(model: VitModel, images: np.ndarray) -> Tensor:
@@ -406,10 +423,33 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def forward_logits_batch(model: VitModel, images: np.ndarray) -> np.ndarray:
+# Images per no-grad forward. Chunks bound the memory of a large batch,
+# and their activations stay in cache: on the canonical model (2-core
+# Xeon, OpenBLAS), 400 images took 75 ms in one forward and 50-52 ms in
+# chunks of 32 to 100 (medians of 40 shuffled runs); 1600 images took
+# 311 ms against 214-219 ms.
+FORWARD_CHUNK = 64
+
+
+def _no_grad_chunks(forward, model: VitModel, images: np.ndarray) -> np.ndarray:
+    """``forward(model, chunk)`` without a tape over chunks of
+    ``FORWARD_CHUNK`` images, concatenated."""
+    images = _check_images(model.cfg, images)
     with ag.no_grad():
-        out = batch_logits_tensor(model, images)
-    return _check_finite(out.data, "logits")
+        chunks = [
+            forward(model, images[s : s + FORWARD_CHUNK]).data for s in range(0, max(len(images), 1), FORWARD_CHUNK)
+        ]
+    return np.concatenate(chunks)
+
+
+def features_batch(model: VitModel, images: np.ndarray) -> np.ndarray:
+    """Class-token features per image, the head's input, without a tape."""
+    return _no_grad_chunks(batch_features_tensor, model, images)
+
+
+def forward_logits_batch(model: VitModel, images: np.ndarray) -> np.ndarray:
+    """Logits per image, without a tape."""
+    return _check_finite(_no_grad_chunks(batch_logits_tensor, model, images), "logits")
 
 
 def predict_batch(model: VitModel, images: np.ndarray) -> np.ndarray:

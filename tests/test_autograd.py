@@ -259,16 +259,65 @@ def test_linear_grad_trainable_weight():
     _fd_check(_linear_build(2, True, True, None), shapes)
 
 
-@pytest.mark.parametrize("n", [2, 4])
+def _groups(parts, p):
+    """``parts`` cut into ``p`` equal groups, as one per adapted projection."""
+    n = len(parts) // p
+    return [list(parts[q * n : (q + 1) * n]) for q in range(p)]
+
+
+P = 2  # adapted projections in the penalty tests
+# The shifted sums in these tests reach about 1e4, so a step of 1e-6
+# would leave central differences with rounding errors near 1e-6.
+H_PENALTY = 1e-5
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
 def test_preserve_args_grad(n):
-    shapes = [(5, 4)] + [(2, 4)] * n + [(5, 2)] * n
-    _fd_check(lambda w, *f: _skewed_sum(ag.preserve_args(w, f[:n], f[n:])), shapes)
+    ws = [ag.constant(w) for w in make_rng(45).normal(size=(P, 5, 4))]
+    shapes = [(2, 4)] * (P * n) + [(5, 2)] * (P * n)
+
+    def build(*f):
+        return _skewed_sum(ag.preserve_args(ws, _groups(f[: P * n], P), _groups(f[P * n :], P)))
+
+    _fd_check(build, shapes, h=H_PENALTY)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_diversify_args_grad(n):
-    shapes = [(2, 4)] * n + [(5, 2)] * n
-    _fd_check(lambda *f: _skewed_sum(ag.diversify_args(f[:n], f[n:])), shapes)
+    shapes = [(2, 4)] * (P * n) + [(5, 2)] * (P * n)
+
+    def build(*f):
+        return _skewed_sum(ag.diversify_args(_groups(f[: P * n], P), _groups(f[P * n :], P)))
+
+    _fd_check(build, shapes, h=H_PENALTY)
+
+
+def test_penalty_args_match_the_dense_form():
+    # The rank-factored products against D_i = B_i A_i written out.
+    rng = make_rng(46)
+    a, b, w = rng.normal(size=(P, 3, 2, 4)), rng.normal(size=(P, 3, 5, 2)), rng.normal(size=(P, 5, 4))
+    d = b @ a
+    preserve = np.stack([[w[p].T @ d[p, i] for i in range(3)] for p in range(P)])
+    diversify = np.stack([[d[p, i].T @ d[p, j] for i, j in ((0, 1), (0, 2), (1, 2))] for p in range(P)])
+    assert np.allclose(ag.penalty_args(a, b, w)[1], preserve, rtol=1e-13, atol=1e-13)
+    assert np.allclose(ag.penalty_args(a, b)[1], diversify, rtol=1e-13, atol=1e-13)
+
+
+def test_penalty_ops_reject_groups_of_different_shapes():
+    rng = make_rng(54)
+    w = ag.constant(rng.normal(size=(5, 4)))
+
+    def factors(n, r):
+        return [ag.Tensor(rng.normal(size=(r, 4)), True) for _ in range(n)], [
+            ag.Tensor(rng.normal(size=(5, r)), True) for _ in range(n)
+        ]
+
+    for other in (factors(3, 2), factors(2, 3)):
+        a0, b0 = factors(2, 2)
+        with pytest.raises(ShapeError):
+            ag.preserve_args([w, w], [a0, other[0]], [b0, other[1]])
+        with pytest.raises(ShapeError):
+            ag.diversify_args([a0, other[0]], [b0, other[1]])
 
 
 def _fused_cases():
@@ -276,10 +325,20 @@ def _fused_cases():
     x, w, bias = rng.normal(size=(2, 3, 5)), rng.normal(size=(4, 5)), rng.normal(size=(1, 4))
     a = [rng.normal(size=(2, 5)) for _ in range(2)]
     b = [rng.normal(size=(4, 2)) for _ in range(2)]
+    # Two modules on each of P projections for the penalty ops, whose host
+    # weights are read as constants, even when they require a gradient,
+    # and so are no parents.
+    a_pen = a + [rng.normal(size=(2, 5)) for _ in range(2 * P - 2)]
+    b_pen = b + [rng.normal(size=(4, 2)) for _ in range(2 * P - 2)]
+    ws = [ag.Tensor(rng.normal(size=(4, 5)), requires_grad=True) for _ in range(P)]
+
+    def penalty(op, *head):
+        return a_pen + b_pen, lambda p: op(*head, _groups(p[: 2 * P], P), _groups(p[2 * P :], P))
+
     return {
         "linear": ([x, w, bias] + a + b, lambda p: ag.linear(p[0], p[1], p[2], p[3:5], p[5:])),
-        "preserve_args": ([w] + a + b, lambda p: ag.preserve_args(p[0], p[1:3], p[3:])),
-        "diversify_args": (a + b, lambda p: ag.diversify_args(p[:2], p[2:])),
+        "preserve_args": penalty(ag.preserve_args, ws),
+        "diversify_args": penalty(ag.diversify_args),
     }
 
 
@@ -289,6 +348,7 @@ def test_fused_ops_skip_each_frozen_parent(op):
     g = None
     for frozen in [None] + list(range(len(arrays))):
         out = build([ag.Tensor(arr, requires_grad=i != frozen) for i, arr in enumerate(arrays)])
+        assert len(out.parents) == len(arrays)
         if g is None:
             g = make_rng(48).normal(size=out.shape)
         grads = out.grad_fn(g)

@@ -4,8 +4,8 @@ import pytest
 from pego import autograd as ag
 from pego import vit
 from pego.adapters import final_loss
-from pego.errors import ConfigError, InconclusiveCheckError
-from pego.gradcheck import backward, central_diff, finite_diff, grad_check, make_probe_model
+from pego.errors import ConfigError, InconclusiveCheckError, NumericError
+from pego.gradcheck import backward, central_diff, finite_diff, gather_grads, grad_check, make_probe_model
 from pego.numerics import make_rng
 
 
@@ -29,6 +29,19 @@ def test_gradient_set_contains_exactly_the_trainables(probe):
     for name, g in grads.items():
         assert g.shape == vit.get_param(model, name).data.shape
         assert np.all(np.isfinite(g))
+    # one vector holds them all, in trainable-parameter order
+    assert np.array_equal(grads.flat, np.concatenate([g.ravel() for g in grads.values()]))
+    assert list(grads) == list(vit.trainable_params(model))
+    assert all(np.shares_memory(g, grads.flat) for g in grads.values())
+
+
+def test_gathered_non_finite_gradient_names_its_parameter():
+    params = {name: ag.Tensor(np.ones(shape), requires_grad=True) for name, shape in (("a", (2, 2)), ("b", (1, 3)))}
+    params["a"].grad = np.zeros((2, 2))
+    assert np.array_equal(gather_grads(params), np.zeros(7))
+    params["b"].grad = np.array([[0.0, np.inf, 0.0]])
+    with pytest.raises(NumericError, match="parameter b$"):
+        gather_grads(params)
 
 
 def test_frozen_gradient_request_is_an_error(probe):

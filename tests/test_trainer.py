@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pego import gradcheck, trainer, vit
+from pego import autograd as ag
+from pego import checkpoint, gradcheck, trainer, vit
 from pego.data import DatasetSpec, generate_dataset
 from pego.errors import ConfigError, NumericError
 from pego.numerics import make_rng
@@ -79,54 +80,84 @@ class TestTrainConfig:
             TrainConfig.from_dict({"alhpa": 1.0})
 
 
+def _flat(params):
+    return np.concatenate([p.ravel() for p in params.values()])
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_and_increments_t(self):
         params = {"p": np.array([[1.0, -2.0]])}
-        state = adam_init(params)
-        adam_step(params, {"p": np.zeros((1, 2))}, state, lr=0.1)
-        assert np.array_equal(params["p"], np.array([[1.0, -2.0]]))
+        flat, state = _flat(params), adam_init(params)
+        adam_step(flat, np.zeros(2), state, lr=0.1)
+        assert np.array_equal(flat, np.array([1.0, -2.0]))
         assert state.t == 1
 
     def test_first_step_hand_computed(self):
         # g = 1: bias correction gives m_hat = v_hat = 1, so the update is
         # lr / (1 + eps), within eps of lr itself.
         params = {"p": np.array([[3.0]])}
-        state = adam_init(params)
-        adam_step(params, {"p": np.array([[1.0]])}, state, lr=0.1)
-        assert params["p"][0, 0] == pytest.approx(3.0 - 0.1, abs=1e-7)
+        flat, state = _flat(params), adam_init(params)
+        adam_step(flat, np.array([1.0]), state, lr=0.1)
+        assert flat[0] == pytest.approx(3.0 - 0.1, abs=1e-7)
 
     def test_lr_zero_is_identity(self):
         rng = make_rng(1)
         params = {"p": rng.normal(size=(3, 3))}
-        before = params["p"].copy()
-        state = adam_init(params)
+        flat, state = _flat(params), adam_init(params)
+        before = flat.copy()
         for _ in range(5):
-            adam_step(params, {"p": rng.normal(size=(3, 3))}, state, lr=0.0)
-        assert np.array_equal(params["p"], before)
+            adam_step(flat, rng.normal(size=9), state, lr=0.0)
+        assert np.array_equal(flat, before)
 
     def test_trajectory_is_deterministic(self):
         def run():
             rng = make_rng(2)
             params = {"p": np.ones((2, 2))}
-            state = adam_init(params)
+            flat, state = _flat(params), adam_init(params)
             for _ in range(10):
-                adam_step(params, {"p": rng.normal(size=(2, 2))}, state, lr=0.01)
-            return params["p"]
+                adam_step(flat, rng.normal(size=4), state, lr=0.01)
+            return flat
 
         assert np.array_equal(run(), run())
 
     def test_non_finite_gradient_raises(self):
-        params = {"p": np.ones((1, 1))}
-        state = adam_init(params)
-        with pytest.raises(NumericError, match="p"):
-            adam_step(params, {"p": np.array([[np.nan]])}, state, lr=0.1)
+        params = {"a": np.ones((2, 2)), "p": np.ones((1, 1)), "c": np.ones((1, 3))}
+        flat, state = _flat(params), adam_init(params)
+        grad = np.zeros(8)
+        grad[4] = np.nan
+        with pytest.raises(NumericError, match=r"parameter p at step 1$"):
+            adam_step(flat, grad, state, lr=0.1)
 
     def test_state_shapes(self):
         params = {"a": np.zeros((2, 3)), "b": np.zeros((1, 4))}
         state = adam_init(params)
         assert isinstance(state, AdamState)
-        assert state.m["a"].shape == (2, 3) and state.v["b"].shape == (1, 4)
+        assert state.m.shape == (10,) and state.v.shape == (10,)
+        assert (state.names, state.sizes) == (["a", "b"], [6, 4])
         assert state.beta1 == 0.9 and state.beta2 == 0.999 and state.eps == 1e-8
+
+    def test_flat_step_equals_a_per_tensor_loop_bitwise(self):
+        rng = make_rng(3)
+        shapes = {"a": (4, 3), "b": (2, 4), "head": (1, 5)}
+        tensors = {k: ag.Tensor(rng.normal(size=s)) for k, s in shapes.items()}
+        loop = {k: np.array(t.data) for k, t in tensors.items()}
+        flat = trainer.flatten_params(tensors)
+        state = adam_init({k: t.data for k, t in tensors.items()})
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        for t in range(1, 8):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            adam_step(flat, _flat(grads), state, lr=0.01)
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for k, g in grads.items():
+                m[k] *= 0.9
+                m[k] += (1.0 - 0.9) * g
+                v[k] *= 0.999
+                v[k] += (1.0 - 0.999) * (g * g)
+                loop[k] -= 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
+            for k, t_ in tensors.items():
+                assert np.array_equal(t_.data, loop[k]), k
+        assert all(np.shares_memory(t.data, flat) for t in tensors.values())
 
 
 class TestTrain:
@@ -171,6 +202,23 @@ class TestTrain:
         for name in a1:
             assert np.array_equal(a1[name], a2[name]), name
         assert [row.loss_cls for row in r1.history] == [row.loss_cls for row in r2.history]
+
+    def test_best_snapshot_is_restored(self, tiny_dataset, tiny_base):
+        # Validation accuracy ties on this data, so the first evaluation
+        # is selected; a run cut there ends on the same parameters.
+        full = train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=8, eval_every=2))
+        assert full.selected_iter < 8
+        cut = train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=full.selected_iter, eval_every=2))
+        expected = vit.model_to_arrays(cut.adapted)
+        for name, arr in vit.model_to_arrays(full.adapted).items():
+            assert np.array_equal(arr, expected[name]), name
+
+    def test_adapted_checkpoint_bytes_equal_those_of_a_clone(self, tiny_dataset, tiny_base, tmp_path):
+        # Training leaves the trainable tensors as views into one vector.
+        result = train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=3))
+        checkpoint.save_model(tmp_path / "adapted.ckpt", result.adapted)
+        checkpoint.save_model(tmp_path / "clone.ckpt", vit.clone(result.adapted))
+        assert (tmp_path / "adapted.ckpt").read_bytes() == (tmp_path / "clone.ckpt").read_bytes()
 
     def test_domains_touched_excludes_nothing_from_sources(self, tiny_dataset, tiny_base):
         sources = tiny_dataset.without("d2")

@@ -164,10 +164,87 @@ def test_attention_rows_sum_to_one(monkeypatch):
     monkeypatch.setattr(ag, "softmax_last", recording)
     with ag.no_grad():
         vit.batch_logits_tensor(model, make_rng(18).random((3, 16, 16)))
-    assert len(captured) == 2
+    # the last block queries with the class token alone
+    assert [probs.shape for probs in captured] == [(3, 4, 17, 17), (3, 4, 1, 17)]
     for probs in captured:
-        assert probs.shape == (3, 4, 17, 17)
         assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
+def _full_sequence_features(model, images):
+    """Class-token features with every block run on all rows, narrowed to
+    the class token only after the last block."""
+    cfg = model.cfg
+    bs, n, d, h, dh = len(images), cfg.seq_len, cfg.embed_dim, cfg.num_heads, cfg.head_dim
+
+    def proj(x, lin):
+        a, b = lin.group.factors() if lin.group is not None else ((), ())
+        return ag.linear(x, lin.base, lin.bias, a, b)
+
+    def heads(t):
+        return ag.transpose(ag.reshape(t, (bs, n, h, dh)), (0, 2, 1, 3))
+
+    x = ag.linear(ag.constant(extract_patches(images, cfg.patch_size)), model.patch_w, model.patch_b)
+    cls = ag.broadcast_to(ag.reshape(model.class_token, (1, 1, d)), (bs, 1, d))
+    x = ag.add(ag.concat(cls, x, axis=1), model.pos_embed)
+    for blk in model.blocks:
+        z = ag.layernorm(x, blk.ln1_scale, blk.ln1_offset)
+        q, k, v = (heads(proj(z, lin)) for lin in (blk.attn.wq, blk.attn.wk, blk.attn.wv))
+        probs = ag.softmax_last(ag.scale(ag.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh)))
+        ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, n, d))
+        x = ag.add(x, proj(ctx, blk.attn.wo))
+        m = ag.gelu(ag.linear(ag.layernorm(x, blk.ln2_scale, blk.ln2_offset), blk.fc1_w, blk.fc1_b))
+        x = ag.add(x, ag.linear(m, blk.fc2_w, blk.fc2_b))
+    cls_out = ag.reshape(ag.narrow(x, 1, 0, 1), (bs, d))
+    return ag.layernorm(cls_out, model.final_ln_scale, model.final_ln_offset)
+
+
+@pytest.mark.parametrize("num_blocks", [1, 2])
+def test_class_token_only_last_block_matches_the_full_sequence(num_blocks):
+    model = init_vit(_cfg(num_blocks=num_blocks), make_rng(23))
+    inject_groups(model, rank=2, n=2, rng=make_rng(24))
+    _randomize_adapters(model, make_rng(25))
+    images = make_rng(26).random((5, 16, 16))
+    labels = make_rng(27).integers(0, 4, 5)
+    params = vit.trainable_params(model)
+
+    def features_and_grads(features):
+        feats = features(model, images)
+        ag.backprop(ag.cross_entropy_mean(ag.linear(feats, model.head_w, model.head_b), labels))
+        grads = {name: t.grad for name, t in params.items()}
+        for t in params.values():
+            t.grad = None
+        return feats.data, grads
+
+    feats, grads = features_and_grads(vit.batch_features_tensor)
+    ref_feats, ref_grads = features_and_grads(_full_sequence_features)
+    assert np.abs(feats - ref_feats).max() <= 1e-12 * np.abs(ref_feats).max()
+    for name, ref in ref_grads.items():
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def test_no_grad_forwards_run_in_chunks(monkeypatch):
+    model = init_vit(_cfg(), make_rng(28))
+    inject_groups(model, rank=2, n=2, rng=make_rng(29))
+    _randomize_adapters(model, make_rng(30))
+    images = make_rng(31).random((2 * vit.FORWARD_CHUNK + 5, 16, 16))
+    with ag.no_grad():
+        whole_feats = vit.batch_features_tensor(model, images).data
+        whole_logits = vit.batch_logits_tensor(model, images).data
+    sizes = []
+    real = vit.batch_features_tensor
+
+    def recording(m, x):
+        sizes.append(len(x))
+        return real(m, x)
+
+    monkeypatch.setattr(vit, "batch_features_tensor", recording)
+    feats = vit.features_batch(model, images)
+    logits = vit.forward_logits_batch(model, images)
+    assert sizes == [vit.FORWARD_CHUNK, vit.FORWARD_CHUNK, 5] * 2
+    # Features are per image bitwise; the head's 2-D GEMM sums in another
+    # order for another number of rows.
+    assert np.array_equal(feats, whole_feats)
+    assert np.abs(logits - whole_logits).max() <= 1e-14 * np.abs(whole_logits).max()
 
 
 def test_forward_shape_errors():
