@@ -181,13 +181,17 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _node(a.data[index], (a,), grad_fn)
 
 
-def layernorm(x: Tensor, scale_p: Tensor, offset_p: Tensor, eps: float = 1e-5) -> Tensor:
+# Added to the variance under layernorm's square root.
+LAYERNORM_EPS = 1e-5
+
+
+def layernorm(x: Tensor, scale_p: Tensor, offset_p: Tensor) -> Tensor:
     """Normalization over the last axis with learned scale and offset."""
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
     out = xhat * scale_p.data + offset_p.data
 

@@ -113,9 +113,12 @@ def load_model(path) -> VitModel:
         raise CheckpointError(f"{path}: expected a model checkpoint, found kind {header.get('kind')!r}")
     try:
         cfg = VitConfig(**header["config"])
-        return model_from_arrays(cfg, tensors)
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: incomplete model checkpoint: {exc}") from exc
+    try:
+        return model_from_arrays(cfg, tensors)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def save_dataset(path, dataset: DomainDataset) -> None:

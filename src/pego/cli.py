@@ -12,7 +12,8 @@ error, 4 degenerate input. ``PEGO_THREADS`` caps the numeric thread pools
 when set before startup.
 
 Heavy imports happen inside the command handlers so that the thread cap
-can be applied before numpy loads.
+can be applied before numpy loads; ``errors`` and the package itself load
+no numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +25,20 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-__version__ = "0.1.0"
+from . import __version__
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DegenerateInputError,
+    InconclusiveCheckError,
+    InputError,
+    NumericError,
+    ShapeError,
+    SplitError,
+)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -87,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = train_like("sweep", "select the group size by training-domain validation accuracy")
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--values", default="2,4,6", help="candidate group sizes")
+    p.add_argument("--values", help="candidate group sizes (default: the config's n_search, 2,4,6)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on one domain of a dataset")
@@ -119,17 +131,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    from .errors import (
-        CheckpointError,
-        ConfigError,
-        DegenerateInputError,
-        InconclusiveCheckError,
-        InputError,
-        NumericError,
-        ShapeError,
-        SplitError,
-    )
-
     try:
         return args.func(args)
     except (ConfigError, SplitError, InputError, ShapeError) as exc:
@@ -147,8 +148,6 @@ def main(argv=None) -> int:
 
 
 def _read_json(path) -> dict:
-    from .errors import ConfigError
-
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -159,8 +158,6 @@ def _read_json(path) -> dict:
 
 
 def _ensure_outdir(raw) -> Path:
-    from .errors import ConfigError
-
     path = Path(raw)
     if path.is_dir():
         return path
@@ -200,9 +197,6 @@ def _options_dict(args) -> dict:
 
 
 def _load_train_config(args, dataset):
-    from dataclasses import replace
-
-    from .errors import ConfigError
     from .trainer import TrainConfig, canonical_vit_config
 
     if args.config:
@@ -238,8 +232,6 @@ def _load_train_config(args, dataset):
 
 
 def _parse_seeds(raw: str) -> list[int]:
-    from .errors import ConfigError
-
     try:
         seeds = [int(s) for s in raw.split(",") if s.strip() != ""]
     except ValueError as exc:
@@ -249,27 +241,26 @@ def _parse_seeds(raw: str) -> list[int]:
     return seeds
 
 
-def _history_csv(path, history) -> None:
+def _write_csv(path, header, rows) -> None:
+    # The csv module writes a float as its repr, which reads back exactly,
+    # and None as an empty cell.
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "loss_cls", "loss_preserve", "loss_diversify", "loss_or", "val_acc"])
-        for row in history:
-            writer.writerow(
-                [
-                    row.iteration,
-                    repr(row.loss_cls),
-                    repr(row.loss_preserve),
-                    repr(row.loss_diversify),
-                    repr(row.loss_or),
-                    "" if row.val_acc is None else repr(row.val_acc),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _history_csv(path, history) -> None:
+    _write_csv(
+        path,
+        ["iter", "loss_cls", "loss_preserve", "loss_diversify", "loss_or", "val_acc"],
+        ([r.iteration, r.loss_cls, r.loss_preserve, r.loss_diversify, r.loss_or, r.val_acc] for r in history),
+    )
 
 
 def cmd_gen(args) -> int:
     from .checkpoint import save_dataset
     from .data import DatasetSpec, generate_dataset
-    from .errors import ConfigError
 
     t0 = time.monotonic()
     raw = _read_json(args.config) if args.config else {}
@@ -318,7 +309,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .checkpoint import load_dataset, load_model
-    from .errors import ConfigError
     from .trainer import evaluate
 
     model = load_model(args.ckpt)
@@ -341,11 +331,11 @@ def cmd_lodo(args) -> int:
     out = _ensure_outdir(args.out)
     result = leave_one_domain_out(dataset, cfg, seeds, jobs=args.jobs)
     summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["test_domain", "seed", "accuracy", "selected_iter"])
-        for rec in result.records:
-            writer.writerow([rec.test_domain, rec.seed, repr(rec.accuracy), rec.selected_iter])
+    _write_csv(
+        summary_path,
+        ["test_domain", "seed", "accuracy", "selected_iter"],
+        ([rec.test_domain, rec.seed, rec.accuracy, rec.selected_iter] for rec in result.records),
+    )
     artifacts = [summary_path]
     for rec in result.records:
         run_path = out / f"run_{rec.test_domain}_{rec.seed}.csv"
@@ -371,13 +361,11 @@ def cmd_ablate(args) -> int:
     out = _ensure_outdir(args.out)
     rows = ablate(dataset, cfg, seeds, jobs=args.jobs)
     table_path = out / "ablate.csv"
-    with open(table_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "preserve", "diversify", "group_n", "mean_acc", "stderr"])
-        for row in rows:
-            writer.writerow(
-                [row.label, int(row.preserve_on), int(row.diversify_on), row.group_n, repr(row.mean_acc), repr(row.stderr)]
-            )
+    _write_csv(
+        table_path,
+        ["method", "preserve", "diversify", "group_n", "mean_acc", "stderr"],
+        ([r.label, int(r.preserve_on), int(r.diversify_on), r.group_n, r.mean_acc, r.stderr] for r in rows),
+    )
     for row in rows:
         print(f"{row.label}: {row.mean_acc:.4f} +/- {row.stderr:.4f}")
     _write_manifest(out, "ablate", _options_dict(args), cfg.to_dict(), seeds, [table_path], t0)
@@ -386,25 +374,25 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .checkpoint import load_dataset
-    from .errors import ConfigError
     from .trainer import sweep_n
 
     t0 = time.monotonic()
     dataset = load_dataset(args.dataset)
     cfg = _load_train_config(args, dataset)
     seeds = _parse_seeds(args.seeds)
-    try:
-        values = tuple(int(v) for v in args.values.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"bad group size list {args.values!r}: {exc}") from exc
+    if args.values is not None:
+        try:
+            cfg = replace(cfg, n_search=tuple(int(v) for v in args.values.split(",") if v.strip() != ""))
+        except ValueError as exc:
+            raise ConfigError(f"bad group size list {args.values!r}: {exc}") from exc
     out = _ensure_outdir(args.out)
-    result = sweep_n(dataset, cfg, values, seeds, jobs=args.jobs)
+    result = sweep_n(dataset, cfg, seeds, jobs=args.jobs)
     table_path = out / "sweep.csv"
-    with open(table_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "mean_val_acc", "stderr", "selected"])
-        for row in result.rows:
-            writer.writerow([row.n, repr(row.mean_val_acc), repr(row.stderr), int(row.n == result.best_n)])
+    _write_csv(
+        table_path,
+        ["n", "mean_val_acc", "stderr", "selected"],
+        ([r.n, r.mean_val_acc, r.stderr, int(r.n == result.best_n)] for r in result.rows),
+    )
     print(f"selected group size {result.best_n}")
     _write_manifest(out, "sweep", _options_dict(args), cfg.to_dict(), seeds, [table_path], t0)
     return EXIT_OK
@@ -428,8 +416,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def _resolve_layer(model, spec: str):
-    from .errors import ConfigError
-
     parts = spec.split(".")
     if len(parts) != 2 or parts[1] not in ("wq", "wv"):
         raise ConfigError(f"bad layer spec {spec!r}; expected BLOCK.PROJ with PROJ in (wq, wv)")
@@ -458,7 +444,6 @@ def cmd_analyze(args) -> int:
         write_feature_projection_csv,
         write_pc_report_csvs,
     )
-    from .errors import ConfigError, DegenerateInputError
 
     t0 = time.monotonic()
     out = _ensure_outdir(args.out)

@@ -1,8 +1,11 @@
 """Analytic gradients of the training objective and the central-difference
 oracle that audits them.
 
-``backward`` differentiates the full objective with respect to every
-trainable parameter (the adapter pairs and the head) and nothing else.
+``backward`` differentiates the full objective with respect to the
+parameters it is handed (in training, the adapter pairs and the head;
+while pretraining the base, every parameter) and nothing else, and
+returns the gradient as one vector, the layout of the flat parameter
+buffer the optimizer steps.
 ``grad_check`` compares those gradients against central differences of
 the forward-only loss at randomly probed entries, skipping probes where
 an L1 penalty argument sits close enough to zero that the subgradient
@@ -25,16 +28,9 @@ from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_params
 # group (for diversify, a group of two or more modules).
 LossParts = tuple[float, float | None, float | None]
 
-
-def split_flat(flat: np.ndarray, tensors) -> list[np.ndarray]:
-    """Views into ``flat`` shaped like ``tensors``, laid end to end in order."""
-    views = []
-    start = 0
-    for t in tensors:
-        stop = start + t.data.size
-        views.append(flat[start:stop].reshape(t.data.shape))
-        start = stop
-    return views
+# A probe whose L1 arguments hold an entry smaller than this in magnitude
+# sits too close to a kink for a central difference to audit.
+AMBIGUITY_TOL = 1e-6
 
 
 def check_finite_grad(flat: np.ndarray, names, sizes, context: str = "") -> None:
@@ -55,43 +51,37 @@ def gather_grads(params: dict[str, ag.Tensor]) -> np.ndarray:
     return flat
 
 
-class GradientSet(dict):
-    """Gradients by parameter name, each a view into ``flat``, the one
-    vector that holds them end to end in ``vit.trainable_params`` order."""
-
-    def __init__(self, flat: np.ndarray, params: dict[str, ag.Tensor]):
-        super().__init__(zip(params, split_flat(flat, params.values())))
-        self.flat = flat
-
-
 def backward(
     model: VitModel,
     batch,
     alpha: float,
-    preserve_on: bool = True,
-    diversify_on: bool = True,
-) -> tuple[float, GradientSet, LossParts]:
-    """Loss value, exact gradients for every trainable parameter, and the
-    parts of the loss read off the same tape.
+    params: dict[str, ag.Tensor],
+    preserve_on: bool,
+    diversify_on: bool,
+) -> tuple[float, np.ndarray, LossParts]:
+    """Loss value, the exact gradient with respect to ``params`` as one
+    vector laid out like ``trainer.flatten_params`` lays out their data,
+    and the parts of the loss read off the same tape.
 
+    ``params`` must hold every tensor of the model that requires a
+    gradient; a ``grad`` left on one of them beforehand is discarded.
     The loss equals the forward-only objective bitwise, since both walk
     the same tape. Gradients of the L1 terms use sign(x) with
     sign(0) = 0.
     """
     if len(batch.labels) == 0:
         raise InputError("empty batch")
-    for _, t in named_params(model):
+    for t in params.values():
         t.grad = None
     terms = batch_loss_tensor(
         model, batch.images, batch.labels, alpha, preserve_on=preserve_on, diversify_on=diversify_on
     )
     ag.backprop(terms.total)
-    params = vit.trainable_params(model)
-    grads = GradientSet(gather_grads(params), params)
-    for _, t in named_params(model):
+    grad = gather_grads(params)
+    for t in params.values():
         t.grad = None
     parts = tuple(None if t is None else float(t.data) for t in (terms.ce, terms.preserve, terms.diversify))
-    return float(terms.total.data), grads, parts
+    return float(terms.total.data), grad, parts
 
 
 def central_diff(f, x: float, h: float) -> float:
@@ -144,22 +134,21 @@ def grad_check(
     alpha: float,
     samples: int,
     rng: np.random.Generator,
-    ambiguity_tol: float = 1e-6,
 ) -> float:
     """Max relative error between analytic and central-difference gradients
     over randomly probed trainable entries.
 
-    Probes whose L1 arguments contain an entry below ``ambiguity_tol`` in
+    Probes whose L1 arguments contain an entry below ``AMBIGUITY_TOL`` in
     magnitude are skipped; if fewer than half the probes survive, the
     check is inconclusive.
     """
     if samples < 1:
         raise ConfigError(f"need at least one probe, got {samples}")
-    names, tensors = zip(*vit.trainable_params(model).items())
-    sizes = np.array([t.data.size for t in tensors])
-    offsets = np.cumsum(sizes)
+    params = vit.trainable_params(model)
+    names, tensors = zip(*params.items())
+    offsets = np.cumsum([t.data.size for t in tensors])
     total = int(offsets[-1])
-    _, grads, _ = backward(model, batch, alpha)
+    _, grad, _ = backward(model, batch, alpha, params, True, True)
     floors = _ambiguity_floor(model) if alpha != 0.0 else {}
     max_rel = 0.0
     accepted = 0
@@ -168,13 +157,13 @@ def grad_check(
         idx = int(np.searchsorted(offsets, flat_idx, side="right"))
         name = names[idx]
         entry = flat_idx - (int(offsets[idx - 1]) if idx > 0 else 0)
-        if floors.get(name, np.inf) < ambiguity_tol:
+        if floors.get(name, np.inf) < AMBIGUITY_TOL:
             continue
         accepted += 1
         p0 = float(tensors[idx].data.reshape(-1)[entry])
         h = 1e-5 * max(1.0, abs(p0))
         numeric = finite_diff(model, batch, alpha, name, entry, h)
-        analytic = float(grads[name].reshape(-1)[entry])
+        analytic = float(grad[flat_idx])
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
         max_rel = max(max_rel, rel)
     if accepted < samples / 2:

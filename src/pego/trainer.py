@@ -15,6 +15,7 @@ execute in parallel processes; within one run training is sequential.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -27,6 +28,23 @@ from .data import DatasetSpec, DomainDataset, generate_dataset, make_batch, spli
 from .errors import ConfigError
 from .numerics import derive_seed, make_rng
 from .vit import VitConfig, VitModel
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory a training step frees for the next step. Under
+    glibc's adaptive thresholds, whether a step's tape is handed back to
+    the system and faulted in again next step (about 400 page faults per
+    step on the canonical config) depends on how earlier work left the
+    heap; fixed thresholds keep it. Other C libraries are left alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_freed_memory()
 
 
 def canonical_vit_config(num_classes: int = 4) -> VitConfig:
@@ -101,8 +119,11 @@ def flatten_params(params: dict[str, ag.Tensor]) -> np.ndarray:
     to end in dict order, and rebind each tensor's ``data`` to its view
     into it. Names, shapes and values stay as they were."""
     flat = np.concatenate([t.data.ravel() for t in params.values()])
-    for t, view in zip(params.values(), gradcheck.split_flat(flat, params.values())):
-        t.data = view
+    start = 0
+    for t in params.values():
+        stop = start + t.data.size
+        t.data = flat[start:stop].reshape(t.data.shape)
+        start = stop
     return flat
 
 
@@ -197,12 +218,10 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
     for it in range(1, cfg.iterations + 1):
         batch = make_batch(train_ds, cfg.batch_per_domain, batch_rng)
         touched.update(dom for dom, _ in batch.tags)
-        _, grads, (ce, pres, div) = gradcheck.backward(
-            model, batch, cfg.alpha, preserve_on=cfg.preserve_on, diversify_on=cfg.diversify_on
-        )
+        _, grad, (ce, pres, div) = gradcheck.backward(model, batch, cfg.alpha, params, cfg.preserve_on, cfg.diversify_on)
         if div is None:  # a group of one module has no pair to diversify
             div = 0.0
-        adam_step(flat, grads.flat, state, cfg.lr)
+        adam_step(flat, grad, state, cfg.lr)
         row = HistoryRow(iteration=it, loss_cls=ce, loss_preserve=pres, loss_diversify=div, loss_or=pres + div)
         if it % cfg.eval_every == 0 or it == cfg.iterations:
             acc = evaluate(model, val_ds)
@@ -237,11 +256,13 @@ def _reinit_head(model: VitModel, rng: np.random.Generator) -> None:
 
 
 _PRETRAIN_CACHE: dict[tuple, VitModel] = {}
+# The pretraining task: samples per class and domain of its dataset, and
+# images per domain in one of its batches.
+PRETRAIN_PER_CLASS = 40
+PRETRAIN_BATCH_PER_DOMAIN = 8
 
 
-def pretrain_base(
-    cfg: VitConfig, seed: int, iterations: int = 300, per_class: int = 40, batch_per_domain: int = 8
-) -> VitModel:
+def pretrain_base(cfg: VitConfig, seed: int, iterations: int = 300) -> VitModel:
     """Desk-scale stand-in for a large pre-trained backbone.
 
     Briefly fine-tunes every parameter of a fresh model on a synthetic
@@ -249,10 +270,10 @@ def pretrain_base(
     dataset, then freezes it. Cached per configuration; callers clone
     before mutating.
     """
-    key = (cfg, seed, iterations, per_class, batch_per_domain)
+    key = (cfg, seed, iterations)
     if key in _PRETRAIN_CACHE:
         return _PRETRAIN_CACHE[key]
-    spec = DatasetSpec(domains=4, classes=cfg.num_classes, per_class=per_class, image_size=cfg.image_size)
+    spec = DatasetSpec(domains=4, classes=cfg.num_classes, per_class=PRETRAIN_PER_CLASS, image_size=cfg.image_size)
     ds = generate_dataset(spec, derive_seed(seed, 91))
     model = vit.init_vit(cfg, make_rng(seed, 90))
     params = dict(vit.named_params(model))
@@ -262,14 +283,9 @@ def pretrain_base(
     state = adam_init({name: t.data for name, t in params.items()})
     rng = make_rng(seed, 92)
     for _ in range(iterations):
-        batch = make_batch(ds, batch_per_domain, rng)
-        for t in params.values():
-            t.grad = None
-        loss = vit.batch_loss_tensor(model, batch.images, batch.labels, alpha=0.0).total
-        ag.backprop(loss)
-        adam_step(flat, gradcheck.gather_grads(params), state, 1e-3)
-    for t in params.values():
-        t.grad = None
+        batch = make_batch(ds, PRETRAIN_BATCH_PER_DOMAIN, rng)
+        _, grad, _ = gradcheck.backward(model, batch, 0.0, params, True, True)
+        adam_step(flat, grad, state, 1e-3)
     vit.apply_trainability(model)
     _PRETRAIN_CACHE[key] = model
     return model
@@ -437,23 +453,24 @@ def _sweep_task(payload):
 def sweep_n(
     dataset: DomainDataset,
     cfg: TrainConfig,
-    values: tuple[int, ...] = (2, 4, 6),
-    seeds: list[int] | None = None,
+    seeds: list[int],
     base: VitModel | None = None,
     jobs: int = 1,
 ) -> SweepResult:
-    """Pick the group size with the best mean training-domain validation
-    accuracy. Held-out test accuracy is never computed here, so the
-    selection cannot leak; ties go to the smaller size."""
-    if not values:
+    """Pick the group size in ``cfg.n_search`` with the best mean
+    training-domain validation accuracy. Held-out test accuracy is never
+    computed here, so the selection cannot leak; ties go to the smaller
+    size."""
+    if not cfg.n_search:
         raise ConfigError("the sweep needs at least one candidate group size")
-    seeds = seeds or [cfg.seed]
+    if not seeds:
+        raise ConfigError("at least one seed is required")
     if base is None:
         base = pretrain_base(cfg.vit, cfg.seed)
     rows = []
     best_n = None
     best_acc = -1.0
-    for n in sorted(values):
+    for n in sorted(cfg.n_search):
         payloads = [
             (base, dataset.without(dom), replace(cfg, group_n=n, seed=seed))
             for dom in dataset.domains

@@ -38,7 +38,7 @@ from . import adapters
 from . import autograd as ag
 from .adapters import AdaptedLinear, LoraGroup, LoraModule
 from .autograd import Tensor
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -175,59 +175,67 @@ def trainable_params(model: VitModel) -> dict[str, Tensor]:
     return {n: t for n, t in named_params(model) if is_trainable_name(n)}
 
 
-def init_vit(cfg: VitConfig, rng: np.random.Generator) -> VitModel:
-    """Fresh model, every weight matrix Gaussian with std 0.02, biases zero,
-    layernorm at identity. The draw order is fixed, so a seed pins the model."""
-    cfg.validate()
-    d = cfg.embed_dim
+def _build(cfg: VitConfig, get, groups: dict[str, tuple[int, int]]) -> VitModel:
+    """The model whose tensors ``get(name, shape)`` returns, requested in
+    the canonical order of ``named_params``. ``groups`` maps the name
+    prefix of an adapted projection to its group's (size, rank)."""
+    d, hid = cfg.embed_dim, cfg.hidden_dim
 
-    def w(*shape):
-        return Tensor(rng.normal(0.0, 0.02, shape))
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape))
-
-    def ones(*shape):
-        return Tensor(np.ones(shape))
-
-    patch_w = w(d, cfg.patch_dim)
-    class_token = w(1, d)
-    pos_embed = w(cfg.seq_len, d)
-    blocks = []
-    for _ in range(cfg.num_blocks):
-        attn = Attention(
-            wq=AdaptedLinear(w(d, d), zeros(1, d)),
-            wk=AdaptedLinear(w(d, d), zeros(1, d)),
-            wv=AdaptedLinear(w(d, d), zeros(1, d)),
-            wo=AdaptedLinear(w(d, d), zeros(1, d)),
-        )
-        blocks.append(
-            Block(
-                ln1_scale=ones(1, d),
-                ln1_offset=zeros(1, d),
-                attn=attn,
-                ln2_scale=ones(1, d),
-                ln2_offset=zeros(1, d),
-                fc1_w=w(cfg.hidden_dim, d),
-                fc1_b=zeros(1, cfg.hidden_dim),
-                fc2_w=w(d, cfg.hidden_dim),
-                fc2_b=zeros(1, d),
+    def lin(prefix, out_dim, in_dim):
+        layer = AdaptedLinear(get(f"{prefix}.base", (out_dim, in_dim)), get(f"{prefix}.bias", (1, out_dim)))
+        if prefix in groups:
+            n, r = groups[prefix]
+            layer.group = LoraGroup(
+                modules=[
+                    LoraModule(a=get(f"{prefix}.lora.{i}.A", (r, in_dim)), b=get(f"{prefix}.lora.{i}.B", (out_dim, r)))
+                    for i in range(n)
+                ]
             )
+        return layer
+
+    def block(p):
+        return Block(
+            ln1_scale=get(f"{p}.ln1.scale", (1, d)),
+            ln1_offset=get(f"{p}.ln1.offset", (1, d)),
+            attn=Attention(*(lin(f"{p}.attn.{proj}", d, d) for proj in ("wq", "wk", "wv", "wo"))),
+            ln2_scale=get(f"{p}.ln2.scale", (1, d)),
+            ln2_offset=get(f"{p}.ln2.offset", (1, d)),
+            fc1_w=get(f"{p}.mlp.fc1.w", (hid, d)),
+            fc1_b=get(f"{p}.mlp.fc1.b", (1, hid)),
+            fc2_w=get(f"{p}.mlp.fc2.w", (d, hid)),
+            fc2_b=get(f"{p}.mlp.fc2.b", (1, d)),
         )
+
     model = VitModel(
         cfg=cfg,
-        patch_w=patch_w,
-        patch_b=zeros(1, d),
-        class_token=class_token,
-        pos_embed=pos_embed,
-        blocks=blocks,
-        final_ln_scale=ones(1, d),
-        final_ln_offset=zeros(1, d),
-        head_w=w(cfg.num_classes, d),
-        head_b=zeros(1, cfg.num_classes),
+        patch_w=get("patch_embed.w", (d, cfg.patch_dim)),
+        patch_b=get("patch_embed.b", (1, d)),
+        class_token=get("class_token", (1, d)),
+        pos_embed=get("pos_embed", (cfg.seq_len, d)),
+        blocks=[block(f"blocks.{b}") for b in range(cfg.num_blocks)],
+        final_ln_scale=get("final_ln.scale", (1, d)),
+        final_ln_offset=get("final_ln.offset", (1, d)),
+        head_w=get("head.w", (cfg.num_classes, d)),
+        head_b=get("head.b", (1, cfg.num_classes)),
     )
     apply_trainability(model)
     return model
+
+
+def init_vit(cfg: VitConfig, rng: np.random.Generator) -> VitModel:
+    """Fresh model, every weight matrix Gaussian with std 0.02, biases zero,
+    layernorm at identity. Weights are drawn in canonical order, so a seed
+    pins the model."""
+    cfg.validate()
+
+    def draw(name, shape):
+        if name.endswith(".scale"):
+            return Tensor(np.ones(shape))
+        if name.endswith((".b", ".bias", ".offset")):
+            return Tensor(np.zeros(shape))
+        return Tensor(rng.normal(0.0, 0.02, shape))
+
+    return _build(cfg, draw, {})
 
 
 def inject_groups(model: VitModel, rank: int, n: int, rng: np.random.Generator) -> None:
@@ -245,57 +253,32 @@ def model_to_arrays(model: VitModel) -> dict[str, np.ndarray]:
 
 
 def model_from_arrays(cfg: VitConfig, arrays: dict[str, np.ndarray]) -> VitModel:
-    """Rebuild a model from named tensors; adapter groups are recovered
-    from the presence of ``...lora.{i}.A/B`` names."""
-
-    def t(name):
-        return Tensor(np.array(arrays[name]))
-
-    def lin(prefix):
-        layer = AdaptedLinear(t(f"{prefix}.base"), t(f"{prefix}.bias"))
-        modules = []
-        i = 0
-        while f"{prefix}.lora.{i}.A" in arrays:
-            modules.append(LoraModule(a=t(f"{prefix}.lora.{i}.A"), b=t(f"{prefix}.lora.{i}.B")))
-            i += 1
-        if modules:
-            layer.group = LoraGroup(modules=modules)
-        return layer
-
-    blocks = []
+    """Rebuild a model from named tensors. Adapter groups of the query and
+    value projections are recovered from the ``...lora.{i}.A/B`` names; a
+    missing, wrong-shaped or unknown tensor raises ``CheckpointError``."""
+    groups = {}
     for b in range(cfg.num_blocks):
-        p = f"blocks.{b}"
-        blocks.append(
-            Block(
-                ln1_scale=t(f"{p}.ln1.scale"),
-                ln1_offset=t(f"{p}.ln1.offset"),
-                attn=Attention(
-                    wq=lin(f"{p}.attn.wq"),
-                    wk=lin(f"{p}.attn.wk"),
-                    wv=lin(f"{p}.attn.wv"),
-                    wo=lin(f"{p}.attn.wo"),
-                ),
-                ln2_scale=t(f"{p}.ln2.scale"),
-                ln2_offset=t(f"{p}.ln2.offset"),
-                fc1_w=t(f"{p}.mlp.fc1.w"),
-                fc1_b=t(f"{p}.mlp.fc1.b"),
-                fc2_w=t(f"{p}.mlp.fc2.w"),
-                fc2_b=t(f"{p}.mlp.fc2.b"),
-            )
-        )
-    model = VitModel(
-        cfg=cfg,
-        patch_w=t("patch_embed.w"),
-        patch_b=t("patch_embed.b"),
-        class_token=t("class_token"),
-        pos_embed=t("pos_embed"),
-        blocks=blocks,
-        final_ln_scale=t("final_ln.scale"),
-        final_ln_offset=t("final_ln.offset"),
-        head_w=t("head.w"),
-        head_b=t("head.b"),
-    )
-    apply_trainability(model)
+        for proj in ("wq", "wv"):
+            prefix = f"blocks.{b}.attn.{proj}"
+            n = 0
+            while f"{prefix}.lora.{n}.A" in arrays:
+                n += 1
+            if n:
+                groups[prefix] = (n, np.atleast_1d(arrays[f"{prefix}.lora.0.A"]).shape[0])
+    unused = set(arrays)
+
+    def lookup(name, shape):
+        if name not in arrays:
+            raise CheckpointError(f"incomplete model: no tensor {name}")
+        arr = np.array(arrays[name])
+        if arr.shape != shape:
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {shape}")
+        unused.discard(name)
+        return Tensor(arr)
+
+    model = _build(cfg, lookup, groups)
+    if unused:
+        raise CheckpointError(f"unknown tensors {sorted(unused)}")
     return model
 
 

@@ -2,10 +2,14 @@
 
 The leave-one-domain-out batteries are expensive (dozens of full
 training runs), so they are computed once per session and shared
-between the trainer checks and the acceptance suite.
+between the trainer checks and the acceptance suite. Their runs are
+independent and deterministic, so they go through a process pool with
+one worker per core; the results equal those of a serial run.
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -36,7 +40,9 @@ def canonical_cfg():
 def pego_lodo(canonical_dataset, canonical_cfg, pretrained_base):
     """The full toy experiment, plus its wall-clock duration in seconds."""
     t0 = time.monotonic()
-    result = trainer.leave_one_domain_out(canonical_dataset, canonical_cfg, SEEDS, base=pretrained_base)
+    result = trainer.leave_one_domain_out(
+        canonical_dataset, canonical_cfg, SEEDS, base=pretrained_base, jobs=os.cpu_count()
+    )
     return result, time.monotonic() - t0
 
 
@@ -44,7 +50,7 @@ def pego_lodo(canonical_dataset, canonical_cfg, pretrained_base):
 def baseline_lodo(canonical_dataset, canonical_cfg, pretrained_base):
     """Same runs with both penalties masked off (plain grouped adapters)."""
     cfg = replace(canonical_cfg, preserve_on=False, diversify_on=False)
-    return trainer.leave_one_domain_out(canonical_dataset, cfg, SEEDS, base=pretrained_base)
+    return trainer.leave_one_domain_out(canonical_dataset, cfg, SEEDS, base=pretrained_base, jobs=os.cpu_count())
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +64,12 @@ def rank_battery(canonical_dataset, canonical_cfg, pretrained_base):
         "stress": replace(canonical_cfg, rank=2, group_n=4, alpha=1e-1),
         "plain": replace(canonical_cfg, rank=2, group_n=4, alpha=0.0),
     }
-    return {
-        label: [trainer.train(pretrained_base, sources, replace(cfg, seed=s)).adapted for s in SEEDS]
-        for label, cfg in variants.items()
-    }
+    payloads = [(pretrained_base, sources, replace(cfg, seed=s)) for cfg in variants.values() for s in SEEDS]
+    with ProcessPoolExecutor(max_workers=os.cpu_count()) as pool:
+        adapted = list(pool.map(_train_adapted, payloads))
+    return {label: adapted[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, label in enumerate(variants)}
+
+
+def _train_adapted(payload):
+    base, sources, cfg = payload
+    return trainer.train(base, sources, cfg).adapted

@@ -202,12 +202,12 @@ def test_add_with_broadcast_bias_skips_frozen_operand(frozen):
 def test_layernorm_skips_frozen_operands(x_frozen):
     rng = make_rng(43)
     x, s, o = rng.normal(size=(2, 3, 6)), rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
-    eps = 1e-5
+    eps = ag.LAYERNORM_EPS
+    assert eps == 1e-5
     out = ag.layernorm(
         ag.Tensor(x, requires_grad=not x_frozen),
         ag.Tensor(s, requires_grad=x_frozen),
         ag.Tensor(o, requires_grad=x_frozen),
-        eps,
     )
     g = rng.normal(size=out.shape)
     gx, gs, go = out.grad_fn(g)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -129,4 +131,30 @@ def test_missing_tensor_is_reported(tmp_path):
     path = tmp_path / "incomplete.ckpt"
     write_container(path, {"kind": "model", "dtype": "f64", "config": model.cfg.__dict__}, arrays)
     with pytest.raises(CheckpointError, match="incomplete"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["blocks.0.attn.wq.lora.0.C", "blocks.0.attn.wk.lora.0.A", "blocks.0.attn.wq.lora.3.A", "blocks.2.ln1.scale"],
+)
+def test_unknown_tensor_name_is_rejected(tmp_path, extra):
+    # names the config does not produce, including an adapter on a
+    # projection that never carries one and a module beyond a gap in the group
+    model = _model()
+    arrays = vit.model_to_arrays(model)
+    arrays[extra] = np.zeros((2, 8))
+    path = tmp_path / "extra.ckpt"
+    write_container(path, {"kind": "model", "dtype": "f64", "config": model.cfg.__dict__}, arrays)
+    with pytest.raises(CheckpointError, match=f"unknown tensors.*{re.escape(extra)}"):
+        load_model(path)
+
+
+def test_wrong_shaped_adapter_is_rejected(tmp_path):
+    model = _model()
+    arrays = vit.model_to_arrays(model)
+    arrays["blocks.1.attn.wv.lora.1.B"] = np.zeros((8, 3))
+    path = tmp_path / "shape.ckpt"
+    write_container(path, {"kind": "model", "dtype": "f64", "config": model.cfg.__dict__}, arrays)
+    with pytest.raises(CheckpointError, match=r"blocks\.1\.attn\.wv\.lora\.1\.B has shape \(8, 3\), expected \(8, 2\)"):
         load_model(path)

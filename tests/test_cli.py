@@ -172,6 +172,18 @@ class TestEval:
         garbage.write_bytes(b"not a checkpoint at all")
         assert cli.main(["eval", "--ckpt", str(garbage), "--dataset", str(dataset_file), "--domain", "d0"]) == 3
 
+    def test_wrong_shaped_tensor_exits_3(self, workdir, dataset_file, trained, capsys):
+        from pego.checkpoint import read_container, write_container
+
+        header, tensors = read_container(trained / "merged.ckpt")
+        assert tensors["head.w"].shape == (2, 8)
+        tensors["head.w"] = np.zeros((2, 5))
+        bad = workdir / "bad_shape.ckpt"
+        write_container(bad, header, tensors)
+        assert cli.main(["eval", "--ckpt", str(bad), "--dataset", str(dataset_file), "--domain", "d0"]) == 3
+        err = capsys.readouterr().err
+        assert "head.w" in err and "(2, 5)" in err and "(2, 8)" in err
+
 
 class TestLodo:
     def test_summary_has_one_row_per_domain_seed_pair(self, workdir, dataset_file, config_file):
@@ -313,6 +325,9 @@ class TestSweep:
         assert rows[0] == ["n", "mean_val_acc", "stderr", "selected"]
         assert len(rows) == 3
         assert sum(int(r[3]) for r in rows[1:]) == 1
+        # the manifest's config records the sizes actually searched
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["n_search"] == [2, 4]
 
 
 class TestGradcheck:

@@ -14,25 +14,48 @@ def probe():
     return make_probe_model(0)
 
 
+def _grads_by_name(model, batch, alpha, preserve_on=True, diversify_on=True):
+    """``backward``'s gradient vector cut into one array per trainable
+    parameter, shaped like it."""
+    params = vit.trainable_params(model)
+    _, grad, _ = backward(model, batch, alpha, params, preserve_on, diversify_on)
+    bounds = np.cumsum([0] + [t.data.size for t in params.values()])
+    assert grad.shape == (bounds[-1],)
+    return {
+        name: grad[start:stop].reshape(t.data.shape)
+        for (name, t), start, stop in zip(params.items(), bounds[:-1], bounds[1:])
+    }
+
+
 def test_backward_loss_matches_forward_only_loss(probe):
     model, batch = probe
     for alpha in (0.0, 1e-3, 0.1):
-        loss, _, _ = backward(model, batch, alpha)
+        loss, _, _ = backward(model, batch, alpha, vit.trainable_params(model), True, True)
         assert loss == final_loss(model, batch, alpha)
 
 
-def test_gradient_set_contains_exactly_the_trainables(probe):
+def test_backward_vector_is_the_backprop_gradients_end_to_end(probe):
     model, batch = probe
-    _, grads, _ = backward(model, batch, 1e-3)
-    trainable = {n for n, _ in vit.named_params(model) if vit.is_trainable_name(n)}
-    assert set(grads) == trainable
-    for name, g in grads.items():
-        assert g.shape == vit.get_param(model, name).data.shape
-        assert np.all(np.isfinite(g))
-    # one vector holds them all, in trainable-parameter order
-    assert np.array_equal(grads.flat, np.concatenate([g.ravel() for g in grads.values()]))
-    assert list(grads) == list(vit.trainable_params(model))
-    assert all(np.shares_memory(g, grads.flat) for g in grads.values())
+    params = vit.trainable_params(model)
+    _, grad, _ = backward(model, batch, 1e-3, params, True, True)
+    terms = vit.batch_loss_tensor(model, batch.images, batch.labels, 1e-3)
+    ag.backprop(terms.total)
+    expected = np.concatenate([t.grad.ravel() for t in params.values()])
+    for t in params.values():
+        t.grad = None
+    assert np.all(np.isfinite(grad))
+    assert np.array_equal(grad, expected)
+
+
+def test_stale_grad_does_not_leak_into_backward(probe):
+    model, batch = probe
+    params = vit.trainable_params(model)
+    _, clean, _ = backward(model, batch, 1e-3, params, True, True)
+    for t in params.values():
+        t.grad = np.full(t.data.shape, 1e3)
+    _, after_stale, _ = backward(model, batch, 1e-3, params, True, True)
+    assert np.array_equal(after_stale, clean)
+    assert all(t.grad is None for t in params.values())
 
 
 def test_gathered_non_finite_gradient_names_its_parameter():
@@ -56,7 +79,7 @@ def test_head_bias_gradient_matches_closed_form(probe):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     p[np.arange(len(batch.labels)), batch.labels] -= 1.0
-    _, grads, _ = backward(model, batch, 0.0)
+    grads = _grads_by_name(model, batch, 0.0)
     assert np.allclose(grads["head.b"], p.mean(axis=0, keepdims=True), atol=1e-12)
 
 
@@ -67,8 +90,8 @@ def test_fresh_group_diversify_gradient_is_zero():
     for name, t in vit.named_params(model):
         if ".lora." in name and name.endswith(".B"):
             t.data[...] = 0.0
-    _, with_div, _ = backward(model, batch, 1.0, preserve_on=False, diversify_on=True)
-    _, without, _ = backward(model, batch, 0.0)
+    with_div = _grads_by_name(model, batch, 1.0, preserve_on=False, diversify_on=True)
+    without = _grads_by_name(model, batch, 0.0)
     for name in with_div:
         assert np.array_equal(with_div[name], without[name]), name
 
@@ -111,7 +134,7 @@ def test_finite_diff_error_shrinks_quadratically(probe):
     # On the smooth cross-entropy-only loss, halving h cuts the
     # truncation error by about four.
     model, batch = probe
-    _, grads, _ = backward(model, batch, 0.0)
+    grads = _grads_by_name(model, batch, 0.0)
     name = "head.w"
     entry = int(np.argmax(np.abs(grads[name])))
     exact = grads[name].reshape(-1)[entry]

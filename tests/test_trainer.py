@@ -323,7 +323,7 @@ class TestAblate:
 
 class TestSweep:
     def test_single_candidate_returned_trivially(self, tiny_dataset, tiny_base):
-        result = sweep_n(tiny_dataset, _tiny_cfg(iterations=2), values=(4,), seeds=[0], base=tiny_base)
+        result = sweep_n(tiny_dataset, _tiny_cfg(iterations=2, n_search=(4,)), [0], base=tiny_base)
         assert result.best_n == 4
         assert len(result.rows) == 1
 
@@ -334,7 +334,7 @@ class TestSweep:
             )
 
         monkeypatch.setattr(trainer, "train", fake_train)
-        result = sweep_n(tiny_dataset, _tiny_cfg(), values=(6, 2, 4), seeds=[0], base=tiny_base)
+        result = sweep_n(tiny_dataset, _tiny_cfg(n_search=(6, 2, 4)), [0], base=tiny_base)
         assert result.best_n == 2
 
     def test_selection_never_sees_the_held_out_domain(self, tiny_dataset, tiny_base, monkeypatch):
@@ -347,20 +347,20 @@ class TestSweep:
             return real_evaluate(model, dataset, domains)
 
         monkeypatch.setattr(trainer, "evaluate", spy)
-        sweep_n(tiny_dataset, _tiny_cfg(iterations=2), values=(2,), seeds=[0], base=tiny_base)
+        sweep_n(tiny_dataset, _tiny_cfg(iterations=2, n_search=(2,)), [0], base=tiny_base)
         assert seen
         for domains in seen:
             assert len(domains) < len(tiny_dataset.domains)
 
     def test_pool_matches_serial(self, tiny_dataset, tiny_base):
-        cfg = _tiny_cfg(iterations=2)
-        serial = sweep_n(tiny_dataset, cfg, values=(1, 2), seeds=[0], base=tiny_base, jobs=1)
-        pooled = sweep_n(tiny_dataset, cfg, values=(1, 2), seeds=[0], base=tiny_base, jobs=2)
+        cfg = _tiny_cfg(iterations=2, n_search=(1, 2))
+        serial = sweep_n(tiny_dataset, cfg, [0], base=tiny_base, jobs=1)
+        pooled = sweep_n(tiny_dataset, cfg, [0], base=tiny_base, jobs=2)
         assert pooled == serial
 
     def test_empty_values_rejected(self, tiny_dataset, tiny_base):
         with pytest.raises(ConfigError):
-            sweep_n(tiny_dataset, _tiny_cfg(), values=(), seeds=[0], base=tiny_base)
+            sweep_n(tiny_dataset, _tiny_cfg(n_search=()), [0], base=tiny_base)
 
 
 def test_stderr_behaviour():
@@ -371,10 +371,10 @@ def test_stderr_behaviour():
 
 def test_pretrain_base_is_deterministic_and_cached():
     cfg = _tiny_vit()
-    a = pretrain_base(cfg, seed=5, iterations=10, per_class=3)
-    b = pretrain_base(cfg, seed=5, iterations=10, per_class=3)
+    a = pretrain_base(cfg, seed=5, iterations=10)
+    b = pretrain_base(cfg, seed=5, iterations=10)
     assert a is b
-    c = pretrain_base(cfg, seed=6, iterations=10, per_class=3)
+    c = pretrain_base(cfg, seed=6, iterations=10)
     assert not np.array_equal(a.head_w.data, c.head_w.data)
     for _, t in vit.named_params(a):
         assert np.all(np.isfinite(t.data))

@@ -29,6 +29,25 @@ def test_init_is_deterministic():
     assert not np.array_equal(a.patch_w.data, c.patch_w.data)
 
 
+def test_init_draws_the_weight_matrices_in_canonical_order():
+    cfg = _cfg(num_blocks=3, mlp_ratio=2.0)
+    model = init_vit(cfg, make_rng(7))
+    drawn = ["patch_embed.w", "class_token", "pos_embed"]
+    for b in range(cfg.num_blocks):
+        drawn += [f"blocks.{b}.attn.{p}.base" for p in ("wq", "wk", "wv", "wo")]
+        drawn += [f"blocks.{b}.mlp.fc1.w", f"blocks.{b}.mlp.fc2.w"]
+    drawn.append("head.w")
+    rng = make_rng(7)
+    params = dict(vit.named_params(model))
+    for name in drawn:
+        assert np.array_equal(params[name].data, rng.normal(0.0, 0.02, params[name].data.shape)), name
+    for name, t in params.items():
+        if name not in drawn:
+            assert np.array_equal(t.data, np.full(t.data.shape, 1.0 if name.endswith(".scale") else 0.0)), name
+        assert t.requires_grad == vit.is_trainable_name(name), name
+    assert params["blocks.2.mlp.fc1.w"].data.shape == (cfg.hidden_dim, cfg.embed_dim)
+
+
 def test_token_count_and_head_dim():
     cfg = _cfg()
     assert cfg.num_patches == 16
