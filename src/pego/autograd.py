@@ -21,31 +21,70 @@ leading batch axes, and broadcasting against parameters is undone by
 summation in the backward pass. The subgradient of ``|x|`` at 0 is 0.
 
 A tape is confined to the thread that built it; building independent
-tapes on separate threads is safe.
+tapes on separate threads is safe, and ``no_grad`` holds for the thread
+that enters it alone. ``vit``'s no-grad forwards use that: they hand
+whole chunks of images to threads, each running its own chunks without
+a tape, and start threads only when every thread gets at least two
+chunks.
+
+Importing this module fixes glibc's allocator policy for the process
+(see ``_keep_freed_memory``), before any forward thread starts.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ShapeError
 
-_GRAD_ENABLED = True
+
+def _keep_freed_memory() -> None:
+    """Keep the memory a training step frees for the next step, and the
+    heap of threaded forwards in one arena. Under glibc's adaptive
+    thresholds, whether a step's tape is handed back to the system and
+    faulted in again next step (about 400 page faults per step on the
+    canonical config) depends on how earlier work left the heap; fixed
+    thresholds keep it. A thread that allocates would otherwise get an
+    arena of its own, whose freed pages the fixed trim threshold then
+    keeps as well. Other C libraries are left alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
+_keep_freed_memory()
+
+
+class _GradMode(threading.local):
+    # Read as the class attribute until a thread's no_grad sets its own.
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Suspend tape recording inside the block (pure evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Suspend tape recording inside the block (pure evaluation), on the
+    calling thread only."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -71,7 +110,7 @@ def constant(data) -> Tensor:
 
 
 def _node(data, parents, grad_fn) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out.parents = tuple(parents)
         out.grad_fn = grad_fn
@@ -345,6 +384,20 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts
     return _node(out, head + tuple(a_parts) + tuple(b_parts), grad_fn)
 
 
+@functools.lru_cache(maxsize=None)
+def pair_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The module pairs of a group of ``n`` in diversify order, i < j
+    row-major, as read-only index arrays ``i`` and ``j``, and the
+    read-only (n, 2 * pairs) 0/1 matrix whose row m marks the entries of
+    ``concatenate([i, j])`` equal to m. One copy per ``n`` serves every
+    caller."""
+    i, j = np.triu_indices(n, 1)
+    owner = (np.arange(n)[:, None] == np.concatenate([i, j])).astype(np.float64)
+    for arr in (i, j, owner):
+        arr.flags.writeable = False
+    return i, j, owner
+
+
 def penalty_args(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None):
     """The matrix arguments of the orthogonality penalties, from the
     adapter factors of P projections with N modules each: ``a``
@@ -361,7 +414,7 @@ def penalty_args(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None):
     if w is not None:
         inner = _swap(w)[:, None] @ b
         return inner, inner @ a
-    i, j = np.triu_indices(a.shape[1], 1)
+    i, j, _ = pair_order(a.shape[1])
     gram = _swap(b[:, i]) @ b[:, j]
     return gram, _swap(a[:, i]) @ (gram @ a[:, j])
 
@@ -414,11 +467,9 @@ def diversify_args(a_groups, b_groups) -> Tensor:
     (P, N (N - 1) / 2, k, k); the groups are as in ``preserve_args``."""
     (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
     gram, out = penalty_args(a, b)
-    n = a.shape[1]
-    i, j = np.triu_indices(n, 1)
-    # Pair p feeds modules i[p] and j[p]; a GEMM against this 0/1 matrix
-    # sums the pair terms per module.
-    owner = (np.arange(n)[:, None] == np.concatenate([i, j])).astype(np.float64)
+    # Pair p feeds modules i[p] and j[p]; a GEMM against the 0/1 owner
+    # matrix sums the pair terms per module.
+    i, j, owner = pair_order(a.shape[1])
 
     def per_module(terms, like):
         return (owner @ terms.reshape(terms.shape[:2] + (-1,))).reshape(like.shape)

@@ -9,7 +9,7 @@ byte for byte in single-job mode.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O or format
 error, 4 degenerate input. ``PEGO_THREADS`` caps the numeric thread pools
-when set before startup.
+when set before startup, and the threads of no-grad forwards at any time.
 
 Heavy imports happen inside the command handlers so that the thread cap
 can be applied before numpy loads; ``errors`` and the package itself load
@@ -132,6 +132,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
+        from .vit import thread_budget
+
+        thread_budget()  # a malformed PEGO_THREADS fails here, before any work
         return args.func(args)
     except (ConfigError, SplitError, InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -171,6 +174,27 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _thread_details(jobs: int) -> dict:
+    """How the run could use the CPUs: cores available, the forward-thread
+    budget, pool workers and each one's budget, and numpy's BLAS."""
+    import numpy as np
+
+    from .trainer import worker_thread_budget
+    from .vit import cores, thread_budget
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = {}
+    return {
+        "affinity": cores(),
+        "forward_budget": thread_budget(),
+        "jobs": jobs,
+        "worker_budget": worker_thread_budget(jobs),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, argv_like: dict, config: dict, seeds, artifacts, t0: float) -> Path:
     manifest = {
         "command": command,
@@ -180,6 +204,7 @@ def _write_manifest(out_dir: Path, command: str, argv_like: dict, config: dict, 
         "seeds": list(seeds),
         "artifacts": [str(a) for a in artifacts],
         "wall_clock_seconds": time.monotonic() - t0,
+        "threads": _thread_details(argv_like.get("jobs", 1)),
         "version": __version__,
     }
     path = out_dir / "manifest.json"

@@ -117,7 +117,7 @@ def _ambiguity_floor(model: VitModel) -> dict[str, float]:
     w = np.stack([lin.base.data for _, lin in layers])
     low = np.abs(ag.penalty_args(a, b, w)[1]).min(axis=(2, 3))
     pair_low = np.abs(ag.penalty_args(a, b)[1]).min(axis=(2, 3))
-    i, j = np.triu_indices(a.shape[1], 1)
+    i, j, _ = ag.pair_order(a.shape[1])
     np.minimum.at(low.T, i, pair_low.T)
     np.minimum.at(low.T, j, pair_low.T)
     floors: dict[str, float] = {}

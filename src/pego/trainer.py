@@ -15,8 +15,8 @@ execute in parallel processes; within one run training is sequential.
 
 from __future__ import annotations
 
-import ctypes
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -28,23 +28,6 @@ from .data import DatasetSpec, DomainDataset, generate_dataset, make_batch, spli
 from .errors import ConfigError
 from .numerics import derive_seed, make_rng
 from .vit import VitConfig, VitModel
-
-
-def _keep_freed_memory() -> None:
-    """Keep the memory a training step frees for the next step. Under
-    glibc's adaptive thresholds, whether a step's tape is handed back to
-    the system and faulted in again next step (about 400 page faults per
-    step on the canonical config) depends on how earlier work left the
-    heap; fixed thresholds keep it. Other C libraries are left alone."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
-
-
-_keep_freed_memory()
 
 
 def canonical_vit_config(num_classes: int = 4) -> VitConfig:
@@ -265,10 +248,12 @@ PRETRAIN_BATCH_PER_DOMAIN = 8
 def pretrain_base(cfg: VitConfig, seed: int, iterations: int = 300) -> VitModel:
     """Desk-scale stand-in for a large pre-trained backbone.
 
-    Briefly fine-tunes every parameter of a fresh model on a synthetic
-    task drawn from a seed-derived stream disjoint from any downstream
-    dataset, then freezes it. Cached per configuration; callers clone
-    before mutating.
+    Briefly fine-tunes every parameter of a fresh model but the key
+    biases on a synthetic task drawn from a seed-derived stream disjoint
+    from any downstream dataset, then freezes it. A key bias shifts all
+    scores of a query by the same amount, which softmax ignores, so its
+    gradient is only rounding noise; it stays at zero. Cached per
+    configuration; callers clone before mutating.
     """
     key = (cfg, seed, iterations)
     if key in _PRETRAIN_CACHE:
@@ -276,7 +261,7 @@ def pretrain_base(cfg: VitConfig, seed: int, iterations: int = 300) -> VitModel:
     spec = DatasetSpec(domains=4, classes=cfg.num_classes, per_class=PRETRAIN_PER_CLASS, image_size=cfg.image_size)
     ds = generate_dataset(spec, derive_seed(seed, 91))
     model = vit.init_vit(cfg, make_rng(seed, 90))
-    params = dict(vit.named_params(model))
+    params = {name: t for name, t in vit.named_params(model) if not name.endswith(".attn.wk.bias")}
     for t in params.values():
         t.requires_grad = True
     flat = flatten_params(params)
@@ -351,14 +336,28 @@ def _run_single_task(payload):
     return run_single(*payload)
 
 
+def worker_thread_budget(jobs: int) -> int:
+    """The forward-thread budget of each of ``jobs`` pool workers: an
+    equal share of this process's ``vit.thread_budget``, at least 1."""
+    return max(1, vit.thread_budget() // max(jobs, 1))
+
+
+def _cap_worker_threads(budget: int) -> None:
+    os.environ["PEGO_THREADS"] = str(budget)
+
+
 def _map_runs(task, payloads, jobs: int):
     # Runs are independent and deterministic, so the pool only changes
-    # wall-clock time, never results; map preserves order.
+    # wall-clock time, never results; map preserves order. Each worker's
+    # forwards get an equal share of the cores, so the workers' threads
+    # do not oversubscribe them.
     if jobs <= 1:
         return [task(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_cap_worker_threads, initargs=(worker_thread_budget(jobs),)
+    ) as pool:
         return list(pool.map(task, payloads))
 
 

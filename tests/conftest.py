@@ -3,13 +3,12 @@
 The leave-one-domain-out batteries are expensive (dozens of full
 training runs), so they are computed once per session and shared
 between the trainer checks and the acceptance suite. Their runs are
-independent and deterministic, so they go through a process pool with
-one worker per core; the results equal those of a serial run.
+independent and deterministic, so they go through the trainer's process
+pool with one worker per core; the results equal those of a serial run.
 """
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -65,8 +64,7 @@ def rank_battery(canonical_dataset, canonical_cfg, pretrained_base):
         "plain": replace(canonical_cfg, rank=2, group_n=4, alpha=0.0),
     }
     payloads = [(pretrained_base, sources, replace(cfg, seed=s)) for cfg in variants.values() for s in SEEDS]
-    with ProcessPoolExecutor(max_workers=os.cpu_count()) as pool:
-        adapted = list(pool.map(_train_adapted, payloads))
+    adapted = trainer._map_runs(_train_adapted, payloads, jobs=os.cpu_count())
     return {label: adapted[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, label in enumerate(variants)}
 
 

@@ -1,5 +1,8 @@
 """Operator-level checks: every backward closure against central differences."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,69 @@ def test_no_grad_builds_no_graph():
     with ag.no_grad():
         y = ag.matmul(x, x)
     assert y.grad_fn is None and not y.requires_grad
+
+
+def test_no_grad_in_another_thread_leaves_this_tape_on():
+    x = ag.Tensor(np.ones((2, 2)), requires_grad=True)
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with ag.no_grad():
+            entered.set()
+            release.wait(timeout=10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert entered.wait(timeout=10)
+        y = ag.add(x, x)
+    finally:
+        release.set()
+        holder.join(timeout=10)
+    assert not holder.is_alive()
+    assert y.grad_fn is not None and y.requires_grad
+
+
+def test_grad_mode_is_per_thread_under_contention():
+    # More threads than cores, switching often: each builds tapes with
+    # and without no_grad, and a mode shared between threads would give
+    # some op the other thread's setting.
+    x = ag.Tensor(np.ones((2, 2)), requires_grad=True)
+    wrong = []
+
+    def work(k):
+        for n in range(200):
+            if (n + k) % 2:
+                with ag.no_grad():
+                    if ag.add(x, x).grad_fn is not None:
+                        wrong.append((k, n))
+            elif ag.add(x, x).grad_fn is None:
+                wrong.append((k, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_pair_order_is_one_read_only_copy_per_size():
+    i, j, owner = ag.pair_order(4)
+    ri, rj = np.triu_indices(4, 1)
+    assert np.array_equal(i, ri) and np.array_equal(j, rj)
+    assert np.array_equal(owner, (np.arange(4)[:, None] == np.concatenate([ri, rj])).astype(np.float64))
+    assert owner.sum(axis=1).tolist() == [3.0] * 4  # each module is in n - 1 pairs
+    assert ag.pair_order(4)[2] is owner
+    for arr in (i, j, owner):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_constant_inputs_get_no_grad():

@@ -273,6 +273,14 @@ class TestLodo:
             )
             assert code == 0
         assert (seq / "summary.csv").read_bytes() == (par / "summary.csv").read_bytes()
+        # Thread details differ by --jobs but stay out of the hashed config.
+        m1, m2 = (json.loads((out / "manifest.json").read_text()) for out in (seq, par))
+        budget = m1["threads"]["forward_budget"]
+        assert m1["threads"]["jobs"] == 1 and m1["threads"]["worker_budget"] == budget
+        assert m2["threads"]["jobs"] == 2 and m2["threads"]["worker_budget"] == max(1, budget // 2)
+        assert 1 <= budget <= m1["threads"]["affinity"]
+        assert set(m1["threads"]["blas"]) == {"name", "version"}
+        assert "threads" not in m1["config"] and m1["config_hash"] == m2["config_hash"]
 
 
 class TestAblate:
@@ -446,6 +454,12 @@ def test_help_exits_zero():
 
 def test_unknown_command_exits_2():
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_malformed_thread_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("PEGO_THREADS", "0")
+    assert cli.main(["gradcheck", "--samples", "1"]) == 2
+    assert "PEGO_THREADS" in capsys.readouterr().err
 
 
 def test_entry_applies_thread_cap(monkeypatch):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -369,6 +371,17 @@ def test_stderr_behaviour():
     assert stderr([0.5, 0.5, 0.5]) == 0.0
 
 
+def _reported_thread_budget(_):
+    return vit.thread_budget()
+
+
+def test_pool_workers_share_the_thread_budget(monkeypatch):
+    monkeypatch.setenv("PEGO_THREADS", "2")
+    assert trainer._map_runs(_reported_thread_budget, range(4), jobs=2) == [1] * 4
+    assert trainer._map_runs(_reported_thread_budget, range(1), jobs=1) == [vit.thread_budget()]
+    assert os.environ["PEGO_THREADS"] == "2"
+
+
 def test_pretrain_base_is_deterministic_and_cached():
     cfg = _tiny_vit()
     a = pretrain_base(cfg, seed=5, iterations=10)
@@ -378,6 +391,13 @@ def test_pretrain_base_is_deterministic_and_cached():
     assert not np.array_equal(a.head_w.data, c.head_w.data)
     for _, t in vit.named_params(a):
         assert np.all(np.isfinite(t.data))
+
+
+def test_pretraining_leaves_the_key_biases_at_zero():
+    model = pretrain_base(_tiny_vit(), seed=5, iterations=10)
+    for blk in model.blocks:
+        assert np.array_equal(blk.attn.wk.bias.data, np.zeros_like(blk.attn.wk.bias.data))
+        assert np.all(blk.attn.wq.bias.data != 0.0)  # the other biases do train
 
 
 def test_canonical_vit_config_shape():

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -264,6 +267,45 @@ def test_no_grad_forwards_run_in_chunks(monkeypatch):
     # order for another number of rows.
     assert np.array_equal(feats, whole_feats)
     assert np.abs(logits - whole_logits).max() <= 1e-14 * np.abs(whole_logits).max()
+
+
+def test_threaded_forwards_equal_one_thread_bitwise(monkeypatch):
+    model = init_vit(_cfg(), make_rng(32))
+    inject_groups(model, rank=2, n=2, rng=make_rng(33))
+    _randomize_adapters(model, make_rng(34))
+    images = make_rng(35).random((4 * vit.FORWARD_CHUNK + 5, 16, 16))
+    real = vit.batch_features_tensor
+    outputs = {}
+    for budget in (1, 2):
+        calls = []
+
+        def recording(m, x):
+            calls.append((len(x), threading.get_ident()))
+            return real(m, x)
+
+        monkeypatch.setattr(vit, "batch_features_tensor", recording)
+        monkeypatch.setattr(vit, "thread_budget", lambda: budget)
+        outputs[budget] = (vit.features_batch(model, images), vit.forward_logits_batch(model, images), calls)
+    (feats1, logits1, calls1), (feats2, logits2, calls2) = outputs[1], outputs[2]
+    assert np.array_equal(feats2, feats1) and np.array_equal(logits2, logits1)
+    assert sorted(n for n, _ in calls2) == sorted(n for n, _ in calls1) == sorted([vit.FORWARD_CHUNK] * 8 + [5] * 2)
+    main = threading.get_ident()
+    assert all(ident == main for _, ident in calls1)
+    assert all(ident != main for _, ident in calls2)
+
+
+def test_thread_budget_is_the_affinity_capped_by_pego_threads(monkeypatch):
+    cores = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("PEGO_THREADS", raising=False)
+    assert vit.thread_budget() == cores
+    monkeypatch.setenv("PEGO_THREADS", "1")
+    assert vit.thread_budget() == 1
+    monkeypatch.setenv("PEGO_THREADS", str(cores + 3))
+    assert vit.thread_budget() == cores
+    for bad in ("0", "-2", "two"):
+        monkeypatch.setenv("PEGO_THREADS", bad)
+        with pytest.raises(ConfigError):
+            vit.thread_budget()
 
 
 def test_forward_shape_errors():
