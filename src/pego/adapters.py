@@ -13,12 +13,12 @@ arguments:
   updates pairwise apart.
 
 Fresh groups start with B_i = 0, so both penalties are exactly zero at
-initialization. The forward path (``autograd.linear``) applies
-adapters in factored order (A_i z first), and the penalties' arguments
-come in factored order too, as (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
-from one helper, ``autograd.penalty_args``, for the tape and for the
-numpy values here alike. The d-by-k products B_i A_i are formed only
-for merge-back and the diagnostics.
+initialization; a group of one module has no pair to diversify. The
+forward path (``autograd.linear``) applies adapters in factored order,
+and the penalties' arguments, (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
+come from the tape ops ``autograd.preserve_args``/``diversify_args``
+alone, for training and for the values here alike. The d-by-k
+products B_i A_i are formed only for merge-back and the diagnostics.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class LoraGroup:
         """The modules' A tensors and B tensors, in module order."""
         return [m.a for m in self.modules], [m.b for m in self.modules]
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The modules' A's stacked to (N, r, k) and B's to (N, d, r)."""
-        return np.stack([m.a.data for m in self.modules]), np.stack([m.b.data for m in self.modules])
-
 
 @dataclass
 class AdaptedLinear:
@@ -99,14 +95,18 @@ def group_delta(group: LoraGroup) -> np.ndarray:
     return total
 
 
+# The projections of each block that carry a group, in draw order.
+ADAPTED_PROJECTIONS = ("wq", "wv")
+
+
 def adapted_layers(model) -> list[tuple[str, AdaptedLinear]]:
     """``(name prefix, layer)`` of every projection carrying a group, in
-    block order, query before value."""
+    block order, then in ``ADAPTED_PROJECTIONS`` order."""
     return [
         (f"blocks.{b}.attn.{proj}", lin)
         for b, block in enumerate(model.blocks)
-        for proj, lin in (("wq", block.attn.wq), ("wv", block.attn.wv))
-        if lin.group is not None
+        for proj in ADAPTED_PROJECTIONS
+        if (lin := getattr(block.attn, proj)).group is not None
     ]
 
 
@@ -114,16 +114,16 @@ def loss_preserve(layer: AdaptedLinear) -> float:
     """sum_i ||W^T (B_i A_i)||_1; zero when the layer has no group."""
     if layer.group is None:
         return 0.0
-    a, b = layer.group.stacked()
-    return float(np.abs(ag.penalty_args(a[None], b[None], layer.base.data[None])[1]).sum())
+    a, b = layer.group.factors()
+    return float(ag.abs_sum(ag.preserve_args([layer.base], [a], [b])).data)
 
 
 def loss_diversify(group: LoraGroup | None) -> float:
     """sum over pairs i < j of ||(B_i A_i)^T (B_j A_j)||_1; zero for N = 1."""
-    if group is None or group.n < 2:
+    if group is None:
         return 0.0
-    a, b = group.stacked()
-    return float(np.abs(ag.penalty_args(a[None], b[None])[1]).sum())
+    a, b = group.factors()
+    return float(ag.abs_sum(ag.diversify_args([a], [b])).data)
 
 
 def loss_orthogonal(layer: AdaptedLinear) -> float:
@@ -138,16 +138,13 @@ def loss_or(model) -> float:
 def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
     """The two differentiable penalty sums of the orthogonality loss,
     ``(preserve, diversify)``, each one L1 norm over the stacked
-    arguments of every adapted projection. A sum is None when no layer
-    carries a group (for diversify, a group of two or more modules).
-    Groups of different shapes raise ``ShapeError``."""
+    arguments of every adapted projection. Both are None for a model
+    without groups. Groups of different shapes raise ``ShapeError``."""
     layers = [lin for _, lin in adapted_layers(model)]
     if not layers:
         return None, None
     a, b = zip(*(lin.group.factors() for lin in layers))
-    preserve = ag.abs_sum(ag.preserve_args([lin.base for lin in layers], a, b))
-    diversify = ag.abs_sum(ag.diversify_args(a, b)) if layers[0].group.n > 1 else None
-    return preserve, diversify
+    return ag.abs_sum(ag.preserve_args([lin.base for lin in layers], a, b)), ag.abs_sum(ag.diversify_args(a, b))
 
 
 def final_loss(model, batch, alpha: float) -> float:

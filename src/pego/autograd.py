@@ -398,27 +398,6 @@ def pair_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, owner
 
 
-def penalty_args(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None):
-    """The matrix arguments of the orthogonality penalties, from the
-    adapter factors of P projections with N modules each: ``a``
-    (P, N, r, k) and ``b`` (P, N, d, r). No d-by-k update B_i A_i is
-    formed; every product runs in rank-factored order.
-
-    Returns ``(inner, args)``. With the host weights ``w`` (P, d, k),
-    ``inner`` holds W^T B_i (P, N, k, r) and ``args`` the preserve
-    arguments (W^T B_i) A_i (P, N, k, k). Without them, ``inner`` holds
-    the r-by-r Grams B_i^T B_j and ``args`` the diversify arguments
-    A_i^T (B_i^T B_j) A_j, for i < j in row-major pair order, stacked
-    (P, N (N - 1) / 2, ...).
-    """
-    if w is not None:
-        inner = _swap(w)[:, None] @ b
-        return inner, inner @ a
-    i, j, _ = pair_order(a.shape[1])
-    gram = _swap(b[:, i]) @ b[:, j]
-    return gram, _swap(a[:, i]) @ (gram @ a[:, j])
-
-
 def _stack_groups(groups) -> tuple[np.ndarray, list[Tensor]]:
     """The data of P groups of N equal-shaped tensors stacked (P, N, ...),
     and the tensors in one flat list, group by group."""
@@ -451,7 +430,8 @@ def preserve_args(ws, a_groups, b_groups) -> Tensor:
     """
     (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
     w = np.stack([t.data for t in ws])
-    inner, out = penalty_args(a, b, w)
+    inner = _swap(w)[:, None] @ b  # W^T B_i
+    out = inner @ a
 
     def grad_fn(g):
         ga = _swap(inner) @ g if _any_grad(a_parts) else None
@@ -464,15 +444,19 @@ def preserve_args(ws, a_groups, b_groups) -> Tensor:
 def diversify_args(a_groups, b_groups) -> Tensor:
     """The diversify arguments A_i^T (B_i^T B_j) A_j of every adapted
     projection, for i < j in row-major pair order, stacked
-    (P, N (N - 1) / 2, k, k); the groups are as in ``preserve_args``."""
+    (P, N (N - 1) / 2, k, k); the groups are as in ``preserve_args``.
+    A group of one module has no pair: the stack is empty, its
+    ``abs_sum`` is 0 and the factors get zero gradients."""
     (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
-    gram, out = penalty_args(a, b)
-    # Pair p feeds modules i[p] and j[p]; a GEMM against the 0/1 owner
-    # matrix sums the pair terms per module.
     i, j, owner = pair_order(a.shape[1])
+    gram = _swap(b[:, i]) @ b[:, j]  # B_i^T B_j
+    out = _swap(a[:, i]) @ (gram @ a[:, j])
+    # Pair p feeds modules i[p] and j[p]; a GEMM against the 0/1 owner
+    # matrix sums the pair terms per module (-1 cannot size the reshape
+    # of a group of one, which has no pairs).
 
     def per_module(terms, like):
-        return (owner @ terms.reshape(terms.shape[:2] + (-1,))).reshape(like.shape)
+        return (owner @ terms.reshape(terms.shape[:2] + (like[0, 0].size,))).reshape(like.shape)
 
     def grad_fn(g):
         need_a, need_b = _any_grad(a_parts), _any_grad(b_parts)

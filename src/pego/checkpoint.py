@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from .data import DomainDataset
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .vit import VitConfig, VitModel, model_from_arrays, model_to_arrays
 
 MAGIC = b"PEGO"
@@ -113,8 +113,9 @@ def load_model(path) -> VitModel:
         raise CheckpointError(f"{path}: expected a model checkpoint, found kind {header.get('kind')!r}")
     try:
         cfg = VitConfig(**header["config"])
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: incomplete model checkpoint: {exc}") from exc
+        cfg.validate()
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: bad model config: {exc}") from exc
     try:
         return model_from_arrays(cfg, tensors)
     except CheckpointError as exc:

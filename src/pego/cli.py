@@ -441,9 +441,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def _resolve_layer(model, spec: str):
+    from .adapters import ADAPTED_PROJECTIONS
+
     parts = spec.split(".")
-    if len(parts) != 2 or parts[1] not in ("wq", "wv"):
-        raise ConfigError(f"bad layer spec {spec!r}; expected BLOCK.PROJ with PROJ in (wq, wv)")
+    if len(parts) != 2 or parts[1] not in ADAPTED_PROJECTIONS:
+        raise ConfigError(f"bad layer spec {spec!r}; expected BLOCK.PROJ, PROJ in ({', '.join(ADAPTED_PROJECTIONS)})")
     block_raw, proj = parts
     if block_raw == "last":
         index = len(model.blocks) - 1

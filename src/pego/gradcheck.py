@@ -24,8 +24,7 @@ from .numerics import make_rng
 from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_params
 
 # (cross-entropy, preserve, diversify) as the tape computed them, masked
-# penalties included; a penalty is None only when no layer carries a
-# group (for diversify, a group of two or more modules).
+# penalties included; a penalty is None only for a model without groups.
 LossParts = tuple[float, float | None, float | None]
 
 # A probe whose L1 arguments hold an entry smaller than this in magnitude
@@ -33,21 +32,16 @@ LossParts = tuple[float, float | None, float | None]
 AMBIGUITY_TOL = 1e-6
 
 
-def check_finite_grad(flat: np.ndarray, names, sizes, context: str = "") -> None:
-    """Raise ``NumericError`` naming the parameter that holds the first
-    non-finite entry of ``flat``, where parameters ``names`` of ``sizes``
-    entries lie end to end."""
-    finite = np.isfinite(flat)
-    if not finite.all():
-        bad = names[int(np.searchsorted(np.cumsum(sizes), int(np.argmin(finite)), side="right"))]
-        raise NumericError(f"non-finite gradient for parameter {bad}{context}")
-
-
 def gather_grads(params: dict[str, ag.Tensor]) -> np.ndarray:
     """The gradients of ``params`` in one vector, laid end to end in dict
-    order and zero where backprop left none, after a non-finite check."""
+    order and zero where backprop left none. A non-finite entry raises
+    ``NumericError`` naming the parameter that holds it."""
     flat = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel() for t in params.values()])
-    check_finite_grad(flat, list(params), [t.data.size for t in params.values()])
+    finite = np.isfinite(flat)
+    if not finite.all():
+        ends = np.cumsum([t.data.size for t in params.values()])
+        bad = list(params)[int(np.searchsorted(ends, int(np.argmin(finite)), side="right"))]
+        raise NumericError(f"non-finite gradient for parameter {bad}")
     return flat
 
 
@@ -95,7 +89,7 @@ def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: 
         raise ConfigError(f"step size must be positive, got {h}")
     if not is_trainable_name(name):
         raise ConfigError(f"parameter {name} is frozen; no gradient is defined for it")
-    flat = vit.get_param(model, name).data.reshape(-1)
+    flat = vit.trainable_params(model)[name].data.reshape(-1)
     saved = float(flat[entry])
 
     def f(p):
@@ -113,11 +107,11 @@ def _ambiguity_floor(model: VitModel) -> dict[str, float]:
     layers = adapters.adapted_layers(model)
     if not layers:
         return {}
-    a, b = (np.stack(f) for f in zip(*(lin.group.stacked() for _, lin in layers)))
-    w = np.stack([lin.base.data for _, lin in layers])
-    low = np.abs(ag.penalty_args(a, b, w)[1]).min(axis=(2, 3))
-    pair_low = np.abs(ag.penalty_args(a, b)[1]).min(axis=(2, 3))
-    i, j, _ = ag.pair_order(a.shape[1])
+    a, b = zip(*(lin.group.factors() for _, lin in layers))
+    with ag.no_grad():
+        low = np.abs(ag.preserve_args([lin.base for _, lin in layers], a, b).data).min(axis=(2, 3))
+        pair_low = np.abs(ag.diversify_args(a, b).data).min(axis=(2, 3))
+    i, j, _ = ag.pair_order(low.shape[1])
     np.minimum.at(low.T, i, pair_low.T)
     np.minimum.at(low.T, j, pair_low.T)
     floors: dict[str, float] = {}

@@ -110,41 +110,41 @@ def flatten_params(params: dict[str, ag.Tensor]) -> np.ndarray:
     return flat
 
 
+# Adam's moment decay rates and the term that keeps its step finite.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments for parameters laid end to end in one vector, with
-    the parameters' names and sizes to name one in an error."""
+    """Adam moments for parameters laid end to end in one vector, and
+    the number of steps taken."""
 
     m: np.ndarray
     v: np.ndarray
-    names: list[str]
-    sizes: list[int]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: dict[str, np.ndarray]) -> AdamState:
-    """Zero moments for ``params`` laid end to end in dict order."""
-    sizes = [p.size for p in params.values()]
-    return AdamState(m=np.zeros(sum(sizes)), v=np.zeros(sum(sizes)), names=list(params), sizes=sizes)
+def adam_init(size: int) -> AdamState:
+    """Zero moments for a parameter vector of ``size`` entries."""
+    return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update of the parameter vector ``flat``,
-    applied in place; ``grad`` is laid out as ``flat``. Every operation
-    is elementwise, so the result equals a per-parameter update bitwise."""
+    applied in place; ``grad`` is laid out as ``flat`` and is finite, as
+    ``gradcheck.backward`` checks. Every operation is elementwise, so
+    the result equals a per-parameter update bitwise."""
     state.t += 1
-    gradcheck.check_finite_grad(grad, state.names, state.sizes, f" at step {state.t}")
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grad * grad)
-    flat -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return flat, state
 
 
@@ -185,13 +185,10 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
     model = vit.clone(base)
     vit.inject_groups(model, cfg.rank, cfg.group_n, make_rng(cfg.seed, 11))
     _reinit_head(model, make_rng(cfg.seed, 12))
-    frozen_before = {
-        name: np.array(t.data) for name, t in vit.named_params(model) if not vit.is_trainable_name(name)
-    }
     train_ds, val_ds = split_train_val(sources, cfg.val_fraction, cfg.seed)
     params = vit.trainable_params(model)
     flat = flatten_params(params)
-    state = adam_init({name: t.data for name, t in params.items()})
+    state = adam_init(flat.size)
     batch_rng = make_rng(cfg.seed, 13)
     touched: set[str] = set()
     history: list[HistoryRow] = []
@@ -202,8 +199,6 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
         batch = make_batch(train_ds, cfg.batch_per_domain, batch_rng)
         touched.update(dom for dom, _ in batch.tags)
         _, grad, (ce, pres, div) = gradcheck.backward(model, batch, cfg.alpha, params, cfg.preserve_on, cfg.diversify_on)
-        if div is None:  # a group of one module has no pair to diversify
-            div = 0.0
         adam_step(flat, grad, state, cfg.lr)
         row = HistoryRow(iteration=it, loss_cls=ce, loss_preserve=pres, loss_diversify=div, loss_or=pres + div)
         if it % cfg.eval_every == 0 or it == cfg.iterations:
@@ -219,8 +214,9 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
         best_acc = evaluate(model, val_ds)
         touched.update(val_ds.domains)
     np.copyto(flat, best_flat)
-    for name, before in frozen_before.items():
-        if not np.array_equal(vit.get_param(model, name).data, before):
+    cloned_from = dict(vit.named_params(base))
+    for name, t in vit.named_params(model):
+        if not vit.is_trainable_name(name) and not np.array_equal(t.data, cloned_from[name].data):
             raise RuntimeError(f"frozen parameter {name} changed during training")
     return TrainResult(
         model=adapters.merge_all(model),
@@ -265,7 +261,7 @@ def pretrain_base(cfg: VitConfig, seed: int, iterations: int = 300) -> VitModel:
     for t in params.values():
         t.requires_grad = True
     flat = flatten_params(params)
-    state = adam_init({name: t.data for name, t in params.items()})
+    state = adam_init(flat.size)
     rng = make_rng(seed, 92)
     for _ in range(iterations):
         batch = make_batch(ds, PRETRAIN_BATCH_PER_DOMAIN, rng)

@@ -29,9 +29,10 @@ Parameter names (also the checkpoint tensor names):
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,10 @@ class VitConfig:
     num_classes: int = 2
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if f.type == "int" else numbers.Real):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.image_size <= 0 or self.patch_size <= 0 or self.image_size % self.patch_size != 0:
             raise ConfigError(f"image size {self.image_size} not divisible by patch size {self.patch_size}")
         if self.embed_dim <= 0 or self.num_heads <= 0 or self.embed_dim % self.num_heads != 0:
@@ -121,9 +126,6 @@ class VitModel:
     head_w: Tensor
     head_b: Tensor
 
-    def has_adapters(self) -> bool:
-        return any(blk.attn.wq.group or blk.attn.wv.group for blk in self.blocks)
-
 
 def is_trainable_name(name: str) -> bool:
     """Trainable means exactly the adapter pairs and the classifier head."""
@@ -159,13 +161,6 @@ def named_params(model: VitModel):
     yield "final_ln.offset", model.final_ln_offset
     yield "head.w", model.head_w
     yield "head.b", model.head_b
-
-
-def get_param(model: VitModel, name: str) -> Tensor:
-    for n, t in named_params(model):
-        if n == name:
-            return t
-    raise KeyError(name)
 
 
 def apply_trainability(model: VitModel) -> None:
@@ -241,12 +236,12 @@ def init_vit(cfg: VitConfig, rng: np.random.Generator) -> VitModel:
 
 
 def inject_groups(model: VitModel, rank: int, n: int, rng: np.random.Generator) -> None:
-    """Attach a fresh adapter group to the query and value projection of
-    every block; keys, outputs, MLPs, and embeddings never get one."""
+    """Attach a fresh adapter group to the ``ADAPTED_PROJECTIONS`` (query,
+    value) of every block; keys, outputs, MLPs, embeddings never get one."""
     d = model.cfg.embed_dim
     for blk in model.blocks:
-        blk.attn.wq.group = adapters.init_group(d, d, rank, n, rng)
-        blk.attn.wv.group = adapters.init_group(d, d, rank, n, rng)
+        for proj in adapters.ADAPTED_PROJECTIONS:
+            getattr(blk.attn, proj).group = adapters.init_group(d, d, rank, n, rng)
     apply_trainability(model)
 
 
@@ -255,12 +250,12 @@ def model_to_arrays(model: VitModel) -> dict[str, np.ndarray]:
 
 
 def model_from_arrays(cfg: VitConfig, arrays: dict[str, np.ndarray]) -> VitModel:
-    """Rebuild a model from named tensors. Adapter groups of the query and
-    value projections are recovered from the ``...lora.{i}.A/B`` names; a
+    """Rebuild a model from named tensors. Adapter groups are recovered
+    from the ``...lora.{i}.A/B`` names of ``ADAPTED_PROJECTIONS``; a
     missing, wrong-shaped or unknown tensor raises ``CheckpointError``."""
     groups = {}
     for b in range(cfg.num_blocks):
-        for proj in ("wq", "wv"):
+        for proj in adapters.ADAPTED_PROJECTIONS:
             prefix = f"blocks.{b}.attn.{proj}"
             n = 0
             while f"{prefix}.lora.{n}.A" in arrays:
@@ -374,8 +369,8 @@ class LossTerms(NamedTuple):
     ``total`` is ``ce + alpha * (preserve + diversify)`` over the
     penalties left on; with ``alpha`` 0 or both masked off it is ``ce``.
     Both penalties are on the tape either way, so their values describe
-    the same parameters as ``ce``. A penalty is None only when no layer
-    carries a group (for diversify, a group of two or more modules).
+    the same parameters as ``ce``. A penalty is None only for a model
+    without groups.
     """
 
     total: Tensor

@@ -9,6 +9,7 @@ from pego.adapters import (
     AdaptedLinear,
     LoraGroup,
     LoraModule,
+    adapted_layers,
     feature_orthogonality_gap,
     final_loss,
     group_delta,
@@ -263,7 +264,7 @@ class TestMerge:
     def test_zero_b_merge_is_bitwise_identity(self):
         model = _small_model()
         merged = merge_all(model)
-        assert not merged.has_adapters()
+        assert adapted_layers(merged) == []
         before = vit.model_to_arrays(model)
         after = vit.model_to_arrays(merged)
         assert all(".lora." not in name for name in after)

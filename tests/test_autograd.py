@@ -358,15 +358,32 @@ def test_diversify_args_grad(n):
     _fd_check(build, shapes, h=H_PENALTY)
 
 
-def test_penalty_args_match_the_dense_form():
+def test_penalty_ops_match_the_dense_form():
     # The rank-factored products against D_i = B_i A_i written out.
     rng = make_rng(46)
     a, b, w = rng.normal(size=(P, 3, 2, 4)), rng.normal(size=(P, 3, 5, 2)), rng.normal(size=(P, 5, 4))
     d = b @ a
     preserve = np.stack([[w[p].T @ d[p, i] for i in range(3)] for p in range(P)])
     diversify = np.stack([[d[p, i].T @ d[p, j] for i, j in ((0, 1), (0, 2), (1, 2))] for p in range(P)])
-    assert np.allclose(ag.penalty_args(a, b, w)[1], preserve, rtol=1e-13, atol=1e-13)
-    assert np.allclose(ag.penalty_args(a, b)[1], diversify, rtol=1e-13, atol=1e-13)
+    a_groups = [[ag.constant(m) for m in group] for group in a]
+    b_groups = [[ag.constant(m) for m in group] for group in b]
+    got = ag.preserve_args([ag.constant(x) for x in w], a_groups, b_groups).data
+    assert np.allclose(got, preserve, rtol=1e-13, atol=1e-13)
+    assert np.allclose(ag.diversify_args(a_groups, b_groups).data, diversify, rtol=1e-13, atol=1e-13)
+
+
+def test_diversify_of_a_group_of_one_is_zero():
+    # One module has no pair: an empty stack, a zero sum, zero gradients.
+    rng = make_rng(55)
+    a_groups = [[ag.Tensor(rng.normal(size=(2, 4)), True)] for _ in range(P)]
+    b_groups = [[ag.Tensor(rng.normal(size=(5, 2)), True)] for _ in range(P)]
+    args = ag.diversify_args(a_groups, b_groups)
+    assert args.shape == (P, 0, 4, 4)
+    total = ag.abs_sum(args)
+    assert float(total.data) == 0.0
+    ag.backprop(total)
+    for t in [g[0] for g in a_groups + b_groups]:
+        assert t.grad.shape == t.shape and not t.grad.any()
 
 
 def test_penalty_ops_reject_groups_of_different_shapes():

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from pego import checkpoint, vit
+from pego import adapters, checkpoint, vit
 from pego.checkpoint import load_dataset, load_model, read_container, save_dataset, save_model, write_container
 from pego.data import DatasetSpec, generate_dataset
 from pego.errors import CheckpointError
@@ -59,7 +59,7 @@ def test_adapterless_model_roundtrip(tmp_path):
     model = _model(with_adapters=False)
     path = tmp_path / "plain.ckpt"
     save_model(path, model)
-    assert not load_model(path).has_adapters()
+    assert adapters.adapted_layers(load_model(path)) == []
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -131,6 +131,20 @@ def test_missing_tensor_is_reported(tmp_path):
     path = tmp_path / "incomplete.ckpt"
     write_container(path, {"kind": "model", "dtype": "f64", "config": model.cfg.__dict__}, arrays)
     with pytest.raises(CheckpointError, match="incomplete"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("num_heads", 3), ("embed_dim", "8"), ("num_blocks", 2.0), ("mlp_ratio", None), ("patch_size", True)],
+)
+def test_an_invalid_config_in_the_header_is_rejected(tmp_path, field, value):
+    # a head count that does not divide the width, or a field of the wrong type
+    model = _model()
+    path = tmp_path / "cfg.ckpt"
+    header = {"kind": "model", "config": dict(model.cfg.__dict__, **{field: value})}
+    write_container(path, header, vit.model_to_arrays(model))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: bad model config"):
         load_model(path)
 
 

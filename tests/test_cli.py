@@ -185,6 +185,18 @@ class TestEval:
         assert "head.w" in err and "(2, 5)" in err and "(2, 8)" in err
 
 
+    def test_invalid_header_config_exits_3(self, workdir, dataset_file, trained, capsys):
+        from pego.checkpoint import read_container, write_container
+
+        header, tensors = read_container(trained / "merged.ckpt")
+        header["config"]["num_heads"] = 3
+        bad = workdir / "bad_heads.ckpt"
+        write_container(bad, header, tensors)
+        assert cli.main(["eval", "--ckpt", str(bad), "--dataset", str(dataset_file), "--domain", "d0"]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "3 heads" in err
+
+
 class TestLodo:
     def test_summary_has_one_row_per_domain_seed_pair(self, workdir, dataset_file, config_file):
         out = workdir / "lodo"
