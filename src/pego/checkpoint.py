@@ -139,11 +139,14 @@ def load_dataset(path) -> DomainDataset:
     if header.get("kind") != "dataset":
         raise CheckpointError(f"{path}: expected a dataset file, found kind {header.get('kind')!r}")
     try:
-        domains = list(header["config"]["domains"])
-        num_classes = int(header["config"]["num_classes"])
+        domains, num_classes = header["config"]["domains"], header["config"]["num_classes"]
+        if not (isinstance(domains, list) and all(isinstance(d, str) for d in domains)):
+            raise CheckpointError(f"{path}: bad dataset config: domains must be a list of names, got {domains!r}")
+        if type(num_classes) is not int or num_classes < 2:
+            raise CheckpointError(f"{path}: bad dataset config: num_classes must be an int >= 2, got {num_classes!r}")
         images = {dom: tensors[f"domain.{dom}.images"] for dom in domains}
         labels = {dom: tensors[f"domain.{dom}.labels"].astype(np.int64) for dom in domains}
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: incomplete dataset file: {exc}") from exc
     ds = DomainDataset(domains=domains, images=images, labels=labels, num_classes=num_classes)
     ds.validate()

@@ -22,10 +22,12 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -91,16 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = train_like("lodo", "leave-one-domain-out evaluation across seeds")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated run seeds")
-    p.set_defaults(func=cmd_lodo)
+    p.set_defaults(func=partial(_run_harness, run=cmd_lodo))
 
     p = train_like("ablate", "on/off grid over the two penalties plus a single-module reference")
     p.add_argument("--seeds", default="0,1,2")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=partial(_run_harness, run=cmd_ablate))
 
     p = train_like("sweep", "select the group size by training-domain validation accuracy")
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--values", help="candidate group sizes (default: the config's n_search, 2,4,6)")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=partial(_run_harness, run=cmd_sweep))
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on one domain of a dataset")
     p.add_argument("--ckpt", required=True)
@@ -195,17 +197,19 @@ def _thread_details(jobs: int) -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, command: str, argv_like: dict, config: dict, seeds, artifacts, t0: float) -> Path:
+def _write_manifest(args, out_dir: Path, config: dict, seeds, artifacts, t0: float, **extra) -> Path:
+    options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
     manifest = {
-        "command": command,
-        "options": argv_like,
+        "command": args.command,
+        "options": options,
         "config": config,
         "config_hash": _config_hash(config),
         "seeds": list(seeds),
         "artifacts": [str(a) for a in artifacts],
         "wall_clock_seconds": time.monotonic() - t0,
-        "threads": _thread_details(argv_like.get("jobs", 1)),
+        "threads": _thread_details(options.get("jobs", 1)),
         "version": __version__,
+        **extra,
     }
     path = out_dir / "manifest.json"
     tmp = out_dir / "manifest.json.tmp"
@@ -216,35 +220,27 @@ def _write_manifest(out_dir: Path, command: str, argv_like: dict, config: dict, 
     return path
 
 
-def _options_dict(args) -> dict:
-    skip = {"func", "command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def _load_train_config(args, dataset):
     from .trainer import TrainConfig, canonical_vit_config
 
+    image_size = next(iter(dataset.images.values())).shape[1]
     if args.config:
         cfg = TrainConfig.from_dict(_read_json(args.config))
     else:
-        image_size = next(iter(dataset.images.values())).shape[1]
         vit_cfg = replace(canonical_vit_config(num_classes=dataset.num_classes), image_size=image_size)
         cfg = TrainConfig(batch_per_domain=8, vit=vit_cfg)
-    overrides = {}
-    for name in ("seed", "alpha", "rank", "group_n", "lr"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    names = ("seed", "alpha", "rank", "group_n", "lr")
+    overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     if getattr(args, "full_iters", False):
         if getattr(args, "iters", None) is not None:
             raise ConfigError("--iters and --full-iters are mutually exclusive")
         overrides["iterations"] = FULL_RUN_ITERS
     elif getattr(args, "iters", None) is not None:
         overrides["iterations"] = args.iters
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    if getattr(args, "values", None) is not None:
+        overrides["n_search"] = tuple(_parse_ints(args.values, "group size"))
+    cfg = replace(cfg, **overrides)
     cfg.validate()
-    image_size = next(iter(dataset.images.values())).shape[1]
     if cfg.vit.image_size != image_size:
         raise ConfigError(f"model expects {cfg.vit.image_size}px images but the dataset has {image_size}px")
     if cfg.vit.num_classes != dataset.num_classes:
@@ -256,14 +252,15 @@ def _load_train_config(args, dataset):
     return cfg
 
 
-def _parse_seeds(raw: str) -> list[int]:
+def _parse_ints(raw: str, what: str) -> list[int]:
+    """A nonempty comma-separated list of ints, such as ``--seeds``."""
     try:
-        seeds = [int(s) for s in raw.split(",") if s.strip() != ""]
+        values = [int(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad seed list {raw!r}: {exc}") from exc
-    if not seeds:
-        raise ConfigError("at least one seed is required")
-    return seeds
+        raise ConfigError(f"bad {what} list {raw!r}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"at least one {what} is required")
+    return values
 
 
 def _write_csv(path, header, rows) -> None:
@@ -303,10 +300,7 @@ def cmd_gen(args) -> int:
         counts = ", ".join(f"class {c}: {int((labels == c).sum())}" for c in range(dataset.num_classes))
         print(f"{dom}: {counts}")
     print(f"wrote {dataset.total_samples()} samples to {out}")
-    manifest_dir = out.parent
-    _write_manifest(
-        manifest_dir, "gen", _options_dict(args), {"dataset": spec.__dict__, "seed": args.seed}, [args.seed], [out], t0
-    )
+    _write_manifest(args, out.parent, {"dataset": spec.__dict__, "seed": args.seed}, [args.seed], [out], t0)
     return EXIT_OK
 
 
@@ -328,7 +322,7 @@ def cmd_train(args) -> int:
     _history_csv(run_path, result.history)
     print(f"selected iteration {result.selected_iter} with validation accuracy {result.best_val_acc!r}")
     artifacts = [adapted_path, merged_path, run_path]
-    _write_manifest(out, "train", _options_dict(args), cfg.to_dict(), [cfg.seed], artifacts, t0)
+    _write_manifest(args, out, cfg.to_dict(), [cfg.seed], artifacts, t0)
     return EXIT_OK
 
 
@@ -345,16 +339,38 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_lodo(args) -> int:
+def _run_harness(args, run) -> int:
+    """Load the dataset, config, seeds and output directory, build the base,
+    call ``run(args, dataset, cfg, seeds, base, out)`` for the artifacts it
+    writes, with progress lines on stderr, then write the manifest."""
     from .checkpoint import load_dataset
-    from .trainer import leave_one_domain_out
+    from .trainer import log, pretrain_base
 
     t0 = time.monotonic()
     dataset = load_dataset(args.dataset)
     cfg = _load_train_config(args, dataset)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_ints(args.seeds, "seed")
     out = _ensure_outdir(args.out)
-    result = leave_one_domain_out(dataset, cfg, seeds, jobs=args.jobs)
+    t1 = time.monotonic()
+    base = pretrain_base(cfg.vit, cfg.seed)
+    t2 = time.monotonic()
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        artifacts = run(args, dataset, cfg, seeds, base, out)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    phases = {"load": t1 - t0, "pretrain": t2 - t1, "run": time.monotonic() - t2}
+    _write_manifest(args, out, cfg.to_dict(), seeds, artifacts, t0, phases=phases)
+    return EXIT_OK
+
+
+def cmd_lodo(args, dataset, cfg, seeds, base, out) -> list[Path]:
+    from .trainer import leave_one_domain_out
+
+    result = leave_one_domain_out(dataset, cfg, seeds, base, jobs=args.jobs)
     summary_path = out / "summary.csv"
     _write_csv(
         summary_path,
@@ -371,20 +387,13 @@ def cmd_lodo(args) -> int:
     for dom in dataset.domains:
         print(f"{dom}: {means[dom]:.4f} +/- {errs[dom]:.4f}")
     print(f"average: {result.average:.4f}")
-    _write_manifest(out, "lodo", _options_dict(args), cfg.to_dict(), seeds, artifacts, t0)
-    return EXIT_OK
+    return artifacts
 
 
-def cmd_ablate(args) -> int:
-    from .checkpoint import load_dataset
+def cmd_ablate(args, dataset, cfg, seeds, base, out) -> list[Path]:
     from .trainer import ablate
 
-    t0 = time.monotonic()
-    dataset = load_dataset(args.dataset)
-    cfg = _load_train_config(args, dataset)
-    seeds = _parse_seeds(args.seeds)
-    out = _ensure_outdir(args.out)
-    rows = ablate(dataset, cfg, seeds, jobs=args.jobs)
+    rows = ablate(dataset, cfg, seeds, base, jobs=args.jobs)
     table_path = out / "ablate.csv"
     _write_csv(
         table_path,
@@ -393,25 +402,13 @@ def cmd_ablate(args) -> int:
     )
     for row in rows:
         print(f"{row.label}: {row.mean_acc:.4f} +/- {row.stderr:.4f}")
-    _write_manifest(out, "ablate", _options_dict(args), cfg.to_dict(), seeds, [table_path], t0)
-    return EXIT_OK
+    return [table_path]
 
 
-def cmd_sweep(args) -> int:
-    from .checkpoint import load_dataset
+def cmd_sweep(args, dataset, cfg, seeds, base, out) -> list[Path]:
     from .trainer import sweep_n
 
-    t0 = time.monotonic()
-    dataset = load_dataset(args.dataset)
-    cfg = _load_train_config(args, dataset)
-    seeds = _parse_seeds(args.seeds)
-    if args.values is not None:
-        try:
-            cfg = replace(cfg, n_search=tuple(int(v) for v in args.values.split(",") if v.strip() != ""))
-        except ValueError as exc:
-            raise ConfigError(f"bad group size list {args.values!r}: {exc}") from exc
-    out = _ensure_outdir(args.out)
-    result = sweep_n(dataset, cfg, seeds, jobs=args.jobs)
+    result = sweep_n(dataset, cfg, seeds, base, jobs=args.jobs)
     table_path = out / "sweep.csv"
     _write_csv(
         table_path,
@@ -419,8 +416,7 @@ def cmd_sweep(args) -> int:
         ([r.n, r.mean_val_acc, r.stderr, int(r.n == result.best_n)] for r in result.rows),
     )
     print(f"selected group size {result.best_n}")
-    _write_manifest(out, "sweep", _options_dict(args), cfg.to_dict(), seeds, [table_path], t0)
-    return EXIT_OK
+    return [table_path]
 
 
 def cmd_gradcheck(args) -> int:
@@ -517,5 +513,5 @@ def cmd_analyze(args) -> int:
         fh.write("\n")
     artifacts.append(meta_path)
     print(f"layer {index}.{proj}: numerical rank {report.numerical_rank} at rel tol {SIGNIFICANT_PC_REL_TOL!r}")
-    _write_manifest(out, "analyze", _options_dict(args), {"layer": args.layer, "top_k": k}, [], artifacts, t0)
+    _write_manifest(args, out, {"layer": args.layer, "top_k": k}, [], artifacts, t0)
     return EXIT_OK

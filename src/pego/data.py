@@ -178,8 +178,8 @@ def generate_dataset(spec: DatasetSpec, seed: int) -> DomainDataset:
 
 def split_train_val(dataset: DomainDataset, fraction: float, seed: int) -> tuple[DomainDataset, DomainDataset]:
     """Per-domain split, stratified by class: validation takes
-    floor(fraction * n) samples of each class in each domain. The two
-    halves are disjoint and together exhaust the input."""
+    floor(fraction * n) samples, at least one, of each class in each
+    domain. The two halves are disjoint and together exhaust the input."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"val fraction must lie strictly between 0 and 1, got {fraction}")
     train_images, train_labels, val_images, val_labels = {}, {}, {}, {}
@@ -190,10 +190,12 @@ def split_train_val(dataset: DomainDataset, fraction: float, seed: int) -> tuple
         train_idx: list[np.ndarray] = []
         for c in range(dataset.num_classes):
             idx = np.flatnonzero(labs == c)
-            if idx.size < 2:
-                raise SplitError(f"class {c} in domain {dom} has {idx.size} sample(s), cannot split")
-            perm = rng.permutation(idx)
             n_val = int(np.floor(fraction * idx.size))
+            if n_val < 1:
+                raise SplitError(
+                    f"class {c} in domain {dom} has {idx.size} sample(s), none for validation at fraction {fraction}"
+                )
+            perm = rng.permutation(idx)
             val_idx.append(perm[:n_val])
             train_idx.append(perm[n_val:])
         vi = np.sort(np.concatenate(val_idx))

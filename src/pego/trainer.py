@@ -9,14 +9,16 @@ the adapters away. The held-out domain never contributes a sample to a
 gradient step or a selection decision; every run records which domains
 it actually touched so harnesses can assert that.
 
-Independent (held-out domain, seed) runs are order-independent and can
-execute in parallel processes; within one run training is sequential.
+Each harness is one grid of independent (variant, held-out domain, seed)
+runs in one process pool; within one run training is sequential.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
+import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -28,6 +30,8 @@ from .data import DatasetSpec, DomainDataset, generate_dataset, make_batch, spli
 from .errors import ConfigError
 from .numerics import derive_seed, make_rng
 from .vit import VitConfig, VitModel
+
+log = logging.getLogger("pego")
 
 
 def canonical_vit_config(num_classes: int = 4) -> VitConfig:
@@ -297,9 +301,7 @@ class LodoResult:
         return {d: stderr(self.domain_accuracies(d)) for d in self.domains}
 
     def per_seed_average(self) -> dict[int, float]:
-        return {
-            s: float(np.mean([r.accuracy for r in self.records if r.seed == s])) for s in self.seeds
-        }
+        return {s: float(np.mean([r.accuracy for r in self.records if r.seed == s])) for s in self.seeds}
 
     @property
     def average(self) -> float:
@@ -314,22 +316,21 @@ def stderr(values) -> float:
 
 
 def run_single(dataset: DomainDataset, cfg: TrainConfig, base: VitModel, test_domain: str, seed: int) -> LodoRecord:
-    sources = dataset.without(test_domain)
-    result = train(base, sources, replace(cfg, seed=seed))
+    result = train(base, dataset.without(test_domain), replace(cfg, seed=seed))
     if test_domain in result.domains_touched:
         raise RuntimeError(f"held-out domain {test_domain} leaked into training")
     acc = evaluate(result.model, dataset, domains=[test_domain])
-    return LodoRecord(
-        test_domain=test_domain,
-        seed=seed,
-        accuracy=acc,
-        selected_iter=result.selected_iter,
-        history=result.history,
-    )
+    return LodoRecord(test_domain, seed, acc, result.selected_iter, result.history)
 
 
 def _run_single_task(payload):
     return run_single(*payload)
+
+
+def _timed(call):
+    task, payload = call
+    t0 = time.perf_counter()
+    return task(payload), time.perf_counter() - t0
 
 
 def worker_thread_budget(jobs: int) -> int:
@@ -344,36 +345,46 @@ def _cap_worker_threads(budget: int) -> None:
 
 def _map_runs(task, payloads, jobs: int):
     # Runs are independent and deterministic, so the pool only changes
-    # wall-clock time, never results; map preserves order. Each worker's
-    # forwards get an equal share of the cores, so the workers' threads
-    # do not oversubscribe them.
+    # wall-clock time, never results; outputs come in payload order. Each
+    # worker's forwards get an equal share of the cores, so the workers'
+    # threads do not oversubscribe them.
     if jobs <= 1:
-        return [task(p) for p in payloads]
+        yield from map(task, payloads)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_cap_worker_threads, initargs=(worker_thread_budget(jobs),)
     ) as pool:
-        return list(pool.map(task, payloads))
+        yield from pool.map(task, payloads)
 
 
-def leave_one_domain_out(
-    dataset: DomainDataset,
-    cfg: TrainConfig,
-    seeds: list[int],
-    base: VitModel | None = None,
-    jobs: int = 1,
-) -> LodoResult:
-    """Hold out each domain in turn, train on the rest for every seed, and
-    score the merged model on the untouched held-out domain."""
+def _run_grid(name: str, task, dataset: DomainDataset, variants, seeds: list[int], base: VitModel, jobs: int):
+    """Run ``task`` on each ``(dataset, config, base, held-out domain, seed)``
+    payload of the (label, config) ``variants`` in one ``_map_runs`` call,
+    logging a line per finished run; return one output list per variant."""
     if len(dataset.domains) < 3:
         raise ConfigError(f"leave-one-domain-out needs at least 3 domains, got {len(dataset.domains)}")
     if not seeds:
         raise ConfigError("at least one seed is required")
-    if base is None:
-        base = pretrain_base(cfg.vit, cfg.seed)
-    payloads = [(dataset, cfg, base, dom, seed) for dom in dataset.domains for seed in seeds]
-    records = _map_runs(_run_single_task, payloads, jobs)
+    payloads = [(dataset, cfg, base, dom, seed) for _, cfg in variants for dom in dataset.domains for seed in seeds]
+    runs = len(dataset.domains) * len(seeds)
+    outputs = []
+    for k, (out, seconds) in enumerate(_map_runs(_timed, [(task, p) for p in payloads], jobs)):
+        outputs.append(out)
+        _, _, _, dom, seed = payloads[k]
+        score = f"acc={out.accuracy:.4f}" if isinstance(out, LodoRecord) else f"val_acc={out:.4f}"
+        what = " ".join(filter(None, (variants[k // runs][0], dom, f"seed={seed}", score)))
+        log.info("[%s %d/%d] %s %.1fs", name, k + 1, len(payloads), what, seconds)
+    return [outputs[i : i + runs] for i in range(0, len(outputs), runs)]
+
+
+def leave_one_domain_out(
+    dataset: DomainDataset, cfg: TrainConfig, seeds: list[int], base: VitModel, jobs: int = 1
+) -> LodoResult:
+    """Hold out each domain in turn, train on the rest for every seed, and
+    score the merged model on the untouched held-out domain."""
+    (records,) = _run_grid("lodo", _run_single_task, dataset, [("", cfg)], seeds, base, jobs)
     return LodoResult(records=records, domains=list(dataset.domains), seeds=list(seeds))
 
 
@@ -385,45 +396,26 @@ class AblateRow:
     group_n: int
     mean_acc: float
     stderr: float
-    per_seed: dict[int, float]
 
 
 def ablate(
-    dataset: DomainDataset,
-    cfg: TrainConfig,
-    seeds: list[int],
-    base: VitModel | None = None,
-    jobs: int = 1,
+    dataset: DomainDataset, cfg: TrainConfig, seeds: list[int], base: VitModel, jobs: int = 1
 ) -> list[AblateRow]:
     """The 2x2 penalty on/off grid at the configured group size, plus a
     single-module reference row. Means and standard errors are over the
     per-seed leave-one-domain-out averages."""
-    if base is None:
-        base = pretrain_base(cfg.vit, cfg.seed)
     variants = [
-        ("both", True, True, cfg.group_n),
-        ("preserve_only", True, False, cfg.group_n),
-        ("diversify_only", False, True, cfg.group_n),
-        ("none", False, False, cfg.group_n),
-        ("lora", False, False, 1),
+        ("both", replace(cfg, preserve_on=True, diversify_on=True)),
+        ("preserve_only", replace(cfg, preserve_on=True, diversify_on=False)),
+        ("diversify_only", replace(cfg, preserve_on=False, diversify_on=True)),
+        ("none", replace(cfg, preserve_on=False, diversify_on=False)),
+        ("lora", replace(cfg, preserve_on=False, diversify_on=False, group_n=1)),
     ]
+    grouped = _run_grid("ablate", _run_single_task, dataset, variants, seeds, base, jobs)
     rows = []
-    for label, pres, div, n in variants:
-        variant_cfg = replace(cfg, preserve_on=pres, diversify_on=div, group_n=n)
-        result = leave_one_domain_out(dataset, variant_cfg, seeds, base=base, jobs=jobs)
-        per_seed = result.per_seed_average()
-        vals = list(per_seed.values())
-        rows.append(
-            AblateRow(
-                label=label,
-                preserve_on=pres,
-                diversify_on=div,
-                group_n=n,
-                mean_acc=float(np.mean(vals)),
-                stderr=stderr(vals),
-                per_seed=per_seed,
-            )
-        )
+    for (label, v), records in zip(variants, grouped):
+        accs = list(LodoResult(records, list(dataset.domains), list(seeds)).per_seed_average().values())
+        rows.append(AblateRow(label, v.preserve_on, v.diversify_on, v.group_n, float(np.mean(accs)), stderr(accs)))
     return rows
 
 
@@ -441,40 +433,22 @@ class SweepResult:
 
 
 def _sweep_task(payload):
-    base, sources, cfg = payload
-    return train(base, sources, cfg).best_val_acc
+    # Scores only the source domains' validation split, never the held-out domain.
+    dataset, cfg, base, test_domain, seed = payload
+    return train(base, dataset.without(test_domain), replace(cfg, seed=seed)).best_val_acc
 
 
-def sweep_n(
-    dataset: DomainDataset,
-    cfg: TrainConfig,
-    seeds: list[int],
-    base: VitModel | None = None,
-    jobs: int = 1,
-) -> SweepResult:
+def sweep_n(dataset: DomainDataset, cfg: TrainConfig, seeds: list[int], base: VitModel, jobs: int = 1) -> SweepResult:
     """Pick the group size in ``cfg.n_search`` with the best mean
     training-domain validation accuracy. Held-out test accuracy is never
     computed here, so the selection cannot leak; ties go to the smaller
     size."""
     if not cfg.n_search:
         raise ConfigError("the sweep needs at least one candidate group size")
-    if not seeds:
-        raise ConfigError("at least one seed is required")
-    if base is None:
-        base = pretrain_base(cfg.vit, cfg.seed)
-    rows = []
-    best_n = None
-    best_acc = -1.0
-    for n in sorted(cfg.n_search):
-        payloads = [
-            (base, dataset.without(dom), replace(cfg, group_n=n, seed=seed))
-            for dom in dataset.domains
-            for seed in seeds
-        ]
-        accs = _map_runs(_sweep_task, payloads, jobs)
-        mean_acc = float(np.mean(accs))
-        rows.append(SweepRow(n=n, mean_val_acc=mean_acc, stderr=stderr(accs)))
-        if mean_acc > best_acc:
-            best_acc = mean_acc
-            best_n = n
-    return SweepResult(best_n=best_n, rows=rows)
+    variants = [(f"n={n}", replace(cfg, group_n=n)) for n in sorted(cfg.n_search)]
+    rows = [
+        SweepRow(n=v.group_n, mean_val_acc=float(np.mean(accs)), stderr=stderr(accs))
+        for (_, v), accs in zip(variants, _run_grid("sweep", _sweep_task, dataset, variants, seeds, base, jobs))
+    ]
+    # max keeps the first of equal means, and the rows run from the smallest size up
+    return SweepResult(best_n=max(rows, key=lambda r: r.mean_val_acc).n, rows=rows)

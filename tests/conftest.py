@@ -64,7 +64,7 @@ def rank_battery(canonical_dataset, canonical_cfg, pretrained_base):
         "plain": replace(canonical_cfg, rank=2, group_n=4, alpha=0.0),
     }
     payloads = [(pretrained_base, sources, replace(cfg, seed=s)) for cfg in variants.values() for s in SEEDS]
-    adapted = trainer._map_runs(_train_adapted, payloads, jobs=os.cpu_count())
+    adapted = list(trainer._map_runs(_train_adapted, payloads, jobs=os.cpu_count()))
     return {label: adapted[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, label in enumerate(variants)}
 
 

@@ -75,6 +75,23 @@ def test_dataset_roundtrip(tmp_path):
         assert loaded.labels[dom].dtype == np.int64
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("num_classes", "two"), ("num_classes", None), ("num_classes", 2.7), ("domains", 5)],
+)
+def test_an_invalid_dataset_header_is_rejected(tmp_path, field, value):
+    # a field of the wrong type fails with the path named, not with a
+    # ValueError or TypeError, and a fractional class count is not truncated
+    ds = generate_dataset(DatasetSpec(domains=3, classes=2, per_class=4), seed=3)
+    path = tmp_path / "d.ckpt"
+    save_dataset(path, ds)
+    header, tensors = read_container(path)
+    header["config"][field] = value
+    write_container(path, header, tensors)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: bad dataset config: {field}"):
+        load_dataset(path)
+
+
 def test_container_preserves_names_shapes_and_header(tmp_path):
     path = tmp_path / "c.ckpt"
     tensors = {"x": np.arange(6.0).reshape(2, 3), "y.z": np.ones(4)}

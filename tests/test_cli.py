@@ -295,6 +295,43 @@ class TestLodo:
         assert "threads" not in m1["config"] and m1["config_hash"] == m2["config_hash"]
 
 
+    def test_progress_lines_and_phases(self, workdir, dataset_file, config_file, capsys):
+        out = workdir / "progress"
+        argv = ["lodo", "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(out)]
+        assert cli.main(argv + ["--seeds", "0,1"]) == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line.startswith("[lodo ")]
+        assert len(lines) == 8  # one per run, in payload order
+        assert lines[0].startswith("[lodo 1/8] d0 seed=0 acc=") and lines[0].endswith("s")
+        assert lines[-1].startswith("[lodo 8/8] d3 seed=1 acc=")
+        assert "[lodo" not in captured.out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["phases"]) == {"load", "pretrain", "run"}
+        assert all(seconds >= 0.0 for seconds in manifest["phases"].values())
+        assert "phases" not in manifest["config"]
+        assert manifest["config_hash"] == cli._config_hash(manifest["config"])
+
+    def test_a_class_without_a_validation_sample_exits_2(self, workdir, config_file, capsys):
+        spec = workdir / "spec3.json"
+        spec.write_text(json.dumps({"domains": 4, "classes": 2, "per_class": 3, "image_size": 8}))
+        small = workdir / "small.ckpt"
+        assert cli.main(["gen", "--config", str(spec), "--out", str(small)]) == 0
+        argv = ["lodo", "--config", str(config_file), "--dataset", str(small), "--out", str(workdir / "z")]
+        assert cli.main(argv + ["--seeds", "0"]) == 2
+        assert "class 0 in domain d1 has 3 sample(s)" in capsys.readouterr().err
+
+    def test_a_bad_dataset_header_exits_3(self, workdir, dataset_file, config_file, capsys):
+        from pego.checkpoint import read_container, write_container
+
+        header, tensors = read_container(dataset_file)
+        header["config"]["num_classes"] = "two"
+        bad = workdir / "bad_header.ckpt"
+        write_container(bad, header, tensors)
+        argv = ["lodo", "--config", str(config_file), "--dataset", str(bad), "--out", str(workdir / "w")]
+        assert cli.main(argv + ["--seeds", "0"]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+
 class TestAblate:
     def test_emits_grid_plus_reference_row(self, workdir, dataset_file, config_file):
         out = workdir / "ablate"
@@ -339,7 +376,12 @@ class TestSweep:
             ]
         )
         assert code == 0
-        assert "selected group size" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "selected group size" in captured.out
+        progress = [line for line in captured.err.splitlines() if line.startswith("[sweep ")]
+        assert len(progress) == 8  # 2 sizes x 4 domains x 1 seed
+        assert progress[0].startswith("[sweep 1/8] n=2 d0 seed=0 val_acc=")
+        assert progress[-1].startswith("[sweep 8/8] n=4 d3 seed=0 val_acc=")
         with open(out / "sweep.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "mean_val_acc", "stderr", "selected"]

@@ -95,6 +95,16 @@ def test_split_errors():
         split_train_val(ok, 1.0, seed=0)
 
 
+def test_a_class_too_small_for_a_validation_sample_is_named():
+    # 3 samples at fraction 0.2 give floor(0.6) = 0 validation samples
+    ds = generate_dataset(DatasetSpec(domains=3, classes=2, per_class=3), seed=6)
+    expected = r"class 0 in domain d0 has 3 sample\(s\), none for validation at fraction 0\.2"
+    with pytest.raises(SplitError, match=expected):
+        split_train_val(ds, 0.2, seed=0)
+    _, val = split_train_val(ds, 0.34, seed=0)  # floor(1.02) = 1
+    assert all(len(val.labels[d]) == 2 for d in ds.domains)
+
+
 def test_make_batch_concatenates_per_domain_quotas():
     ds = generate_dataset(DatasetSpec(domains=3, classes=2, per_class=20), seed=7)
     batch = make_batch(ds, 32, make_rng(0))

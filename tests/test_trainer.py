@@ -306,6 +306,10 @@ class TestLodo:
         with pytest.raises(ConfigError):
             leave_one_domain_out(tiny_dataset, _tiny_cfg(), [], base=tiny_base)
 
+    def test_a_library_call_prints_no_progress(self, tiny_dataset, tiny_base, capfd):
+        leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base)
+        assert capfd.readouterr() == ("", "")
+
 
 class TestAblate:
     def test_grid_shape_and_baseline_equivalence(self, tiny_dataset, tiny_base):
@@ -327,6 +331,30 @@ class TestAblate:
         )
         assert rows[3].mean_acc == np.mean(list(baseline.per_seed_average().values()))
 
+    def test_one_pool_for_every_variant(self, tiny_dataset, tiny_base, monkeypatch):
+        calls = _count_map_runs(monkeypatch)
+        trainer.ablate(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
+        assert calls == [5 * 4]
+
+    def test_pool_matches_serial(self, tiny_dataset, tiny_base):
+        cfg = _tiny_cfg(iterations=3)
+        serial = trainer.ablate(tiny_dataset, cfg, [0, 1], base=tiny_base, jobs=1)
+        pooled = trainer.ablate(tiny_dataset, cfg, [0, 1], base=tiny_base, jobs=2)
+        assert pooled == serial
+
+
+def _count_map_runs(monkeypatch) -> list[int]:
+    """Patch ``trainer._map_runs`` to record the payload count of each call."""
+    calls: list[int] = []
+    real = trainer._map_runs
+
+    def counting(task, payloads, jobs):
+        calls.append(len(payloads))
+        return real(task, payloads, jobs)
+
+    monkeypatch.setattr(trainer, "_map_runs", counting)
+    return calls
+
 
 class TestSweep:
     def test_single_candidate_returned_trivially(self, tiny_dataset, tiny_base):
@@ -345,19 +373,38 @@ class TestSweep:
         assert result.best_n == 2
 
     def test_selection_never_sees_the_held_out_domain(self, tiny_dataset, tiny_base, monkeypatch):
-        # every evaluate() call during a sweep must score source-domain data only
-        real_evaluate = trainer.evaluate
-        seen: list[set] = []
+        # every evaluate() call during a sweep scores exactly the source
+        # domains of its run: never the held-out one, alone or with others
+        real_train, real_evaluate = trainer.train, trainer.evaluate
+        sources: list[set] = []
+        seen: list[tuple[set, set]] = []
 
-        def spy(model, dataset, domains=None):
-            seen.append(set(domains or dataset.domains))
+        def spy_train(base, dataset, cfg):
+            sources.append(set(dataset.domains))
+            return real_train(base, dataset, cfg)
+
+        def spy_evaluate(model, dataset, domains=None):
+            seen.append((sources[-1], set(domains or dataset.domains)))
             return real_evaluate(model, dataset, domains)
 
-        monkeypatch.setattr(trainer, "evaluate", spy)
+        monkeypatch.setattr(trainer, "train", spy_train)
+        monkeypatch.setattr(trainer, "evaluate", spy_evaluate)
         sweep_n(tiny_dataset, _tiny_cfg(iterations=2, n_search=(2,)), [0], base=tiny_base)
-        assert seen
-        for domains in seen:
-            assert len(domains) < len(tiny_dataset.domains)
+        assert len(sources) == len(tiny_dataset.domains) and seen
+        assert all(len(src) == len(tiny_dataset.domains) - 1 for src in sources)
+        for src, domains in seen:
+            assert domains == src
+
+    def test_one_pool_for_every_size(self, tiny_dataset, tiny_base, monkeypatch):
+        calls = _count_map_runs(monkeypatch)
+        result = sweep_n(tiny_dataset, _tiny_cfg(iterations=2, n_search=(1, 2, 4)), [0, 1], base=tiny_base, jobs=2)
+        assert calls == [3 * 4 * 2]
+        assert [r.n for r in result.rows] == [1, 2, 4]
+
+    def test_requires_three_domains(self, tiny_dataset, tiny_base):
+        two = tiny_dataset.without("d0").without("d1")
+        with pytest.raises(ConfigError, match="at least 3 domains"):
+            sweep_n(two, _tiny_cfg(iterations=2, n_search=(2,)), [0], base=tiny_base)
 
     def test_pool_matches_serial(self, tiny_dataset, tiny_base):
         cfg = _tiny_cfg(iterations=2, n_search=(1, 2))
@@ -382,8 +429,8 @@ def _reported_thread_budget(_):
 
 def test_pool_workers_share_the_thread_budget(monkeypatch):
     monkeypatch.setenv("PEGO_THREADS", "2")
-    assert trainer._map_runs(_reported_thread_budget, range(4), jobs=2) == [1] * 4
-    assert trainer._map_runs(_reported_thread_budget, range(1), jobs=1) == [vit.thread_budget()]
+    assert list(trainer._map_runs(_reported_thread_budget, range(4), jobs=2)) == [1] * 4
+    assert list(trainer._map_runs(_reported_thread_budget, range(1), jobs=1)) == [vit.thread_budget()]
     assert os.environ["PEGO_THREADS"] == "2"
 
 
