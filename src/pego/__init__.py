@@ -3,34 +3,8 @@ trained with orthogonality penalties, with exact merge-back, gradient
 auditing, a leave-one-domain-out harness on procedural data, and
 weight-space diagnostics.
 
-Submodules load lazily so the command-line entry point can cap numeric
-thread pools before numpy is imported.
+The package imports no submodule, so the command-line entry point can
+cap numeric thread pools before numpy is imported.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "adapters",
-    "autograd",
-    "checkpoint",
-    "cli",
-    "data",
-    "diagnostics",
-    "errors",
-    "gradcheck",
-    "numerics",
-    "trainer",
-    "vit",
-)
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -10,11 +10,12 @@ each stack the matrix arguments of one orthogonality penalty over every
 adapted projection of the model, in rank-factored order, and one
 ``abs_sum`` then takes their L1 norm. Each operator stores a closure
 mapping the output gradient to parent gradients; ``backprop`` walks the
-tape once in reverse topological order and accumulates into every leaf
-that requires a gradient. The closures of matmul, add, layernorm and the
-fused ops return ``None`` for a parent that needs no gradient (a frozen
-weight or a constant) and skip its work; ``backprop`` skips ``None``
-entries.
+tape once in reverse topological order and returns the gradient with
+respect to the leaves it is handed as one vector. No tensor stores a
+gradient: a node's gradient lives in ``backprop`` until its closure has
+used it. The closures of matmul, add, layernorm and the fused ops
+return ``None`` for a parent that needs no gradient (a frozen weight or
+a constant) and skip its work; ``backprop`` skips ``None`` entries.
 
 Everything is float64. Parameters are 2-D; activations may carry
 leading batch axes, and broadcasting against parameters is undone by
@@ -88,11 +89,10 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "parents", "grad_fn")
+    __slots__ = ("data", "requires_grad", "parents", "grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self.parents: tuple[Tensor, ...] = ()
         self.grad_fn = None
@@ -473,8 +473,11 @@ def diversify_args(a_groups, b_groups) -> Tensor:
     return _node(out, a_parts + b_parts, grad_fn)
 
 
-def backprop(root: Tensor) -> None:
-    """Populate ``grad`` on every reachable tensor that requires one."""
+def backprop(root: Tensor, leaves) -> np.ndarray:
+    """The gradient of the scalar ``root`` with respect to ``leaves``, laid
+    end to end in the order given (the layout of
+    ``trainer.flatten_params``), and zero for a leaf ``root`` does not
+    reach. Contributions to a tensor add up in tape order."""
     if root.data.ndim != 0:
         raise ShapeError(f"backprop needs a scalar root, got shape {root.data.shape}")
     order: list[Tensor] = []
@@ -492,12 +495,12 @@ def backprop(root: Tensor) -> None:
         for p in node.parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    root.grad = np.ones_like(root.data)
+    grads = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
         if node.grad_fn is None:
             continue
-        grads = node.grad_fn(node.grad)
-        for parent, g in zip(node.parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+        for parent, g in zip(node.parents, node.grad_fn(grads.pop(id(node)))):
+            if g is not None and parent.requires_grad:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = g if acc is None else acc + g
+    return np.concatenate([grads[id(t)].ravel() if id(t) in grads else np.zeros(t.data.size) for t in leaves])

@@ -48,8 +48,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
-DEFAULT_ALPHA = 1e-3
-DEFAULT_RANK = 4
 FULL_RUN_ITERS = 5000
 GRADCHECK_THRESHOLDS = {0.0: 1e-6, 1e-3: 1e-5}
 
@@ -84,25 +82,23 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--lr", type=float)
         q.add_argument("--iters", type=int)
         q.add_argument("--full-iters", action="store_true", help=f"run the full {FULL_RUN_ITERS} iterations")
+        return q
+
+    def harness(name, help_text, run):
+        q = train_like(name, help_text)
+        q.add_argument("--seeds", default="0,1,2", help="comma-separated run seeds")
         q.add_argument("--jobs", type=int, default=1)
+        q.set_defaults(func=partial(_run_harness, run=run))
         return q
 
     p = train_like("train", "train on every domain of a dataset, write checkpoints and metrics")
     p.add_argument("--base", help="checkpoint to use as the frozen base (default: built-in pretrained stand-in)")
     p.set_defaults(func=cmd_train)
 
-    p = train_like("lodo", "leave-one-domain-out evaluation across seeds")
-    p.add_argument("--seeds", default="0,1,2", help="comma-separated run seeds")
-    p.set_defaults(func=partial(_run_harness, run=cmd_lodo))
-
-    p = train_like("ablate", "on/off grid over the two penalties plus a single-module reference")
-    p.add_argument("--seeds", default="0,1,2")
-    p.set_defaults(func=partial(_run_harness, run=cmd_ablate))
-
-    p = train_like("sweep", "select the group size by training-domain validation accuracy")
-    p.add_argument("--seeds", default="0,1,2")
+    harness("lodo", "leave-one-domain-out evaluation across seeds", cmd_lodo)
+    harness("ablate", "on/off grid over the two penalties plus a single-module reference", cmd_ablate)
+    p = harness("sweep", "select the group size by training-domain validation accuracy", cmd_sweep)
     p.add_argument("--values", help="candidate group sizes (default: the config's n_search, 2,4,6)")
-    p.set_defaults(func=partial(_run_harness, run=cmd_sweep))
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on one domain of a dataset")
     p.add_argument("--ckpt", required=True)
@@ -245,10 +241,10 @@ def _load_train_config(args, dataset):
         raise ConfigError(f"model expects {cfg.vit.image_size}px images but the dataset has {image_size}px")
     if cfg.vit.num_classes != dataset.num_classes:
         raise ConfigError(f"model has {cfg.vit.num_classes} classes but the dataset has {dataset.num_classes}")
-    if cfg.alpha != DEFAULT_ALPHA:
-        print(f"warning: alpha={cfg.alpha!r} differs from the recommended default {DEFAULT_ALPHA!r}", file=sys.stderr)
-    if cfg.rank != DEFAULT_RANK:
-        print(f"warning: rank={cfg.rank} differs from the recommended default {DEFAULT_RANK}", file=sys.stderr)
+    for name in ("alpha", "rank"):
+        value, default = getattr(cfg, name), TrainConfig.__dataclass_fields__[name].default
+        if value != default:
+            print(f"warning: {name}={value!r} differs from the recommended default {default!r}", file=sys.stderr)
     return cfg
 
 

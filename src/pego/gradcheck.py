@@ -5,7 +5,8 @@ oracle that audits them.
 parameters it is handed (in training, the adapter pairs and the head;
 while pretraining the base, every parameter) and nothing else, and
 returns the gradient as one vector, the layout of the flat parameter
-buffer the optimizer steps.
+buffer the optimizer steps; the vector is ``autograd.backprop``'s
+return value, and no tensor holds a gradient before or after.
 ``grad_check`` compares those gradients against central differences of
 the forward-only loss at randomly probed entries, skipping probes where
 an L1 penalty argument sits close enough to zero that the subgradient
@@ -32,17 +33,20 @@ LossParts = tuple[float, float | None, float | None]
 AMBIGUITY_TOL = 1e-6
 
 
-def gather_grads(params: dict[str, ag.Tensor]) -> np.ndarray:
-    """The gradients of ``params`` in one vector, laid end to end in dict
-    order and zero where backprop left none. A non-finite entry raises
-    ``NumericError`` naming the parameter that holds it."""
-    flat = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel() for t in params.values()])
-    finite = np.isfinite(flat)
+def _locate(params: dict[str, ag.Tensor], flat_idx: int) -> tuple[str, int]:
+    """The name of the parameter that holds entry ``flat_idx`` of the flat
+    layout of ``params``, and the entry's index within it."""
+    ends = np.cumsum([t.data.size for t in params.values()])
+    idx = int(np.searchsorted(ends, flat_idx, side="right"))
+    return list(params)[idx], flat_idx - (int(ends[idx - 1]) if idx else 0)
+
+
+def check_finite(params: dict[str, ag.Tensor], grad: np.ndarray) -> None:
+    """Raise ``NumericError`` naming the first parameter whose block of the
+    flat gradient ``grad`` holds a non-finite entry."""
+    finite = np.isfinite(grad)
     if not finite.all():
-        ends = np.cumsum([t.data.size for t in params.values()])
-        bad = list(params)[int(np.searchsorted(ends, int(np.argmin(finite)), side="right"))]
-        raise NumericError(f"non-finite gradient for parameter {bad}")
-    return flat
+        raise NumericError(f"non-finite gradient for parameter {_locate(params, int(np.argmin(finite)))[0]}")
 
 
 def backward(
@@ -57,23 +61,17 @@ def backward(
     vector laid out like ``trainer.flatten_params`` lays out their data,
     and the parts of the loss read off the same tape.
 
-    ``params`` must hold every tensor of the model that requires a
-    gradient; a ``grad`` left on one of them beforehand is discarded.
     The loss equals the forward-only objective bitwise, since both walk
     the same tape. Gradients of the L1 terms use sign(x) with
-    sign(0) = 0.
+    sign(0) = 0. A non-finite gradient entry raises ``NumericError``.
     """
     if len(batch.labels) == 0:
         raise InputError("empty batch")
-    for t in params.values():
-        t.grad = None
     terms = batch_loss_tensor(
         model, batch.images, batch.labels, alpha, preserve_on=preserve_on, diversify_on=diversify_on
     )
-    ag.backprop(terms.total)
-    grad = gather_grads(params)
-    for t in params.values():
-        t.grad = None
+    grad = ag.backprop(terms.total, params.values())
+    check_finite(params, grad)
     parts = tuple(None if t is None else float(t.data) for t in (terms.ce, terms.preserve, terms.diversify))
     return float(terms.total.data), grad, parts
 
@@ -139,22 +137,17 @@ def grad_check(
     if samples < 1:
         raise ConfigError(f"need at least one probe, got {samples}")
     params = vit.trainable_params(model)
-    names, tensors = zip(*params.items())
-    offsets = np.cumsum([t.data.size for t in tensors])
-    total = int(offsets[-1])
     _, grad, _ = backward(model, batch, alpha, params, True, True)
     floors = _ambiguity_floor(model) if alpha != 0.0 else {}
     max_rel = 0.0
     accepted = 0
     for _ in range(samples):
-        flat_idx = int(rng.integers(0, total))
-        idx = int(np.searchsorted(offsets, flat_idx, side="right"))
-        name = names[idx]
-        entry = flat_idx - (int(offsets[idx - 1]) if idx > 0 else 0)
+        flat_idx = int(rng.integers(0, grad.size))
+        name, entry = _locate(params, flat_idx)
         if floors.get(name, np.inf) < AMBIGUITY_TOL:
             continue
         accepted += 1
-        p0 = float(tensors[idx].data.reshape(-1)[entry])
+        p0 = float(params[name].data.reshape(-1)[entry])
         h = 1e-5 * max(1.0, abs(p0))
         numeric = finite_diff(model, batch, alpha, name, entry, h)
         analytic = float(grad[flat_idx])

@@ -71,11 +71,15 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
         if self.rank < 1 or self.group_n < 1:
             raise ConfigError(f"rank and group size must be positive, got r={self.rank}, N={self.group_n}")
+        if not self.n_search or min(self.n_search) < 1 or len(set(self.n_search)) != len(self.n_search):
+            raise ConfigError(f"candidate group sizes must be distinct and positive, got {list(self.n_search)}")
         if self.batch_per_domain < 1:
             raise ConfigError(f"batch per domain must be positive, got {self.batch_per_domain}")
         if self.eval_every < 1:
             raise ConfigError(f"eval cadence must be positive, got {self.eval_every}")
         self.vit.validate()
+        if self.rank > self.vit.embed_dim:
+            raise ConfigError(f"rank {self.rank} exceeds the embed dim {self.vit.embed_dim}")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -443,8 +447,7 @@ def sweep_n(dataset: DomainDataset, cfg: TrainConfig, seeds: list[int], base: Vi
     training-domain validation accuracy. Held-out test accuracy is never
     computed here, so the selection cannot leak; ties go to the smaller
     size."""
-    if not cfg.n_search:
-        raise ConfigError("the sweep needs at least one candidate group size")
+    cfg.validate()
     variants = [(f"n={n}", replace(cfg, group_n=n)) for n in sorted(cfg.n_search)]
     rows = [
         SweepRow(n=v.group_n, mean_val_acc=float(np.mean(accs)), stderr=stderr(accs))

@@ -18,11 +18,9 @@ def _fd_check(build, shapes, seed=0, h=1e-6, tol=1e-6):
     rng = make_rng(seed)
     arrays = [rng.normal(size=s) for s in shapes]
     leaves = [ag.Tensor(a, requires_grad=True) for a in arrays]
-    out = build(*leaves)
-    ag.backprop(out)
-    for arr, leaf in zip(arrays, leaves):
+    grads = np.split(ag.backprop(build(*leaves), leaves), np.cumsum([a.size for a in arrays])[:-1])
+    for arr, grad in zip(arrays, grads):
         flat = arr.reshape(-1)
-        grad = leaf.grad.reshape(-1)
         for idx in range(flat.size):
             saved = flat[idx]
 
@@ -98,23 +96,45 @@ def test_cross_entropy_grad_closed_form():
     z = rng.normal(size=(5, 3))
     labels = np.array([0, 1, 2, 1, 0])
     leaf = ag.Tensor(z, requires_grad=True)
-    ag.backprop(ag.cross_entropy_mean(leaf, labels))
+    grad = ag.backprop(ag.cross_entropy_mean(leaf, labels), [leaf])
     e = np.exp(z - z.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     p[np.arange(5), labels] -= 1.0
-    assert np.allclose(leaf.grad, p / 5.0, atol=1e-12)
+    assert np.allclose(grad, (p / 5.0).ravel(), atol=1e-12)
 
 
 def test_abs_sum_grad_and_subgradient_at_zero():
     x = ag.Tensor(np.array([[1.5, -2.0], [0.0, 3.0]]), requires_grad=True)
-    ag.backprop(ag.abs_sum(x))
-    assert np.array_equal(x.grad, np.array([[1.0, -1.0], [0.0, 1.0]]))
+    assert np.array_equal(ag.backprop(ag.abs_sum(x), [x]), np.array([1.0, -1.0, 0.0, 1.0]))
 
 
 def test_grad_accumulates_over_reuse():
     x = ag.Tensor(np.array([[2.0]]), requires_grad=True)
-    ag.backprop(ag.abs_sum(ag.add(x, x)))
-    assert x.grad[0, 0] == 2.0
+    assert ag.backprop(ag.abs_sum(ag.add(x, x)), [x])[0] == 2.0
+
+
+def test_backprop_gives_zeros_for_a_leaf_the_root_does_not_reach():
+    x = ag.Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
+    unused = ag.Tensor(np.ones((2, 2)), requires_grad=True)
+    grad = ag.backprop(ag.abs_sum(x), [unused, x])
+    assert np.array_equal(grad, np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]))
+
+
+def test_backprop_twice_on_one_tape_returns_equal_vectors():
+    x = ag.Tensor(np.array([[2.0]]), requires_grad=True)
+    root = ag.abs_sum(ag.scale(ag.add(x, x), 3.0))
+    first = ag.backprop(root, [x])
+    assert first[0] == 6.0
+    assert np.array_equal(ag.backprop(root, [x]), first)
+
+
+def test_backprop_lays_out_the_leaves_in_the_order_given():
+    rng = make_rng(4)
+    a, b = ag.Tensor(rng.normal(size=(2, 3)), True), ag.Tensor(rng.normal(size=(3, 1)), True)
+    root = ag.abs_sum(ag.matmul(a, b))
+    ab, ba = ag.backprop(root, [a, b]), ag.backprop(root, [b, a])
+    assert np.array_equal(ab, np.concatenate([ba[3:], ba[:3]]))
+    assert not np.array_equal(ab, ba)
 
 
 def test_no_grad_builds_no_graph():
@@ -196,7 +216,7 @@ def test_constant_inputs_get_no_grad():
 def test_backprop_requires_scalar_root():
     x = ag.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        ag.backprop(ag.add(x, x))
+        ag.backprop(ag.add(x, x), [x])
 
 
 def test_gelu_forward_matches_reference():
@@ -381,9 +401,9 @@ def test_diversify_of_a_group_of_one_is_zero():
     assert args.shape == (P, 0, 4, 4)
     total = ag.abs_sum(args)
     assert float(total.data) == 0.0
-    ag.backprop(total)
-    for t in [g[0] for g in a_groups + b_groups]:
-        assert t.grad.shape == t.shape and not t.grad.any()
+    leaves = [g[0] for g in a_groups + b_groups]
+    grad = ag.backprop(total, leaves)
+    assert grad.shape == (sum(t.data.size for t in leaves),) and not grad.any()
 
 
 def test_penalty_ops_reject_groups_of_different_shapes():

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -502,6 +505,34 @@ class TestAnalyze:
         assert code == 2
 
 
+def test_train_has_no_jobs_flag(workdir, dataset_file, config_file):
+    argv = ["train", "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(workdir / "j")]
+    assert cli.main(argv + ["--jobs", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [("sweep", ["--values", "2,2"], "candidate group sizes"), ("lodo", ["--rank", "64"], "rank 64 exceeds")],
+)
+def test_bad_group_sizes_and_rank_exit_2_before_pretraining(
+    workdir, dataset_file, config_file, monkeypatch, capsys, command, flags, message
+):
+    def no_pretrain(*args):
+        raise AssertionError("pretrained before the config was validated")
+
+    monkeypatch.setattr("pego.trainer.pretrain_base", no_pretrain)
+    argv = [command, "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(workdir / command)]
+    assert cli.main(argv + flags) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # entry() caps the numeric thread pools, which only works before numpy loads.
+    code = "import sys, pego.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_help_exits_zero():
     assert cli.main(["--help"]) == 0
 
@@ -517,9 +548,6 @@ def test_malformed_thread_cap_exits_2(monkeypatch, capsys):
 
 
 def test_entry_applies_thread_cap(monkeypatch):
-    import os
-    import sys
-
     monkeypatch.setenv("PEGO_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setattr(sys, "argv", ["pego", "--help"])

@@ -72,6 +72,20 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             _tiny_cfg(group_n=0).validate()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n_search=()), "candidate group sizes"),
+            (dict(n_search=(0, 2)), "candidate group sizes"),
+            (dict(n_search=(2, 4, 2)), "candidate group sizes"),
+            (dict(rank=9), "rank 9 exceeds the embed dim 8"),
+        ],
+        ids=["empty", "below-one", "repeated", "rank-above-embed-dim"],
+    )
+    def test_group_sizes_and_rank_are_validated(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            _tiny_cfg(**overrides).validate()
+
     def test_dict_roundtrip(self):
         cfg = _tiny_cfg(alpha=0.5, n_search=(2, 6))
         again = TrainConfig.from_dict(cfg.to_dict())

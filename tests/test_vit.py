@@ -231,11 +231,8 @@ def test_class_token_only_last_block_matches_the_full_sequence(num_blocks):
 
     def features_and_grads(features):
         feats = features(model, images)
-        ag.backprop(ag.cross_entropy_mean(ag.linear(feats, model.head_w, model.head_b), labels))
-        grads = {name: t.grad for name, t in params.items()}
-        for t in params.values():
-            t.grad = None
-        return feats.data, grads
+        grad = ag.backprop(ag.cross_entropy_mean(ag.linear(feats, model.head_w, model.head_b), labels), params.values())
+        return feats.data, dict(zip(params, np.split(grad, np.cumsum([t.data.size for t in params.values()])[:-1])))
 
     feats, grads = features_and_grads(vit.batch_features_tensor)
     ref_feats, ref_grads = features_and_grads(_full_sequence_features)
