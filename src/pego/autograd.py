@@ -19,7 +19,9 @@ a constant) and skip its work; ``backprop`` skips ``None`` entries.
 
 Everything is float64. Parameters are 2-D; activations may carry
 leading batch axes, and broadcasting against parameters is undone by
-summation in the backward pass. The subgradient of ``|x|`` at 0 is 0.
+summation in the backward pass, except in ``linear``, whose weight and
+factor gradients are 2-D GEMMs over the flattened batch rows. The
+subgradient of ``|x|`` at 0 is 0.
 
 A tape is confined to the thread that built it; building independent
 tapes on separate threads is safe, and ``no_grad`` holds for the thread
@@ -30,6 +32,8 @@ chunks.
 
 Importing this module fixes glibc's allocator policy for the process
 (see ``_keep_freed_memory``), before any forward thread starts.
+``blas_threads`` and ``set_blas_threads`` read and set the thread count
+of numpy's OpenBLAS; ``trainer``'s pool workers set it to their budget.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import functools
 import math
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -66,6 +71,35 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+def _openblas(name: str, restype, argtypes):
+    """The function ``name`` of the OpenBLAS bundled with numpy's wheel,
+    through ctypes, or None when there is no such library or symbol."""
+    libs = sorted(Path(np.__file__).parent.parent.joinpath("numpy.libs").glob("libscipy_openblas*.so*"))
+    if not libs:
+        return None
+    try:
+        fn = getattr(ctypes.CDLL(str(libs[0])), name)
+    except (AttributeError, OSError):
+        return None
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+def blas_threads() -> int | None:
+    """The number of threads numpy's OpenBLAS uses now, or None when it
+    cannot be read."""
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int, ())
+    return None if get is None else get()
+
+
+def set_blas_threads(n: int) -> None:
+    """Let numpy's OpenBLAS use ``n`` threads; nothing happens when its
+    thread count cannot be set."""
+    put = _openblas("scipy_openblas_set_num_threads64_", None, (ctypes.c_int,))
+    if put is not None:
+        put(n)
 
 
 class _GradMode(threading.local):
@@ -344,6 +378,11 @@ def _row_blocks(parts, stacked, axis):
     return [g if p.requires_grad else None for p, g in zip(parts, np.split(stacked, cuts, axis=axis))]
 
 
+def _rows(t):
+    """``t`` as 2-D rows over its last axis."""
+    return t.reshape(-1, t.shape[-1])
+
+
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts=()) -> Tensor:
     """One projection: ``x W^T + sum_i (x A_i^T) B_i^T + bias``.
 
@@ -351,18 +390,26 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts
     adapter module i is the pair ``a_parts[i]`` (r_i, k), ``b_parts[i]``
     (d, r_i). The A's are stacked by rows and the B's by columns, so
     every module's term comes from one GEMM pair in factored order and
-    no d-by-k product B_i A_i is formed. Leading axes of ``x`` stay
-    batch axes rather than GEMM rows: GEMMs that large would start
-    OpenBLAS threads, which oversubscribe the cores under ``--jobs``.
+    no d-by-k product B_i A_i is formed.
+
+    The forward multiplies by C-contiguous copies of ``W^T`` and of the
+    stacked factors' transposes: numpy multiplies a batch by a
+    transposed view up to twice as slowly. Leading axes of ``x`` stay
+    batch axes in the forward and in ``x``'s gradient. Each weight and
+    factor gradient, a sum over every row of the batch, is one 2-D GEMM
+    over the flattened rows rather than a product per image summed
+    afterwards. Large batches make these GEMMs big enough for OpenBLAS
+    to thread, which is why pool workers cap its threads
+    (``set_blas_threads``).
     """
     xd = x.data
-    out = xd @ w.data.T
+    out = xd @ np.ascontiguousarray(w.data.T)
     a = b = h = None
     if a_parts:
         a = np.concatenate([p.data for p in a_parts], axis=0)
         b = np.concatenate([p.data for p in b_parts], axis=1)
-        h = xd @ a.T
-        out += h @ b.T
+        h = xd @ np.ascontiguousarray(a.T)
+        out += h @ np.ascontiguousarray(b.T)
     if bias is not None:
         out += bias.data
     head = (x, w) if bias is None else (x, w, bias)
@@ -374,11 +421,11 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts
             gx = g @ w.data
             if gh is not None:
                 gx += gh @ a
-        grads = [gx, _unbroadcast(_swap(g) @ xd, w.data.shape) if w.requires_grad else None]
+        grads = [gx, _rows(g).T @ _rows(xd) if w.requires_grad else None]
         if bias is not None:
             grads.append(_unbroadcast(g, bias.data.shape) if bias.requires_grad else None)
-        ga = _unbroadcast(_swap(gh) @ xd, a.shape) if _any_grad(a_parts) else None
-        gb = _unbroadcast(_swap(g) @ h, b.shape) if _any_grad(b_parts) else None
+        ga = _rows(gh).T @ _rows(xd) if _any_grad(a_parts) else None
+        gb = _rows(g).T @ _rows(h) if _any_grad(b_parts) else None
         return grads + _row_blocks(a_parts, ga, 0) + _row_blocks(b_parts, gb, 1)
 
     return _node(out, head + tuple(a_parts) + tuple(b_parts), grad_fn)

@@ -174,9 +174,11 @@ def _config_hash(config: dict) -> str:
 
 def _thread_details(jobs: int) -> dict:
     """How the run could use the CPUs: cores available, the forward-thread
-    budget, pool workers and each one's budget, and numpy's BLAS."""
+    budget, pool workers and each one's budget, and numpy's BLAS with its
+    live thread count (None where it cannot be read)."""
     import numpy as np
 
+    from .autograd import blas_threads
     from .trainer import worker_thread_budget
     from .vit import cores, thread_budget
 
@@ -189,7 +191,7 @@ def _thread_details(jobs: int) -> dict:
         "forward_budget": thread_budget(),
         "jobs": jobs,
         "worker_budget": worker_thread_budget(jobs),
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": blas_threads()},
     }
 
 

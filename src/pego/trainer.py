@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -61,6 +62,11 @@ class TrainConfig:
     vit: VitConfig = field(default_factory=canonical_vit_config)
 
     def validate(self) -> None:
+        vit.check_field_types(self)
+        if not isinstance(self.n_search, tuple) or not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in self.n_search
+        ):
+            raise ConfigError(f"candidate group sizes must be a list of integers, got {self.n_search!r}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -98,8 +104,8 @@ class TrainConfig:
                 raw["vit"] = VitConfig(**raw["vit"])
             except TypeError as exc:
                 raise ConfigError(f"bad vit config: {exc}") from exc
-        if "n_search" in raw:
-            raw["n_search"] = tuple(int(n) for n in raw["n_search"])
+        if isinstance(raw.get("n_search"), list):
+            raw["n_search"] = tuple(raw["n_search"])
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -345,13 +351,14 @@ def worker_thread_budget(jobs: int) -> int:
 
 def _cap_worker_threads(budget: int) -> None:
     os.environ["PEGO_THREADS"] = str(budget)
+    ag.set_blas_threads(budget)
 
 
 def _map_runs(task, payloads, jobs: int):
     # Runs are independent and deterministic, so the pool only changes
     # wall-clock time, never results; outputs come in payload order. Each
-    # worker's forwards get an equal share of the cores, so the workers'
-    # threads do not oversubscribe them.
+    # worker's forwards and OpenBLAS get an equal share of the cores, so
+    # the workers' threads do not oversubscribe them.
     if jobs <= 1:
         yield from map(task, payloads)
         return

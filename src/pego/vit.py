@@ -44,6 +44,20 @@ from .autograd import Tensor
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 
 
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise ``ConfigError`` for a field of the dataclass ``config``
+    annotated ``int``, ``float`` or ``bool`` that holds another type. An
+    integer passes for a float; a bool passes for a bool only."""
+    for f in fields(config):
+        kind = _FIELD_KINDS.get(f.type)
+        value = getattr(config, f.name)
+        if kind is not None and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class VitConfig:
     image_size: int
@@ -55,10 +69,7 @@ class VitConfig:
     num_classes: int = 2
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral if f.type == "int" else numbers.Real):
-                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        check_field_types(self)
         if self.image_size <= 0 or self.patch_size <= 0 or self.image_size % self.patch_size != 0:
             raise ConfigError(f"image size {self.image_size} not divisible by patch size {self.patch_size}")
         if self.embed_dim <= 0 or self.num_heads <= 0 or self.embed_dim % self.num_heads != 0:

@@ -345,6 +345,44 @@ def test_linear_grad_trainable_weight():
     _fd_check(_linear_build(2, True, True, None), shapes)
 
 
+def _close(got, ref):
+    """Equal within 1e-12 of the reference's largest entry."""
+    return got.shape == ref.shape and np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("x_shape", [(3, 5), (2, 3, 5)], ids=["2d", "3d"])
+@pytest.mark.parametrize("n_parts", [0, 2])
+def test_linear_matches_a_per_image_reference(x_shape, n_parts):
+    # Forward and every gradient against products written out one image at
+    # a time and summed over the batch afterwards; the op sums the weight
+    # and factor gradients over all rows in one GEMM instead. Rows of a
+    # 2-D x are images of one row.
+    rng = make_rng(56)
+    x, w, bias = rng.normal(size=x_shape), rng.normal(size=(4, 5)), rng.normal(size=(1, 4))
+    a = [rng.normal(size=(2, 5)) for _ in range(n_parts)]
+    b = [rng.normal(size=(4, 2)) for _ in range(n_parts)]
+    g = rng.normal(size=x_shape[:-1] + (4,))
+    t = [ag.Tensor(arr, requires_grad=True) for arr in [x, w, bias] + a + b]
+    out = ag.linear(t[0], t[1], t[2], t[3 : 3 + n_parts], t[3 + n_parts :])
+    grads = out.grad_fn(g)
+
+    rows = 1 if len(x_shape) == 2 else x_shape[1]
+    xs, gs = x.reshape(-1, rows, 5), g.reshape(-1, rows, 4)
+    ref_out = [xi @ w.T + sum((xi @ ai.T) @ bi.T for ai, bi in zip(a, b)) + bias for xi in xs]
+    ref_gx = [gi @ w + sum((gi @ bi) @ ai for ai, bi in zip(a, b)) for gi in gs]
+    ref = [
+        np.reshape(ref_out, x_shape[:-1] + (4,)),
+        np.reshape(ref_gx, x_shape),
+        sum(gi.T @ xi for xi, gi in zip(xs, gs)),
+        sum(gi.sum(axis=0, keepdims=True) for gi in gs),
+    ]
+    ref += [sum((gi @ bi).T @ xi for xi, gi in zip(xs, gs)) for bi in b]
+    ref += [sum(gi.T @ (xi @ ai.T) for xi, gi in zip(xs, gs)) for ai in a]
+    assert len(grads) == len(ref) - 1
+    for got, want in zip([out.data] + list(grads), ref):
+        assert _close(got, want)
+
+
 def _groups(parts, p):
     """``parts`` cut into ``p`` equal groups, as one per adapted projection."""
     n = len(parts) // p
@@ -438,14 +476,18 @@ def _fused_cases():
     def penalty(op, *head):
         return a_pen + b_pen, lambda p: op(*head, _groups(p[: 2 * P], P), _groups(p[2 * P :], P))
 
+    def lin(p):
+        return ag.linear(p[0], p[1], p[2], p[3:5], p[5:])
+
     return {
-        "linear": ([x, w, bias] + a + b, lambda p: ag.linear(p[0], p[1], p[2], p[3:5], p[5:])),
+        "linear": ([x, w, bias] + a + b, lin),
+        "linear_2d": ([x[0], w, bias] + a + b, lin),
         "preserve_args": penalty(ag.preserve_args, ws),
         "diversify_args": penalty(ag.diversify_args),
     }
 
 
-@pytest.mark.parametrize("op", ["linear", "preserve_args", "diversify_args"])
+@pytest.mark.parametrize("op", ["linear", "linear_2d", "preserve_args", "diversify_args"])
 def test_fused_ops_skip_each_frozen_parent(op):
     arrays, build = _fused_cases()[op]
     g = None

@@ -144,6 +144,17 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_mistyped_config_field_exits_2(self, workdir, dataset_file, config_file, capsys):
+        bad_cfg = json.loads(config_file.read_text())
+        bad_cfg["rank"] = "2"
+        bad_path = workdir / "bad_rank.json"
+        bad_path.write_text(json.dumps(bad_cfg))
+        code = cli.main(
+            ["train", "--config", str(bad_path), "--dataset", str(dataset_file), "--out", str(workdir / "y")]
+        )
+        assert code == 2
+        assert "rank must be of type int" in capsys.readouterr().err
+
     def test_dataset_model_mismatch_exits_2(self, workdir, dataset_file, config_file):
         bad_cfg = json.loads(config_file.read_text())
         bad_cfg["vit"]["num_classes"] = 5
@@ -294,7 +305,9 @@ class TestLodo:
         assert m1["threads"]["jobs"] == 1 and m1["threads"]["worker_budget"] == budget
         assert m2["threads"]["jobs"] == 2 and m2["threads"]["worker_budget"] == max(1, budget // 2)
         assert 1 <= budget <= m1["threads"]["affinity"]
-        assert set(m1["threads"]["blas"]) == {"name", "version"}
+        assert set(m1["threads"]["blas"]) == {"name", "version", "threads"}
+        # The live OpenBLAS thread count of the process that wrote it.
+        assert m1["threads"]["blas"]["threads"] == m2["threads"]["blas"]["threads"] == ag.blas_threads()
         assert "threads" not in m1["config"] and m1["config_hash"] == m2["config_hash"]
 
 

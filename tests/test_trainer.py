@@ -91,6 +91,37 @@ class TestTrainConfig:
         again = TrainConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"rank": "4"}, "rank must be of type int"),
+            ({"alpha": "0.1"}, "alpha must be of type float"),
+            ({"iterations": 2.5}, "iterations must be of type int"),
+            ({"seed": 1.5}, "seed must be of type int"),
+            ({"preserve_on": "no"}, "preserve_on must be of type bool"),
+            ({"diversify_on": 1}, "diversify_on must be of type bool"),
+            ({"batch_per_domain": True}, "batch_per_domain must be of type int"),
+            ({"n_search": ["a"]}, "candidate group sizes must be a list of integers"),
+            ({"n_search": [2.7]}, "candidate group sizes must be a list of integers"),
+            ({"n_search": 4}, "candidate group sizes must be a list of integers"),
+        ],
+        ids=[
+            "rank-str",
+            "alpha-str",
+            "iterations-float",
+            "seed-float",
+            "preserve_on-str",
+            "diversify_on-int",
+            "batch_per_domain-bool",
+            "n_search-str-entry",
+            "n_search-float-entry",
+            "n_search-int",
+        ],
+    )
+    def test_mistyped_fields_are_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig.from_dict(raw)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"alhpa": 1.0})
@@ -446,6 +477,18 @@ def test_pool_workers_share_the_thread_budget(monkeypatch):
     assert list(trainer._map_runs(_reported_thread_budget, range(4), jobs=2)) == [1] * 4
     assert list(trainer._map_runs(_reported_thread_budget, range(1), jobs=1)) == [vit.thread_budget()]
     assert os.environ["PEGO_THREADS"] == "2"
+
+
+def _reported_blas_threads(_):
+    return ag.blas_threads()
+
+
+@pytest.mark.skipif(ag.blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read")
+def test_pool_workers_cap_openblas_at_their_budget():
+    before = ag.blas_threads()
+    budget = trainer.worker_thread_budget(2)
+    assert list(trainer._map_runs(_reported_blas_threads, range(4), jobs=2)) == [budget] * 4
+    assert ag.blas_threads() == before
 
 
 def test_pretrain_base_is_deterministic_and_cached():
