@@ -143,8 +143,14 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
+def _taped(parents) -> bool:
+    """Whether an op on ``parents`` goes on the tape, so that its closure
+    may read the buffers of its forward later."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data, parents, grad_fn) -> Tensor:
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if _taped(parents):
         out = Tensor(data, requires_grad=True)
         out.parents = tuple(parents)
         out.grad_fn = grad_fn
@@ -207,7 +213,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def grad_fn(g):
         return (np.transpose(g, inverse),)
@@ -258,28 +264,41 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 LAYERNORM_EPS = 1e-5
 
 
+def _row_mean(x):
+    """The mean over the last axis, kept as a length-1 axis: bitwise
+    ``x.mean(axis=-1, keepdims=True)`` without its Python wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layernorm(x: Tensor, scale_p: Tensor, offset_p: Tensor) -> Tensor:
-    """Normalization over the last axis with learned scale and offset."""
+    """Normalization over the last axis with learned scale and offset.
+
+    The centred rows are normalized in place, and without a tape the
+    output is written over them too; the backward uses two buffers.
+    """
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = xc * inv
-    out = xhat * scale_p.data + offset_p.data
+    xhat = xd - _row_mean(xd)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LAYERNORM_EPS)
+    xhat *= inv
+    parents = (x, scale_p, offset_p)
+    out = xhat * scale_p.data if _taped(parents) else np.multiply(xhat, scale_p.data, out=xhat)
+    out += offset_p.data
 
     def grad_fn(g):
         gs = _unbroadcast(g * xhat, scale_p.data.shape) if scale_p.requires_grad else None
         go = _unbroadcast(g, offset_p.data.shape) if offset_p.requires_grad else None
         gx = None
         if x.requires_grad:
-            gh = g * scale_p.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (gh - m1 - xhat * m2)
+            # inv (gh - mean(gh) - xhat mean(gh xhat)), gh = g scale
+            gx = g * scale_p.data
+            u = gx * xhat
+            m2 = _row_mean(u)
+            gx -= _row_mean(gx)
+            gx -= np.multiply(xhat, m2, out=u)
+            gx *= inv
         return gx, gs, go
 
-    return _node(out, (x, scale_p, offset_p), grad_fn)
+    return _node(out, parents, grad_fn)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -291,8 +310,9 @@ def gelu(x: Tensor) -> Tensor:
 
     The cube is taken by multiplication (``xd**3`` goes through a slow
     ``pow``). The tanh argument and the output are each built in place
-    in a single buffer, which keeps the peak memory of large no-grad
-    forwards down; the backward likewise uses two buffers.
+    in a single buffer, and without a tape the output is written over
+    the tanh, which keeps the peak memory of large no-grad forwards
+    down; the backward likewise uses two buffers.
     """
     xd = x.data
     t = xd * xd
@@ -301,7 +321,7 @@ def gelu(x: Tensor) -> Tensor:
     t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = 1.0 + t
+    out = t + 1.0 if _taped((x,)) else np.add(t, 1.0, out=t)
     out *= xd
     out *= 0.5
 
@@ -325,13 +345,24 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def softmax_last(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis.
+
+    numpy reduces short last axes slowly, so the row max is taken over
+    the leading axis of a copy with the last axis moved first; a max
+    does not depend on order, so it is exact. The row sum stays on the
+    contiguous last axis, and ``exp`` and the division run in place.
+    """
+    xd = x.data
+    y = xd - np.ascontiguousarray(np.moveaxis(xd, -1, 0)).max(axis=0)[..., None]
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
+        # (g - sum(g y)) y, in one buffer
+        u = g * y
+        np.subtract(g, np.add.reduce(u, axis=-1, keepdims=True), out=u)
+        u *= y
+        return (u,)
 
     return _node(y, (x,), grad_fn)
 

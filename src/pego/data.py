@@ -13,6 +13,7 @@ sample), so a dataset is a pure function of its spec and seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +105,17 @@ def _domain_style(seed: int, d: int) -> _Style:
     )
 
 
-def _background(style: _Style, size: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only row and column coordinates of a ``size`` x ``size``
+    image, one copy per size."""
     yy, xx = np.mgrid[0:size, 0:size]
+    yy.flags.writeable = xx.flags.writeable = False
+    return yy, xx
+
+
+def _background(style: _Style, size: int) -> np.ndarray:
+    yy, xx = _grid(size)
     img = np.full((size, size), style.bg)
     if style.texture == "hgrad":
         img = img + style.texture_amp * (xx / (size - 1))
@@ -119,7 +129,7 @@ def _background(style: _Style, size: int) -> np.ndarray:
 def _shape_mask(class_idx: int, style: _Style, rng: np.random.Generator, size: int) -> np.ndarray:
     family = class_idx % _FAMILIES
     variant = class_idx // _FAMILIES
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = _grid(size)
     t = style.thickness
     if family == 0:  # bars: parallel stripes, vertical or (variant) horizontal
         period = int(rng.integers(4, 7))
@@ -145,9 +155,9 @@ def _shape_mask(class_idx: int, style: _Style, rng: np.random.Generator, size: i
     return np.abs(dist - radius) <= 0.4 + t / 2.0
 
 
-def _render(class_idx: int, style: _Style, rng: np.random.Generator, size: int) -> np.ndarray:
-    img = _background(style, size)
-    img[_shape_mask(class_idx, style, rng, size)] = style.fg
+def _render(class_idx: int, style: _Style, background: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    size = background.shape[0]
+    img = np.where(_shape_mask(class_idx, style, rng, size), style.fg, background)
     img = img + rng.normal(0.0, style.noise, (size, size))
     return np.clip(img, 0.0, 1.0)
 
@@ -161,12 +171,13 @@ def generate_dataset(spec: DatasetSpec, seed: int) -> DomainDataset:
     labels: dict[str, np.ndarray] = {}
     for d, name in enumerate(names):
         style = _domain_style(seed, d)
+        background = _background(style, spec.image_size)
         imgs = np.empty((spec.classes * spec.per_class, spec.image_size, spec.image_size))
         labs = np.empty(spec.classes * spec.per_class, dtype=np.int64)
         pos = 0
         for c in range(spec.classes):
             for s in range(spec.per_class):
-                imgs[pos] = _render(c, style, make_rng(seed, d, c, s), spec.image_size)
+                imgs[pos] = _render(c, style, background, make_rng(seed, d, c, s))
                 labs[pos] = c
                 pos += 1
         images[name] = imgs

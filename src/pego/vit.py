@@ -419,10 +419,10 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 # canonical model (2-core Xeon, OpenBLAS), 400 images took 75 ms in one
 # forward and 50-52 ms in chunks of 32 to 100 (medians of 40 shuffled
 # runs); 1600 images took 311 ms against 214-219 ms. A forward gives each
-# thread at least two chunks: two threads on a validation pass of 80
-# images (64 + 16) took 14.3 ms against 13.5 ms on one, while on 400
-# images they took 37 ms against 52 ms and on 1600 images 137 ms against
-# 209 ms (medians, same box).
+# thread at least two chunks: two threads on two full chunks took 12.0 ms
+# against 10.6 ms on one (medians of 100), while on 400 images they took
+# 37 ms against 52 ms and on 1600 images 137 ms against 209 ms (medians,
+# same box).
 FORWARD_CHUNK = 64
 
 

@@ -64,6 +64,15 @@ def test_transpose_reshape_grad():
     _fd_check(lambda a: _sum_all(ag.reshape(ag.transpose(a, (0, 2, 1, 3)), (2, 12))), [(2, 3, 2, 2)])
 
 
+def test_transpose_grad_applies_the_inverse_permutation():
+    # (2, 0, 3, 1) is not its own inverse, unlike the attention's swap.
+    a = make_rng(62).normal(size=(2, 3, 4, 5))
+    out = ag.transpose(ag.Tensor(a, requires_grad=True), (2, 0, 3, 1))
+    assert out.shape == (4, 2, 5, 3)
+    (g,) = out.grad_fn(out.data)
+    assert np.array_equal(g, a)
+
+
 def test_broadcast_concat_narrow_grad():
     def build(a, b):
         wide = ag.broadcast_to(ag.reshape(a, (1, 1, 3)), (2, 2, 3))
@@ -224,6 +233,67 @@ def test_gelu_forward_matches_reference():
     c, a = np.sqrt(2.0 / np.pi), 0.044715
     reference = 0.5 * x * (1.0 + np.tanh(c * (x + a * x**3)))
     assert np.max(np.abs(ag.gelu(ag.constant(x)).data - reference)) <= 1e-15
+
+
+def _batch_sum(g):
+    """A (B, n, d) gradient summed down to a (1, d) parameter's shape."""
+    return g.sum(axis=0).sum(axis=0, keepdims=True)
+
+
+def _reference_row_ops(x, s, o, h, scores, g_x, g_h, g_scores):
+    """Values and input gradients of layernorm (x, scale s, offset o),
+    GELU (h) and softmax (scores) under the output gradients ``g_*``,
+    each written out as plain numpy expressions."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ag.LAYERNORM_EPS)
+    xhat = xc * inv
+    gh = g_x * s
+    ln_gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    ln = (xhat * s + o, ln_gx, _batch_sum(g_x * xhat), _batch_sum(g_x))
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    t = np.tanh((h * h * h * a + h) * c)
+    dgelu = (((1.0 - t * t) * h * ((h * h * (3.0 * a) + 1.0) * c) + t) + 1.0) * 0.5
+    gelu = ((1.0 + t) * h * 0.5, dgelu * g_h)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    softmax = (y, (g_scores - (g_scores * y).sum(axis=-1, keepdims=True)) * y)
+    return ln, gelu, softmax
+
+
+def test_row_ops_equal_the_written_out_formulas_bitwise():
+    # Shapes of the canonical model: activations, MLP hidden rows and
+    # attention scores of 24 images.
+    rng = make_rng(60)
+    x, h, scores = rng.normal(size=(24, 17, 32)), rng.normal(size=(24, 17, 128)), rng.normal(size=(24, 4, 17, 17))
+    s, o = rng.normal(size=(1, 32)), rng.normal(size=(1, 32))
+    grads = [rng.normal(size=a.shape) for a in (x, h, scores)]
+    ln, gelu, softmax = _reference_row_ops(x, s, o, h, scores, *grads)
+    leaves = [ag.Tensor(a, requires_grad=True) for a in (x, s, o, h, scores)]
+    ops = [
+        (ag.layernorm(*leaves[:3]), grads[0], ln),
+        (ag.gelu(leaves[3]), grads[1], gelu),
+        (ag.softmax_last(leaves[4]), grads[2], softmax),
+    ]
+    for out, g, (value, *parent_grads) in ops:
+        assert np.array_equal(out.data, value)
+        for got, want in zip(out.grad_fn(g), parent_grads):
+            assert np.array_equal(got, want)
+    with ag.no_grad():
+        assert np.array_equal(ag.layernorm(ag.Tensor(x), ag.Tensor(s), ag.Tensor(o)).data, ln[0])
+        assert np.array_equal(ag.softmax_last(ag.Tensor(scores)).data, softmax[0])
+
+
+def test_gelu_without_a_tape_equals_the_taped_output():
+    x = make_rng(61).normal(size=(24, 17, 128))
+    taped = ag.gelu(ag.Tensor(x, requires_grad=True))
+    assert taped.grad_fn is not None
+    with ag.no_grad():
+        untaped = ag.gelu(ag.Tensor(x, requires_grad=True))
+    assert untaped.grad_fn is None
+    assert np.array_equal(untaped.data, taped.data)
+    # Without a tape the output reuses a buffer of the op's own, never x's.
+    assert np.array_equal(ag.gelu(ag.constant(x)).data, taped.data)
 
 
 def _t(m):

@@ -5,7 +5,7 @@ import pytest
 
 from pego import autograd as ag
 from pego import adapters, checkpoint, gradcheck, trainer, vit
-from pego.data import DatasetSpec, generate_dataset
+from pego.data import DatasetSpec, DomainDataset, generate_dataset
 from pego.errors import ConfigError
 from pego.numerics import make_rng
 from pego.trainer import (
@@ -199,6 +199,43 @@ class TestAdam:
             for k, t_ in tensors.items():
                 assert np.array_equal(t_.data, loop[k]), k
         assert all(np.shares_memory(t.data, flat) for t in tensors.values())
+
+
+class TestEvaluate:
+    @pytest.fixture
+    def uneven(self, tiny_dataset):
+        # Domains of 12, 5 and 9 images, so a mean of per-domain
+        # accuracies differs from the per-image accuracy.
+        sizes = {"d0": 12, "d1": 5, "d2": 9}
+        return DomainDataset(
+            domains=list(sizes),
+            images={d: tiny_dataset.images[d][:n] for d, n in sizes.items()},
+            labels={d: tiny_dataset.labels[d][:n] for d, n in sizes.items()},
+            num_classes=2,
+        )
+
+    def test_one_forward_weighted_by_samples(self, uneven, monkeypatch):
+        model = init_vit(_tiny_vit(), make_rng(7))
+        model.head_w.data[...] = make_rng(8).normal(0.0, 1.0, model.head_w.data.shape)
+        hits = {d: int(np.sum(vit.predict_batch(model, uneven.images[d]) == uneven.labels[d])) for d in uneven.domains}
+        assert len({hits[d] / len(uneven.labels[d]) for d in hits}) > 1
+        calls = []
+        real = vit.predict_batch
+
+        def counting(m, images):
+            calls.append(len(images))
+            return real(m, images)
+
+        monkeypatch.setattr(vit, "predict_batch", counting)
+        assert trainer.evaluate(model, uneven) == sum(hits.values()) / 26
+        assert calls == [26]
+        assert trainer.evaluate(model, uneven, ["d2", "d0"]) == (hits["d2"] + hits["d0"]) / 21
+        assert calls == [26, 21]
+
+    def test_an_empty_domain_list_is_an_error(self, uneven):
+        model = init_vit(_tiny_vit(), make_rng(7))
+        with pytest.raises(ConfigError, match="at least one domain"):
+            trainer.evaluate(model, uneven, [])
 
 
 class TestTrain:

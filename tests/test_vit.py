@@ -291,6 +291,18 @@ def test_threaded_forwards_equal_one_thread_bitwise(monkeypatch):
     assert all(ident != main for _, ident in calls2)
 
 
+def test_logits_do_not_depend_on_the_images_beside_them():
+    # trainer.evaluate scores its domains in one forward: three domains
+    # of 80 images are chunked 64 + 64 + 64 + 48 there and 64 + 16 per
+    # domain here, and no GEMM of a chunk mixes rows.
+    model = init_vit(_cfg(), make_rng(36))
+    inject_groups(model, rank=2, n=2, rng=make_rng(37))
+    _randomize_adapters(model, make_rng(38))
+    domains = [make_rng(39, i).random((80, 16, 16)) for i in range(3)]
+    per_domain = np.concatenate([vit.forward_logits_batch(model, d) for d in domains])
+    assert np.array_equal(vit.forward_logits_batch(model, np.concatenate(domains)), per_domain)
+
+
 def test_thread_budget_is_the_affinity_capped_by_pego_threads(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     monkeypatch.delenv("PEGO_THREADS", raising=False)
