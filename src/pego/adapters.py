@@ -17,7 +17,8 @@ initialization; a group of one module has no pair to diversify. The
 forward path (``autograd.linear``) applies adapters in factored order,
 and the penalties' arguments, (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
 come from the tape ops ``autograd.preserve_args``/``diversify_args``
-alone, for training and for the values here alike. The d-by-k
+alone: ``loss_or_tensor`` is the one place their values are read, for
+the training objective and its logged values alike. The d-by-k
 products B_i A_i are formed only for merge-back and the diagnostics.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError
 
 
 @dataclass
@@ -65,7 +66,7 @@ class AdaptedLinear:
     """A frozen base weight, its frozen bias, and an optional adapter group."""
 
     base: Tensor
-    bias: Tensor | None = None
+    bias: Tensor
     group: LoraGroup | None = None
 
 
@@ -110,31 +111,6 @@ def adapted_layers(model) -> list[tuple[str, AdaptedLinear]]:
     ]
 
 
-def loss_preserve(layer: AdaptedLinear) -> float:
-    """sum_i ||W^T (B_i A_i)||_1; zero when the layer has no group."""
-    if layer.group is None:
-        return 0.0
-    a, b = layer.group.factors()
-    return float(ag.abs_sum(ag.preserve_args([layer.base], [a], [b])).data)
-
-
-def loss_diversify(group: LoraGroup | None) -> float:
-    """sum over pairs i < j of ||(B_i A_i)^T (B_j A_j)||_1; zero for N = 1."""
-    if group is None:
-        return 0.0
-    a, b = group.factors()
-    return float(ag.abs_sum(ag.diversify_args([a], [b])).data)
-
-
-def loss_orthogonal(layer: AdaptedLinear) -> float:
-    return loss_preserve(layer) + loss_diversify(layer.group)
-
-
-def loss_or(model) -> float:
-    """Sum of per-layer orthogonality losses over every adapted projection."""
-    return sum(loss_orthogonal(lin) for _, lin in adapted_layers(model))
-
-
 def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
     """The two differentiable penalty sums of the orthogonality loss,
     ``(preserve, diversify)``, each one L1 norm over the stacked
@@ -173,21 +149,3 @@ def merge_all(model):
     for prefix, lin in adapted_layers(model):
         arrays[f"{prefix}.base"] = arrays[f"{prefix}.base"] + group_delta(lin.group)
     return vit.model_from_arrays(model.cfg, arrays)
-
-
-def feature_orthogonality_gap(layer: AdaptedLinear, z_in: np.ndarray) -> float:
-    """|z_init^T z_new - z_in^T (W^T sum_i B_i A_i) z_in| for one input vector.
-
-    Algebraically zero; exposed as a diagnostic of how tightly weight
-    orthogonality transfers to feature orthogonality.
-    """
-    z = np.asarray(z_in, dtype=np.float64).ravel()
-    w = layer.base.data
-    if z.size != w.shape[1]:
-        raise ShapeError(f"input length {z.size} does not match weight {w.shape}")
-    delta = group_delta(layer.group) if layer.group is not None else np.zeros_like(w)
-    z_init = w @ z
-    z_new = delta @ z
-    lhs = float(z_init @ z_new)
-    rhs = float(z @ (w.T @ delta) @ z)
-    return abs(lhs - rhs)

@@ -3,10 +3,13 @@
 The operator vocabulary is the fixed set the transformer and its
 regularizers need: matmul, broadcasting add, a handful of shape movers,
 layernorm, GELU, softmax, mean cross-entropy, the entrywise
-absolute-value sum, and three fused adapter ops. ``linear`` is a whole
-projection, ``x W^T + (x A^T) B^T + bias``, with the adapter factors of
-a group stacked inside the op; ``preserve_args`` and ``diversify_args``
-each stack the matrix arguments of one orthogonality penalty over every
+absolute-value sum, and three fused adapter ops. ``matmul`` multiplies
+its operands as given and never transposes one; a caller that needs a
+transposed operand lays it out with ``transpose``, as attention does
+with its keys. ``linear`` is a whole projection, ``x W^T + (x A^T) B^T
++ bias``, always with a bias, with the adapter factors of a group
+stacked inside the op; ``preserve_args`` and ``diversify_args`` each
+stack the matrix arguments of one orthogonality penalty over every
 adapted projection of the model, in rank-factored order, and one
 ``abs_sum`` then takes their L1 norm. Each operator stores a closure
 mapping the output gradient to parent gradients; ``backprop`` walks the
@@ -173,19 +176,13 @@ def _unbroadcast(g, shape):
     return g
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Batched matrix product over the last two axes; ``transpose_b``
-    multiplies by ``b`` with its last two axes swapped."""
-    rhs = _swap(b.data) if transpose_b else b.data
-    out = a.data @ rhs
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product over the last two axes."""
+    out = a.data @ b.data
 
     def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ _swap(rhs), a.data.shape)
-        if b.requires_grad:
-            gr = _swap(a.data) @ g
-            gb = _unbroadcast(_swap(gr) if transpose_b else gr, b.data.shape)
+        ga = _unbroadcast(g @ _swap(b.data), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(_swap(a.data) @ g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return _node(out, (a, b), grad_fn)
@@ -414,10 +411,10 @@ def _rows(t):
     return t.reshape(-1, t.shape[-1])
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts=()) -> Tensor:
+def linear(x: Tensor, w: Tensor, bias: Tensor, a_parts=(), b_parts=()) -> Tensor:
     """One projection: ``x W^T + sum_i (x A_i^T) B_i^T + bias``.
 
-    ``x`` is (..., k), ``w`` is (d, k), ``bias`` is (1, d) or None, and
+    ``x`` is (..., k), ``w`` is (d, k), ``bias`` is (1, d), and
     adapter module i is the pair ``a_parts[i]`` (r_i, k), ``b_parts[i]``
     (d, r_i). The A's are stacked by rows and the B's by columns, so
     every module's term comes from one GEMM pair in factored order and
@@ -441,9 +438,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts
         b = np.concatenate([p.data for p in b_parts], axis=1)
         h = xd @ np.ascontiguousarray(a.T)
         out += h @ np.ascontiguousarray(b.T)
-    if bias is not None:
-        out += bias.data
-    head = (x, w) if bias is None else (x, w, bias)
+    out += bias.data
 
     def grad_fn(g):
         gh = g @ b if h is not None and (x.requires_grad or _any_grad(a_parts)) else None
@@ -452,14 +447,13 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None, a_parts=(), b_parts
             gx = g @ w.data
             if gh is not None:
                 gx += gh @ a
-        grads = [gx, _rows(g).T @ _rows(xd) if w.requires_grad else None]
-        if bias is not None:
-            grads.append(_unbroadcast(g, bias.data.shape) if bias.requires_grad else None)
+        gw = _rows(g).T @ _rows(xd) if w.requires_grad else None
+        gbias = _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
         ga = _rows(gh).T @ _rows(xd) if _any_grad(a_parts) else None
         gb = _rows(g).T @ _rows(h) if _any_grad(b_parts) else None
-        return grads + _row_blocks(a_parts, ga, 0) + _row_blocks(b_parts, gb, 1)
+        return [gx, gw, gbias] + _row_blocks(a_parts, ga, 0) + _row_blocks(b_parts, gb, 1)
 
-    return _node(out, head + tuple(a_parts) + tuple(b_parts), grad_fn)
+    return _node(out, (x, w, bias) + tuple(a_parts) + tuple(b_parts), grad_fn)
 
 
 @functools.lru_cache(maxsize=None)

@@ -149,13 +149,18 @@ def main(argv=None) -> int:
 
 
 def _read_json(path) -> dict:
+    """The JSON object in the config file ``path``; anything else raises
+    ``ConfigError``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _ensure_outdir(raw) -> Path:
@@ -195,7 +200,17 @@ def _thread_details(jobs: int) -> dict:
     }
 
 
-def _write_manifest(args, out_dir: Path, config: dict, seeds, artifacts, t0: float, **extra) -> Path:
+def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` to ``path`` as indented, key-sorted JSON, atomically:
+    a reader sees the old file or the whole new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
+def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float, **extra) -> None:
     options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
     manifest = {
         "command": args.command,
@@ -209,13 +224,7 @@ def _write_manifest(args, out_dir: Path, config: dict, seeds, artifacts, t0: flo
         "version": __version__,
         **extra,
     }
-    path = out_dir / "manifest.json"
-    tmp = out_dir / "manifest.json.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
+    _write_json(path, manifest)
 
 
 def _load_train_config(args, dataset):
@@ -298,7 +307,9 @@ def cmd_gen(args) -> int:
         counts = ", ".join(f"class {c}: {int((labels == c).sum())}" for c in range(dataset.num_classes))
         print(f"{dom}: {counts}")
     print(f"wrote {dataset.total_samples()} samples to {out}")
-    _write_manifest(args, out.parent, {"dataset": spec.__dict__, "seed": args.seed}, [args.seed], [out], t0)
+    # Named after the dataset, so it never replaces a run directory's manifest.
+    manifest = out.with_name(out.name + ".manifest.json")
+    _write_manifest(args, manifest, {"dataset": spec.__dict__, "seed": args.seed}, [args.seed], [out], t0)
     return EXIT_OK
 
 
@@ -320,7 +331,7 @@ def cmd_train(args) -> int:
     _history_csv(run_path, result.history)
     print(f"selected iteration {result.selected_iter} with validation accuracy {result.best_val_acc!r}")
     artifacts = [adapted_path, merged_path, run_path]
-    _write_manifest(args, out, cfg.to_dict(), [cfg.seed], artifacts, t0)
+    _write_manifest(args, out / "manifest.json", cfg.to_dict(), [cfg.seed], artifacts, t0)
     return EXIT_OK
 
 
@@ -361,7 +372,7 @@ def _run_harness(args, run) -> int:
         log.removeHandler(handler)
         log.setLevel(level)
     phases = {"load": t1 - t0, "pretrain": t2 - t1, "run": time.monotonic() - t2}
-    _write_manifest(args, out, cfg.to_dict(), seeds, artifacts, t0, phases=phases)
+    _write_manifest(args, out / "manifest.json", cfg.to_dict(), seeds, artifacts, t0, phases=phases)
     return EXIT_OK
 
 
@@ -458,13 +469,7 @@ def cmd_analyze(args) -> int:
 
     from .adapters import group_delta
     from .checkpoint import load_dataset, load_model
-    from .diagnostics import (
-        SIGNIFICANT_PC_REL_TOL,
-        feature_projection,
-        weight_pc_report,
-        write_feature_projection_csv,
-        write_pc_report_csvs,
-    )
+    from .diagnostics import SIGNIFICANT_PC_REL_TOL, feature_projection, weight_pc_report
 
     t0 = time.monotonic()
     out = _ensure_outdir(args.out)
@@ -493,23 +498,22 @@ def cmd_analyze(args) -> int:
     images = np.concatenate([dataset.images[d] for d in dataset.domains])
     labels = np.concatenate([dataset.labels[d] for d in dataset.domains])
     projection = feature_projection(models, images, labels)
-    artifacts = write_pc_report_csvs(report, out)
-    artifacts.append(write_feature_projection_csv(projection, out))
-    meta_path = out / "analyze_meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "layer": f"{index}.{proj}",
-                "top_k": k,
-                "numerical_rank": report.numerical_rank,
-                "significance_rel_tol": SIGNIFICANT_PC_REL_TOL,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    artifacts.append(meta_path)
+    evr_path, cos_path, proj_path, meta_path = (
+        out / name for name in ("pc_evr.csv", "pc_cosine.csv", "feature_proj.csv", "analyze_meta.json")
+    )
+    _write_csv(evr_path, ["component", "evr"], enumerate(report.evr_top_k))
+    _write_csv(cos_path, ["i", "j", "abs_cos"], ((i, j, float(c)) for (i, j), c in np.ndenumerate(report.pc_cosine)))
+    points = zip(projection.model_tags, projection.labels, projection.coords)
+    rows = ((tag, int(label), float(x), float(y)) for tag, label, (x, y) in points)
+    _write_csv(proj_path, ["model_tag", "label", "x", "y"], rows)
+    meta = {
+        "layer": f"{index}.{proj}",
+        "top_k": k,
+        "numerical_rank": report.numerical_rank,
+        "significance_rel_tol": SIGNIFICANT_PC_REL_TOL,
+    }
+    _write_json(meta_path, meta)
+    artifacts = [evr_path, cos_path, proj_path, meta_path]
     print(f"layer {index}.{proj}: numerical rank {report.numerical_rank} at rel tol {SIGNIFICANT_PC_REL_TOL!r}")
-    _write_manifest(args, out, {"layer": args.layer, "top_k": k}, [], artifacts, t0)
+    _write_manifest(args, out / "manifest.json", {"layer": args.layer, "top_k": k}, [], artifacts, t0)
     return EXIT_OK

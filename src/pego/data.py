@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SplitError
+from .errors import ConfigError, SplitError, check_field_types
 from .numerics import make_rng
 
 _FAMILIES = 4
@@ -33,6 +33,7 @@ class DatasetSpec:
     image_size: int = 16
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.domains < 3:
             raise ConfigError(f"need at least 3 domains for leave-one-out, got {self.domains}")
         if not 2 <= self.classes <= _MAX_CLASSES:

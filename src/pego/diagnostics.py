@@ -1,4 +1,4 @@
-"""Weight-space and feature-space diagnostics as plot-ready CSV data.
+"""Weight-space and feature-space diagnostics.
 
 The principal components of a weight matrix are read as its left
 singular vectors. The weight report compares the components of a frozen
@@ -7,11 +7,13 @@ counts the update's numerical rank at a relative threshold of 1e-3.
 The feature projection pools the feature vectors of several models over
 the same samples and projects everything onto one shared 2-D principal
 basis so the models stay comparable.
+
+This module only computes; ``pego analyze`` (``cli``) writes the reports
+as plot-ready CSV files.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,30 +91,3 @@ def feature_projection(
         labels=np.tile(labels, len(models)),
         model_tags=tags,
     )
-
-
-def write_pc_report_csvs(report: PcReport, out_dir) -> list[str]:
-    evr_path = f"{out_dir}/pc_evr.csv"
-    with open(evr_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["component", "evr"])
-        for i, val in enumerate(report.evr_top_k):
-            writer.writerow([i, repr(val)])
-    cos_path = f"{out_dir}/pc_cosine.csv"
-    with open(cos_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "abs_cos"])
-        for i in range(report.pc_cosine.shape[0]):
-            for j in range(report.pc_cosine.shape[1]):
-                writer.writerow([i, j, repr(float(report.pc_cosine[i, j]))])
-    return [evr_path, cos_path]
-
-
-def write_feature_projection_csv(proj: FeatureProjection, out_dir) -> str:
-    path = f"{out_dir}/feature_proj.csv"
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_tag", "label", "x", "y"])
-        for tag, label, (x, y) in zip(proj.model_tags, proj.labels, proj.coords):
-            writer.writerow([tag, int(label), repr(float(x)), repr(float(y))])
-    return path

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field-type check
+that every config dataclass runs before its value checks."""
+
+import numbers
+from dataclasses import fields
 
 
 class PegoError(Exception):
@@ -35,3 +39,17 @@ class InconclusiveCheckError(PegoError):
 
 class CheckpointError(PegoError):
     """A checkpoint file is missing, truncated, or malformed."""
+
+
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise ``ConfigError`` for a field of the dataclass ``config``
+    annotated ``int``, ``float`` or ``bool`` that holds another type. An
+    integer passes for a float; a bool passes for a bool only."""
+    for f in fields(config):
+        kind = _FIELD_KINDS.get(f.type)
+        value = getattr(config, f.name)
+        if kind is not None and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")

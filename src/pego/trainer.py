@@ -28,7 +28,7 @@ from . import adapters
 from . import autograd as ag
 from . import gradcheck, vit
 from .data import DatasetSpec, DomainDataset, generate_dataset, make_batch, split_train_val
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .numerics import derive_seed, make_rng
 from .vit import VitConfig, VitModel
 
@@ -62,7 +62,7 @@ class TrainConfig:
     vit: VitConfig = field(default_factory=canonical_vit_config)
 
     def validate(self) -> None:
-        vit.check_field_types(self)
+        check_field_types(self)
         if not isinstance(self.n_search, tuple) or not all(
             isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in self.n_search
         ):
@@ -164,6 +164,12 @@ def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -
 
 @dataclass
 class HistoryRow:
+    """One training iteration. ``loss_cls`` (the batch cross-entropy)
+    and the unweighted penalties describe the parameters the step's
+    gradient was taken at, before its Adam update. ``val_acc``, set on
+    validation iterations only, is the accuracy after that update: the
+    parameters that selecting this iteration keeps."""
+
     iteration: int
     loss_cls: float
     loss_preserve: float

@@ -29,10 +29,9 @@ Parameter names (also the checkpoint tensor names):
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,21 +40,7 @@ from . import adapters
 from . import autograd as ag
 from .adapters import AdaptedLinear, LoraGroup, LoraModule
 from .autograd import Tensor
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError
-
-
-_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
-
-
-def check_field_types(config) -> None:
-    """Raise ``ConfigError`` for a field of the dataclass ``config``
-    annotated ``int``, ``float`` or ``bool`` that holds another type. An
-    integer passes for a float; a bool passes for a bool only."""
-    for f in fields(config):
-        kind = _FIELD_KINDS.get(f.type)
-        value = getattr(config, f.name)
-        if kind is not None and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
-            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -314,13 +299,14 @@ def _attention(q_in: Tensor, x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
     nq = q_in.data.shape[1]
     h, dh = cfg.num_heads, cfg.head_dim
 
-    def split(t, rows):
-        return ag.transpose(ag.reshape(t, (bs, rows, h, dh)), (0, 2, 1, 3))
+    def split(t, rows, axes):
+        return ag.transpose(ag.reshape(t, (bs, rows, h, dh)), axes)
 
-    q = split(_linear(q_in, block.attn.wq), nq)
-    k = split(_linear(x, block.attn.wk), n)
-    v = split(_linear(x, block.attn.wv), n)
-    scores = ag.scale(ag.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(dh))
+    q = split(_linear(q_in, block.attn.wq), nq, (0, 2, 1, 3))
+    # The keys go straight to (bs, h, dh, n), so q k^T is a plain matmul.
+    k = split(_linear(x, block.attn.wk), n, (0, 2, 3, 1))
+    v = split(_linear(x, block.attn.wv), n, (0, 2, 1, 3))
+    scores = ag.scale(ag.matmul(q, k), 1.0 / math.sqrt(dh))
     probs = ag.softmax_last(scores)
     ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, nq, d))
     return _linear(ctx, block.attn.wo)

@@ -5,19 +5,57 @@ training runs), so they are computed once per session and shared
 between the trainer checks and the acceptance suite. Their runs are
 independent and deterministic, so they go through the trainer's process
 pool with one worker per core; the results equal those of a serial run.
+
+It also holds two plain helpers that test modules import:
+``penalty_values`` and ``feature_orthogonality_gap``.
 """
 
 import os
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from pego import trainer
+from pego import adapters, trainer
+from pego import autograd as ag
+from pego.adapters import AdaptedLinear, group_delta
 from pego.data import generate_dataset
+from pego.errors import ShapeError
 from pego.trainer import TrainConfig, canonical_dataset_spec, canonical_vit_config
 
 SEEDS = [0, 1, 2]
+
+
+def penalty_values(target) -> tuple[float, float]:
+    """The unweighted (preserve, diversify) values of an adapted layer or
+    of a whole model, read from the tape ops that training reads them
+    from: a layer's through ``ag.preserve_args``/``diversify_args``, a
+    model's total through ``adapters.loss_or_tensor``."""
+    if isinstance(target, AdaptedLinear):
+        a, b = target.group.factors()
+        pres, div = ag.abs_sum(ag.preserve_args([target.base], [a], [b])), ag.abs_sum(ag.diversify_args([a], [b]))
+    else:
+        pres, div = adapters.loss_or_tensor(target)
+    return float(pres.data), float(div.data)
+
+
+def feature_orthogonality_gap(layer: AdaptedLinear, z_in: np.ndarray) -> float:
+    """|z_init^T z_new - z_in^T (W^T sum_i B_i A_i) z_in| for one input vector.
+
+    Algebraically zero; a check of how tightly weight orthogonality
+    transfers to feature orthogonality.
+    """
+    z = np.asarray(z_in, dtype=np.float64).ravel()
+    w = layer.base.data
+    if z.size != w.shape[1]:
+        raise ShapeError(f"input length {z.size} does not match weight {w.shape}")
+    delta = group_delta(layer.group) if layer.group is not None else np.zeros_like(w)
+    z_init = w @ z
+    z_new = delta @ z
+    lhs = float(z_init @ z_new)
+    rhs = float(z @ (w.T @ delta) @ z)
+    return abs(lhs - rhs)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import feature_orthogonality_gap, penalty_values
 
 from pego import autograd as ag
 from pego import vit
@@ -10,14 +11,9 @@ from pego.adapters import (
     LoraGroup,
     LoraModule,
     adapted_layers,
-    feature_orthogonality_gap,
     final_loss,
     group_delta,
     init_group,
-    loss_diversify,
-    loss_or,
-    loss_orthogonal,
-    loss_preserve,
     merge_all,
 )
 from pego.autograd import Tensor
@@ -31,9 +27,20 @@ def _module(b, a):
     return LoraModule(a=Tensor(np.asarray(a, dtype=float)), b=Tensor(np.asarray(b, dtype=float)))
 
 
-def _layer(w, modules=None, bias=None):
+def _layer(w, modules=None):
+    w = np.asarray(w, dtype=float)
     group = LoraGroup(modules=modules) if modules else None
-    return AdaptedLinear(base=Tensor(np.asarray(w, dtype=float)), bias=bias, group=group)
+    return AdaptedLinear(base=Tensor(w), bias=Tensor(np.zeros((1, w.shape[0]))), group=group)
+
+
+def _preserve(layer):
+    return penalty_values(layer)[0]
+
+
+def _diversify(group):
+    """The diversify value of ``group``, which needs no host weight."""
+    d, k = group.modules[0].b.shape[0], group.modules[0].a.shape[1]
+    return penalty_values(_layer(np.zeros((d, k)), group.modules))[1]
 
 
 def _random_group(d, k, r, n, rng, scale=0.5):
@@ -65,7 +72,7 @@ class TestInitGroup:
     def test_fresh_layer_has_zero_losses_exactly(self):
         group = init_group(6, 5, 2, 3, make_rng(0))
         layer = _layer(make_rng(1).normal(size=(6, 5)), modules=group.modules)
-        assert loss_orthogonal(layer) == 0.0
+        assert penalty_values(layer) == (0.0, 0.0)
 
     def test_same_seed_gives_identical_a_matrices(self):
         g1 = init_group(4, 4, 2, 2, make_rng(5))
@@ -113,7 +120,7 @@ class TestLossPreserve:
     def test_worked_example(self):
         layer = _layer(np.eye(2), modules=[_module([[1.0], [0.0]], [[0.0, 1.0]])])
         # W^T (BA) = [[0, 1], [0, 0]], so the L1 norm is 1
-        assert loss_preserve(layer) == pytest.approx(1.0, abs=1e-15)
+        assert _preserve(layer) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_when_update_in_null_space_of_w_transpose(self):
         # W's columns span e2, e3; B's column is e0, so W^T B = 0
@@ -123,7 +130,7 @@ class TestLossPreserve:
         b = np.zeros((4, 1))
         b[0, 0] = 1.0
         layer = _layer(w, modules=[_module(b, [[0.5, -1.0]])])
-        assert loss_preserve(layer) == 0.0
+        assert _preserve(layer) == 0.0
 
     def test_sums_over_modules(self):
         rng = make_rng(4)
@@ -133,12 +140,12 @@ class TestLossPreserve:
             float(np.abs(w.T @ (m.b.data @ m.a.data)).sum()) for m in group.modules
         )
         layer = _layer(w, modules=group.modules)
-        assert loss_preserve(layer) == pytest.approx(total, rel=1e-15)
+        assert _preserve(layer) == pytest.approx(total, rel=1e-15)
 
 
 class TestLossDiversify:
     def test_single_module_is_zero(self):
-        assert loss_diversify(_random_group(4, 4, 2, 1, make_rng(0))) == 0.0
+        assert _diversify(_random_group(4, 4, 2, 1, make_rng(0))) == 0.0
 
     def test_orthogonal_updates_give_zero(self):
         g = LoraGroup(
@@ -147,36 +154,24 @@ class TestLossDiversify:
                 _module([[0.0], [1.0]], [[0.0, 1.0]]),  # B2 A2 = [[0,0],[0,1]]
             ]
         )
-        assert loss_diversify(g) == 0.0
+        assert _diversify(g) == 0.0
 
     def test_identical_updates_worked_example(self):
         mods = [_module([[1.0], [0.0]], [[1.0, 0.0]]) for _ in range(2)]
-        assert loss_diversify(LoraGroup(modules=mods)) == pytest.approx(1.0, abs=1e-15)
+        assert _diversify(LoraGroup(modules=mods)) == pytest.approx(1.0, abs=1e-15)
 
     def test_permutation_invariance(self):
         rng = make_rng(6)
         group = _random_group(6, 6, 2, 3, rng)
-        reference = loss_diversify(group)
+        reference = _diversify(group)
         for perm in itertools.permutations(group.modules):
-            permuted = loss_diversify(LoraGroup(modules=list(perm)))
+            permuted = _diversify(LoraGroup(modules=list(perm)))
             assert abs(permuted - reference) <= 1e-12 * max(1.0, reference)
 
 
 class TestLossComposition:
-    def test_orthogonal_decomposes_exactly(self):
-        rng = make_rng(7)
-        layer = _layer(rng.normal(size=(5, 5)), modules=_random_group(5, 5, 2, 3, rng).modules)
-        assert loss_orthogonal(layer) == loss_preserve(layer) + loss_diversify(layer.group)
-
     def test_loss_or_fresh_model_is_zero(self):
-        assert loss_or(_small_model()) == 0.0
-
-    def test_loss_or_one_block_equals_layer_sum(self):
-        model = _small_model()
-        _randomize_adapters(model, make_rng(8))
-        block = model.blocks[0]
-        expected = loss_orthogonal(block.attn.wq) + loss_orthogonal(block.attn.wv)
-        assert loss_or(model) == expected
+        assert penalty_values(_small_model()) == (0.0, 0.0)
 
     def test_doubling_all_b_scales_terms(self):
         rng = make_rng(9)
@@ -225,9 +220,8 @@ class TestLossComposition:
         rng = make_rng(11)
         for _ in range(10):
             layer = _layer(rng.normal(size=(5, 4)), modules=_random_group(5, 4, 2, 3, rng).modules)
-            assert loss_preserve(layer) >= 0.0
-            assert loss_diversify(layer.group) >= 0.0
-            assert loss_orthogonal(layer) >= 0.0
+            assert _preserve(layer) >= 0.0
+            assert _diversify(layer.group) >= 0.0
 
 
 class TestFinalLoss:

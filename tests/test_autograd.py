@@ -43,12 +43,13 @@ def test_matmul_grad():
 
 
 def test_matmul_grad_transposes():
-    _fd_check(lambda a, b: _sum_all(ag.matmul(a, b, transpose_b=True)), [(3, 4), (2, 4)])
+    # a @ b^T through a transposed view of b, as attention multiplies by its keys
+    _fd_check(lambda a, b: _sum_all(ag.matmul(a, ag.transpose(b, (1, 0)))), [(3, 4), (2, 4)])
 
 
 def test_matmul_grad_batched_against_2d():
-    # (batch, n, k) @ (m, k)^T exercises the unbroadcast path for parameters
-    _fd_check(lambda a, b: _sum_all(ag.matmul(a, b, transpose_b=True)), [(2, 3, 4), (5, 4)])
+    # (batch, n, k) @ (k, m) exercises the unbroadcast path for parameters
+    _fd_check(lambda a, b: _sum_all(ag.matmul(a, b)), [(2, 3, 4), (4, 5)])
 
 
 def test_add_grad_broadcast():
@@ -300,45 +301,43 @@ def _t(m):
     return np.swapaxes(m, -1, -2)
 
 
-def _matmul_grads(a, b, g, transpose_b):
-    """Parent gradients of a @ op(b), written out per transpose case; a
-    batched gradient of a 2-D ``b`` is summed over the batch."""
-    if transpose_b:
-        ga, gb = g @ b, _t(_t(a) @ g)
-    else:
-        ga, gb = g @ _t(b), _t(a) @ g
+def _matmul_grads(a, b, g):
+    """Parent gradients of a @ b; a batched gradient of a 2-D ``b`` is
+    summed over the batch."""
+    ga, gb = g @ _t(b), _t(a) @ g
     return ga, gb.sum(axis=0) if gb.ndim > b.ndim else gb
 
 
 @pytest.mark.parametrize("batched", [False, True])
-@pytest.mark.parametrize("transpose_b", [False, True])
+@pytest.mark.parametrize("b_view", [False, True])
 @pytest.mark.parametrize("frozen", [0, 1])
-def test_matmul_skips_frozen_operand(batched, transpose_b, frozen):
+def test_matmul_skips_frozen_operand(batched, b_view, frozen):
     # Batched: both operands carry a batch axis, as in attention's
-    # q @ k^T and probs @ v (k is frozen in the first block).
+    # q @ k^T and probs @ v (k is frozen in the first block). With
+    # ``b_view``, b is a transposed view, as attention's keys are.
     rng = make_rng(40)
     lead = (2,) if batched else ()
     a = rng.normal(size=lead + (3, 4))
-    b = rng.normal(size=lead + ((2, 4) if transpose_b else (4, 2)))
+    b = _t(rng.normal(size=lead + (2, 4))) if b_view else rng.normal(size=lead + (4, 2))
     leaves = [ag.Tensor(a, requires_grad=frozen != 0), ag.Tensor(b, requires_grad=frozen != 1)]
-    out = ag.matmul(*leaves, transpose_b=transpose_b)
+    out = ag.matmul(*leaves)
     g = rng.normal(size=out.shape)
     grads = out.grad_fn(g)
     assert grads[frozen] is None
-    expected = _matmul_grads(a, b, g, transpose_b)[1 - frozen]
+    expected = _matmul_grads(a, b, g)[1 - frozen]
     assert np.array_equal(grads[1 - frozen], expected)
 
 
 @pytest.mark.parametrize("frozen", [0, 1])
 def test_batched_matmul_against_weight_skips_frozen_operand(frozen):
-    # activation (batch, n, k) @ weight (m, k)^T, the projection in every layer
+    # activation (batch, n, k) @ a 2-D (k, m) operand shared by the batch
     rng = make_rng(41)
-    x, w = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4))
-    out = ag.matmul(ag.Tensor(x, requires_grad=frozen != 0), ag.Tensor(w, requires_grad=frozen != 1), transpose_b=True)
+    x, w = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
+    out = ag.matmul(ag.Tensor(x, requires_grad=frozen != 0), ag.Tensor(w, requires_grad=frozen != 1))
     g = rng.normal(size=out.shape)
     grads = out.grad_fn(g)
     assert grads[frozen] is None
-    expected = _matmul_grads(x, w, g, True)[1 - frozen]
+    expected = _matmul_grads(x, w, g)[1 - frozen]
     assert np.array_equal(grads[1 - frozen], expected)
 
 
@@ -388,26 +387,27 @@ def _skewed_sum(t):
     return _sum_all(ag.matmul(t, ag.constant(m)))
 
 
-def _linear_build(n_parts, bias, w_trainable, w_fixed):
+def _linear_build(n_parts, bias_trainable, w_trainable, w_fixed):
     """A scalar tape through ``linear`` whose leaves are x, then W when
-    trainable, then the bias when present, then the A's and the B's."""
+    trainable, then the bias when trainable (a constant otherwise), then
+    the A's and the B's."""
 
     def build(x, *rest):
         rest = list(rest)
         w = rest.pop(0) if w_trainable else ag.constant(w_fixed)
-        b = rest.pop(0) if bias else None
+        b = rest.pop(0) if bias_trainable else ag.constant(np.linspace(-1.0, 1.0, w.shape[0])[None])
         return _skewed_sum(ag.linear(x, w, b, rest[:n_parts], rest[n_parts:]))
 
     return build
 
 
 @pytest.mark.parametrize("n_parts", [0, 1, 3])
-@pytest.mark.parametrize("bias", [False, True])
-def test_linear_grad(n_parts, bias):
+@pytest.mark.parametrize("bias_trainable", [False, True])
+def test_linear_grad(n_parts, bias_trainable):
     # 3-D activation against a 2-D frozen weight, the projection in every layer
     w = make_rng(44).normal(size=(4, 5))
-    shapes = [(2, 3, 5)] + ([(1, 4)] if bias else []) + [(2, 5)] * n_parts + [(4, 2)] * n_parts
-    _fd_check(_linear_build(n_parts, bias, False, w), shapes)
+    shapes = [(2, 3, 5)] + ([(1, 4)] if bias_trainable else []) + [(2, 5)] * n_parts + [(4, 2)] * n_parts
+    _fd_check(_linear_build(n_parts, bias_trainable, False, w), shapes)
 
 
 def test_linear_grad_trainable_weight():

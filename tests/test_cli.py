@@ -91,6 +91,27 @@ class TestGen:
         bad.write_text(json.dumps({"domains": 4, "classez": 2}))
         assert cli.main(["gen", "--config", str(bad), "--out", str(workdir / "y.ckpt")]) == 2
 
+    @pytest.mark.parametrize("raw", [{"per_class": "10"}, {"domains": 4.0}], ids=["per_class_str", "domains_float"])
+    def test_mistyped_spec_field_exits_2(self, workdir, raw, capsys):
+        bad = workdir / "mistyped_spec.json"
+        bad.write_text(json.dumps(raw))
+        assert cli.main(["gen", "--config", str(bad), "--out", str(workdir / "y.ckpt")]) == 2
+        assert "must be of type int" in capsys.readouterr().err
+
+    def test_a_config_that_is_not_an_object_exits_2(self, workdir, capsys):
+        bad = workdir / "five.json"
+        bad.write_text("5")
+        assert cli.main(["gen", "--config", str(bad), "--out", str(workdir / "y.ckpt")]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_gen_into_a_run_directory_keeps_the_runs_manifest(self, trained):
+        out = trained / "ds2.ckpt"
+        assert cli.main(["gen", "--out", str(out), "--seed", "1"]) == 0
+        assert json.loads((trained / "manifest.json").read_text())["command"] == "train"
+        gen_manifest = json.loads((trained / "ds2.ckpt.manifest.json").read_text())
+        assert gen_manifest["command"] == "gen"
+        assert gen_manifest["artifacts"] == [str(out)]
+
 
 class TestTrain:
     def test_writes_checkpoints_metrics_and_manifest(self, trained):
@@ -154,6 +175,14 @@ class TestTrain:
         )
         assert code == 2
         assert "rank must be of type int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]"], ids=["number", "list"])
+    def test_a_config_that_is_not_an_object_exits_2(self, workdir, dataset_file, text, capsys):
+        bad = workdir / "not_an_object.json"
+        bad.write_text(text)
+        code = cli.main(["train", "--config", str(bad), "--dataset", str(dataset_file), "--out", str(workdir / "y")])
+        assert code == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_dataset_model_mismatch_exits_2(self, workdir, dataset_file, config_file):
         bad_cfg = json.loads(config_file.read_text())
@@ -436,26 +465,28 @@ class TestGradcheck:
 class TestAnalyze:
     def test_reports_from_adapted_checkpoint(self, workdir, dataset_file, trained):
         out = workdir / "analysis"
-        code = cli.main(
-            [
-                "analyze",
-                "--ckpt",
-                str(trained / "adapted.ckpt"),
-                "--dataset",
-                str(dataset_file),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        for name in ("pc_evr.csv", "pc_cosine.csv", "feature_proj.csv", "analyze_meta.json"):
-            assert (out / name).exists()
-        with open(out / "pc_evr.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["component", "evr"]
+        args = ["--ckpt", str(trained / "adapted.ckpt"), "--dataset", str(dataset_file), "--out", str(out)]
+        assert cli.main(["analyze", *args]) == 0
+
+        def rows(name):
+            with open(out / name) as fh:
+                return list(csv.reader(fh))
+
         meta = json.loads((out / "analyze_meta.json").read_text())
         assert meta["layer"] == "0.wv"
         assert meta["significance_rel_tol"] == 1e-3
+        k = meta["top_k"]
+        assert k == 8  # the default 10, capped by the 8-wide embedding
+        # every CSV parses with its declared header and one row per entry
+        evr, cos, proj = rows("pc_evr.csv"), rows("pc_cosine.csv"), rows("feature_proj.csv")
+        assert evr[0] == ["component", "evr"] and len(evr) == 1 + k
+        assert cos[0] == ["i", "j", "abs_cos"] and len(cos) == 1 + k * min(k, meta["numerical_rank"])
+        assert proj[0] == ["model_tag", "label", "x", "y"] and len(proj) == 1 + 4 * 2 * 6
+        assert {row[0] for row in proj[1:]} == {"adapted"}
+        for row in evr[1:] + cos[1:]:
+            float(row[-1])
+        for row in proj[1:]:
+            int(row[1]), float(row[2]), float(row[3])
 
     def test_pre_post_pair_mode(self, workdir, dataset_file, trained):
         out = workdir / "analysis_pair"

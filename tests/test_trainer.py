@@ -1,11 +1,12 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pego import autograd as ag
 from pego import adapters, checkpoint, gradcheck, trainer, vit
-from pego.data import DatasetSpec, DomainDataset, generate_dataset
+from pego.data import DatasetSpec, DomainDataset, generate_dataset, split_train_val
 from pego.errors import ConfigError
 from pego.numerics import make_rng
 from pego.trainer import (
@@ -357,6 +358,22 @@ class TestHistoryLogging:
         assert pres[0] == 0.0 and div[0] == 0.0
         assert pres[-1] > 0.0 and div[-1] > 0.0
 
+    def test_val_acc_is_taken_after_the_rows_update(self):
+        # Row t's losses come from the parameters before step t, its
+        # val_acc from those after it: the adapted model of a t-iteration
+        # run, whose one validation is at t. At this learning rate the
+        # accuracy moves at every step, so the two states read apart.
+        vit_cfg = replace(_tiny_vit(), num_classes=4)
+        base = pretrain_base(vit_cfg, seed=0)
+        sources = generate_dataset(DatasetSpec(domains=3, classes=4, per_class=10, image_size=8), seed=1)
+        cfg = _tiny_cfg(iterations=3, eval_every=1, lr=1e-2, vit=vit_cfg)
+        _, val = split_train_val(sources, cfg.val_fraction, cfg.seed)
+        rows = train(base, sources, cfg).history
+        adapted = [train(base, sources, replace(cfg, iterations=t, eval_every=max(t, 1))).adapted for t in range(4)]
+        accs = [trainer.evaluate(model, val) for model in adapted]
+        assert [r.val_acc for r in rows] == accs[1:]
+        assert accs[:3] != accs[1:]
+
 
 class TestLodo:
     def test_counting_and_aggregation(self, tiny_dataset, tiny_base):
@@ -406,8 +423,6 @@ class TestAblate:
         ]
         assert rows[4].group_n == 1
         # the both-off row is the plain group baseline: exact same computation
-        from dataclasses import replace
-
         baseline = leave_one_domain_out(
             tiny_dataset, replace(cfg, preserve_on=False, diversify_on=False), [0], base=tiny_base
         )

@@ -211,7 +211,7 @@ def _full_sequence_features(model, images):
     for blk in model.blocks:
         z = ag.layernorm(x, blk.ln1_scale, blk.ln1_offset)
         q, k, v = (heads(proj(z, lin)) for lin in (blk.attn.wq, blk.attn.wk, blk.attn.wv))
-        probs = ag.softmax_last(ag.scale(ag.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh)))
+        probs = ag.softmax_last(ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)))
         ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, n, d))
         x = ag.add(x, proj(ctx, blk.attn.wo))
         m = ag.gelu(ag.linear(ag.layernorm(x, blk.ln2_scale, blk.ln2_offset), blk.fc1_w, blk.fc1_b))
