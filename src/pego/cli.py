@@ -464,6 +464,20 @@ def _resolve_layer(model, spec: str):
     return index, proj
 
 
+def _write_analysis_csvs(out, report, projection) -> list:
+    """Write a weight PC report and a feature projection as ``pego analyze``'s
+    three CSVs in ``out``; return their paths."""
+    import numpy as np
+
+    evr_path, cos_path, proj_path = (out / name for name in ("pc_evr.csv", "pc_cosine.csv", "feature_proj.csv"))
+    _write_csv(evr_path, ["component", "evr"], enumerate(report.evr_top_k))
+    _write_csv(cos_path, ["i", "j", "abs_cos"], ((i, j, float(c)) for (i, j), c in np.ndenumerate(report.pc_cosine)))
+    points = zip(projection.model_tags, projection.labels, projection.coords)
+    rows = ((tag, int(label), float(x), float(y)) for tag, label, (x, y) in points)
+    _write_csv(proj_path, ["model_tag", "label", "x", "y"], rows)
+    return [evr_path, cos_path, proj_path]
+
+
 def cmd_analyze(args) -> int:
     import numpy as np
 
@@ -498,14 +512,8 @@ def cmd_analyze(args) -> int:
     images = np.concatenate([dataset.images[d] for d in dataset.domains])
     labels = np.concatenate([dataset.labels[d] for d in dataset.domains])
     projection = feature_projection(models, images, labels)
-    evr_path, cos_path, proj_path, meta_path = (
-        out / name for name in ("pc_evr.csv", "pc_cosine.csv", "feature_proj.csv", "analyze_meta.json")
-    )
-    _write_csv(evr_path, ["component", "evr"], enumerate(report.evr_top_k))
-    _write_csv(cos_path, ["i", "j", "abs_cos"], ((i, j, float(c)) for (i, j), c in np.ndenumerate(report.pc_cosine)))
-    points = zip(projection.model_tags, projection.labels, projection.coords)
-    rows = ((tag, int(label), float(x), float(y)) for tag, label, (x, y) in points)
-    _write_csv(proj_path, ["model_tag", "label", "x", "y"], rows)
+    csv_paths = _write_analysis_csvs(out, report, projection)
+    meta_path = out / "analyze_meta.json"
     meta = {
         "layer": f"{index}.{proj}",
         "top_k": k,
@@ -513,7 +521,7 @@ def cmd_analyze(args) -> int:
         "significance_rel_tol": SIGNIFICANT_PC_REL_TOL,
     }
     _write_json(meta_path, meta)
-    artifacts = [evr_path, cos_path, proj_path, meta_path]
+    artifacts = [*csv_paths, meta_path]
     print(f"layer {index}.{proj}: numerical rank {report.numerical_rank} at rel tol {SIGNIFICANT_PC_REL_TOL!r}")
     _write_manifest(args, out / "manifest.json", {"layer": args.layer, "top_k": k}, [], artifacts, t0)
     return EXIT_OK

@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
-from pego import vit
+from pego import cli, vit
 from pego.adapters import group_delta, init_group
-from pego.diagnostics import feature_projection, weight_pc_report
+from pego.diagnostics import FeatureProjection, feature_projection, weight_pc_report
 from pego.errors import ConfigError, DegenerateInputError, ShapeError
 from pego.numerics import make_rng, svd
 from pego.vit import VitConfig, init_vit
@@ -133,3 +135,28 @@ class TestFeatureProjection:
         model, _ = two_models
         with pytest.raises(ConfigError):
             feature_projection([("a", model)], np.zeros((1, 8, 8)), np.zeros(1, dtype=int))
+
+
+def test_csv_exports_parse_with_declared_headers(tmp_path, two_models):
+    a, _ = two_models
+    rng = make_rng(15)
+    report = weight_pc_report(rng.normal(size=(8, 8)), rng.normal(size=(8, 2)) @ rng.normal(size=(2, 8)), k=4)
+    images = make_rng(16).random((6, 8, 8))
+    labels = make_rng(17).integers(0, 2, 6)
+    proj = feature_projection([("a", a)], images, labels)
+    assert isinstance(proj, FeatureProjection)
+    paths = cli._write_analysis_csvs(tmp_path, report, proj)
+    assert [p.name for p in paths] == ["pc_evr.csv", "pc_cosine.csv", "feature_proj.csv"]
+    with open(paths[0]) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["component", "evr"]
+    assert len(rows) == 1 + len(report.evr_top_k)
+    with open(paths[1]) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i", "j", "abs_cos"]
+    assert len(rows) == 1 + report.pc_cosine.size
+    with open(paths[2]) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["model_tag", "label", "x", "y"]
+    assert len(rows) == 7
+    float(rows[1][2])  # coordinates parse as floats
