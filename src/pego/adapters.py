@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 
 
 @dataclass
@@ -123,19 +123,6 @@ def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
     return ag.abs_sum(ag.preserve_args([lin.base for lin in layers], a, b)), ag.abs_sum(ag.diversify_args(a, b))
 
 
-def final_loss(model, batch, alpha: float) -> float:
-    """Mean cross-entropy plus ``alpha`` times the orthogonality loss."""
-    from .vit import batch_loss_tensor
-
-    if alpha < 0:
-        raise ConfigError(f"alpha must be nonnegative, got {alpha}")
-    if len(batch.labels) == 0:
-        raise InputError("empty batch")
-    with ag.no_grad():
-        out = batch_loss_tensor(model, batch.images, batch.labels, alpha)
-    return float(out.total.data)
-
-
 def merge_all(model):
     """Fold every group into its host weight and drop the adapters.
 
@@ -143,7 +130,7 @@ def merge_all(model):
     the input-to-logit map is unchanged up to float rounding, and the
     returned model carries zero adapter parameters.
     """
-    from . import vit
+    from . import vit  # vit imports this module, so not at the top
 
     arrays = {name: arr for name, arr in vit.model_to_arrays(model).items() if ".lora." not in name}
     for prefix, lin in adapted_layers(model):

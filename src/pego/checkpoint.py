@@ -8,11 +8,13 @@ Layout, all integers little-endian:
 
 Payloads are always f64, and the header's ``dtype`` flag says so; a file
 with any other flag is rejected on load. Files are written to a temp
-path and renamed into place.
+path and renamed into place; a failed write removes the temp file and
+raises ``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -33,21 +35,26 @@ def write_container(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     header = dict(header, dtype="f64", format_version=FORMAT_VERSION)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<Q", len(tensors)))
-        for name, arr in tensors.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<Q", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(arr, dtype=_F64).tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<Q", len(tensors)))
+            for name, arr in tensors.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<Q", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<Q", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<Q", dim))
+                fh.write(np.ascontiguousarray(arr, dtype=_F64).tobytes())
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CheckpointError(f"cannot write {path}: {exc}") from exc
 
 
 class _Reader:

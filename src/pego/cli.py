@@ -8,12 +8,9 @@ artifact paths; re-running a manifest's config reproduces the summary CSV
 byte for byte in single-job mode.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O or format
-error, 4 degenerate input. ``PEGO_THREADS`` caps the numeric thread pools
-when set before startup, and the threads of no-grad forwards at any time.
-
-Heavy imports happen inside the command handlers so that the thread cap
-can be applied before numpy loads; ``errors`` and the package itself load
-no numpy.
+error, 4 degenerate input. ``PEGO_THREADS`` caps the threads of no-grad
+forwards; ``pego.entry``, the console script, also hands it to the BLAS
+thread pools before this module loads numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +27,10 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+
+from . import __version__, adapters, checkpoint, data, diagnostics, gradcheck, trainer, vit
+from . import autograd as ag
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -41,6 +41,7 @@ from .errors import (
     ShapeError,
     SplitError,
 )
+from .numerics import make_rng
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -52,12 +53,12 @@ FULL_RUN_ITERS = 5000
 GRADCHECK_THRESHOLDS = {0.0: 1e-6, 1e-3: 1e-5}
 
 
-def entry() -> None:
-    threads = os.environ.get("PEGO_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-    sys.exit(main(sys.argv[1:]))
+def _seed(raw: str) -> int:
+    """``--seed``'s type: numpy's generators take nonnegative seeds only."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic multi-domain dataset file")
     p.add_argument("--config", help="JSON with dataset spec fields (domains, classes, per_class, image_size)")
     p.add_argument("--out", required=True, help="dataset file to write")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gen)
 
     def train_like(name, help_text):
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="audit analytic gradients against central differences")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("analyze", help="weight principal-component and feature-projection reports")
@@ -130,9 +131,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        from .vit import thread_budget
-
-        thread_budget()  # a malformed PEGO_THREADS fails here, before any work
+        vit.thread_budget()  # a malformed PEGO_THREADS fails here, before any work
         return args.func(args)
     except (ConfigError, SplitError, InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -167,6 +166,8 @@ def _ensure_outdir(raw) -> Path:
     path = Path(raw)
     if path.is_dir():
         return path
+    if path.exists():
+        raise ConfigError(f"output directory {path} exists and is not a directory")
     if not path.parent.is_dir():
         raise ConfigError(f"output directory {path} cannot be created: {path.parent} does not exist")
     path.mkdir()
@@ -181,22 +182,16 @@ def _thread_details(jobs: int) -> dict:
     """How the run could use the CPUs: cores available, the forward-thread
     budget, pool workers and each one's budget, and numpy's BLAS with its
     live thread count (None where it cannot be read)."""
-    import numpy as np
-
-    from .autograd import blas_threads
-    from .trainer import worker_thread_budget
-    from .vit import cores, thread_budget
-
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         blas = {}
     return {
-        "affinity": cores(),
-        "forward_budget": thread_budget(),
+        "affinity": vit.cores(),
+        "forward_budget": vit.thread_budget(),
         "jobs": jobs,
-        "worker_budget": worker_thread_budget(jobs),
-        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": blas_threads()},
+        "worker_budget": trainer.worker_thread_budget(jobs),
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": ag.blas_threads()},
     }
 
 
@@ -228,14 +223,12 @@ def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float,
 
 
 def _load_train_config(args, dataset):
-    from .trainer import TrainConfig, canonical_vit_config
-
     image_size = next(iter(dataset.images.values())).shape[1]
     if args.config:
-        cfg = TrainConfig.from_dict(_read_json(args.config))
+        cfg = trainer.TrainConfig.from_dict(_read_json(args.config))
     else:
-        vit_cfg = replace(canonical_vit_config(num_classes=dataset.num_classes), image_size=image_size)
-        cfg = TrainConfig(batch_per_domain=8, vit=vit_cfg)
+        vit_cfg = replace(trainer.canonical_vit_config(num_classes=dataset.num_classes), image_size=image_size)
+        cfg = trainer.TrainConfig(batch_per_domain=8, vit=vit_cfg)
     names = ("seed", "alpha", "rank", "group_n", "lr")
     overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     if getattr(args, "full_iters", False):
@@ -253,20 +246,22 @@ def _load_train_config(args, dataset):
     if cfg.vit.num_classes != dataset.num_classes:
         raise ConfigError(f"model has {cfg.vit.num_classes} classes but the dataset has {dataset.num_classes}")
     for name in ("alpha", "rank"):
-        value, default = getattr(cfg, name), TrainConfig.__dataclass_fields__[name].default
+        value, default = getattr(cfg, name), trainer.TrainConfig.__dataclass_fields__[name].default
         if value != default:
             print(f"warning: {name}={value!r} differs from the recommended default {default!r}", file=sys.stderr)
     return cfg
 
 
 def _parse_ints(raw: str, what: str) -> list[int]:
-    """A nonempty comma-separated list of ints, such as ``--seeds``."""
+    """A nonempty comma-separated list of nonnegative ints, such as ``--seeds``."""
     try:
         values = [int(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad {what} list {raw!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"at least one {what} is required")
+    if min(values) < 0:
+        raise ConfigError(f"bad {what} list {raw!r}: values must be nonnegative")
     return values
 
 
@@ -288,20 +283,19 @@ def _history_csv(path, history) -> None:
 
 
 def cmd_gen(args) -> int:
-    from .checkpoint import save_dataset
-    from .data import DatasetSpec, generate_dataset
-
     t0 = time.monotonic()
     raw = _read_json(args.config) if args.config else {}
-    unknown = set(raw) - set(DatasetSpec.__dataclass_fields__)
+    unknown = set(raw) - set(data.DatasetSpec.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown dataset spec keys: {sorted(unknown)}")
-    spec = DatasetSpec(**raw)
+    spec = data.DatasetSpec(**raw)
     out = Path(args.out)
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {out.parent} does not exist")
-    dataset = generate_dataset(spec, args.seed)
-    save_dataset(out, dataset)
+    if out.is_dir():
+        raise ConfigError(f"dataset file {out} is an existing directory")
+    dataset = data.generate_dataset(spec, args.seed)
+    checkpoint.save_dataset(out, dataset)
     for dom in dataset.domains:
         labels = dataset.labels[dom]
         counts = ", ".join(f"class {c}: {int((labels == c).sum())}" for c in range(dataset.num_classes))
@@ -314,20 +308,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .checkpoint import load_dataset, load_model, save_model
-    from .trainer import pretrain_base, train
-
     t0 = time.monotonic()
-    dataset = load_dataset(args.dataset)
+    dataset = checkpoint.load_dataset(args.dataset)
     cfg = _load_train_config(args, dataset)
     out = _ensure_outdir(args.out)
-    base = load_model(args.base) if args.base else pretrain_base(cfg.vit, cfg.seed)
-    result = train(base, dataset, cfg)
+    base = checkpoint.load_model(args.base) if args.base else trainer.pretrain_base(cfg.vit, cfg.seed)
+    result = trainer.train(base, dataset, cfg)
     adapted_path = out / "adapted.ckpt"
     merged_path = out / "merged.ckpt"
     run_path = out / "run.csv"
-    save_model(adapted_path, result.adapted)
-    save_model(merged_path, result.model)
+    checkpoint.save_model(adapted_path, result.adapted)
+    checkpoint.save_model(merged_path, result.model)
     _history_csv(run_path, result.history)
     print(f"selected iteration {result.selected_iter} with validation accuracy {result.best_val_acc!r}")
     artifacts = [adapted_path, merged_path, run_path]
@@ -336,14 +327,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .checkpoint import load_dataset, load_model
-    from .trainer import evaluate
-
-    model = load_model(args.ckpt)
-    dataset = load_dataset(args.dataset)
+    model = checkpoint.load_model(args.ckpt)
+    dataset = checkpoint.load_dataset(args.dataset)
     if args.domain not in dataset.domains:
         raise ConfigError(f"domain {args.domain!r} not in dataset (has {dataset.domains})")
-    acc = evaluate(model, dataset, domains=[args.domain])
+    acc = trainer.evaluate(model, dataset, domains=[args.domain])
     print(f"domain={args.domain} samples={len(dataset.labels[args.domain])} accuracy={acc!r}")
     return EXIT_OK
 
@@ -352,34 +340,29 @@ def _run_harness(args, run) -> int:
     """Load the dataset, config, seeds and output directory, build the base,
     call ``run(args, dataset, cfg, seeds, base, out)`` for the artifacts it
     writes, with progress lines on stderr, then write the manifest."""
-    from .checkpoint import load_dataset
-    from .trainer import log, pretrain_base
-
     t0 = time.monotonic()
-    dataset = load_dataset(args.dataset)
+    dataset = checkpoint.load_dataset(args.dataset)
     cfg = _load_train_config(args, dataset)
     seeds = _parse_ints(args.seeds, "seed")
     out = _ensure_outdir(args.out)
     t1 = time.monotonic()
-    base = pretrain_base(cfg.vit, cfg.seed)
+    base = trainer.pretrain_base(cfg.vit, cfg.seed)
     t2 = time.monotonic()
-    handler, level = logging.StreamHandler(sys.stderr), log.level
-    log.addHandler(handler)
-    log.setLevel(logging.INFO)
+    handler, level = logging.StreamHandler(sys.stderr), trainer.log.level
+    trainer.log.addHandler(handler)
+    trainer.log.setLevel(logging.INFO)
     try:
         artifacts = run(args, dataset, cfg, seeds, base, out)
     finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
+        trainer.log.removeHandler(handler)
+        trainer.log.setLevel(level)
     phases = {"load": t1 - t0, "pretrain": t2 - t1, "run": time.monotonic() - t2}
     _write_manifest(args, out / "manifest.json", cfg.to_dict(), seeds, artifacts, t0, phases=phases)
     return EXIT_OK
 
 
 def cmd_lodo(args, dataset, cfg, seeds, base, out) -> list[Path]:
-    from .trainer import leave_one_domain_out
-
-    result = leave_one_domain_out(dataset, cfg, seeds, base, jobs=args.jobs)
+    result = trainer.leave_one_domain_out(dataset, cfg, seeds, base, jobs=args.jobs)
     summary_path = out / "summary.csv"
     _write_csv(
         summary_path,
@@ -400,9 +383,7 @@ def cmd_lodo(args, dataset, cfg, seeds, base, out) -> list[Path]:
 
 
 def cmd_ablate(args, dataset, cfg, seeds, base, out) -> list[Path]:
-    from .trainer import ablate
-
-    rows = ablate(dataset, cfg, seeds, base, jobs=args.jobs)
+    rows = trainer.ablate(dataset, cfg, seeds, base, jobs=args.jobs)
     table_path = out / "ablate.csv"
     _write_csv(
         table_path,
@@ -415,9 +396,7 @@ def cmd_ablate(args, dataset, cfg, seeds, base, out) -> list[Path]:
 
 
 def cmd_sweep(args, dataset, cfg, seeds, base, out) -> list[Path]:
-    from .trainer import sweep_n
-
-    result = sweep_n(dataset, cfg, seeds, base, jobs=args.jobs)
+    result = trainer.sweep_n(dataset, cfg, seeds, base, jobs=args.jobs)
     table_path = out / "sweep.csv"
     _write_csv(
         table_path,
@@ -429,13 +408,10 @@ def cmd_sweep(args, dataset, cfg, seeds, base, out) -> list[Path]:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import grad_check, make_probe_model
-    from .numerics import make_rng
-
-    model, batch = make_probe_model(args.seed)
+    model, batch = gradcheck.make_probe_model(args.seed)
     ok = True
     for alpha, threshold in GRADCHECK_THRESHOLDS.items():
-        err = grad_check(model, batch, alpha, args.samples, make_rng(args.seed, 5))
+        err = gradcheck.grad_check(model, batch, alpha, args.samples, make_rng(args.seed, 5))
         passed = err < threshold
         ok = ok and passed
         print(
@@ -446,11 +422,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def _resolve_layer(model, spec: str):
-    from .adapters import ADAPTED_PROJECTIONS
-
     parts = spec.split(".")
-    if len(parts) != 2 or parts[1] not in ADAPTED_PROJECTIONS:
-        raise ConfigError(f"bad layer spec {spec!r}; expected BLOCK.PROJ, PROJ in ({', '.join(ADAPTED_PROJECTIONS)})")
+    projections = adapters.ADAPTED_PROJECTIONS
+    if len(parts) != 2 or parts[1] not in projections:
+        raise ConfigError(f"bad layer spec {spec!r}; expected BLOCK.PROJ, PROJ in ({', '.join(projections)})")
     block_raw, proj = parts
     if block_raw == "last":
         index = len(model.blocks) - 1
@@ -467,8 +442,6 @@ def _resolve_layer(model, spec: str):
 def _write_analysis_csvs(out, report, projection) -> list:
     """Write a weight PC report and a feature projection as ``pego analyze``'s
     three CSVs in ``out``; return their paths."""
-    import numpy as np
-
     evr_path, cos_path, proj_path = (out / name for name in ("pc_evr.csv", "pc_cosine.csv", "feature_proj.csv"))
     _write_csv(evr_path, ["component", "evr"], enumerate(report.evr_top_k))
     _write_csv(cos_path, ["i", "j", "abs_cos"], ((i, j, float(c)) for (i, j), c in np.ndenumerate(report.pc_cosine)))
@@ -479,49 +452,46 @@ def _write_analysis_csvs(out, report, projection) -> list:
 
 
 def cmd_analyze(args) -> int:
-    import numpy as np
-
-    from .adapters import group_delta
-    from .checkpoint import load_dataset, load_model
-    from .diagnostics import SIGNIFICANT_PC_REL_TOL, feature_projection, weight_pc_report
-
     t0 = time.monotonic()
     out = _ensure_outdir(args.out)
-    model = load_model(args.ckpt)
+    model = checkpoint.load_model(args.ckpt)
     index, proj = _resolve_layer(model, args.layer)
     layer = getattr(model.blocks[index].attn, proj)
     models = [(Path(args.ckpt).stem, model)]
     if args.pre:
-        pre_model = load_model(args.pre)
+        pre_model = checkpoint.load_model(args.pre)
+        if pre_model.cfg != model.cfg:
+            raise ConfigError(f"--pre model {pre_model.cfg} differs from --ckpt model {model.cfg}")
         models.insert(0, (Path(args.pre).stem, pre_model))
         pre_layer = getattr(pre_model.blocks[index].attn, proj)
         w_pre = pre_layer.base.data
         delta = layer.base.data - pre_layer.base.data
         if layer.group is not None:
-            delta = delta + group_delta(layer.group)
+            delta = delta + adapters.group_delta(layer.group)
     elif layer.group is not None:
         w_pre = layer.base.data
-        delta = group_delta(layer.group)
+        delta = adapters.group_delta(layer.group)
     else:
         raise ConfigError("checkpoint has no adapters at the requested layer; provide --pre for a merged pair")
     if not np.any(delta):
         raise DegenerateInputError("the adapter update at the requested layer is identically zero")
     k = min(args.top_k, min(w_pre.shape))
-    report = weight_pc_report(w_pre, delta, k)
-    dataset = load_dataset(args.dataset)
+    report = diagnostics.weight_pc_report(w_pre, delta, k)
+    dataset = checkpoint.load_dataset(args.dataset)
     images = np.concatenate([dataset.images[d] for d in dataset.domains])
     labels = np.concatenate([dataset.labels[d] for d in dataset.domains])
-    projection = feature_projection(models, images, labels)
+    projection = diagnostics.feature_projection(models, images, labels)
     csv_paths = _write_analysis_csvs(out, report, projection)
     meta_path = out / "analyze_meta.json"
+    tol = diagnostics.SIGNIFICANT_PC_REL_TOL
     meta = {
         "layer": f"{index}.{proj}",
         "top_k": k,
         "numerical_rank": report.numerical_rank,
-        "significance_rel_tol": SIGNIFICANT_PC_REL_TOL,
+        "significance_rel_tol": tol,
     }
     _write_json(meta_path, meta)
     artifacts = [*csv_paths, meta_path]
-    print(f"layer {index}.{proj}: numerical rank {report.numerical_rank} at rel tol {SIGNIFICANT_PC_REL_TOL!r}")
+    print(f"layer {index}.{proj}: numerical rank {report.numerical_rank} at rel tol {tol!r}")
     _write_manifest(args, out / "manifest.json", {"layer": args.layer, "top_k": k}, [], artifacts, t0)
     return EXIT_OK

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adapters, vit
 from . import autograd as ag
-from .adapters import final_loss
+from .data import Batch
 from .errors import ConfigError, InconclusiveCheckError, InputError, NumericError
 from .numerics import make_rng
 from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_params
@@ -92,7 +92,8 @@ def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: 
 
     def f(p):
         flat[entry] = p
-        return final_loss(model, batch, alpha)
+        with ag.no_grad():
+            return float(batch_loss_tensor(model, batch.images, batch.labels, alpha).total.data)
 
     try:
         return central_diff(f, saved, h)
@@ -166,8 +167,6 @@ def make_probe_model(seed: int):
     healthy scale (std 0.4) so activations and penalty arguments sit
     far from the L1 kinks and no gradient is vanishingly small.
     """
-    from .data import Batch
-
     cfg = vit.VitConfig(
         image_size=8, patch_size=4, embed_dim=8, num_blocks=1, num_heads=2, mlp_ratio=2.0, num_classes=2
     )

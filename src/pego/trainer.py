@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -67,6 +68,8 @@ class TrainConfig:
             isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in self.n_search
         ):
             raise ConfigError(f"candidate group sizes must be a list of integers, got {self.n_search!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -376,8 +379,6 @@ def _map_runs(task, payloads, jobs: int):
     if jobs <= 1:
         yield from map(task, payloads)
         return
-    from concurrent.futures import ProcessPoolExecutor
-
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_cap_worker_threads, initargs=(worker_thread_budget(jobs),)
     ) as pool:

@@ -104,6 +104,16 @@ def test_container_preserves_names_shapes_and_header(tmp_path):
     assert loaded["y.z"].shape == (4,)
 
 
+@pytest.mark.parametrize("blocked", ["target", "temp"])
+def test_a_failed_write_raises_and_removes_its_temp_file(tmp_path, blocked):
+    path = tmp_path / "c.ckpt"
+    (tmp_path / ("c.ckpt" if blocked == "target" else "c.ckpt.tmp")).mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(CheckpointError, match="cannot write"):
+        write_container(path, {"kind": "model"}, {"x": np.ones(3)})
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_corrupt_files_raise_checkpoint_errors(tmp_path):
     missing = tmp_path / "missing.ckpt"
     with pytest.raises(CheckpointError):

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pego
 from pego import autograd as ag
 from pego import cli
 
@@ -85,6 +87,17 @@ class TestGen:
 
     def test_missing_output_dir_exits_2(self, workdir):
         assert cli.main(["gen", "--out", str(workdir / "nope" / "x.ckpt")]) == 2
+
+    def test_an_existing_directory_as_out_exits_2(self, workdir, monkeypatch, capsys):
+        def no_generate(*args):
+            raise AssertionError("generated before --out was checked")
+
+        monkeypatch.setattr("pego.data.generate_dataset", no_generate)
+        target = workdir / "gen_dir"
+        target.mkdir()
+        assert cli.main(["gen", "--out", str(target)]) == 2
+        assert "is an existing directory" in capsys.readouterr().err
+        assert list(workdir.glob("gen_dir*")) == [target]
 
     def test_bad_spec_key_exits_2(self, workdir):
         bad = workdir / "bad.json"
@@ -525,6 +538,19 @@ class TestAnalyze:
         )
         assert code == 4
 
+    def test_pre_of_another_model_config_exits_2(self, workdir, dataset_file, trained, capsys):
+        from pego.checkpoint import load_model, save_model
+        from pego.numerics import make_rng
+        from pego.vit import init_vit
+
+        cfg = load_model(trained / "merged.ckpt").cfg
+        wide = workdir / "wide.ckpt"
+        save_model(wide, init_vit(replace(cfg, embed_dim=16), make_rng(0)))
+        argv = ["--ckpt", str(trained / "merged.ckpt"), "--pre", str(wide), "--dataset", str(dataset_file)]
+        assert cli.main(["analyze", *argv, "--out", str(workdir / "analysis_wide")]) == 2
+        err = capsys.readouterr().err
+        assert "embed_dim=16" in err and "embed_dim=8" in err
+
     def test_merged_without_pre_exits_2(self, workdir, dataset_file, trained):
         out = workdir / "analysis_merged"
         code = cli.main(
@@ -571,8 +597,8 @@ def test_bad_group_sizes_and_rank_exit_2_before_pretraining(
 
 
 def test_importing_the_cli_loads_no_numpy():
-    # entry() caps the numeric thread pools, which only works before numpy loads.
-    code = "import sys, pego.cli; sys.exit('numpy' in sys.modules)"
+    # pego.entry() caps the numeric thread pools, which only works before numpy loads.
+    code = "import sys, pego; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -596,6 +622,49 @@ def test_entry_applies_thread_cap(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setattr(sys, "argv", ["pego", "--help"])
     with pytest.raises(SystemExit) as exc:
-        cli.entry()
+        pego.entry()
     assert exc.value.code == 0
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("command", ["train", "lodo", "ablate", "sweep", "analyze"])
+def test_an_existing_file_as_out_exits_2(workdir, dataset_file, config_file, trained, command, capsys):
+    target = workdir / f"{command}_out_file"
+    target.write_text("keep me")
+    if command == "analyze":
+        argv = ["analyze", "--ckpt", str(trained / "adapted.ckpt")]
+    else:
+        argv = [command, "--config", str(config_file)]
+    assert cli.main(argv + ["--dataset", str(dataset_file), "--out", str(target)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert target.read_text() == "keep me"
+
+
+def test_a_failed_checkpoint_write_exits_3_and_leaves_no_temp_file(workdir, dataset_file, config_file, capsys):
+    out = workdir / "blocked"
+    (out / "adapted.ckpt").mkdir(parents=True)
+    argv = ["train", "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["adapted.ckpt"]
+
+
+@pytest.mark.parametrize("case", ["gen", "train", "gradcheck", "lodo-seeds", "config"])
+def test_a_negative_seed_exits_2_before_any_work(workdir, dataset_file, config_file, monkeypatch, capsys, case):
+    def no_work(*args):
+        raise AssertionError("worked on a negative seed")
+
+    for name in ("pego.trainer.pretrain_base", "pego.data.generate_dataset", "pego.gradcheck.make_probe_model"):
+        monkeypatch.setattr(name, no_work)
+    negative = workdir / "negative_seed.json"
+    negative.write_text(json.dumps({**json.loads(config_file.read_text()), "seed": -1}))
+    run = ["--dataset", str(dataset_file), "--out", str(workdir / "negative")]
+    argv = {
+        "gen": ["gen", "--seed", "-1", "--out", str(workdir / "negative.ckpt")],
+        "train": ["train", "--config", str(config_file), "--seed", "-1", *run],
+        "gradcheck": ["gradcheck", "--seed", "-1"],
+        "lodo-seeds": ["lodo", "--config", str(config_file), "--seeds", "0,-1", *run],
+        "config": ["train", "--config", str(negative), *run],
+    }[case]
+    assert cli.main(argv) == 2
+    assert "nonnegative" in capsys.readouterr().err

@@ -73,6 +73,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             _tiny_cfg(group_n=0).validate()
 
+    def test_a_negative_seed_is_rejected(self):
+        _tiny_cfg(seed=0).validate()
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            _tiny_cfg(seed=-1).validate()
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
