@@ -402,8 +402,12 @@ def _row_blocks(parts, stacked, axis):
     None for a part that needs no gradient, or when ``stacked`` is None."""
     if stacked is None:
         return [None] * len(parts)
-    cuts = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
-    return [g if p.requires_grad else None for p, g in zip(parts, np.split(stacked, cuts, axis=axis))]
+    lead, start, blocks = (slice(None),) * axis, 0, []
+    for p in parts:
+        stop = start + p.data.shape[axis]
+        blocks.append(stacked[lead + (slice(start, stop),)] if p.requires_grad else None)
+        start = stop
+    return blocks
 
 
 def _rows(t):

@@ -7,9 +7,10 @@ Layout, all integers little-endian:
       u64 ndim, u64 dims..., row-major IEEE-754 payload
 
 Payloads are always f64, and the header's ``dtype`` flag says so; a file
-with any other flag is rejected on load. Files are written to a temp
-path and renamed into place; a failed write removes the temp file and
-raises ``CheckpointError``.
+with any other flag is rejected on load. ``atomic_write`` writes every
+file the package writes, these and the command line's manifests and CSVs:
+a reader sees the old file or the whole new one, and a failed write
+removes its temp file and raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import struct
 
@@ -31,30 +33,37 @@ FORMAT_VERSION = 1
 _F64 = np.dtype("<f8")
 
 
+@contextlib.contextmanager
+def atomic_write(path, binary: bool = False):
+    """Yield ``<path>.tmp`` open for writing, binary or UTF-8 text with
+    ``\\n`` line ends, and rename it over ``path`` when the block ends. On
+    any error remove the temp file, if this call created it, and raise an
+    ``OSError`` as ``CheckpointError``."""
+    tmp, fh = f"{path}.tmp", None
+    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, "wb" if binary else "w", **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if fh is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise CheckpointError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def write_container(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     header = dict(header, dtype="f64", format_version=FORMAT_VERSION)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<Q", len(tensors)))
-            for name, arr in tensors.items():
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<Q", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<Q", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<Q", dim))
-                fh.write(np.ascontiguousarray(arr, dtype=_F64).tobytes())
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise CheckpointError(f"cannot write {path}: {exc}") from exc
+    with atomic_write(path, binary=True) as fh:
+        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
+        fh.write(struct.pack("<Q", len(tensors)))
+        for name, arr in tensors.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<Q", len(encoded)) + encoded + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype=_F64).tobytes())
 
 
 class _Reader:
@@ -103,8 +112,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if ndim > 8:
             raise CheckpointError(f"{path}: implausible rank {ndim} for tensor {name}")
         shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(count * _F64.itemsize)
+        raw = r.take(math.prod(shape) * _F64.itemsize)  # Python ints: no int64 wrap-around
         tensors[name] = np.frombuffer(raw, dtype=_F64).astype(np.float64).reshape(shape)
     return header, tensors
 

@@ -20,7 +20,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import replace
@@ -61,6 +60,14 @@ def _seed(raw: str) -> int:
     return value
 
 
+def _jobs(raw: str) -> int:
+    """``--jobs``'s type: a pool needs at least one worker."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pego", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -88,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     def harness(name, help_text, run):
         q = train_like(name, help_text)
         q.add_argument("--seeds", default="0,1,2", help="comma-separated run seeds")
-        q.add_argument("--jobs", type=int, default=1)
+        q.add_argument("--jobs", type=_jobs, default=1)
         q.set_defaults(func=partial(_run_harness, run=run))
         return q
 
@@ -195,14 +202,12 @@ def _thread_details(jobs: int) -> dict:
     }
 
 
-def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` to ``path`` as indented, key-sorted JSON, atomically:
-    a reader sees the old file or the whole new one."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
+def _write_json(path: Path, obj) -> Path:
+    """Write ``obj`` to ``path`` as indented, key-sorted JSON; return ``path``."""
+    with checkpoint.atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
+    return path
 
 
 def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float, **extra) -> None:
@@ -265,17 +270,18 @@ def _parse_ints(raw: str, what: str) -> list[int]:
     return values
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, rows) -> Path:
     # The csv module writes a float as its repr, which reads back exactly,
     # and None as an empty cell.
-    with open(path, "w", newline="\n") as fh:
+    with checkpoint.atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
-def _history_csv(path, history) -> None:
-    _write_csv(
+def _history_csv(path, history) -> Path:
+    return _write_csv(
         path,
         ["iter", "loss_cls", "loss_preserve", "loss_diversify", "loss_or", "val_acc"],
         ([r.iteration, r.loss_cls, r.loss_preserve, r.loss_diversify, r.loss_or, r.val_acc] for r in history),
@@ -314,14 +320,12 @@ def cmd_train(args) -> int:
     out = _ensure_outdir(args.out)
     base = checkpoint.load_model(args.base) if args.base else trainer.pretrain_base(cfg.vit, cfg.seed)
     result = trainer.train(base, dataset, cfg)
-    adapted_path = out / "adapted.ckpt"
-    merged_path = out / "merged.ckpt"
-    run_path = out / "run.csv"
+    artifacts = [out / name for name in ("adapted.ckpt", "merged.ckpt", "run.csv")]
+    adapted_path, merged_path, run_path = artifacts
     checkpoint.save_model(adapted_path, result.adapted)
     checkpoint.save_model(merged_path, result.model)
     _history_csv(run_path, result.history)
     print(f"selected iteration {result.selected_iter} with validation accuracy {result.best_val_acc!r}")
-    artifacts = [adapted_path, merged_path, run_path]
     _write_manifest(args, out / "manifest.json", cfg.to_dict(), [cfg.seed], artifacts, t0)
     return EXIT_OK
 
@@ -363,17 +367,9 @@ def _run_harness(args, run) -> int:
 
 def cmd_lodo(args, dataset, cfg, seeds, base, out) -> list[Path]:
     result = trainer.leave_one_domain_out(dataset, cfg, seeds, base, jobs=args.jobs)
-    summary_path = out / "summary.csv"
-    _write_csv(
-        summary_path,
-        ["test_domain", "seed", "accuracy", "selected_iter"],
-        ([rec.test_domain, rec.seed, rec.accuracy, rec.selected_iter] for rec in result.records),
-    )
-    artifacts = [summary_path]
-    for rec in result.records:
-        run_path = out / f"run_{rec.test_domain}_{rec.seed}.csv"
-        _history_csv(run_path, rec.history)
-        artifacts.append(run_path)
+    rows = ([rec.test_domain, rec.seed, rec.accuracy, rec.selected_iter] for rec in result.records)
+    artifacts = [_write_csv(out / "summary.csv", ["test_domain", "seed", "accuracy", "selected_iter"], rows)]
+    artifacts += [_history_csv(out / f"run_{rec.test_domain}_{rec.seed}.csv", rec.history) for rec in result.records]
     means = result.per_domain_mean()
     errs = result.per_domain_stderr()
     for dom in dataset.domains:
@@ -482,7 +478,6 @@ def cmd_analyze(args) -> int:
     labels = np.concatenate([dataset.labels[d] for d in dataset.domains])
     projection = diagnostics.feature_projection(models, images, labels)
     csv_paths = _write_analysis_csvs(out, report, projection)
-    meta_path = out / "analyze_meta.json"
     tol = diagnostics.SIGNIFICANT_PC_REL_TOL
     meta = {
         "layer": f"{index}.{proj}",
@@ -490,8 +485,7 @@ def cmd_analyze(args) -> int:
         "numerical_rank": report.numerical_rank,
         "significance_rel_tol": tol,
     }
-    _write_json(meta_path, meta)
-    artifacts = [*csv_paths, meta_path]
+    artifacts = [*csv_paths, _write_json(out / "analyze_meta.json", meta)]
     print(f"layer {index}.{proj}: numerical rank {report.numerical_rank} at rel tol {tol!r}")
     _write_manifest(args, out / "manifest.json", {"layer": args.layer, "top_k": k}, [], artifacts, t0)
     return EXIT_OK

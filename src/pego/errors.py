@@ -38,7 +38,7 @@ class InconclusiveCheckError(PegoError):
 
 
 class CheckpointError(PegoError):
-    """A checkpoint file is missing, truncated, or malformed."""
+    """A file cannot be read or written, or a checkpoint is truncated or malformed."""
 
 
 _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ def test_a_failed_write_raises_and_removes_its_temp_file(tmp_path, blocked):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def test_an_error_inside_the_block_keeps_the_old_file_and_removes_the_temp_file(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="crash"):
+        with checkpoint.atomic_write(path) as fh:
+            fh.write("new,partial")
+            raise RuntimeError("crash")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+
 def test_corrupt_files_raise_checkpoint_errors(tmp_path):
     missing = tmp_path / "missing.ckpt"
     with pytest.raises(CheckpointError):
@@ -137,6 +149,16 @@ def test_corrupt_files_raise_checkpoint_errors(tmp_path):
     bad_version.write_bytes(blob[:4] + b"\x09\x00\x00\x00" + blob[8:])
     with pytest.raises(CheckpointError, match="version"):
         read_container(bad_version)
+
+
+def test_dims_whose_product_overflows_int64_read_as_truncated(tmp_path):
+    # 2**32 * 2**32 elements wrap to 0 in int64 arithmetic.
+    path = tmp_path / "huge.ckpt"
+    write_container(path, {"kind": "model"}, {"x": np.zeros((1, 1))})
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-24] + struct.pack("<QQ", 2**32, 2**32) + blob[-8:])
+    with pytest.raises(CheckpointError, match="truncated"):
+        read_container(path)
 
 
 def test_kind_mismatch(tmp_path):

@@ -640,16 +640,46 @@ def test_an_existing_file_as_out_exits_2(workdir, dataset_file, config_file, tra
     assert target.read_text() == "keep me"
 
 
-def test_a_failed_checkpoint_write_exits_3_and_leaves_no_temp_file(workdir, dataset_file, config_file, capsys):
-    out = workdir / "blocked"
-    (out / "adapted.ckpt").mkdir(parents=True)
-    argv = ["train", "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(out)]
+# Each command's artifacts in the order it writes them.
+WRITE_ORDER = {
+    "gen": ["d.ckpt", "d.ckpt.manifest.json"],
+    "train": ["adapted.ckpt", "merged.ckpt", "run.csv", "manifest.json"],
+    "analyze": ["pc_evr.csv", "pc_cosine.csv", "feature_proj.csv", "analyze_meta.json", "manifest.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("train", "adapted.ckpt"),
+        ("train", "run.csv"),
+        ("train", "manifest.json"),
+        ("analyze", "pc_evr.csv"),
+        ("analyze", "analyze_meta.json"),
+        ("gen", "d.ckpt.manifest.json"),
+    ],
+)
+def test_a_failed_checkpoint_write_exits_3_and_leaves_no_temp_file(
+    workdir, dataset_file, config_file, trained, capsys, command, blocked
+):
+    out = workdir / f"blocked_{command}_{blocked}"
+    (out / blocked).mkdir(parents=True)
+    run = ["--dataset", str(dataset_file), "--out", str(out)]
+    argv = {
+        "gen": ["gen", "--config", str(workdir / "spec.json"), "--out", str(out / "d.ckpt")],
+        "train": ["train", "--config", str(config_file), *run],
+        "analyze": ["analyze", "--ckpt", str(trained / "adapted.ckpt"), *run],
+    }[command]
     assert cli.main(argv) == 3
-    assert "cannot write" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["adapted.ckpt"]
+    assert f"cannot write {out / blocked}" in capsys.readouterr().err
+    order = WRITE_ORDER[command]
+    assert sorted(p.name for p in out.iterdir()) == sorted(order[: order.index(blocked) + 1])
+    assert (out / blocked).is_dir()
 
 
-@pytest.mark.parametrize("case", ["gen", "train", "gradcheck", "lodo-seeds", "config"])
+@pytest.mark.parametrize(
+    "case", ["gen", "train", "gradcheck", "lodo-seeds", "config", "lodo-jobs-0", "ablate-jobs-2", "sweep-jobs-0"]
+)
 def test_a_negative_seed_exits_2_before_any_work(workdir, dataset_file, config_file, monkeypatch, capsys, case):
     def no_work(*args):
         raise AssertionError("worked on a negative seed")
@@ -665,6 +695,9 @@ def test_a_negative_seed_exits_2_before_any_work(workdir, dataset_file, config_f
         "gradcheck": ["gradcheck", "--seed", "-1"],
         "lodo-seeds": ["lodo", "--config", str(config_file), "--seeds", "0,-1", *run],
         "config": ["train", "--config", str(negative), *run],
+        "lodo-jobs-0": ["lodo", "--config", str(config_file), "--jobs", "0", *run],
+        "ablate-jobs-2": ["ablate", "--config", str(config_file), "--jobs", "-2", *run],
+        "sweep-jobs-0": ["sweep", "--config", str(config_file), "--jobs", "0", *run],
     }[case]
     assert cli.main(argv) == 2
-    assert "nonnegative" in capsys.readouterr().err
+    assert ("jobs must be positive" if "jobs" in case else "nonnegative") in capsys.readouterr().err
