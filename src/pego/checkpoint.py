@@ -62,7 +62,8 @@ def write_container(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
         fh.write(struct.pack("<Q", len(tensors)))
         for name, arr in tensors.items():
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(encoded)) + encoded + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
+            fh.write(struct.pack("<Q", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype=_F64).tobytes())
 
 
