@@ -161,9 +161,16 @@ def load_dataset(path) -> DomainDataset:
         if type(num_classes) is not int or num_classes < 2:
             raise CheckpointError(f"{path}: bad dataset config: num_classes must be an int >= 2, got {num_classes!r}")
         images = {dom: tensors[f"domain.{dom}.images"] for dom in domains}
-        labels = {dom: tensors[f"domain.{dom}.labels"].astype(np.int64) for dom in domains}
+        labels = {dom: tensors[f"domain.{dom}.labels"] for dom in domains}
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: incomplete dataset file: {exc}") from exc
+    for dom, raw in labels.items():
+        if not (np.isfinite(raw).all() and np.array_equal(raw, np.floor(raw))):
+            raise CheckpointError(f"{path}: bad dataset: domain {dom} has labels that are not whole numbers")
+        labels[dom] = raw.astype(np.int64)
     ds = DomainDataset(domains=domains, images=images, labels=labels, num_classes=num_classes)
-    ds.validate()
+    try:
+        ds.validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad dataset: {exc}") from exc
     return ds

@@ -8,9 +8,10 @@ artifact paths; re-running a manifest's config reproduces the summary CSV
 byte for byte in single-job mode.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O or format
-error, 4 degenerate input. ``PEGO_THREADS`` caps the threads of no-grad
-forwards; ``pego.entry``, the console script, also hands it to the BLAS
-thread pools before this module loads numpy.
+error, 4 degenerate input; each class in ``errors`` names its code.
+``PEGO_THREADS`` caps the threads of no-grad forwards; ``pego.entry``,
+the console script, also hands it to the BLAS thread pools before this
+module loads numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -30,42 +31,29 @@ import numpy as np
 
 from . import __version__, adapters, checkpoint, data, diagnostics, gradcheck, trainer, vit
 from . import autograd as ag
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DegenerateInputError,
-    InconclusiveCheckError,
-    InputError,
-    NumericError,
-    ShapeError,
-    SplitError,
-)
+from .errors import ConfigError, DegenerateInputError, PegoError
 from .numerics import make_rng
 
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_DEGENERATE = 4
 
-FULL_RUN_ITERS = 5000
 GRADCHECK_THRESHOLDS = {0.0: 1e-6, 1e-3: 1e-5}
 
 
-def _seed(raw: str) -> int:
-    """``--seed``'s type: numpy's generators take nonnegative seeds only."""
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
-    return value
+def _int_at_least(low: int, name: str):
+    """An argparse type for ``name``, an int of at least ``low`` (0 or 1):
+    numpy's generators take nonnegative seeds only, and a pool needs at
+    least one worker."""
 
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be {('nonnegative', 'positive')[low]}, got {value}")
+        return value
 
-def _jobs(raw: str) -> int:
-    """``--jobs``'s type: a pool needs at least one worker."""
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be positive, got {value}")
-    return value
+    parse.__name__ = "int"  # argparse's "invalid int value" message names the type
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic multi-domain dataset file")
     p.add_argument("--config", help="JSON with dataset spec fields (domains, classes, per_class, image_size)")
     p.add_argument("--out", required=True, help="dataset file to write")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
     p.set_defaults(func=cmd_gen)
 
     def train_like(name, help_text):
@@ -89,13 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--group-n", type=int, dest="group_n")
         q.add_argument("--lr", type=float)
         q.add_argument("--iters", type=int)
-        q.add_argument("--full-iters", action="store_true", help=f"run the full {FULL_RUN_ITERS} iterations")
         return q
 
     def harness(name, help_text, run):
         q = train_like(name, help_text)
         q.add_argument("--seeds", default="0,1,2", help="comma-separated run seeds")
-        q.add_argument("--jobs", type=_jobs, default=1)
+        q.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=1)
         q.set_defaults(func=partial(_run_harness, run=run))
         return q
 
@@ -116,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="audit analytic gradients against central differences")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("analyze", help="weight principal-component and feature-projection reports")
@@ -140,18 +127,9 @@ def main(argv=None) -> int:
     try:
         vit.thread_budget()  # a malformed PEGO_THREADS fails here, before any work
         return args.func(args)
-    except (ConfigError, SplitError, InputError, ShapeError) as exc:
+    except PegoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (NumericError, InconclusiveCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+        return exc.exit_code
 
 
 def _read_json(path) -> dict:
@@ -236,11 +214,7 @@ def _load_train_config(args, dataset):
         cfg = trainer.TrainConfig(batch_per_domain=8, vit=vit_cfg)
     names = ("seed", "alpha", "rank", "group_n", "lr")
     overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
-    if getattr(args, "full_iters", False):
-        if getattr(args, "iters", None) is not None:
-            raise ConfigError("--iters and --full-iters are mutually exclusive")
-        overrides["iterations"] = FULL_RUN_ITERS
-    elif getattr(args, "iters", None) is not None:
+    if args.iters is not None:
         overrides["iterations"] = args.iters
     if getattr(args, "values", None) is not None:
         overrides["n_search"] = tuple(_parse_ints(args.values, "group size"))
@@ -326,7 +300,7 @@ def cmd_train(args) -> int:
     checkpoint.save_model(merged_path, result.model)
     _history_csv(run_path, result.history)
     print(f"selected iteration {result.selected_iter} with validation accuracy {result.best_val_acc!r}")
-    _write_manifest(args, out / "manifest.json", cfg.to_dict(), [cfg.seed], artifacts, t0)
+    _write_manifest(args, out / "manifest.json", asdict(cfg), [cfg.seed], artifacts, t0)
     return EXIT_OK
 
 
@@ -361,7 +335,7 @@ def _run_harness(args, run) -> int:
         trainer.log.removeHandler(handler)
         trainer.log.setLevel(level)
     phases = {"load": t1 - t0, "pretrain": t2 - t1, "run": time.monotonic() - t2}
-    _write_manifest(args, out / "manifest.json", cfg.to_dict(), seeds, artifacts, t0, phases=phases)
+    _write_manifest(args, out / "manifest.json", asdict(cfg), seeds, artifacts, t0, phases=phases)
     return EXIT_OK
 
 

@@ -52,12 +52,21 @@ class DomainDataset:
     num_classes: int
 
     def validate(self) -> None:
+        """Check for more than one domain, each with (n, s, s) images at one
+        size s, n labels and every class present."""
         if len(self.domains) < 2:
             raise ConfigError("a domain dataset needs more than one domain")
+        side = self.images[self.domains[0]].shape[-1:]
         for dom in self.domains:
-            present = set(int(c) for c in np.unique(self.labels[dom]))
+            images, labels = self.images[dom], self.labels[dom]
+            if images.shape != (labels.size, *side, *side) or labels.shape != (labels.size,):
+                raise ConfigError(
+                    f"domain {dom} has images of shape {images.shape} for labels of shape {labels.shape}; "
+                    f"expected (n, s, s) images for n labels, with s the same for every domain"
+                )
+            present = set(int(c) for c in np.unique(labels))
             if present != set(range(self.num_classes)):
-                raise ConfigError(f"domain {dom} is missing classes {set(range(self.num_classes)) - present}")
+                raise ConfigError(f"domain {dom} has classes {sorted(present)}, expected 0 to {self.num_classes - 1}")
 
     def without(self, domain: str) -> "DomainDataset":
         if domain not in self.domains:

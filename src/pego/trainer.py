@@ -21,7 +21,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,11 +89,6 @@ class TrainConfig:
         self.vit.validate()
         if self.rank > self.vit.embed_dim:
             raise ConfigError(f"rank {self.rank} exceeds the embed dim {self.vit.embed_dim}")
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["n_search"] = list(self.n_search)
-        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":

@@ -93,6 +93,33 @@ def test_an_invalid_dataset_header_is_rejected(tmp_path, field, value):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("images", lambda x: x[:2], r"images of shape \(2, 8, 8\) for labels of shape \(8,\)"),
+        ("images", lambda x: x.reshape(len(x), -1), r"images of shape \(8, 64\)"),
+        ("images", lambda x: x[:, :4, :4], r"images of shape \(8, 4, 4\)"),
+        ("labels", lambda y: y[:, None], r"labels of shape \(8, 1\)"),
+        ("labels", lambda y: y + 0.7, "labels that are not whole numbers"),
+        ("labels", lambda y: np.where(y == 1, np.nan, y), "labels that are not whole numbers"),
+        ("labels", lambda y: np.where(y == 1, np.inf, y), "labels that are not whole numbers"),
+        ("labels", lambda y: y * 2, r"has classes \[0, 2\], expected 0 to 1"),
+    ],
+    ids=["short-images", "flat-images", "other-size", "column-labels", "fractional", "nan", "inf", "unknown-class"],
+)
+def test_a_dataset_whose_images_and_labels_disagree_is_rejected(tmp_path, name, change, message):
+    # images (n, s, s) for n whole labels, one s for every domain; the
+    # file's path is named, as for a bad header
+    ds = generate_dataset(DatasetSpec(domains=3, classes=2, per_class=4, image_size=8), seed=3)
+    path = tmp_path / "d.ckpt"
+    save_dataset(path, ds)
+    header, tensors = read_container(path)
+    tensors[f"domain.d1.{name}"] = change(tensors[f"domain.d1.{name}"])
+    write_container(path, header, tensors)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: bad dataset: domain d1 .*{message}"):
+        load_dataset(path)
+
+
 def test_container_preserves_names_shapes_and_header(tmp_path):
     path = tmp_path / "c.ckpt"
     tensors = {"x": np.arange(6.0).reshape(2, 3), "y.z": np.ones(4)}

@@ -11,7 +11,7 @@ import pytest
 
 import pego
 from pego import autograd as ag
-from pego import cli
+from pego import cli, errors
 
 
 @pytest.fixture(scope="module")
@@ -161,23 +161,6 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "warning" in err and "alpha" in err and "rank" in err
 
-    def test_iters_flags_conflict(self, workdir, dataset_file, config_file):
-        code = cli.main(
-            [
-                "train",
-                "--config",
-                str(config_file),
-                "--dataset",
-                str(dataset_file),
-                "--out",
-                str(workdir / "x"),
-                "--iters",
-                "3",
-                "--full-iters",
-            ]
-        )
-        assert code == 2
-
     def test_mistyped_config_field_exits_2(self, workdir, dataset_file, config_file, capsys):
         bad_cfg = json.loads(config_file.read_text())
         bad_cfg["rank"] = "2"
@@ -251,6 +234,35 @@ class TestEval:
         assert cli.main(["eval", "--ckpt", str(bad), "--dataset", str(dataset_file), "--domain", "d0"]) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "3 heads" in err
+
+    def test_a_nan_in_the_header_config_exits_3(self, workdir, dataset_file, trained, capsys):
+        from pego.checkpoint import read_container, write_container
+
+        header, tensors = read_container(trained / "merged.ckpt")
+        header["config"]["mlp_ratio"] = float("nan")  # json writes NaN and reads it back
+        bad = workdir / "nan_mlp_ratio.ckpt"
+        write_container(bad, header, tensors)
+        assert cli.main(["eval", "--ckpt", str(bad), "--dataset", str(dataset_file), "--domain", "d0"]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "mlp_ratio must be finite, got nan" in err
+
+    @pytest.mark.parametrize("case", ["short-images", "flat-images", "fractional-labels"])
+    def test_a_malformed_dataset_file_exits_3(self, workdir, dataset_file, trained, capsys, case):
+        from pego.checkpoint import read_container, write_container
+
+        header, tensors = read_container(dataset_file)
+        images, labels = tensors["domain.d1.images"], tensors["domain.d1.labels"]
+        if case == "short-images":
+            tensors["domain.d1.images"] = images[:5]
+        elif case == "flat-images":
+            tensors["domain.d1.images"] = images.reshape(len(images), -1)
+        else:
+            tensors["domain.d1.labels"] = labels + 0.5
+        bad = workdir / f"bad_{case}.ckpt"
+        write_container(bad, header, tensors)
+        assert cli.main(["eval", "--ckpt", str(trained / "merged.ckpt"), "--dataset", str(bad), "--domain", "d0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: bad dataset: domain d1 ")
 
 
 class TestLodo:
@@ -601,6 +613,62 @@ def test_importing_the_cli_loads_no_numpy():
     code = "import sys, pego; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# Each error class's exit code, as the command line has always mapped it.
+EXIT_CODES = {
+    errors.ShapeError: 2,
+    errors.ConfigError: 2,
+    errors.SplitError: 2,
+    errors.InputError: 2,
+    errors.CheckpointError: 3,
+    errors.DegenerateInputError: 4,
+    errors.NumericError: 1,
+    errors.InconclusiveCheckError: 1,
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    assert set(EXIT_CODES) == set(errors.PegoError.__subclasses__())
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_an_error_exits_with_its_class_code(monkeypatch, capsys, error):
+    def failing(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", failing)
+    assert cli.main(["gradcheck"]) == EXIT_CODES[error]
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("alpha-nan", "alpha must be finite, got nan"),
+        ("lr-inf", "lr must be finite, got inf"),
+        ("lr-minus-inf", "lr must be finite, got -inf"),
+        ("config-alpha-nan", "alpha must be finite, got nan"),
+    ],
+)
+def test_a_non_finite_number_exits_2_before_pretraining(
+    workdir, dataset_file, config_file, monkeypatch, capsys, case, message
+):
+    def no_pretrain(*args):
+        raise AssertionError("pretrained before the config was validated")
+
+    monkeypatch.setattr("pego.trainer.pretrain_base", no_pretrain)
+    nan_config = workdir / "nan_alpha.json"
+    nan_config.write_text(config_file.read_text().replace('"alpha": 0.001', '"alpha": NaN'))
+    flags = {
+        "alpha-nan": ["--config", str(config_file), "--alpha", "nan"],
+        "lr-inf": ["--config", str(config_file), "--lr", "inf"],
+        "lr-minus-inf": ["--config", str(config_file), "--lr=-inf"],
+        "config-alpha-nan": ["--config", str(nan_config)],
+    }[case]
+    argv = ["train", *flags, "--dataset", str(dataset_file), "--out", str(workdir / "non_finite")]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import pego
+from pego import errors
 
 # The only imports inside functions: ``entry`` must cap the thread pools
 # before ``cli`` loads numpy, and ``vit`` imports ``adapters``, so
@@ -20,25 +21,55 @@ def test_function_local_imports_are_the_two_kept():
     assert found == KEPT
 
 
-def _file_writes(node, function=None):
-    """The enclosing function's name for every write-mode ``open(`` call,
-    ``write_text`` and ``write_bytes`` under ``node``."""
-    for child in ast.iter_child_nodes(node):
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        if isinstance(child, ast.Call):
-            if isinstance(child.func, ast.Name) and child.func.id == "open":
-                mode = child.args[1] if len(child.args) > 1 else next(
-                    (k.value for k in child.keywords if k.arg == "mode"), ast.Constant("r")
-                )
-                if not (isinstance(mode, ast.Constant) and set(mode.value).isdisjoint("wax+")):
-                    yield function
-            elif isinstance(child.func, ast.Attribute) and child.func.attr in ("write_text", "write_bytes"):
-                yield function
-        yield from _file_writes(child, inner)
+def _nodes(tree):
+    """Every node under ``tree`` with the name of its enclosing function,
+    None at module level."""
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            yield child, function
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            stack.append((child, inner))
+
+
+def _sources():
+    for path in sorted(Path(pego.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def _is_file_write(node):
+    """A write-mode ``open(`` call, ``write_text`` or ``write_bytes``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name) and node.func.id == "open":
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r")
+        )
+        return not (isinstance(mode, ast.Constant) and set(mode.value).isdisjoint("wax+"))
+    return isinstance(node.func, ast.Attribute) and node.func.attr in ("write_text", "write_bytes")
 
 
 def test_files_are_written_only_by_the_atomic_writer():
-    found = []
-    for path in sorted(Path(pego.__file__).parent.glob("*.py")):
-        found += [(path.name, fn) for fn in _file_writes(ast.parse(path.read_text()))]
+    found = [(name, fn) for name, tree in _sources() for node, fn in _nodes(tree) if _is_file_write(node)]
     assert found == [("checkpoint.py", "atomic_write")]
+
+
+ERROR_CLASSES = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception)}
+
+
+def test_only_the_command_line_maps_errors_prints_and_exits():
+    # One handler turns every package error into its class's exit code, and
+    # library calls print nothing: print( and sys.exit( belong to the
+    # command line and the console script.
+    handlers, output = [], set()
+    for name, tree in _sources():
+        for node, fn in _nodes(tree):
+            if name == "cli.py" and isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                if named & ERROR_CLASSES:
+                    handlers.append((fn, ast.unparse(node.type)))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("print", "sys.exit"):
+                output.add(name if name == "cli.py" else (name, fn))
+    assert handlers == [("main", "PegoError")]
+    assert output == {"cli.py", ("__init__.py", "entry")}

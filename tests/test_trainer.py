@@ -1,5 +1,5 @@
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -94,7 +94,7 @@ class TestTrainConfig:
 
     def test_dict_roundtrip(self):
         cfg = _tiny_cfg(alpha=0.5, n_search=(2, 6))
-        again = TrainConfig.from_dict(cfg.to_dict())
+        again = TrainConfig.from_dict(asdict(cfg))
         assert again == cfg
 
     @pytest.mark.parametrize(
