@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, adapters, checkpoint, data, diagnostics, gradcheck, trainer, vit
 from . import autograd as ag
-from .errors import ConfigError, DegenerateInputError, PegoError
+from .errors import ConfigError, PegoError
 from .numerics import make_rng
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         return q
 
     p = train_like("train", "train on every domain of a dataset, write checkpoints and metrics")
-    p.add_argument("--base", help="checkpoint to use as the frozen base (default: built-in pretrained stand-in)")
+    p.add_argument("--base", help="frozen base checkpoint; its model config is the run's (default: built-in stand-in)")
     p.set_defaults(func=cmd_train)
 
     harness("lodo", "leave-one-domain-out evaluation across seeds", cmd_lodo)
@@ -205,25 +205,27 @@ def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float,
     _write_json(path, manifest)
 
 
-def _load_train_config(args, dataset):
-    image_size = next(iter(dataset.images.values())).shape[1]
+def _load_train_config(args, dataset, base=None):
+    """The run's validated config: the config file's, or a default built
+    from the dataset, with the command line's numbers over it and, when
+    ``base`` is given, that checkpoint's model config as its ``vit``."""
     if args.config:
         cfg = trainer.TrainConfig.from_dict(_read_json(args.config))
     else:
-        vit_cfg = replace(trainer.canonical_vit_config(num_classes=dataset.num_classes), image_size=image_size)
-        cfg = trainer.TrainConfig(batch_per_domain=8, vit=vit_cfg)
+        vit_cfg = trainer.canonical_vit_config(num_classes=dataset.num_classes)
+        cfg = trainer.TrainConfig(batch_per_domain=8, vit=replace(vit_cfg, image_size=_image_size(dataset)))
     names = ("seed", "alpha", "rank", "group_n", "lr")
     overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     if args.iters is not None:
         overrides["iterations"] = args.iters
     if getattr(args, "values", None) is not None:
-        overrides["n_search"] = tuple(_parse_ints(args.values, "group size"))
+        overrides["n_search"] = tuple(_parse_ints(args.values, "candidate group size"))
+    if base is not None:
+        overrides["vit"] = base.cfg
     cfg = replace(cfg, **overrides)
     cfg.validate()
-    if cfg.vit.image_size != image_size:
-        raise ConfigError(f"model expects {cfg.vit.image_size}px images but the dataset has {image_size}px")
-    if cfg.vit.num_classes != dataset.num_classes:
-        raise ConfigError(f"model has {cfg.vit.num_classes} classes but the dataset has {dataset.num_classes}")
+    model_path = args.base if base is not None else args.config or "the built-in config"
+    _check_fit(cfg.vit, model_path, dataset, args.dataset)
     for name in ("alpha", "rank"):
         value, default = getattr(cfg, name), trainer.TrainConfig.__dataclass_fields__[name].default
         if value != default:
@@ -231,8 +233,24 @@ def _load_train_config(args, dataset):
     return cfg
 
 
+def _image_size(dataset) -> int:
+    return next(iter(dataset.images.values())).shape[1]
+
+
+def _check_fit(model_cfg, model_path, dataset, dataset_path) -> None:
+    """Raise ``ConfigError``, naming both files, unless a model of
+    ``model_cfg`` (from ``model_path``) takes the images of ``dataset``
+    (from ``dataset_path``) and predicts its classes."""
+    size, classes = _image_size(dataset), dataset.num_classes
+    if (model_cfg.image_size, model_cfg.num_classes) != (size, classes):
+        raise ConfigError(
+            f"the model of {model_path} takes {model_cfg.image_size}px images of {model_cfg.num_classes} classes, "
+            f"but the dataset {dataset_path} has {size}px images of {classes} classes"
+        )
+
+
 def _parse_ints(raw: str, what: str) -> list[int]:
-    """A nonempty comma-separated list of nonnegative ints, such as ``--seeds``."""
+    """A nonempty comma-separated list of distinct nonnegative ints, such as ``--seeds``."""
     try:
         values = [int(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -241,6 +259,9 @@ def _parse_ints(raw: str, what: str) -> list[int]:
         raise ConfigError(f"at least one {what} is required")
     if min(values) < 0:
         raise ConfigError(f"bad {what} list {raw!r}: values must be nonnegative")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"{what}s must be distinct, but {repeated} is repeated in {raw!r}")
     return values
 
 
@@ -290,9 +311,11 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.monotonic()
     dataset = checkpoint.load_dataset(args.dataset)
-    cfg = _load_train_config(args, dataset)
+    base = checkpoint.load_model(args.base) if args.base else None
+    cfg = _load_train_config(args, dataset, base)
     out = _ensure_outdir(args.out)
-    base = checkpoint.load_model(args.base) if args.base else trainer.pretrain_base(cfg.vit, cfg.seed)
+    if base is None:
+        base = trainer.pretrain_base(cfg.vit, cfg.seed)
     result = trainer.train(base, dataset, cfg)
     artifacts = [out / name for name in ("adapted.ckpt", "merged.ckpt", "run.csv")]
     adapted_path, merged_path, run_path = artifacts
@@ -307,6 +330,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = checkpoint.load_model(args.ckpt)
     dataset = checkpoint.load_dataset(args.dataset)
+    _check_fit(model.cfg, args.ckpt, dataset, args.dataset)
     if args.domain not in dataset.domains:
         raise ConfigError(f"domain {args.domain!r} not in dataset (has {dataset.domains})")
     acc = trainer.evaluate(model, dataset, domains=[args.domain])
@@ -423,8 +447,10 @@ def _write_analysis_csvs(out, report, projection) -> list:
 
 def cmd_analyze(args) -> int:
     t0 = time.monotonic()
-    out = _ensure_outdir(args.out)
+    dataset = checkpoint.load_dataset(args.dataset)
     model = checkpoint.load_model(args.ckpt)
+    _check_fit(model.cfg, args.ckpt, dataset, args.dataset)
+    out = _ensure_outdir(args.out)
     index, proj = _resolve_layer(model, args.layer)
     layer = getattr(model.blocks[index].attn, proj)
     models = [(Path(args.ckpt).stem, model)]
@@ -443,11 +469,8 @@ def cmd_analyze(args) -> int:
         delta = adapters.group_delta(layer.group)
     else:
         raise ConfigError("checkpoint has no adapters at the requested layer; provide --pre for a merged pair")
-    if not np.any(delta):
-        raise DegenerateInputError("the adapter update at the requested layer is identically zero")
     k = min(args.top_k, min(w_pre.shape))
     report = diagnostics.weight_pc_report(w_pre, delta, k)
-    dataset = checkpoint.load_dataset(args.dataset)
     images = np.concatenate([dataset.images[d] for d in dataset.domains])
     labels = np.concatenate([dataset.labels[d] for d in dataset.domains])
     projection = diagnostics.feature_projection(models, images, labels)

@@ -4,14 +4,15 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import pego
 from pego import autograd as ag
-from pego import cli, errors
+from pego import checkpoint, cli, errors, trainer, vit
+from pego.numerics import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +190,42 @@ class TestTrain:
             ["train", "--config", str(bad_path), "--dataset", str(dataset_file), "--out", str(workdir / "y")]
         )
         assert code == 2
+
+
+    def test_a_saved_built_in_base_trains_as_plain_train_does(self, workdir, dataset_file, config_file, trained):
+        cfg = trainer.TrainConfig.from_dict(json.loads(config_file.read_text()))
+        base = workdir / "built_in_base.ckpt"
+        checkpoint.save_model(base, trainer.pretrain_base(cfg.vit, cfg.seed))
+        out = workdir / "trained_on_base"
+        argv = ["train", "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(out)]
+        assert cli.main(argv + ["--base", str(base)]) == 0
+        for name in ("adapted.ckpt", "merged.ckpt", "run.csv"):
+            assert (out / name).read_bytes() == (trained / name).read_bytes(), name
+        plain, on_base = (json.loads((d / "manifest.json").read_text()) for d in (trained, out))
+        assert json.dumps(on_base["config"]) == json.dumps(plain["config"])
+        assert on_base["config_hash"] == plain["config_hash"]
+
+    def test_a_base_brings_its_own_model_config(self, workdir, dataset_file, monkeypatch, capsys):
+        def no_pretrain(*args):
+            raise AssertionError("pretrained although --base was given")
+
+        monkeypatch.setattr("pego.trainer.pretrain_base", no_pretrain)
+        narrow = vit.VitConfig(
+            image_size=8, patch_size=4, embed_dim=8, num_blocks=1, num_heads=2, mlp_ratio=2.0, num_classes=2
+        )
+        base = workdir / "narrow_base.ckpt"
+        checkpoint.save_model(base, vit.init_vit(narrow, make_rng(3)))
+        out = workdir / "trained_on_narrow"
+        argv = ["train", "--dataset", str(dataset_file), "--out", str(out), "--base", str(base), "--iters", "2"]
+        assert cli.main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["vit"] == asdict(narrow)
+        assert manifest["config_hash"] == cli._config_hash(manifest["config"])
+        assert checkpoint.load_model(out / "merged.ckpt").cfg == narrow
+        # rank 9 fits the built-in config's embed dim of 32, not the base's 8
+        argv = ["train", "--dataset", str(dataset_file), "--out", str(workdir / "rank_9"), "--base", str(base)]
+        assert cli.main(argv + ["--rank", "9"]) == 2
+        assert "rank 9 exceeds the embed dim 8" in capsys.readouterr().err
 
 
 class TestEval:
@@ -563,6 +600,12 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "embed_dim=16" in err and "embed_dim=8" in err
 
+    def test_a_zero_update_of_a_pair_exits_4(self, workdir, dataset_file, trained, capsys):
+        merged = str(trained / "merged.ckpt")
+        argv = ["analyze", "--ckpt", merged, "--pre", merged, "--dataset", str(dataset_file)]
+        assert cli.main(argv + ["--out", str(workdir / "analysis_zero")]) == 4
+        assert "identically zero" in capsys.readouterr().err
+
     def test_merged_without_pre_exits_2(self, workdir, dataset_file, trained):
         out = workdir / "analysis_merged"
         code = cli.main(
@@ -769,3 +812,68 @@ def test_a_negative_seed_exits_2_before_any_work(workdir, dataset_file, config_f
     }[case]
     assert cli.main(argv) == 2
     assert ("jobs must be positive" if "jobs" in case else "nonnegative") in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def misfits(workdir, config_file):
+    """For each way a model can miss the 8px, 2-class dataset: a checkpoint
+    of such a model and a config file naming it."""
+    fits = trainer.TrainConfig.from_dict(json.loads(config_file.read_text())).vit
+    files = {}
+    for kind, cfg in {"image-size": replace(fits, image_size=16), "class-count": replace(fits, num_classes=3)}.items():
+        ckpt, config = workdir / f"misfit_{kind}.ckpt", workdir / f"misfit_{kind}.json"
+        checkpoint.save_model(ckpt, vit.init_vit(cfg, make_rng(0)))
+        config.write_text(json.dumps({**json.loads(config_file.read_text()), "vit": asdict(cfg)}))
+        files[kind] = ckpt, config
+    return files
+
+
+@pytest.mark.parametrize("kind", ["image-size", "class-count"])
+@pytest.mark.parametrize("command", ["train-base", "lodo-config", "eval", "analyze"])
+def test_a_model_that_misses_the_dataset_exits_2_before_any_work(
+    workdir, dataset_file, config_file, misfits, monkeypatch, capsys, command, kind
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a model that misses the dataset")
+
+    for name in ("pretrain_base", "train", "evaluate", "leave_one_domain_out"):
+        monkeypatch.setattr(trainer, name, no_work)
+    monkeypatch.setattr("pego.diagnostics.weight_pc_report", no_work)
+    ckpt, config = misfits[kind]
+    out = workdir / f"misfit_{command}_{kind}"
+    run = ["--dataset", str(dataset_file), "--out", str(out)]
+    argv, model_path = {
+        "train-base": (["train", "--config", str(config_file), "--base", str(ckpt), *run], ckpt),
+        "lodo-config": (["lodo", "--config", str(config), *run], config),
+        "eval": (["eval", "--ckpt", str(ckpt), "--dataset", str(dataset_file), "--domain", "d0"], ckpt),
+        "analyze": (["analyze", "--ckpt", str(ckpt), *run], ckpt),
+    }[command]
+    before = sorted(workdir.rglob("*"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(model_path) in err and str(dataset_file) in err
+    assert sorted(workdir.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "command, flags, repeated",
+    [
+        ("lodo", ["--seeds", "1,1"], "1 is repeated in '1,1'"),
+        ("ablate", ["--seeds", "0,2,0"], "0 is repeated in '0,2,0'"),
+        ("sweep", ["--seeds", "3,3"], "3 is repeated in '3,3'"),
+        ("sweep", ["--values", "2,4,2"], "2 is repeated in '2,4,2'"),
+    ],
+    ids=["lodo-seeds", "ablate-seeds", "sweep-seeds", "sweep-values"],
+)
+def test_a_repeated_seed_or_group_size_exits_2_before_any_work(
+    workdir, dataset_file, config_file, monkeypatch, capsys, command, flags, repeated
+):
+    def no_pretrain(*args):
+        raise AssertionError("pretrained with a repeated entry")
+
+    monkeypatch.setattr("pego.trainer.pretrain_base", no_pretrain)
+    out = workdir / f"repeated_{command}"
+    argv = [command, "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(out), *flags]
+    assert cli.main(argv) == 2
+    assert repeated in capsys.readouterr().err
+    assert not out.exists()
