@@ -14,12 +14,13 @@ arguments:
 
 Fresh groups start with B_i = 0, so both penalties are exactly zero at
 initialization; a group of one module has no pair to diversify. The
-forward path (``autograd.linear``) applies adapters in factored order,
-and the penalties' arguments, (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
+forward path (``autograd.linear``) multiplies by W + B A and merge-back
+adds the same product B A of the stacked factors
+(``autograd.adapter_update``), so merged logits are bitwise the adapted
+ones. The penalties' arguments, (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
 come from the tape ops ``autograd.preserve_args``/``diversify_args``
 alone: ``loss_or_tensor`` is the one place their values are read, for
-the training objective and its logged values alike. The d-by-k
-products B_i A_i are formed only for merge-back and the diagnostics.
+the training objective and its logged values alike.
 """
 
 from __future__ import annotations
@@ -89,11 +90,8 @@ def init_group(d: int, k: int, r: int, n: int, rng: np.random.Generator) -> Lora
 
 
 def group_delta(group: LoraGroup) -> np.ndarray:
-    """The combined update sum_i B_i A_i as a dense matrix."""
-    total = group.modules[0].delta()
-    for m in group.modules[1:]:
-        total = total + m.delta()
-    return total
+    """The combined update sum_i B_i A_i as a dense matrix, as ``autograd.linear`` forms it."""
+    return ag.adapter_update(*group.factors())[2]
 
 
 # The projections of each block that carry a group, in draw order.
@@ -126,9 +124,9 @@ def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
 def merge_all(model):
     """Fold every group into its host weight and drop the adapters.
 
-    Returns a new model whose adapted weights become W + sum_i B_i A_i;
-    the input-to-logit map is unchanged up to float rounding, and the
-    returned model carries zero adapter parameters.
+    Returns a new model whose adapted weights become W + sum_i B_i A_i,
+    bitwise those the adapted forward multiplies by, so the logits are
+    unchanged bitwise; it carries zero adapter parameters.
     """
     from . import vit  # vit imports this module, so not at the top
 

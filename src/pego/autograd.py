@@ -6,11 +6,11 @@ layernorm, GELU, softmax, mean cross-entropy, the entrywise
 absolute-value sum, and three fused adapter ops. ``matmul`` multiplies
 its operands as given and never transposes one; a caller that needs a
 transposed operand lays it out with ``transpose``, as attention does
-with its keys. ``linear`` is a whole projection, ``x W^T + (x A^T) B^T
-+ bias``, always with a bias, with the adapter factors of a group
-stacked inside the op; ``preserve_args`` and ``diversify_args`` each
-stack the matrix arguments of one orthogonality penalty over every
-adapted projection of the model, in rank-factored order, and one
+with its keys. ``linear`` is a whole projection, ``x (W + B A)^T +
+bias``, always with a bias, with ``B A`` the update of a group's
+stacked factors (``adapter_update``); ``preserve_args`` and
+``diversify_args`` each stack the matrix arguments of one orthogonality
+penalty over every adapted projection, in rank-factored order, and one
 ``abs_sum`` then takes their L1 norm. Each operator stores a closure
 mapping the output gradient to parent gradients; ``backprop`` walks the
 tape once in reverse topological order and returns the gradient with
@@ -23,8 +23,8 @@ a constant) and skip its work; ``backprop`` skips ``None`` entries.
 Everything is float64. Parameters are 2-D; activations may carry
 leading batch axes, and broadcasting against parameters is undone by
 summation in the backward pass, except in ``linear``, whose weight and
-factor gradients are 2-D GEMMs over the flattened batch rows. The
-subgradient of ``|x|`` at 0 is 0.
+factor gradients come from one 2-D GEMM over the flattened batch rows.
+The subgradient of ``|x|`` at 0 is 0.
 
 A tape is confined to the thread that built it; building independent
 tapes on separate threads is safe, and ``no_grad`` holds for the thread
@@ -415,46 +415,48 @@ def _rows(t):
     return t.reshape(-1, t.shape[-1])
 
 
+def adapter_update(a_parts, b_parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A, B, B A)``: the factors of adapter modules ``a_parts[i]`` (r_i,
+    k), ``b_parts[i]`` (d, r_i) stacked, A's by rows and B's by columns,
+    and their one product, the group's update ``sum_i B_i A_i``."""
+    a = np.concatenate([p.data for p in a_parts], axis=0)
+    b = np.concatenate([p.data for p in b_parts], axis=1)
+    return a, b, b @ a
+
+
 def linear(x: Tensor, w: Tensor, bias: Tensor, a_parts=(), b_parts=()) -> Tensor:
-    """One projection: ``x W^T + sum_i (x A_i^T) B_i^T + bias``.
+    """One projection: ``x (W + sum_i B_i A_i)^T + bias``.
 
     ``x`` is (..., k), ``w`` is (d, k), ``bias`` is (1, d), and
     adapter module i is the pair ``a_parts[i]`` (r_i, k), ``b_parts[i]``
-    (d, r_i). The A's are stacked by rows and the B's by columns, so
-    every module's term comes from one GEMM pair in factored order and
-    no d-by-k product B_i A_i is formed.
+    (d, r_i). The op forms ``W_eff = W + B A`` (``adapter_update``) and
+    multiplies ``x`` by it alone; merge-back adds the same ``B A``.
 
-    The forward multiplies by C-contiguous copies of ``W^T`` and of the
-    stacked factors' transposes: numpy multiplies a batch by a
-    transposed view up to twice as slowly. Leading axes of ``x`` stay
-    batch axes in the forward and in ``x``'s gradient. Each weight and
-    factor gradient, a sum over every row of the batch, is one 2-D GEMM
-    over the flattened rows rather than a product per image summed
-    afterwards. Large batches make these GEMMs big enough for OpenBLAS
-    to thread, which is why pool workers cap its threads
-    (``set_blas_threads``).
+    The forward multiplies by a C-contiguous copy of ``W_eff^T``: numpy
+    multiplies a batch by a transposed view up to twice as slowly.
+    Leading axes of ``x`` stay batch axes in the forward and in ``x``'s
+    gradient. When W or a factor trains, one 2-D GEMM over the flattened
+    rows, not one per image, gives ``G = g^T x``, the gradient of
+    ``W_eff``; A's gradient is ``B^T G`` and B's ``G A^T``. Large batches
+    make that GEMM big enough for OpenBLAS to thread, which is why pool
+    workers cap its threads (``set_blas_threads``).
     """
     xd = x.data
-    out = xd @ np.ascontiguousarray(w.data.T)
-    a = b = h = None
+    w_eff = w.data
     if a_parts:
-        a = np.concatenate([p.data for p in a_parts], axis=0)
-        b = np.concatenate([p.data for p in b_parts], axis=1)
-        h = xd @ np.ascontiguousarray(a.T)
-        out += h @ np.ascontiguousarray(b.T)
+        a, b, update = adapter_update(a_parts, b_parts)
+        w_eff = w.data + update
+    out = xd @ np.ascontiguousarray(w_eff.T)
     out += bias.data
 
     def grad_fn(g):
-        gh = g @ b if h is not None and (x.requires_grad or _any_grad(a_parts)) else None
-        gx = None
-        if x.requires_grad:
-            gx = g @ w.data
-            if gh is not None:
-                gx += gh @ a
-        gw = _rows(g).T @ _rows(xd) if w.requires_grad else None
+        need_a, need_b = _any_grad(a_parts), _any_grad(b_parts)
+        gx = g @ w_eff if x.requires_grad else None
+        g_eff = _rows(g).T @ _rows(xd) if w.requires_grad or need_a or need_b else None
+        gw = g_eff if w.requires_grad else None
         gbias = _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
-        ga = _rows(gh).T @ _rows(xd) if _any_grad(a_parts) else None
-        gb = _rows(g).T @ _rows(h) if _any_grad(b_parts) else None
+        ga = b.T @ g_eff if need_a else None
+        gb = g_eff @ a.T if need_b else None
         return [gx, gw, gbias] + _row_blocks(a_parts, ga, 0) + _row_blocks(b_parts, gb, 1)
 
     return _node(out, (x, w, bias) + tuple(a_parts) + tuple(b_parts), grad_fn)

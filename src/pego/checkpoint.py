@@ -103,18 +103,28 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(r.take(r.u64()).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: malformed header: a {type(header).__name__}, not a JSON object")
     dtype = header.get("dtype", "f64")
     if dtype != "f64":
         raise CheckpointError(f"{path}: unsupported dtype flag {dtype!r}")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u64()):
-        name = r.take(r.u64()).decode("utf-8")
+        raw_name = r.take(r.u64())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name {raw_name!r} is not UTF-8") from exc
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} is stored twice")
         ndim = r.u64()
         if ndim > 8:
             raise CheckpointError(f"{path}: implausible rank {ndim} for tensor {name}")
         shape = tuple(r.u64() for _ in range(ndim))
         raw = r.take(math.prod(shape) * _F64.itemsize)  # Python ints: no int64 wrap-around
         tensors[name] = np.frombuffer(raw, dtype=_F64).astype(np.float64).reshape(shape)
+    if r.off != len(buf):
+        raise CheckpointError(f"{path}: {len(buf) - r.off} bytes after the last tensor")
     return header, tensors
 
 

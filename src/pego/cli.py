@@ -311,7 +311,8 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.monotonic()
     dataset = checkpoint.load_dataset(args.dataset)
-    base = checkpoint.load_model(args.base) if args.base else None
+    # A base's own groups fold into its weights; training attaches fresh ones.
+    base = adapters.merge_all(checkpoint.load_model(args.base)) if args.base else None
     cfg = _load_train_config(args, dataset, base)
     out = _ensure_outdir(args.out)
     if base is None:

@@ -280,6 +280,19 @@ class TestMerge:
         diff = np.abs(vit.forward_logits_batch(model, images) - vit.forward_logits_batch(merged, images))
         assert diff.max() <= 1e-10
 
+    def test_logits_are_bitwise_equal_after_merge(self):
+        # The adapted forward multiplies by W + B A, and merge-back adds the
+        # same B A; two blocks cover the all-token and class-row paths.
+        cfg = VitConfig(
+            image_size=8, patch_size=4, embed_dim=8, num_blocks=2, num_heads=2, mlp_ratio=2.0, num_classes=3
+        )
+        model = init_vit(cfg, make_rng(25))
+        inject_groups(model, rank=2, n=3, rng=make_rng(25, 1))
+        _randomize_adapters(model, make_rng(26))
+        merged = merge_all(model)
+        images = make_rng(27).random((20, 8, 8))
+        assert np.array_equal(vit.forward_logits_batch(model, images), vit.forward_logits_batch(merged, images))
+
     def test_prediction_invariant_under_merge(self):
         model = _small_model(n=2, r=2)
         _randomize_adapters(model, make_rng(18))

@@ -178,6 +178,47 @@ def test_corrupt_files_raise_checkpoint_errors(tmp_path):
         read_container(bad_version)
 
 
+def _records_at(blob):
+    """The offset of a container's tensor count: past magic, version and header."""
+    return 16 + struct.unpack("<Q", blob[8:16])[0]
+
+
+def _name_not_utf8(blob):
+    at = _records_at(blob) + 16  # past the count and the first name's length
+    return blob[:at] + b"\xff" + blob[at + 1 :]
+
+
+def _header_not_an_object(blob):
+    return checkpoint.MAGIC + struct.pack("<IQ", checkpoint.FORMAT_VERSION, 6) + b"[1, 2]" + blob[_records_at(blob) :]
+
+
+def _repeated_name(blob):
+    at = _records_at(blob)
+    count, records = struct.unpack("<Q", blob[at : at + 8])[0], blob[at + 8 :]
+    assert count == 1
+    return blob[:at] + struct.pack("<Q", 2) + records + records
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_name_not_utf8, "not UTF-8"),
+        (_header_not_an_object, "not a JSON object"),
+        (lambda blob: blob + b"\x00" * 7, "7 bytes after the last tensor"),
+        (_repeated_name, "stored twice"),
+    ],
+    ids=["name-not-utf8", "header-not-an-object", "trailing-bytes", "repeated-name"],
+)
+def test_malformed_containers_raise_checkpoint_errors_naming_the_path(tmp_path, corrupt, message):
+    good = tmp_path / "good.ckpt"
+    write_container(good, {"kind": "model"}, {"x": np.arange(6.0).reshape(2, 3)})
+    assert read_container(good)[1]["x"].shape == (2, 3)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(CheckpointError, match=re.escape(str(bad)) + ".*" + message):
+        read_container(bad)
+
+
 def test_dims_whose_product_overflows_int64_read_as_truncated(tmp_path):
     # 2**32 * 2**32 elements wrap to 0 in int64 arithmetic.
     path = tmp_path / "huge.ckpt"

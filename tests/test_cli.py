@@ -205,6 +205,22 @@ class TestTrain:
         assert json.dumps(on_base["config"]) == json.dumps(plain["config"])
         assert on_base["config_hash"] == plain["config_hash"]
 
+    def test_an_adapted_base_trains_as_its_merged_checkpoint_does(
+        self, workdir, dataset_file, config_file, trained, capsys
+    ):
+        # The base's trained groups fold into its weights before fresh ones attach.
+        runs = {}
+        for name in ("adapted.ckpt", "merged.ckpt"):
+            out = workdir / f"trained_on_{name}"
+            argv = ["train", "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(out)]
+            capsys.readouterr()
+            assert cli.main(argv + ["--base", str(trained / name)]) == 0
+            runs[name] = out, capsys.readouterr().out
+        (on_adapted, adapted_stdout), (on_merged, merged_stdout) = runs.values()
+        assert adapted_stdout == merged_stdout
+        for name in ("adapted.ckpt", "merged.ckpt", "run.csv"):
+            assert (on_adapted / name).read_bytes() == (on_merged / name).read_bytes(), name
+
     def test_a_base_brings_its_own_model_config(self, workdir, dataset_file, monkeypatch, capsys):
         def no_pretrain(*args):
             raise AssertionError("pretrained although --base was given")
