@@ -14,11 +14,13 @@ penalty over every adapted projection, in rank-factored order, and one
 ``abs_sum`` then takes their L1 norm. Each operator stores a closure
 mapping the output gradient to parent gradients; ``backprop`` walks the
 tape once in reverse topological order and returns the gradient with
-respect to the leaves it is handed as one vector. No tensor stores a
-gradient: a node's gradient lives in ``backprop`` until its closure has
-used it. The closures of matmul, add, layernorm and the fused ops
-return ``None`` for a parent that needs no gradient (a frozen weight or
-a constant) and skip its work; ``backprop`` skips ``None`` entries.
+respect to the leaves it is handed as one vector. An op computes its
+output alike with or without a tape; ``_node`` alone decides whether it
+is recorded. No tensor stores a gradient: a node's gradient lives in
+``backprop`` until its closure has used it. The closures of matmul,
+add, layernorm and the fused ops return ``None`` for a parent that
+needs no gradient (a frozen weight or a constant) and skip its work;
+``backprop`` skips ``None`` entries.
 
 Everything is float64. Parameters are 2-D; activations may carry
 leading batch axes, and broadcasting against parameters is undone by
@@ -146,14 +148,10 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
-def _taped(parents) -> bool:
-    """Whether an op on ``parents`` goes on the tape, so that its closure
-    may read the buffers of its forward later."""
-    return _grad_mode.enabled and any(p.requires_grad for p in parents)
-
-
 def _node(data, parents, grad_fn) -> Tensor:
-    if _taped(parents):
+    """The output ``data`` of an op on ``parents``, recorded with its
+    ``grad_fn`` when grad mode is on and a parent needs a gradient."""
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out.parents = tuple(parents)
         out.grad_fn = grad_fn
@@ -270,15 +268,14 @@ def _row_mean(x):
 def layernorm(x: Tensor, scale_p: Tensor, offset_p: Tensor) -> Tensor:
     """Normalization over the last axis with learned scale and offset.
 
-    The centred rows are normalized in place, and without a tape the
-    output is written over them too; the backward uses two buffers.
+    The centred rows are normalized in place and the output gets a
+    buffer of its own; the backward uses two buffers.
     """
     xd = x.data
     xhat = xd - _row_mean(xd)
     inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LAYERNORM_EPS)
     xhat *= inv
-    parents = (x, scale_p, offset_p)
-    out = xhat * scale_p.data if _taped(parents) else np.multiply(xhat, scale_p.data, out=xhat)
+    out = xhat * scale_p.data
     out += offset_p.data
 
     def grad_fn(g):
@@ -295,7 +292,7 @@ def layernorm(x: Tensor, scale_p: Tensor, offset_p: Tensor) -> Tensor:
             gx *= inv
         return gx, gs, go
 
-    return _node(out, parents, grad_fn)
+    return _node(out, (x, scale_p, offset_p), grad_fn)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -307,9 +304,7 @@ def gelu(x: Tensor) -> Tensor:
 
     The cube is taken by multiplication (``xd**3`` goes through a slow
     ``pow``). The tanh argument and the output are each built in place
-    in a single buffer, and without a tape the output is written over
-    the tanh, which keeps the peak memory of large no-grad forwards
-    down; the backward likewise uses two buffers.
+    in a single buffer; the backward likewise uses two buffers.
     """
     xd = x.data
     t = xd * xd
@@ -318,7 +313,7 @@ def gelu(x: Tensor) -> Tensor:
     t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0 if _taped((x,)) else np.add(t, 1.0, out=t)
+    out = t + 1.0
     out *= xd
     out *= 0.5
 
@@ -397,12 +392,14 @@ def _any_grad(parts) -> bool:
     return any(p.requires_grad for p in parts)
 
 
-def _row_blocks(parts, stacked, axis):
+def _row_blocks(parts, stacked, axis=0):
     """Per-part blocks of the gradient of ``np.concatenate(parts, axis)``;
-    None for a part that needs no gradient, or when ``stacked`` is None."""
+    None for a part that needs no gradient, or when ``stacked`` is None.
+    ``stacked`` is read as rows over its last axis, so a (P, N, ...)
+    stack of 2-D parts splits along axis 0 as well."""
     if stacked is None:
         return [None] * len(parts)
-    lead, start, blocks = (slice(None),) * axis, 0, []
+    stacked, lead, start, blocks = _rows(stacked), (slice(None),) * axis, 0, []
     for p in parts:
         stop = start + p.data.shape[axis]
         blocks.append(stacked[lead + (slice(start, stop),)] if p.requires_grad else None)
@@ -457,7 +454,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor, a_parts=(), b_parts=()) -> Tensor
         gbias = _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
         ga = b.T @ g_eff if need_a else None
         gb = g_eff @ a.T if need_b else None
-        return [gx, gw, gbias] + _row_blocks(a_parts, ga, 0) + _row_blocks(b_parts, gb, 1)
+        return [gx, gw, gbias] + _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb, 1)
 
     return _node(out, (x, w, bias) + tuple(a_parts) + tuple(b_parts), grad_fn)
 
@@ -487,16 +484,6 @@ def _stack_groups(groups) -> tuple[np.ndarray, list[Tensor]]:
     return np.stack([p.data for p in parts]).reshape((len(groups), n) + shapes.pop()), parts
 
 
-def _module_grads(stacked, parts) -> list:
-    """Per-tensor blocks of a gradient stacked (P, N, ...) over the flat
-    list ``parts``; None for a part that needs no gradient, or when
-    ``stacked`` is None."""
-    if stacked is None:
-        return [None] * len(parts)
-    flat = stacked.reshape((-1,) + stacked.shape[2:])
-    return [flat[q] if p.requires_grad else None for q, p in enumerate(parts)]
-
-
 def preserve_args(ws, a_groups, b_groups) -> Tensor:
     """The preserve arguments (W^T B_i) A_i of every adapted projection,
     stacked (P, N, k, k). Projection p has the host weight ``ws[p]``
@@ -514,7 +501,7 @@ def preserve_args(ws, a_groups, b_groups) -> Tensor:
     def grad_fn(g):
         ga = _swap(inner) @ g if _any_grad(a_parts) else None
         gb = w[:, None] @ (g @ _swap(a)) if _any_grad(b_parts) else None
-        return _module_grads(ga, a_parts) + _module_grads(gb, b_parts)
+        return _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb)
 
     return _node(out, a_parts + b_parts, grad_fn)
 
@@ -546,7 +533,7 @@ def diversify_args(a_groups, b_groups) -> Tensor:
         if need_b:
             gg = aig @ _swap(a[:, j])  # gradient of the Gram B_i^T B_j
             gb = per_module(np.concatenate([b[:, j] @ _swap(gg), b[:, i] @ gg], axis=1), b)
-        return _module_grads(ga, a_parts) + _module_grads(gb, b_parts)
+        return _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb)
 
     return _node(out, a_parts + b_parts, grad_fn)
 

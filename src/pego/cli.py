@@ -347,6 +347,7 @@ def _run_harness(args, run) -> int:
     dataset = checkpoint.load_dataset(args.dataset)
     cfg = _load_train_config(args, dataset)
     seeds = _parse_ints(args.seeds, "seed")
+    trainer.check_grid(dataset, seeds)
     out = _ensure_outdir(args.out)
     t1 = time.monotonic()
     base = trainer.pretrain_base(cfg.vit, cfg.seed)

@@ -52,10 +52,13 @@ class DomainDataset:
     num_classes: int
 
     def validate(self) -> None:
-        """Check for more than one domain, each with (n, s, s) images at one
-        size s, n labels and every class present."""
+        """Check for more than one domain, each named once and holding
+        (n, s, s) finite images at one size s, n labels and every class."""
         if len(self.domains) < 2:
             raise ConfigError("a domain dataset needs more than one domain")
+        repeated = next((d for i, d in enumerate(self.domains) if d in self.domains[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"domain {repeated} is listed more than once in {self.domains}")
         side = self.images[self.domains[0]].shape[-1:]
         for dom in self.domains:
             images, labels = self.images[dom], self.labels[dom]
@@ -64,6 +67,8 @@ class DomainDataset:
                     f"domain {dom} has images of shape {images.shape} for labels of shape {labels.shape}; "
                     f"expected (n, s, s) images for n labels, with s the same for every domain"
                 )
+            if not np.isfinite(images).all():
+                raise ConfigError(f"domain {dom} has non-finite pixels")
             present = set(int(c) for c in np.unique(labels))
             if present != set(range(self.num_classes)):
                 raise ConfigError(f"domain {dom} has classes {sorted(present)}, expected 0 to {self.num_classes - 1}")

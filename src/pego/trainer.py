@@ -380,14 +380,20 @@ def _map_runs(task, payloads, jobs: int):
         yield from pool.map(task, payloads)
 
 
-def _run_grid(name: str, task, dataset: DomainDataset, variants, seeds: list[int], base: VitModel, jobs: int):
-    """Run ``task`` on each ``(dataset, config, base, held-out domain, seed)``
-    payload of the (label, config) ``variants`` in one ``_map_runs`` call,
-    logging a line per finished run; return one output list per variant."""
+def check_grid(dataset: DomainDataset, seeds: list[int]) -> None:
+    """Raise ``ConfigError`` unless ``dataset`` and ``seeds`` make a
+    leave-one-domain-out grid: at least 3 domains and one seed."""
     if len(dataset.domains) < 3:
         raise ConfigError(f"leave-one-domain-out needs at least 3 domains, got {len(dataset.domains)}")
     if not seeds:
         raise ConfigError("at least one seed is required")
+
+
+def _run_grid(name: str, task, dataset: DomainDataset, variants, seeds: list[int], base: VitModel, jobs: int):
+    """Run ``task`` on each ``(dataset, config, base, held-out domain, seed)``
+    payload of the (label, config) ``variants`` in one ``_map_runs`` call,
+    logging a line per finished run; return one output list per variant."""
+    check_grid(dataset, seeds)
     payloads = [(dataset, cfg, base, dom, seed) for _, cfg in variants for dom in dataset.domains for seed in seeds]
     runs = len(dataset.domains) * len(seeds)
     outputs = []

@@ -65,6 +65,8 @@ class VitConfig:
             raise ConfigError("at least two classes are required")
         if self.mlp_ratio <= 0:
             raise ConfigError(f"mlp ratio must be positive, got {self.mlp_ratio}")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"mlp ratio {self.mlp_ratio} at embed dim {self.embed_dim} gives a hidden width of 0")
 
     @property
     def patch_dim(self) -> int:
@@ -422,12 +424,12 @@ def cores() -> int:
 
 def thread_budget() -> int:
     """Threads a no-grad forward may use: ``cores()``, capped by a
-    positive integer in ``PEGO_THREADS``. Read on every call, so a cap
-    set in a pool worker holds for that worker."""
+    positive integer in ASCII digits in ``PEGO_THREADS``. Read on every
+    call, so a cap set in a pool worker holds for that worker."""
     budget = cores()
     raw = os.environ.get("PEGO_THREADS")
     if raw:
-        if not raw.isdigit() or int(raw) < 1:
+        if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
             raise ConfigError(f"PEGO_THREADS must be a positive integer, got {raw!r}")
         budget = min(budget, int(raw))
     return budget

@@ -293,7 +293,7 @@ def test_gelu_without_a_tape_equals_the_taped_output():
         untaped = ag.gelu(ag.Tensor(x, requires_grad=True))
     assert untaped.grad_fn is None
     assert np.array_equal(untaped.data, taped.data)
-    # Without a tape the output reuses a buffer of the op's own, never x's.
+    # An input that needs no gradient goes unrecorded and gives the same output.
     assert np.array_equal(ag.gelu(ag.constant(x)).data, taped.data)
 
 

@@ -104,17 +104,34 @@ def test_an_invalid_dataset_header_is_rejected(tmp_path, field, value):
         ("labels", lambda y: np.where(y == 1, np.nan, y), "labels that are not whole numbers"),
         ("labels", lambda y: np.where(y == 1, np.inf, y), "labels that are not whole numbers"),
         ("labels", lambda y: y * 2, r"has classes \[0, 2\], expected 0 to 1"),
+        ("images", lambda x: np.where(np.arange(x.size).reshape(x.shape) == 5, np.nan, x), "non-finite pixels"),
+        ("domains", lambda names: names + ["d1"], "listed more than once"),
     ],
-    ids=["short-images", "flat-images", "other-size", "column-labels", "fractional", "nan", "inf", "unknown-class"],
+    ids=[
+        "short-images",
+        "flat-images",
+        "other-size",
+        "column-labels",
+        "fractional",
+        "nan",
+        "inf",
+        "unknown-class",
+        "nan-pixel",
+        "repeated-domain",
+    ],
 )
 def test_a_dataset_whose_images_and_labels_disagree_is_rejected(tmp_path, name, change, message):
-    # images (n, s, s) for n whole labels, one s for every domain; the
-    # file's path is named, as for a bad header
+    # images (n, s, s) of finite pixels for n whole labels, one s for
+    # every domain, each domain named once; the file's path is named, as
+    # for a bad header
     ds = generate_dataset(DatasetSpec(domains=3, classes=2, per_class=4, image_size=8), seed=3)
     path = tmp_path / "d.ckpt"
     save_dataset(path, ds)
     header, tensors = read_container(path)
-    tensors[f"domain.d1.{name}"] = change(tensors[f"domain.d1.{name}"])
+    if name == "domains":
+        header["config"]["domains"] = change(header["config"]["domains"])
+    else:
+        tensors[f"domain.d1.{name}"] = change(tensors[f"domain.d1.{name}"])
     write_container(path, header, tensors)
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: bad dataset: domain d1 .*{message}"):
         load_dataset(path)
@@ -253,10 +270,18 @@ def test_missing_tensor_is_reported(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("num_heads", 3), ("embed_dim", "8"), ("num_blocks", 2.0), ("mlp_ratio", None), ("patch_size", True)],
+    [
+        ("num_heads", 3),
+        ("embed_dim", "8"),
+        ("num_blocks", 2.0),
+        ("mlp_ratio", None),
+        ("patch_size", True),
+        ("mlp_ratio", 0.01),
+    ],
 )
 def test_an_invalid_config_in_the_header_is_rejected(tmp_path, field, value):
-    # a head count that does not divide the width, or a field of the wrong type
+    # a head count that does not divide the width, a field of the wrong
+    # type, or an mlp ratio whose hidden width rounds to 0
     model = _model()
     path = tmp_path / "cfg.ckpt"
     header = {"kind": "model", "config": dict(model.cfg.__dict__, **{field: value})}

@@ -181,6 +181,23 @@ class TestTrain:
         assert code == 2
         assert "must hold a JSON object" in capsys.readouterr().err
 
+    def test_a_zero_hidden_width_exits_2_before_pretraining(
+        self, workdir, dataset_file, config_file, monkeypatch, capsys
+    ):
+        def no_pretrain(*args):
+            raise AssertionError("pretrained a model without a hidden layer")
+
+        monkeypatch.setattr("pego.trainer.pretrain_base", no_pretrain)
+        bad_cfg = json.loads(config_file.read_text())
+        bad_cfg["vit"]["mlp_ratio"] = 0.01  # 0.08 hidden units at embed dim 8
+        bad_path = workdir / "zero_hidden.json"
+        bad_path.write_text(json.dumps(bad_cfg))
+        out = workdir / "zero_hidden"
+        code = cli.main(["train", "--config", str(bad_path), "--dataset", str(dataset_file), "--out", str(out)])
+        assert code == 2
+        assert "hidden width of 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dataset_model_mismatch_exits_2(self, workdir, dataset_file, config_file):
         bad_cfg = json.loads(config_file.read_text())
         bad_cfg["vit"]["num_classes"] = 5
@@ -739,9 +756,11 @@ def test_unknown_command_exits_2():
 
 
 def test_malformed_thread_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("PEGO_THREADS", "0")
-    assert cli.main(["gradcheck", "--samples", "1"]) == 2
-    assert "PEGO_THREADS" in capsys.readouterr().err
+    # "²" passes str.isdigit but is no integer to int()
+    for bad in ("0", "²"):
+        monkeypatch.setenv("PEGO_THREADS", bad)
+        assert cli.main(["gradcheck", "--samples", "1"]) == 2
+        assert "PEGO_THREADS must be a positive integer" in capsys.readouterr().err
 
 
 def test_entry_applies_thread_cap(monkeypatch):
@@ -869,6 +888,23 @@ def test_a_model_that_misses_the_dataset_exits_2_before_any_work(
     err = capsys.readouterr().err
     assert str(model_path) in err and str(dataset_file) in err
     assert sorted(workdir.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["lodo", "ablate", "sweep"])
+def test_a_grid_of_two_domains_exits_2_before_any_work(
+    workdir, dataset_file, config_file, monkeypatch, capsys, command
+):
+    def no_pretrain(*args):
+        raise AssertionError("pretrained for a grid that cannot run")
+
+    monkeypatch.setattr("pego.trainer.pretrain_base", no_pretrain)
+    two = workdir / "two_domains.ckpt"
+    checkpoint.save_dataset(two, checkpoint.load_dataset(dataset_file).without("d2").without("d3"))
+    out = workdir / f"two_domains_{command}"
+    argv = [command, "--config", str(config_file), "--dataset", str(two), "--out", str(out), "--seeds", "0"]
+    assert cli.main(argv) == 2
+    assert "needs at least 3 domains, got 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

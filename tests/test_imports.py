@@ -73,3 +73,15 @@ def test_only_the_command_line_maps_errors_prints_and_exits():
                 output.add(name if name == "cli.py" else (name, fn))
     assert handlers == [("main", "PegoError")]
     assert output == {"cli.py", ("__init__.py", "entry")}
+
+
+def test_only_node_and_no_grad_read_the_grad_mode():
+    # An op computes alike with or without a tape: ``_node`` alone decides
+    # what is recorded, and ``no_grad`` alone switches the mode.
+    tree = ast.parse((Path(pego.__file__).parent / "autograd.py").read_text())
+    readers = {
+        fn
+        for node, fn in _nodes(tree)
+        if isinstance(node, ast.Name) and node.id == "_grad_mode" and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"_node", "no_grad"}

@@ -311,7 +311,7 @@ def test_thread_budget_is_the_affinity_capped_by_pego_threads(monkeypatch):
     assert vit.thread_budget() == 1
     monkeypatch.setenv("PEGO_THREADS", str(cores + 3))
     assert vit.thread_budget() == cores
-    for bad in ("0", "-2", "two"):
+    for bad in ("0", "-2", "two", "²"):
         monkeypatch.setenv("PEGO_THREADS", bad)
         with pytest.raises(ConfigError):
             vit.thread_budget()
