@@ -45,9 +45,6 @@ class LoraModule:
     def rank(self) -> int:
         return self.a.data.shape[0]
 
-    def delta(self) -> np.ndarray:
-        return self.b.data @ self.a.data
-
 
 @dataclass
 class LoraGroup:

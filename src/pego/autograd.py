@@ -2,30 +2,32 @@
 
 The operator vocabulary is the fixed set the transformer and its
 regularizers need: matmul, broadcasting add, a handful of shape movers,
-layernorm, GELU, softmax, mean cross-entropy, the entrywise
-absolute-value sum, and three fused adapter ops. ``matmul`` multiplies
-its operands as given and never transposes one; a caller that needs a
-transposed operand lays it out with ``transpose``, as attention does
-with its keys. ``linear`` is a whole projection, ``x (W + B A)^T +
-bias``, always with a bias, with ``B A`` the update of a group's
-stacked factors (``adapter_update``); ``preserve_args`` and
-``diversify_args`` each stack the matrix arguments of one orthogonality
-penalty over every adapted projection, in rank-factored order, and one
-``abs_sum`` then takes their L1 norm. Each operator stores a closure
-mapping the output gradient to parent gradients; ``backprop`` walks the
-tape once in reverse topological order and returns the gradient with
-respect to the leaves it is handed as one vector. An op computes its
-output alike with or without a tape; ``_node`` alone decides whether it
-is recorded. No tensor stores a gradient: a node's gradient lives in
-``backprop`` until its closure has used it. The closures of matmul,
-add, layernorm and the fused ops return ``None`` for a parent that
-needs no gradient (a frozen weight or a constant) and skip its work;
-``backprop`` skips ``None`` entries.
+layernorm, softmax, mean cross-entropy, the entrywise absolute-value
+sum, and fused ops. ``matmul`` multiplies its operands as given; a
+caller that needs a transposed operand lays it out with ``transpose``,
+as attention does with its keys. ``linear`` is a whole projection,
+``x (W + B A)^T + bias``, with ``B A`` a group's update
+(``adapter_update``); ``mlp`` is a block's MLP sublayer with its
+residual, ``embed`` the token embedding; ``preserve_args`` and
+``diversify_args`` stack the matrix arguments of one orthogonality
+penalty over every adapted projection, and one ``abs_sum`` takes their
+L1 norm. Plain and fused ops share one numpy kernel per formula
+(``_layernorm``, ``_gelu``, ``_dense``, each with its backward), so a
+fused op is bitwise the chain it replaces. Each operator stores a
+closure mapping the output gradient to parent gradients; ``backprop``
+walks the tape once in reverse topological order and returns the
+gradient with respect to the leaves it is handed as one vector. An op
+computes its output alike with or without a tape; ``_node`` alone
+decides whether it is recorded. No tensor stores a gradient: a node's
+gradient lives in ``backprop`` until its closure has used it. The
+closures of matmul, add, layernorm and the fused ops return ``None``
+for a parent that needs no gradient (a frozen weight or a constant)
+and skip its work; ``backprop`` skips ``None`` entries.
 
 Everything is float64. Parameters are 2-D; activations may carry
 leading batch axes, and broadcasting against parameters is undone by
-summation in the backward pass, except in ``linear``, whose weight and
-factor gradients come from one 2-D GEMM over the flattened batch rows.
+summation in the backward pass, except in ``_dense``, whose weight
+gradient is one 2-D GEMM over the flattened batch rows.
 The subgradient of ``|x|`` at 0 is 0.
 
 A tape is confined to the thread that built it; building independent
@@ -144,10 +146,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def _node(data, parents, grad_fn) -> Tensor:
     """The output ``data`` of an op on ``parents``, recorded with its
     ``grad_fn`` when grad mode is on and a parent needs a gradient."""
@@ -157,6 +155,10 @@ def _node(data, parents, grad_fn) -> Tensor:
         out.grad_fn = grad_fn
         return out
     return Tensor(data)
+
+
+def _needs(parents) -> tuple[bool, ...]:
+    return tuple(p.requires_grad for p in parents)
 
 
 def _swap(x):
@@ -225,23 +227,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(a.data.reshape(shape), (a,), grad_fn)
 
 
-def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def grad_fn(g):
-        return (_unbroadcast(g, a.data.shape),)
-
-    return _node(np.broadcast_to(a.data, shape), (a,), grad_fn)
-
-
-def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
-    split = a.data.shape[axis]
-
-    def grad_fn(g):
-        ga, gb = np.split(g, [split], axis=axis)
-        return ga, gb
-
-    return _node(np.concatenate([a.data, b.data], axis=axis), (a, b), grad_fn)
-
-
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.data.ndim
     index[axis] = slice(start, start + length)
@@ -265,75 +250,75 @@ def _row_mean(x):
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
-def layernorm(x: Tensor, scale_p: Tensor, offset_p: Tensor) -> Tensor:
-    """Normalization over the last axis with learned scale and offset.
-
-    The centred rows are normalized in place and the output gets a
-    buffer of its own; the backward uses two buffers.
-    """
-    xd = x.data
-    xhat = xd - _row_mean(xd)
+def _layernorm(x, scale, offset):
+    """Layernorm's output and the buffers its backward reads; the centred
+    rows are normalized in place, the output gets a buffer of its own."""
+    xhat = x - _row_mean(x)
     inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LAYERNORM_EPS)
     xhat *= inv
-    out = xhat * scale_p.data
-    out += offset_p.data
+    out = xhat * scale
+    out += offset
+    return out, (xhat, inv)
 
-    def grad_fn(g):
-        gs = _unbroadcast(g * xhat, scale_p.data.shape) if scale_p.requires_grad else None
-        go = _unbroadcast(g, offset_p.data.shape) if offset_p.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            # inv (gh - mean(gh) - xhat mean(gh xhat)), gh = g scale
-            gx = g * scale_p.data
-            u = gx * xhat
-            m2 = _row_mean(u)
-            gx -= _row_mean(gx)
-            gx -= np.multiply(xhat, m2, out=u)
-            gx *= inv
-        return gx, gs, go
 
-    return _node(out, (x, scale_p, offset_p), grad_fn)
+def _layernorm_grads(g, saved, scale, need):
+    """Layernorm's x, scale and offset gradients, None where ``need`` is false."""
+    (xhat, inv), (need_x, need_scale, need_offset) = saved, need
+    gs = _unbroadcast(g * xhat, scale.shape) if need_scale else None
+    go = _unbroadcast(g, scale.shape) if need_offset else None
+    gx = None
+    if need_x:
+        # inv (gh - mean(gh) - xhat mean(gh xhat)), gh = g scale
+        gx = g * scale
+        u = gx * xhat
+        m2 = _row_mean(u)
+        gx -= _row_mean(gx)
+        gx -= np.multiply(xhat, m2, out=u)
+        gx *= inv
+    return gx, gs, go
+
+
+def layernorm(x: Tensor, scale_p: Tensor, offset_p: Tensor) -> Tensor:
+    """Normalization over the last axis with a learned (1, d) scale and offset."""
+    out, saved = _layernorm(x.data, scale_p.data, offset_p.data)
+    parents = (x, scale_p, offset_p)
+    return _node(out, parents, lambda g: _layernorm_grads(g, saved, scale_p.data, _needs(parents)))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU in its tanh approximation.
-
-    The cube is taken by multiplication (``xd**3`` goes through a slow
-    ``pow``). The tanh argument and the output are each built in place
-    in a single buffer; the backward likewise uses two buffers.
-    """
-    xd = x.data
-    t = xd * xd
-    t *= xd
+def _gelu(x):
+    """GELU (tanh form) and the tanh its backward reads, each built in
+    place in one buffer; ``x**3`` would go through a slow ``pow``."""
+    t = x * x
+    t *= x
     t *= _GELU_A
-    t += xd
+    t += x
     t *= _GELU_C
     np.tanh(t, out=t)
     out = t + 1.0
-    out *= xd
+    out *= x
     out *= 0.5
+    return out, t
 
-    def grad_fn(g):
-        # 0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2)) g, in two buffers
-        s = xd * xd
-        s *= 3.0 * _GELU_A
-        s += 1.0
-        s *= _GELU_C
-        u = t * t
-        np.subtract(1.0, u, out=u)
-        u *= xd
-        u *= s
-        u += t
-        u += 1.0
-        u *= 0.5
-        u *= g
-        return (u,)
 
-    return _node(out, (x,), grad_fn)
+def _gelu_grad(g, x, t):
+    """0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2)) g, in two buffers."""
+    s = x * x
+    s *= 3.0 * _GELU_A
+    s += 1.0
+    s *= _GELU_C
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    u *= x
+    u *= s
+    u += t
+    u += 1.0
+    u *= 0.5
+    u *= g
+    return u
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -388,10 +373,6 @@ def abs_sum(x: Tensor) -> Tensor:
     return _node(np.float64(np.abs(x.data).sum()), (x,), grad_fn)
 
 
-def _any_grad(parts) -> bool:
-    return any(p.requires_grad for p in parts)
-
-
 def _row_blocks(parts, stacked, axis=0):
     """Per-part blocks of the gradient of ``np.concatenate(parts, axis)``;
     None for a part that needs no gradient, or when ``stacked`` is None.
@@ -421,42 +402,95 @@ def adapter_update(a_parts, b_parts) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return a, b, b @ a
 
 
+def _dense(x, w_eff, bias):
+    """``x W_eff^T + bias`` through a C-contiguous ``W_eff^T``: numpy
+    multiplies a batch by a transposed view up to twice as slowly."""
+    out = x @ np.ascontiguousarray(w_eff.T)
+    out += bias
+    return out
+
+
+def _dense_grads(g, x, w_eff, need):
+    """``_dense``'s x, W_eff and bias gradients, None where ``need`` is
+    false. W_eff's is one 2-D GEMM ``g^T x`` over all rows, which large
+    batches make big enough for OpenBLAS to thread (hence pool workers'
+    ``set_blas_threads``)."""
+    need_x, need_w, need_bias = need
+    gx = g @ w_eff if need_x else None
+    gw = _rows(g).T @ _rows(x) if need_w else None
+    gbias = _unbroadcast(g, (1, g.shape[-1])) if need_bias else None
+    return gx, gw, gbias
+
+
 def linear(x: Tensor, w: Tensor, bias: Tensor, a_parts=(), b_parts=()) -> Tensor:
     """One projection: ``x (W + sum_i B_i A_i)^T + bias``.
 
-    ``x`` is (..., k), ``w`` is (d, k), ``bias`` is (1, d), and
-    adapter module i is the pair ``a_parts[i]`` (r_i, k), ``b_parts[i]``
-    (d, r_i). The op forms ``W_eff = W + B A`` (``adapter_update``) and
-    multiplies ``x`` by it alone; merge-back adds the same ``B A``.
-
-    The forward multiplies by a C-contiguous copy of ``W_eff^T``: numpy
-    multiplies a batch by a transposed view up to twice as slowly.
-    Leading axes of ``x`` stay batch axes in the forward and in ``x``'s
-    gradient. When W or a factor trains, one 2-D GEMM over the flattened
-    rows, not one per image, gives ``G = g^T x``, the gradient of
-    ``W_eff``; A's gradient is ``B^T G`` and B's ``G A^T``. Large batches
-    make that GEMM big enough for OpenBLAS to thread, which is why pool
-    workers cap its threads (``set_blas_threads``).
+    ``x`` is (..., k), with leading batch axes, ``w`` is (d, k), ``bias``
+    is (1, d), and adapter module i is the pair ``a_parts[i]`` (r_i, k),
+    ``b_parts[i]`` (d, r_i). The op forms ``W_eff = W + B A``
+    (``adapter_update``) and multiplies ``x`` by it alone; merge-back
+    adds the same ``B A``. With ``G`` the gradient of ``W_eff``, A's is
+    ``B^T G`` and B's ``G A^T``.
     """
-    xd = x.data
     w_eff = w.data
     if a_parts:
         a, b, update = adapter_update(a_parts, b_parts)
         w_eff = w.data + update
-    out = xd @ np.ascontiguousarray(w_eff.T)
-    out += bias.data
+    out = _dense(x.data, w_eff, bias.data)
 
     def grad_fn(g):
-        need_a, need_b = _any_grad(a_parts), _any_grad(b_parts)
-        gx = g @ w_eff if x.requires_grad else None
-        g_eff = _rows(g).T @ _rows(xd) if w.requires_grad or need_a or need_b else None
+        need_a, need_b = any(_needs(a_parts)), any(_needs(b_parts))
+        need = (x.requires_grad, w.requires_grad or need_a or need_b, bias.requires_grad)
+        gx, g_eff, gbias = _dense_grads(g, x.data, w_eff, need)
         gw = g_eff if w.requires_grad else None
-        gbias = _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
         ga = b.T @ g_eff if need_a else None
         gb = g_eff @ a.T if need_b else None
         return [gx, gw, gbias] + _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb, 1)
 
     return _node(out, (x, w, bias) + tuple(a_parts) + tuple(b_parts), grad_fn)
+
+
+def mlp(x: Tensor, ln_scale: Tensor, ln_offset: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``x + fc2(gelu(fc1(ln(x))))`` as one node, fc1 and fc2 unadapted
+    projections as in ``linear``: the kernels of ``layernorm``, ``linear``
+    and GELU in a chain's order, so bitwise that chain's values."""
+    m, ln_saved = _layernorm(x.data, ln_scale.data, ln_offset.data)
+    h = _dense(m, w1.data, b1.data)
+    act, t = _gelu(h)
+    out = _dense(act, w2.data, b2.data)
+    out += x.data
+    parents = (x, ln_scale, ln_offset, w1, b1, w2, b2)
+
+    def grad_fn(g):
+        need_x, need_s, need_o, need_w1, need_b1, need_w2, need_b2 = _needs(parents)
+        need_m = need_x or need_s or need_o
+        need_h = need_m or need_w1 or need_b1
+        g_act, gw2, gb2 = _dense_grads(g, act, w2.data, (need_h, need_w2, need_b2))
+        gh = _gelu_grad(g_act, h, t) if need_h else None
+        gm, gw1, gb1 = _dense_grads(gh, m, w1.data, (need_m, need_w1, need_b1))
+        gx, gs, go = _layernorm_grads(gm, ln_saved, ln_scale.data, (need_x, need_s, need_o))
+        return (gx + g if need_x else None), gs, go, gw1, gb1, gw2, gb2
+
+    return _node(out, parents, grad_fn)
+
+
+def embed(patches, w: Tensor, bias: Tensor, class_token: Tensor, pos: Tensor) -> Tensor:
+    """The (1, d) ``class_token`` ahead of the rows of ``patches`` (B, P, k)
+    projected as by ``linear``, plus the (P + 1, d) positions ``pos``.
+    ``patches`` is a plain array, like ``cross_entropy_mean``'s labels."""
+    cls = np.broadcast_to(class_token.data, (len(patches), 1, class_token.data.shape[-1]))
+    out = np.concatenate([cls, _dense(patches, w.data, bias.data)], axis=1)
+    out += pos.data
+    parents = (w, bias, class_token, pos)
+
+    def grad_fn(g):
+        need_w, need_bias, need_cls, need_pos = _needs(parents)
+        _, gw, gbias = _dense_grads(g[:, 1:], patches, w.data, (False, need_w, need_bias))
+        gcls = _unbroadcast(g[:, 0], class_token.data.shape) if need_cls else None
+        gpos = _unbroadcast(g, pos.data.shape) if need_pos else None
+        return gw, gbias, gcls, gpos
+
+    return _node(out, parents, grad_fn)
 
 
 @functools.lru_cache(maxsize=None)
@@ -499,8 +533,8 @@ def preserve_args(ws, a_groups, b_groups) -> Tensor:
     out = inner @ a
 
     def grad_fn(g):
-        ga = _swap(inner) @ g if _any_grad(a_parts) else None
-        gb = w[:, None] @ (g @ _swap(a)) if _any_grad(b_parts) else None
+        ga = _swap(inner) @ g if any(_needs(a_parts)) else None
+        gb = w[:, None] @ (g @ _swap(a)) if any(_needs(b_parts)) else None
         return _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb)
 
     return _node(out, a_parts + b_parts, grad_fn)
@@ -524,7 +558,7 @@ def diversify_args(a_groups, b_groups) -> Tensor:
         return (owner @ terms.reshape(terms.shape[:2] + (like[0, 0].size,))).reshape(like.shape)
 
     def grad_fn(g):
-        need_a, need_b = _any_grad(a_parts), _any_grad(b_parts)
+        need_a, need_b = any(_needs(a_parts)), any(_needs(b_parts))
         ga = gb = None
         if need_a or need_b:
             aig = a[:, i] @ g  # A_i G_p

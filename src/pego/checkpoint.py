@@ -174,6 +174,9 @@ def load_dataset(path) -> DomainDataset:
         labels = {dom: tensors[f"domain.{dom}.labels"] for dom in domains}
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: incomplete dataset file: {exc}") from exc
+    unknown = set(tensors) - {f"domain.{dom}.{part}" for dom in domains for part in ("images", "labels")}
+    if unknown:
+        raise CheckpointError(f"{path}: unknown tensors {sorted(unknown)}, not in the header's domains {domains}")
     for dom, raw in labels.items():
         if not (np.isfinite(raw).all() and np.array_equal(raw, np.floor(raw))):
             raise CheckpointError(f"{path}: bad dataset: domain {dom} has labels that are not whole numbers")

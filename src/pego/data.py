@@ -94,9 +94,6 @@ class Batch:
     labels: np.ndarray
     tags: list[tuple[str, int]] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class _Style:

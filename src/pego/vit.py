@@ -323,12 +323,7 @@ def _block_forward(x: Tensor, block: Block, cfg: VitConfig, last: bool) -> Tenso
         # and values still come from every token.
         x, q_in = ag.narrow(x, 1, 0, 1), ag.narrow(h, 1, 0, 1)
     x = ag.add(x, _attention(q_in, h, block, cfg))
-    m = ag.layernorm(x, block.ln2_scale, block.ln2_offset)
-    # Two statements, so the layernorm output is freed before GELU runs.
-    m = ag.linear(m, block.fc1_w, block.fc1_b)
-    m = ag.gelu(m)
-    m = ag.linear(m, block.fc2_w, block.fc2_b)
-    return ag.add(x, m)
+    return ag.mlp(x, block.ln2_scale, block.ln2_offset, block.fc1_w, block.fc1_b, block.fc2_w, block.fc2_b)
 
 
 def _check_images(cfg: VitConfig, images) -> np.ndarray:
@@ -344,13 +339,9 @@ def batch_features_tensor(model: VitModel, images: np.ndarray) -> Tensor:
     """Class-token embeddings after the final layernorm, (batch, d)."""
     cfg = model.cfg
     images = _check_images(cfg, images)
-    bs = images.shape[0]
-    d = cfg.embed_dim
-    patches = ag.constant(extract_patches(images, cfg.patch_size))
-    x = ag.linear(patches, model.patch_w, model.patch_b)
-    cls = ag.broadcast_to(ag.reshape(model.class_token, (1, 1, d)), (bs, 1, d))
-    x = ag.concat(cls, x, axis=1)
-    x = ag.add(x, model.pos_embed)
+    bs, d = images.shape[0], cfg.embed_dim
+    patches = extract_patches(images, cfg.patch_size)
+    x = ag.embed(patches, model.patch_w, model.patch_b, model.class_token, model.pos_embed)
     last = len(model.blocks) - 1
     for b, block in enumerate(model.blocks):
         x = _block_forward(x, block, cfg, b == last)

@@ -125,7 +125,7 @@ def test_criterion_05_loss_algebra():
     # its pairwise diversify terms, term by term
     w = rng.normal(size=(6, 6))
     group = _random_layer(rng, 6, 6, 2, 3).group
-    deltas = [m.delta() for m in group.modules]
+    deltas = [m.b.data @ m.a.data for m in group.modules]
     scaled = [2.0 * deltas[0]] + deltas[1:]
     for i in range(3):
         target = np.abs(w.T @ deltas[i]).sum() * (2.0 if i == 0 else 1.0)

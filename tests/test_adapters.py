@@ -89,7 +89,7 @@ class TestInitGroup:
 
 def _adapted_linear(layer, x):
     """The model's projection (``ag.linear``) of row-stacked inputs through ``layer``."""
-    return vit._linear(ag.constant(x), layer).data
+    return vit._linear(ag.Tensor(x), layer).data
 
 
 class TestAdaptedForward:
@@ -178,10 +178,10 @@ class TestLossComposition:
         group = _random_group(6, 6, 2, 3, rng)
 
         def preserve_terms(g):
-            return [float(np.abs(w.T @ m.delta()).sum()) for m in g.modules]
+            return [float(np.abs(w.T @ (m.b.data @ m.a.data)).sum()) for m in g.modules]
 
         def diversify_terms(g):
-            deltas = [m.delta() for m in g.modules]
+            deltas = [m.b.data @ m.a.data for m in g.modules]
             return [
                 float(np.abs(deltas[i].T @ deltas[j]).sum())
                 for i in range(len(deltas))
@@ -205,8 +205,8 @@ class TestLossComposition:
             for i, m in enumerate(group.modules)
         ]
         scaled = LoraGroup(modules=scaled_modules)
-        deltas = [m.delta() for m in group.modules]
-        deltas_s = [m.delta() for m in scaled.modules]
+        deltas = [m.b.data @ m.a.data for m in group.modules]
+        deltas_s = [m.b.data @ m.a.data for m in scaled.modules]
         assert np.abs(w.T @ deltas_s[0]).sum() == pytest.approx(2.0 * np.abs(w.T @ deltas[0]).sum(), rel=1e-12)
         assert np.abs(w.T @ deltas_s[1]).sum() == pytest.approx(np.abs(w.T @ deltas[1]).sum(), rel=1e-12)
         for j in (1, 2):

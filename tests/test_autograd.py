@@ -35,7 +35,7 @@ def _fd_check(build, shapes, seed=0, h=1e-6, tol=1e-6):
 
 
 def _sum_all(t):
-    return ag.abs_sum(ag.add(t, ag.constant(np.full(t.data.shape, 100.0))))  # shifted so |.| is smooth
+    return ag.abs_sum(ag.add(t, ag.Tensor(np.full(t.data.shape, 100.0))))  # shifted so |.| is smooth
 
 
 def test_matmul_grad():
@@ -75,20 +75,30 @@ def test_transpose_grad_applies_the_inverse_permutation():
 
 
 def test_broadcast_concat_narrow_grad():
-    def build(a, b):
-        wide = ag.broadcast_to(ag.reshape(a, (1, 1, 3)), (2, 2, 3))
-        joined = ag.concat(wide, b, axis=1)
-        return _sum_all(ag.narrow(joined, 1, 1, 2))
+    # embed broadcasts the class token over the batch and sets it ahead of
+    # the projected patches; narrow keeps the class row and one patch row
+    patches = make_rng(63).normal(size=(2, 3, 5))
 
-    _fd_check(build, [(1, 3), (2, 2, 3)])
+    def build(w, bias, cls, pos):
+        return _sum_all(ag.narrow(ag.embed(patches, w, bias, cls, pos), 1, 0, 2))
+
+    _fd_check(build, [(4, 5), (1, 4), (1, 4), (4, 4)])
 
 
 def test_layernorm_grad():
     _fd_check(lambda x, s, o: _sum_all(ag.layernorm(x, s, o)), [(2, 3, 6), (1, 6), (1, 6)], tol=5e-5)
 
 
+def _gelu(x):
+    """The GELU kernels as a tape op of their own."""
+    out, t = ag._gelu(x.data)
+    return ag._node(out, (x,), lambda g: (ag._gelu_grad(g, x.data, t),))
+
+
 def test_gelu_grad():
-    _fd_check(lambda x: _sum_all(ag.gelu(x)), [(3, 5)])
+    _fd_check(lambda x: _sum_all(_gelu(x)), [(3, 5)])
+    # and inside the MLP sublayer, every parent trainable as in pretraining
+    _fd_check(lambda *p: _sum_all(ag.mlp(*p)), [(2, 3, 4), (1, 4), (1, 4), (6, 4), (1, 6), (4, 6), (1, 4)], tol=5e-5)
 
 
 def test_softmax_grad():
@@ -218,7 +228,7 @@ def test_pair_order_is_one_read_only_copy_per_size():
 
 
 def test_constant_inputs_get_no_grad():
-    x = ag.constant(np.ones((2, 2)))
+    x = ag.Tensor(np.ones((2, 2)))
     y = ag.matmul(x, x)
     assert y.grad_fn is None
 
@@ -233,7 +243,7 @@ def test_gelu_forward_matches_reference():
     x = np.concatenate([np.linspace(-6.0, 6.0, 2401), [0.0, 1e-8, -1e-8, 30.0, -30.0]])
     c, a = np.sqrt(2.0 / np.pi), 0.044715
     reference = 0.5 * x * (1.0 + np.tanh(c * (x + a * x**3)))
-    assert np.max(np.abs(ag.gelu(ag.constant(x)).data - reference)) <= 1e-15
+    assert np.max(np.abs(ag._gelu(x)[0] - reference)) <= 1e-15
 
 
 def _batch_sum(g):
@@ -241,60 +251,102 @@ def _batch_sum(g):
     return g.sum(axis=0).sum(axis=0, keepdims=True)
 
 
-def _reference_row_ops(x, s, o, h, scores, g_x, g_h, g_scores):
-    """Values and input gradients of layernorm (x, scale s, offset o),
-    GELU (h) and softmax (scores) under the output gradients ``g_*``,
-    each written out as plain numpy expressions."""
+def _reference_layernorm(x, s, o):
+    """Layernorm's value (x, scale s, offset o), and its parents'
+    gradients as a function of the output gradient."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ag.LAYERNORM_EPS)
     xhat = xc * inv
-    gh = g_x * s
-    ln_gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-    ln = (xhat * s + o, ln_gx, _batch_sum(g_x * xhat), _batch_sum(g_x))
+
+    def grads(g):
+        gh = g * s
+        gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        return gx, _batch_sum(g * xhat), _batch_sum(g)
+
+    return xhat * s + o, grads
+
+
+def _reference_gelu(h):
     c, a = np.sqrt(2.0 / np.pi), 0.044715
     t = np.tanh((h * h * h * a + h) * c)
     dgelu = (((1.0 - t * t) * h * ((h * h * (3.0 * a) + 1.0) * c) + t) + 1.0) * 0.5
-    gelu = ((1.0 + t) * h * 0.5, dgelu * g_h)
+    return (1.0 + t) * h * 0.5, lambda g: dgelu * g
+
+
+def _reference_dense(x, w, b):
+    """``x W^T + b`` through a contiguous ``W^T``, as the op lays it out;
+    W's gradient is one product over all rows."""
+
+    def grads(g):
+        return g @ w, g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1]), _batch_sum(g)
+
+    return x @ np.ascontiguousarray(w.T) + b, grads
+
+
+def _reference_mlp(x, s, o, w1, b1, w2, b2):
+    """``x + fc2(gelu(fc1(ln(x))))`` from the references above."""
+    m, ln_grads = _reference_layernorm(x, s, o)
+    h, fc1_grads = _reference_dense(m, w1, b1)
+    act, gelu_grad = _reference_gelu(h)
+    y, fc2_grads = _reference_dense(act, w2, b2)
+
+    def grads(g):
+        g_act, gw2, gb2 = fc2_grads(g)
+        gm, gw1, gb1 = fc1_grads(gelu_grad(g_act))
+        gx, gs, go = ln_grads(gm)
+        return gx + g, gs, go, gw1, gb1, gw2, gb2
+
+    return x + y, grads
+
+
+def _reference_softmax(scores):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
-    softmax = (y, (g_scores - (g_scores * y).sum(axis=-1, keepdims=True)) * y)
-    return ln, gelu, softmax
+    return y, lambda g: ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
 
 
 def test_row_ops_equal_the_written_out_formulas_bitwise():
     # Shapes of the canonical model: activations, MLP hidden rows and
-    # attention scores of 24 images.
+    # attention scores of 24 images, with every parent trainable.
     rng = make_rng(60)
     x, h, scores = rng.normal(size=(24, 17, 32)), rng.normal(size=(24, 17, 128)), rng.normal(size=(24, 4, 17, 17))
     s, o = rng.normal(size=(1, 32)), rng.normal(size=(1, 32))
-    grads = [rng.normal(size=a.shape) for a in (x, h, scores)]
-    ln, gelu, softmax = _reference_row_ops(x, s, o, h, scores, *grads)
-    leaves = [ag.Tensor(a, requires_grad=True) for a in (x, s, o, h, scores)]
+    fc = [rng.normal(size=shape) for shape in [(128, 32), (1, 128), (32, 128), (1, 32)]]
+    g_x, g_h, g_scores = (rng.normal(size=a.shape) for a in (x, h, scores))
+    leaves = [ag.Tensor(a, requires_grad=True) for a in [x, s, o, scores, x, s, o] + fc]
     ops = [
-        (ag.layernorm(*leaves[:3]), grads[0], ln),
-        (ag.gelu(leaves[3]), grads[1], gelu),
-        (ag.softmax_last(leaves[4]), grads[2], softmax),
+        (ag.layernorm(*leaves[:3]), g_x, _reference_layernorm(x, s, o)),
+        (ag.softmax_last(leaves[3]), g_scores, _reference_softmax(scores)),
+        (ag.mlp(*leaves[4:]), g_x, _reference_mlp(x, s, o, *fc)),
     ]
-    for out, g, (value, *parent_grads) in ops:
+    for out, g, (value, grads) in ops:
         assert np.array_equal(out.data, value)
-        for got, want in zip(out.grad_fn(g), parent_grads):
-            assert np.array_equal(got, want)
+        got, want = out.grad_fn(g), grads(g)
+        assert len(got) == len(want)
+        for got_grad, want_grad in zip(got, want):
+            assert np.array_equal(got_grad, want_grad)
+    value, t = ag._gelu(h)
+    gelu, gelu_grad = _reference_gelu(h)
+    assert np.array_equal(value, gelu)
+    assert np.array_equal(ag._gelu_grad(g_h, h, t), gelu_grad(g_h))
     with ag.no_grad():
-        assert np.array_equal(ag.layernorm(ag.Tensor(x), ag.Tensor(s), ag.Tensor(o)).data, ln[0])
-        assert np.array_equal(ag.softmax_last(ag.Tensor(scores)).data, softmax[0])
+        assert np.array_equal(ag.layernorm(ag.Tensor(x), ag.Tensor(s), ag.Tensor(o)).data, ops[0][2][0])
+        assert np.array_equal(ag.softmax_last(ag.Tensor(scores)).data, ops[1][2][0])
 
 
-def test_gelu_without_a_tape_equals_the_taped_output():
-    x = make_rng(61).normal(size=(24, 17, 128))
-    taped = ag.gelu(ag.Tensor(x, requires_grad=True))
+def test_mlp_without_a_tape_equals_the_taped_output():
+    rng = make_rng(61)
+    shapes = [(24, 17, 32), (1, 32), (1, 32), (128, 32), (1, 128), (32, 128), (1, 32)]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    taped = ag.mlp(*[ag.Tensor(a, requires_grad=True) for a in arrays])
     assert taped.grad_fn is not None
     with ag.no_grad():
-        untaped = ag.gelu(ag.Tensor(x, requires_grad=True))
+        untaped = ag.mlp(*[ag.Tensor(a, requires_grad=True) for a in arrays])
     assert untaped.grad_fn is None
     assert np.array_equal(untaped.data, taped.data)
-    # An input that needs no gradient goes unrecorded and gives the same output.
-    assert np.array_equal(ag.gelu(ag.constant(x)).data, taped.data)
+    # Inputs that need no gradient go unrecorded and give the same output.
+    assert np.array_equal(ag.mlp(*[ag.Tensor(a) for a in arrays]).data, taped.data)
 
 
 def _t(m):
@@ -384,7 +436,7 @@ def _skewed_sum(t):
     """``_sum_all`` of ``t @ M`` for a fixed random M: the gradient reaching
     ``t`` is then not symmetric, so a transposed gradient in a backward shows."""
     m = make_rng(53).normal(size=(t.shape[-1], t.shape[-1]))
-    return _sum_all(ag.matmul(t, ag.constant(m)))
+    return _sum_all(ag.matmul(t, ag.Tensor(m)))
 
 
 def _linear_build(n_parts, bias_trainable, w_trainable, w_fixed):
@@ -394,8 +446,8 @@ def _linear_build(n_parts, bias_trainable, w_trainable, w_fixed):
 
     def build(x, *rest):
         rest = list(rest)
-        w = rest.pop(0) if w_trainable else ag.constant(w_fixed)
-        b = rest.pop(0) if bias_trainable else ag.constant(np.linspace(-1.0, 1.0, w.shape[0])[None])
+        w = rest.pop(0) if w_trainable else ag.Tensor(w_fixed)
+        b = rest.pop(0) if bias_trainable else ag.Tensor(np.linspace(-1.0, 1.0, w.shape[0])[None])
         return _skewed_sum(ag.linear(x, w, b, rest[:n_parts], rest[n_parts:]))
 
     return build
@@ -467,7 +519,7 @@ H_PENALTY = 1e-5
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_preserve_args_grad(n):
-    ws = [ag.constant(w) for w in make_rng(45).normal(size=(P, 5, 4))]
+    ws = [ag.Tensor(w) for w in make_rng(45).normal(size=(P, 5, 4))]
     shapes = [(2, 4)] * (P * n) + [(5, 2)] * (P * n)
 
     def build(*f):
@@ -493,9 +545,9 @@ def test_penalty_ops_match_the_dense_form():
     d = b @ a
     preserve = np.stack([[w[p].T @ d[p, i] for i in range(3)] for p in range(P)])
     diversify = np.stack([[d[p, i].T @ d[p, j] for i, j in ((0, 1), (0, 2), (1, 2))] for p in range(P)])
-    a_groups = [[ag.constant(m) for m in group] for group in a]
-    b_groups = [[ag.constant(m) for m in group] for group in b]
-    got = ag.preserve_args([ag.constant(x) for x in w], a_groups, b_groups).data
+    a_groups = [[ag.Tensor(m) for m in group] for group in a]
+    b_groups = [[ag.Tensor(m) for m in group] for group in b]
+    got = ag.preserve_args([ag.Tensor(x) for x in w], a_groups, b_groups).data
     assert np.allclose(got, preserve, rtol=1e-13, atol=1e-13)
     assert np.allclose(ag.diversify_args(a_groups, b_groups).data, diversify, rtol=1e-13, atol=1e-13)
 
@@ -516,7 +568,7 @@ def test_diversify_of_a_group_of_one_is_zero():
 
 def test_penalty_ops_reject_groups_of_different_shapes():
     rng = make_rng(54)
-    w = ag.constant(rng.normal(size=(5, 4)))
+    w = ag.Tensor(rng.normal(size=(5, 4)))
 
     def factors(n, r):
         return [ag.Tensor(rng.normal(size=(r, 4)), True) for _ in range(n)], [
@@ -549,15 +601,21 @@ def _fused_cases():
     def lin(p):
         return ag.linear(p[0], p[1], p[2], p[3:5], p[5:])
 
+    # The MLP sublayer on x with a hidden width of 6; the embedding of
+    # x's rows as patches, which are a plain array and so no parent.
+    ln = [rng.normal(size=(1, 5)) for _ in range(2)]
+    fc = [rng.normal(size=shape) for shape in [(6, 5), (1, 6), (5, 6), (1, 5)]]
     return {
         "linear": ([x, w, bias] + a + b, lin),
         "linear_2d": ([x[0], w, bias] + a + b, lin),
         "preserve_args": penalty(ag.preserve_args, ws),
         "diversify_args": penalty(ag.diversify_args),
+        "mlp": ([x] + ln + fc, lambda p: ag.mlp(*p)),
+        "embed": ([w, bias, rng.normal(size=(1, 4)), rng.normal(size=(4, 4))], lambda p: ag.embed(x, *p)),
     }
 
 
-@pytest.mark.parametrize("op", ["linear", "linear_2d", "preserve_args", "diversify_args"])
+@pytest.mark.parametrize("op", ["linear", "linear_2d", "preserve_args", "diversify_args", "mlp", "embed"])
 def test_fused_ops_skip_each_frozen_parent(op):
     arrays, build = _fused_cases()[op]
     g = None
@@ -577,15 +635,8 @@ def test_fused_ops_skip_each_frozen_parent(op):
                 assert np.array_equal(gr, reference[i])
 
 
-def test_canonical_step_tape_size():
-    # The training step of the benchmark's canonical config: N=4, r=4, batch 24.
-    cfg = trainer.canonical_vit_config()
-    model = vit.init_vit(cfg, make_rng(49))
-    vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
-    images = make_rng(51).random((24, cfg.image_size, cfg.image_size))
-    labels = make_rng(52).integers(0, cfg.num_classes, 24)
-    total = vit.batch_loss_tensor(model, images, labels, 1e-3).total
-    seen, stack, nodes = set(), [total], 0
+def _tape_nodes(root):
+    seen, stack, nodes = set(), [root], 0
     while stack:
         t = stack.pop()
         if id(t) in seen or t.grad_fn is None:
@@ -593,4 +644,18 @@ def test_canonical_step_tape_size():
         seen.add(id(t))
         nodes += 1
         stack.extend(t.parents)
-    assert nodes <= 100
+    return nodes
+
+
+def test_canonical_step_tape_size():
+    # The training step of the benchmark's canonical config: N=4, r=4, batch 24.
+    cfg = trainer.canonical_vit_config()
+    model = vit.init_vit(cfg, make_rng(49))
+    images = make_rng(51).random((24, cfg.image_size, cfg.image_size))
+    labels = make_rng(52).integers(0, cfg.num_classes, 24)
+    # A pretraining step: every weight but the key biases trains.
+    for name, t in vit.named_params(model):
+        t.requires_grad = not name.endswith(".attn.wk.bias")
+    assert _tape_nodes(vit.batch_loss_tensor(model, images, labels, 0.0).total) <= 100
+    vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
+    assert _tape_nodes(vit.batch_loss_tensor(model, images, labels, 1e-3).total) <= 100

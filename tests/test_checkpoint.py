@@ -137,6 +137,26 @@ def test_a_dataset_whose_images_and_labels_disagree_is_rejected(tmp_path, name, 
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "drop, extra",
+    [("d2", []), (None, ["domain.d4.images"]), (None, ["notes"])],
+    ids=["unlisted-domain", "extra-domain-tensor", "stray-name"],
+)
+def test_a_dataset_tensor_the_header_does_not_list_is_rejected(tmp_path, drop, extra):
+    # a header listing d0, d1 and d3 must not load three domains and
+    # silently leave d2's tensors behind; the file and the tensors are named
+    ds = generate_dataset(DatasetSpec(domains=4, classes=2, per_class=4, image_size=8), seed=3)
+    path = tmp_path / "d.ckpt"
+    save_dataset(path, ds)
+    header, tensors = read_container(path)
+    header["config"]["domains"] = [d for d in header["config"]["domains"] if d != drop]
+    tensors.update({name: np.zeros((2, 8, 8)) for name in extra})
+    write_container(path, header, tensors)
+    stray = [f"domain.{drop}.images", f"domain.{drop}.labels"] if drop else extra
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: unknown tensors {re.escape(str(stray))}"):
+        load_dataset(path)
+
+
 def test_container_preserves_names_shapes_and_header(tmp_path):
     path = tmp_path / "c.ckpt"
     tensors = {"x": np.arange(6.0).reshape(2, 3), "y.z": np.ones(4)}

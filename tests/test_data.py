@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pego.data import Batch, DatasetSpec, DomainDataset, generate_dataset, make_batch, split_train_val
+from pego.data import DatasetSpec, DomainDataset, generate_dataset, make_batch, split_train_val
 from pego.errors import ConfigError, SplitError
 from pego.numerics import make_rng
 from pego.trainer import canonical_dataset_spec
@@ -109,17 +109,17 @@ def test_a_class_too_small_for_a_validation_sample_is_named():
 def test_make_batch_concatenates_per_domain_quotas():
     ds = generate_dataset(DatasetSpec(domains=3, classes=2, per_class=20), seed=7)
     batch = make_batch(ds, 32, make_rng(0))
-    assert len(batch) == 96
+    assert len(batch.labels) == 96
     assert batch.images.shape == (96, 16, 16)
     small = make_batch(ds, 8, make_rng(0))
-    assert len(small) == 24
+    assert len(small.labels) == 24
     assert [dom for dom, _ in small.tags] == ["d0"] * 8 + ["d1"] * 8 + ["d2"] * 8
 
 
 def test_make_batch_samples_with_replacement_when_short():
     ds = generate_dataset(DatasetSpec(domains=3, classes=2, per_class=2), seed=8)
     batch = make_batch(ds, 16, make_rng(1))
-    assert len(batch) == 48  # only 4 samples per domain, so draws repeat
+    assert len(batch.labels) == 48  # only 4 samples per domain, so draws repeat
 
 
 def test_make_batch_is_deterministic_per_rng_state():
@@ -169,10 +169,6 @@ def test_dataset_validate_rejects_missing_class():
     )
     with pytest.raises(ConfigError):
         ds.validate()
-
-
-def test_batch_len():
-    assert len(Batch(images=np.zeros((3, 2, 2)), labels=np.zeros(3, dtype=int))) == 3
 
 
 def test_canonical_dataset_digest_is_pinned():

@@ -88,7 +88,7 @@ def test_central_diff_quadratic_probe():
 
 def test_l1_of_product_gradient_away_from_kinks():
     rng = make_rng(30)
-    w = ag.constant(rng.normal(0, 1.0, (4, 4)))
+    w = ag.Tensor(rng.normal(0, 1.0, (4, 4)))
     a = ag.Tensor(rng.normal(0, 1.0, (2, 4)), requires_grad=True)
     b = ag.Tensor(rng.normal(0, 1.0, (4, 2)), requires_grad=True)
 

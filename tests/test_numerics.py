@@ -9,15 +9,15 @@ from pego.numerics import explained_variance_ratio, make_rng, numerical_rank, sv
 # The package's matrix product, entrywise L1 norm and row softmax are the
 # tape ops; these read their forward values.
 def matmul(a, b):
-    return ag.matmul(ag.constant(a), ag.constant(b)).data
+    return ag.matmul(ag.Tensor(a), ag.Tensor(b)).data
 
 
 def l1_entrywise(m):
-    return float(ag.abs_sum(ag.constant(m)).data)
+    return float(ag.abs_sum(ag.Tensor(m)).data)
 
 
 def softmax_rows(m):
-    return ag.softmax_last(ag.constant(m)).data
+    return ag.softmax_last(ag.Tensor(m)).data
 
 
 def test_matmul_identity():

@@ -205,17 +205,15 @@ def _full_sequence_features(model, images):
     def heads(t):
         return ag.transpose(ag.reshape(t, (bs, n, h, dh)), (0, 2, 1, 3))
 
-    x = ag.linear(ag.constant(extract_patches(images, cfg.patch_size)), model.patch_w, model.patch_b)
-    cls = ag.broadcast_to(ag.reshape(model.class_token, (1, 1, d)), (bs, 1, d))
-    x = ag.add(ag.concat(cls, x, axis=1), model.pos_embed)
+    patches = extract_patches(images, cfg.patch_size)
+    x = ag.embed(patches, model.patch_w, model.patch_b, model.class_token, model.pos_embed)
     for blk in model.blocks:
         z = ag.layernorm(x, blk.ln1_scale, blk.ln1_offset)
         q, k, v = (heads(proj(z, lin)) for lin in (blk.attn.wq, blk.attn.wk, blk.attn.wv))
         probs = ag.softmax_last(ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)))
         ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, n, d))
         x = ag.add(x, proj(ctx, blk.attn.wo))
-        m = ag.gelu(ag.linear(ag.layernorm(x, blk.ln2_scale, blk.ln2_offset), blk.fc1_w, blk.fc1_b))
-        x = ag.add(x, ag.linear(m, blk.fc2_w, blk.fc2_b))
+        x = ag.mlp(x, blk.ln2_scale, blk.ln2_offset, blk.fc1_w, blk.fc1_b, blk.fc2_w, blk.fc2_b)
     cls_out = ag.reshape(ag.narrow(x, 1, 0, 1), (bs, d))
     return ag.layernorm(cls_out, model.final_ln_scale, model.final_ln_offset)
 
