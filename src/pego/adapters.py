@@ -20,11 +20,13 @@ adds the same product B A of the stacked factors
 ones. The penalties' arguments, (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
 come from the tape ops ``autograd.preserve_args``/``diversify_args``
 alone: ``loss_or_tensor`` is the one place their values are read, for
-the training objective and its logged values alike.
+the training objective and its logged values alike. Merge-back copies
+the model in memory; this module knows no tensor names.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +97,12 @@ def group_delta(group: LoraGroup) -> np.ndarray:
 ADAPTED_PROJECTIONS = ("wq", "wv")
 
 
-def adapted_layers(model) -> list[tuple[str, AdaptedLinear]]:
-    """``(name prefix, layer)`` of every projection carrying a group, in
-    block order, then in ``ADAPTED_PROJECTIONS`` order."""
+def adapted_layers(model) -> list[AdaptedLinear]:
+    """Every projection carrying a group, in block order, then in
+    ``ADAPTED_PROJECTIONS`` order."""
     return [
-        (f"blocks.{b}.attn.{proj}", lin)
-        for b, block in enumerate(model.blocks)
+        lin
+        for block in model.blocks
         for proj in ADAPTED_PROJECTIONS
         if (lin := getattr(block.attn, proj)).group is not None
     ]
@@ -111,7 +113,7 @@ def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
     ``(preserve, diversify)``, each one L1 norm over the stacked
     arguments of every adapted projection. Both are None for a model
     without groups. Groups of different shapes raise ``ShapeError``."""
-    layers = [lin for _, lin in adapted_layers(model)]
+    layers = adapted_layers(model)
     if not layers:
         return None, None
     a, b = zip(*(lin.group.factors() for lin in layers))
@@ -125,9 +127,8 @@ def merge_all(model):
     bitwise those the adapted forward multiplies by, so the logits are
     unchanged bitwise; it carries zero adapter parameters.
     """
-    from . import vit  # vit imports this module, so not at the top
-
-    arrays = {name: arr for name, arr in vit.model_to_arrays(model).items() if ".lora." not in name}
-    for prefix, lin in adapted_layers(model):
-        arrays[f"{prefix}.base"] = arrays[f"{prefix}.base"] + group_delta(lin.group)
-    return vit.model_from_arrays(model.cfg, arrays)
+    merged = copy.deepcopy(model)
+    for lin in adapted_layers(merged):
+        lin.base = Tensor(lin.base.data + group_delta(lin.group))
+        lin.group = None
+    return merged

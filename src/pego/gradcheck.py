@@ -101,23 +101,22 @@ def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: 
         flat[entry] = saved
 
 
-def _ambiguity_floor(model: VitModel) -> dict[str, float]:
-    """Smallest |entry| of any L1 argument each adapter parameter feeds."""
+def _ambiguity_floor(model: VitModel) -> dict[ag.Tensor, float]:
+    """Smallest |entry| of any L1 argument each adapter factor tensor feeds."""
     layers = adapters.adapted_layers(model)
     if not layers:
         return {}
-    a, b = zip(*(lin.group.factors() for _, lin in layers))
+    a, b = zip(*(lin.group.factors() for lin in layers))
     with ag.no_grad():
-        low = np.abs(ag.preserve_args([lin.base for _, lin in layers], a, b).data).min(axis=(2, 3))
+        low = np.abs(ag.preserve_args([lin.base for lin in layers], a, b).data).min(axis=(2, 3))
         pair_low = np.abs(ag.diversify_args(a, b).data).min(axis=(2, 3))
     i, j, _ = ag.pair_order(low.shape[1])
     np.minimum.at(low.T, i, pair_low.T)
     np.minimum.at(low.T, j, pair_low.T)
-    floors: dict[str, float] = {}
-    for (prefix, _), layer_low in zip(layers, low):
-        for m, floor in enumerate(layer_low):
-            floors[f"{prefix}.lora.{m}.A"] = float(floor)
-            floors[f"{prefix}.lora.{m}.B"] = float(floor)
+    floors: dict[ag.Tensor, float] = {}
+    for lin, layer_low in zip(layers, low):
+        for mod, floor in zip(lin.group.modules, layer_low):
+            floors[mod.a] = floors[mod.b] = float(floor)
     return floors
 
 
@@ -145,7 +144,7 @@ def grad_check(
     for _ in range(samples):
         flat_idx = int(rng.integers(0, grad.size))
         name, entry = _locate(params, flat_idx)
-        if floors.get(name, np.inf) < AMBIGUITY_TOL:
+        if floors.get(params[name], np.inf) < AMBIGUITY_TOL:
             continue
         accepted += 1
         p0 = float(params[name].data.reshape(-1)[entry])

@@ -143,7 +143,7 @@ def adam_init(size: int) -> AdamState:
     return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> tuple[np.ndarray, AdamState]:
+def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of the parameter vector ``flat``,
     applied in place; ``grad`` is laid out as ``flat`` and is finite, as
     ``gradcheck.backward`` checks. Every operation is elementwise, so
@@ -157,7 +157,6 @@ def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * (grad * grad)
     flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return flat, state
 
 
 @dataclass

@@ -15,7 +15,9 @@ else is frozen by name. A model is single-writer: training mutates the
 trainable tensors from one thread, while read-only inference on an
 unchanging model may run from many.
 
-Parameter names (also the checkpoint tensor names):
+``named_params`` is the one list of parameter names and their order,
+which are also the checkpoint's; ``_zeros`` holds the shapes. The names
+and order:
 
     patch_embed.w, patch_embed.b, class_token, pos_embed,
     blocks.{b}.ln1.scale, blocks.{b}.ln1.offset,
@@ -28,6 +30,7 @@ Parameter names (also the checkpoint tensor names):
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -170,51 +173,27 @@ def trainable_params(model: VitModel) -> dict[str, Tensor]:
     return {n: t for n, t in named_params(model) if is_trainable_name(n)}
 
 
-def _build(cfg: VitConfig, get, groups: dict[str, tuple[int, int]]) -> VitModel:
-    """The model whose tensors ``get(name, shape)`` returns, requested in
-    the canonical order of ``named_params``. ``groups`` maps the name
-    prefix of an adapted projection to its group's (size, rank)."""
+def _zeros(cfg: VitConfig, groups: dict[tuple[int, str], tuple[int, int]]) -> VitModel:
+    """The model in ``cfg``'s shapes with every tensor zero. ``groups``
+    maps the (block, projection) of each adapted projection to its
+    group's (size, rank)."""
     d, hid = cfg.embed_dim, cfg.hidden_dim
 
-    def lin(prefix, out_dim, in_dim):
-        layer = AdaptedLinear(get(f"{prefix}.base", (out_dim, in_dim)), get(f"{prefix}.bias", (1, out_dim)))
-        if prefix in groups:
-            n, r = groups[prefix]
-            layer.group = LoraGroup(
-                modules=[
-                    LoraModule(a=get(f"{prefix}.lora.{i}.A", (r, in_dim)), b=get(f"{prefix}.lora.{i}.B", (out_dim, r)))
-                    for i in range(n)
-                ]
-            )
-        return layer
+    def z(*shape):
+        return Tensor(np.zeros(shape))
 
-    def block(p):
-        return Block(
-            ln1_scale=get(f"{p}.ln1.scale", (1, d)),
-            ln1_offset=get(f"{p}.ln1.offset", (1, d)),
-            attn=Attention(*(lin(f"{p}.attn.{proj}", d, d) for proj in ("wq", "wk", "wv", "wo"))),
-            ln2_scale=get(f"{p}.ln2.scale", (1, d)),
-            ln2_offset=get(f"{p}.ln2.offset", (1, d)),
-            fc1_w=get(f"{p}.mlp.fc1.w", (hid, d)),
-            fc1_b=get(f"{p}.mlp.fc1.b", (1, hid)),
-            fc2_w=get(f"{p}.mlp.fc2.w", (d, hid)),
-            fc2_b=get(f"{p}.mlp.fc2.b", (1, d)),
-        )
+    def lin(b, proj):
+        n, r = groups.get((b, proj), (0, 0))
+        group = LoraGroup([LoraModule(z(r, d), z(d, r)) for _ in range(n)]) if n else None
+        return AdaptedLinear(z(d, d), z(1, d), group)
 
-    model = VitModel(
-        cfg=cfg,
-        patch_w=get("patch_embed.w", (d, cfg.patch_dim)),
-        patch_b=get("patch_embed.b", (1, d)),
-        class_token=get("class_token", (1, d)),
-        pos_embed=get("pos_embed", (cfg.seq_len, d)),
-        blocks=[block(f"blocks.{b}") for b in range(cfg.num_blocks)],
-        final_ln_scale=get("final_ln.scale", (1, d)),
-        final_ln_offset=get("final_ln.offset", (1, d)),
-        head_w=get("head.w", (cfg.num_classes, d)),
-        head_b=get("head.b", (1, cfg.num_classes)),
-    )
-    apply_trainability(model)
-    return model
+    def block(b):
+        attn = Attention(*(lin(b, proj) for proj in ("wq", "wk", "wv", "wo")))
+        return Block(z(1, d), z(1, d), attn, z(1, d), z(1, d), z(hid, d), z(1, hid), z(d, hid), z(1, d))
+
+    blocks = [block(b) for b in range(cfg.num_blocks)]
+    head = (z(cfg.num_classes, d), z(1, cfg.num_classes))
+    return VitModel(cfg, z(d, cfg.patch_dim), z(1, d), z(1, d), z(cfg.seq_len, d), blocks, z(1, d), z(1, d), *head)
 
 
 def init_vit(cfg: VitConfig, rng: np.random.Generator) -> VitModel:
@@ -222,15 +201,14 @@ def init_vit(cfg: VitConfig, rng: np.random.Generator) -> VitModel:
     layernorm at identity. Weights are drawn in canonical order, so a seed
     pins the model."""
     cfg.validate()
-
-    def draw(name, shape):
+    model = _zeros(cfg, {})
+    for name, t in named_params(model):
         if name.endswith(".scale"):
-            return Tensor(np.ones(shape))
-        if name.endswith((".b", ".bias", ".offset")):
-            return Tensor(np.zeros(shape))
-        return Tensor(rng.normal(0.0, 0.02, shape))
-
-    return _build(cfg, draw, {})
+            t.data[...] = 1.0
+        elif not name.endswith((".b", ".bias", ".offset")):
+            t.data[...] = rng.normal(0.0, 0.02, t.data.shape)
+    apply_trainability(model)
+    return model
 
 
 def inject_groups(model: VitModel, rank: int, n: int, rng: np.random.Generator) -> None:
@@ -248,9 +226,9 @@ def model_to_arrays(model: VitModel) -> dict[str, np.ndarray]:
 
 
 def model_from_arrays(cfg: VitConfig, arrays: dict[str, np.ndarray]) -> VitModel:
-    """Rebuild a model from named tensors. Adapter groups are recovered
-    from the ``...lora.{i}.A/B`` names of ``ADAPTED_PROJECTIONS``; a
-    missing, wrong-shaped or unknown tensor raises ``CheckpointError``."""
+    """Rebuild a model from named tensors, groups from the ``...lora.{i}.A/B``
+    names of ``ADAPTED_PROJECTIONS``. A missing, wrong-shaped or unknown
+    tensor, or a group rank outside [1, embed dim], raises ``CheckpointError``."""
     groups = {}
     for b in range(cfg.num_blocks):
         for proj in adapters.ADAPTED_PROJECTIONS:
@@ -259,26 +237,28 @@ def model_from_arrays(cfg: VitConfig, arrays: dict[str, np.ndarray]) -> VitModel
             while f"{prefix}.lora.{n}.A" in arrays:
                 n += 1
             if n:
-                groups[prefix] = (n, np.atleast_1d(arrays[f"{prefix}.lora.0.A"]).shape[0])
+                r = np.atleast_1d(arrays[f"{prefix}.lora.0.A"]).shape[0]
+                if not 1 <= r <= cfg.embed_dim:
+                    raise CheckpointError(f"tensor {prefix}.lora.0.A has rank {r}, outside [1, {cfg.embed_dim}]")
+                groups[b, proj] = (n, r)
+    model = _zeros(cfg, groups)
     unused = set(arrays)
-
-    def lookup(name, shape):
+    for name, t in named_params(model):
         if name not in arrays:
             raise CheckpointError(f"incomplete model: no tensor {name}")
-        arr = np.array(arrays[name])
-        if arr.shape != shape:
-            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {shape}")
+        arr = np.asarray(arrays[name])
+        if arr.shape != t.data.shape:
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {t.data.shape}")
+        t.data[...] = arr
         unused.discard(name)
-        return Tensor(arr)
-
-    model = _build(cfg, lookup, groups)
     if unused:
         raise CheckpointError(f"unknown tensors {sorted(unused)}")
+    apply_trainability(model)
     return model
 
 
 def clone(model: VitModel) -> VitModel:
-    return model_from_arrays(model.cfg, model_to_arrays(model))
+    return copy.deepcopy(model)
 
 
 def extract_patches(images: np.ndarray, patch: int) -> np.ndarray:

@@ -6,8 +6,9 @@ between the trainer checks and the acceptance suite. Their runs are
 independent and deterministic, so they go through the trainer's process
 pool with one worker per core; the results equal those of a serial run.
 
-It also holds two plain helpers that test modules import:
-``penalty_values`` and ``feature_orthogonality_gap``.
+It also holds three plain helpers that test modules import:
+``penalty_values``, ``feature_orthogonality_gap`` and
+``assert_independent_copy``.
 """
 
 import os
@@ -17,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pego import adapters, trainer
+from pego import adapters, trainer, vit
 from pego import autograd as ag
 from pego.adapters import AdaptedLinear, group_delta
 from pego.data import generate_dataset
@@ -38,6 +39,18 @@ def penalty_values(target) -> tuple[float, float]:
     else:
         pres, div = adapters.loss_or_tensor(target)
     return float(pres.data), float(div.data)
+
+
+def assert_independent_copy(copy, source, before: dict[str, np.ndarray]) -> None:
+    """``source`` still holds ``before`` (its ``vit.model_to_arrays`` taken
+    ahead of the copy) bitwise, no array of ``copy`` shares memory with
+    ``source``, and each tensor of ``copy`` trains exactly when its name
+    is trainable."""
+    for name, arr in vit.model_to_arrays(source).items():
+        assert np.array_equal(arr, before[name]), name
+    for name, t in vit.named_params(copy):
+        assert not any(np.shares_memory(t.data, s.data) for _, s in vit.named_params(source)), name
+        assert t.requires_grad == vit.is_trainable_name(name), name
 
 
 def feature_orthogonality_gap(layer: AdaptedLinear, z_in: np.ndarray) -> float:

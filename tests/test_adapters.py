@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import feature_orthogonality_gap, penalty_values
+from conftest import assert_independent_copy, feature_orthogonality_gap, penalty_values
 
 from pego import autograd as ag
-from pego import gradcheck, vit
+from pego import gradcheck, trainer, vit
 from pego.adapters import (
     AdaptedLinear,
     LoraGroup,
@@ -259,13 +259,17 @@ class TestFinalLoss:
 class TestMerge:
     def test_zero_b_merge_is_bitwise_identity(self):
         model = _small_model()
+        # the trainable tensors as views into one flat vector, as ``train`` leaves them
+        trainer.flatten_params(vit.trainable_params(model))
+        before = vit.model_to_arrays(model)
         merged = merge_all(model)
         assert adapted_layers(merged) == []
-        before = vit.model_to_arrays(model)
         after = vit.model_to_arrays(merged)
         assert all(".lora." not in name for name in after)
         for name, arr in after.items():
             assert np.array_equal(arr, before[name]), name
+        assert_independent_copy(merged, model, before)
+        assert [n for n, t in vit.named_params(merged) if t.requires_grad] == ["head.w", "head.b"]
 
     def test_worked_example(self):
         layer = _layer(np.eye(2), modules=[_module([[1.0], [0.0]], [[0.0, 1.0]])])

@@ -334,3 +334,18 @@ def test_wrong_shaped_adapter_is_rejected(tmp_path):
     write_container(path, {"kind": "model", "dtype": "f64", "config": model.cfg.__dict__}, arrays)
     with pytest.raises(CheckpointError, match=r"blocks\.1\.attn\.wv\.lora\.1\.B has shape \(8, 3\), expected \(8, 2\)"):
         load_model(path)
+
+
+@pytest.mark.parametrize("rank", [0, 9])
+def test_adapter_rank_outside_one_to_embed_dim_is_rejected(tmp_path, rank):
+    # a group of rank 0 or above the embed dim (8) has shapes that agree
+    # with one another, but ``init_group`` could never have made it
+    model = _model()
+    arrays = {n: a for n, a in vit.model_to_arrays(model).items() if ".lora." not in n}
+    for i in range(2):
+        arrays[f"blocks.0.attn.wq.lora.{i}.A"] = np.zeros((rank, 8))
+        arrays[f"blocks.0.attn.wq.lora.{i}.B"] = np.zeros((8, rank))
+    path = tmp_path / "rank.ckpt"
+    write_container(path, {"kind": "model", "dtype": "f64", "config": model.cfg.__dict__}, arrays)
+    with pytest.raises(CheckpointError, match=rf"blocks\.0\.attn\.wq\.lora\.0\.A has rank {rank}, outside \[1, 8\]"):
+        load_model(path)

@@ -4,13 +4,12 @@ from pathlib import Path
 import pego
 from pego import errors
 
-# The only imports inside functions: ``entry`` must cap the thread pools
-# before ``cli`` loads numpy, and ``vit`` imports ``adapters``, so
-# ``adapters.merge_all`` cannot import ``vit`` at the top.
-KEPT = {("__init__.py", "entry", "from . import cli"), ("adapters.py", "merge_all", "from . import vit")}
+# The only import inside a function: ``entry`` must cap the thread pools
+# before ``cli`` loads numpy.
+KEPT = {("__init__.py", "entry", "from . import cli")}
 
 
-def test_function_local_imports_are_the_two_kept():
+def test_function_local_imports_are_the_one_kept():
     found = set()
     for path in sorted(Path(pego.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -36,6 +35,21 @@ def _nodes(tree):
 def _sources():
     for path in sorted(Path(pego.__file__).parent.glob("*.py")):
         yield path.name, ast.parse(path.read_text())
+
+
+def test_parameter_names_are_spelled_only_in_vit():
+    # ``vit.named_params`` is the one list of names: no other module
+    # formats an adapter or block tensor name, in a string constant or an
+    # f-string part.
+    found = [
+        (name, fn, node.value)
+        for name, tree in _sources()
+        if name != "vit.py"
+        for node, fn in _nodes(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and (".lora." in node.value or "blocks." in node.value)
+    ]
+    assert found == []
 
 
 def _is_file_write(node):

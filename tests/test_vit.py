@@ -3,8 +3,9 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import assert_independent_copy
 
-from pego import adapters, vit
+from pego import adapters, trainer, vit
 from pego import autograd as ag
 from pego.errors import ConfigError, ShapeError
 from pego.numerics import make_rng
@@ -122,12 +123,19 @@ def test_adapter_placement():
 
 def test_zero_adapter_identity_is_exact():
     base = init_vit(_cfg(), make_rng(5))
+    before = vit.model_to_arrays(base)
     adapted = vit.clone(base)
+    assert_independent_copy(adapted, base, before)
     inject_groups(adapted, rank=4, n=4, rng=make_rng(6))
     images = make_rng(7).random((6, 16, 16))
     assert np.array_equal(
         vit.forward_logits_batch(base, images), vit.forward_logits_batch(adapted, images)
     )
+    # a clone of a model whose trainable tensors are views into one flat
+    # vector, as ``train`` leaves them
+    trainer.flatten_params(vit.trainable_params(adapted))
+    before = vit.model_to_arrays(adapted)
+    assert_independent_copy(vit.clone(adapted), adapted, before)
 
 
 def test_merge_equivalence_on_random_models():
