@@ -17,9 +17,9 @@ initialization; a group of one module has no pair to diversify. The
 forward path (``autograd.linear``) multiplies by W + B A and merge-back
 adds the same product B A of the stacked factors
 (``autograd.adapter_update``), so merged logits are bitwise the adapted
-ones. The penalties' arguments, (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
-come from the tape ops ``autograd.preserve_args``/``diversify_args``
-alone: ``loss_or_tensor`` is the one place their values are read, for
+ones. The penalties, L1 norms of (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
+are the tape ops ``autograd.preserve_l1``/``diversify_l1``, one node
+each: ``loss_or_tensor`` is the one place their values are read, for
 the training objective and its logged values alike. Merge-back copies
 the model in memory; this module knows no tensor names.
 """
@@ -110,14 +110,14 @@ def adapted_layers(model) -> list[AdaptedLinear]:
 
 def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
     """The two differentiable penalty sums of the orthogonality loss,
-    ``(preserve, diversify)``, each one L1 norm over the stacked
+    ``(preserve, diversify)``, each one 0-d node: the L1 norm over the
     arguments of every adapted projection. Both are None for a model
     without groups. Groups of different shapes raise ``ShapeError``."""
     layers = adapted_layers(model)
     if not layers:
         return None, None
     a, b = zip(*(lin.group.factors() for lin in layers))
-    return ag.abs_sum(ag.preserve_args([lin.base for lin in layers], a, b)), ag.abs_sum(ag.diversify_args(a, b))
+    return ag.preserve_l1([lin.base for lin in layers], a, b), ag.diversify_l1(a, b)
 
 
 def merge_all(model):

@@ -2,17 +2,17 @@
 
 The operator vocabulary is the fixed set the transformer and its
 regularizers need: matmul, broadcasting add, a handful of shape movers,
-layernorm, softmax, mean cross-entropy, the entrywise absolute-value
-sum, and fused ops. ``matmul`` multiplies its operands as given; a
-caller that needs a transposed operand lays it out with ``transpose``,
-as attention does with its keys. ``linear`` is a whole projection,
-``x (W + B A)^T + bias``, with ``B A`` a group's update
-(``adapter_update``); ``mlp`` is a block's MLP sublayer with its
-residual, ``embed`` the token embedding; ``preserve_args`` and
-``diversify_args`` stack the matrix arguments of one orthogonality
-penalty over every adapted projection, and one ``abs_sum`` takes their
-L1 norm. Plain and fused ops share one numpy kernel per formula
-(``_layernorm``, ``_gelu``, ``_dense``, each with its backward), so a
+layernorm, softmax, mean cross-entropy, and fused ops. ``matmul``
+multiplies its operands as given; a caller that needs a transposed
+operand lays it out with ``transpose``, as attention does with its
+keys. ``linear`` is a whole projection, ``x (W + B A)^T + bias``, with
+``B A`` a group's update (``adapter_update``); ``mlp`` is a block's MLP
+sublayer with its residual, ``embed`` the token embedding;
+``preserve_l1`` and ``diversify_l1`` are the orthogonality penalties,
+each one 0-d node: the L1 norm of the matrix arguments that
+``_preserve_args`` or ``_diversify_args`` stacks over every adapted
+projection. Plain and fused ops share one numpy kernel per formula
+(``_layernorm``, ``_gelu``, ``_dense``, the penalty arguments), so a
 fused op is bitwise the chain it replaces. Each operator stores a
 closure mapping the output gradient to parent gradients; ``backprop``
 walks the tape once in reverse topological order and returns the
@@ -364,15 +364,6 @@ def cross_entropy_mean(logits: Tensor, labels) -> Tensor:
     return _node(np.float64(loss), (logits,), grad_fn)
 
 
-def abs_sum(x: Tensor) -> Tensor:
-    """Entrywise L1 norm as a scalar tensor; backward uses sign with sign(0) = 0."""
-
-    def grad_fn(g):
-        return (float(g) * np.sign(x.data),)
-
-    return _node(np.float64(np.abs(x.data).sum()), (x,), grad_fn)
-
-
 def _row_blocks(parts, stacked, axis=0):
     """Per-part blocks of the gradient of ``np.concatenate(parts, axis)``;
     None for a part that needs no gradient, or when ``stacked`` is None.
@@ -518,38 +509,47 @@ def _stack_groups(groups) -> tuple[np.ndarray, list[Tensor]]:
     return np.stack([p.data for p in parts]).reshape((len(groups), n) + shapes.pop()), parts
 
 
-def preserve_args(ws, a_groups, b_groups) -> Tensor:
-    """The preserve arguments (W^T B_i) A_i of every adapted projection,
-    stacked (P, N, k, k). Projection p has the host weight ``ws[p]``
-    (d, k) and the module factors ``a_groups[p]``, ``b_groups[p]`` as
-    in ``linear``; all P groups must have the same shapes.
+def _preserve_args(w, a, b):
+    """Stacked (W^T B_i) A_i of weights ``w`` (P, d, k) and factors stacked (P, N, ...), and W^T B_i."""
+    inner = _swap(w)[:, None] @ b
+    return inner @ a, inner
+
+
+def _diversify_args(a, b):
+    """Stacked A_i^T (B_i^T B_j) A_j over ``pair_order``'s pairs i < j, and the Gram blocks B_i^T B_j."""
+    i, j, _ = pair_order(a.shape[1])
+    gram = _swap(b[:, i]) @ b[:, j]
+    return _swap(a[:, i]) @ (gram @ a[:, j]), gram
+
+
+def preserve_l1(ws, a_groups, b_groups) -> Tensor:
+    """The preserve penalty, the L1 norm of ``_preserve_args``, as one 0-d
+    node. Projection p has the host weight ``ws[p]`` (d, k) and the factors
+    ``a_groups[p]``, ``b_groups[p]`` as in ``linear``, shaped alike for all p.
 
     The host weights are read as constants and get no gradient: only
     adapter factors are trained while groups are attached.
     """
     (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
     w = np.stack([t.data for t in ws])
-    inner = _swap(w)[:, None] @ b  # W^T B_i
-    out = inner @ a
+    args, inner = _preserve_args(w, a, b)
 
     def grad_fn(g):
+        g = float(g) * np.sign(args)
         ga = _swap(inner) @ g if any(_needs(a_parts)) else None
         gb = w[:, None] @ (g @ _swap(a)) if any(_needs(b_parts)) else None
         return _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb)
 
-    return _node(out, a_parts + b_parts, grad_fn)
+    return _node(np.float64(np.abs(args).sum()), a_parts + b_parts, grad_fn)
 
 
-def diversify_args(a_groups, b_groups) -> Tensor:
-    """The diversify arguments A_i^T (B_i^T B_j) A_j of every adapted
-    projection, for i < j in row-major pair order, stacked
-    (P, N (N - 1) / 2, k, k); the groups are as in ``preserve_args``.
-    A group of one module has no pair: the stack is empty, its
-    ``abs_sum`` is 0 and the factors get zero gradients."""
+def diversify_l1(a_groups, b_groups) -> Tensor:
+    """The diversify penalty, the L1 norm of the ``_diversify_args`` of
+    groups as in ``preserve_l1``, as one 0-d node. A group of one module
+    has no pair: its penalty is 0 and the factors get zero gradients."""
     (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
     i, j, owner = pair_order(a.shape[1])
-    gram = _swap(b[:, i]) @ b[:, j]  # B_i^T B_j
-    out = _swap(a[:, i]) @ (gram @ a[:, j])
+    args, gram = _diversify_args(a, b)
     # Pair p feeds modules i[p] and j[p]; a GEMM against the 0/1 owner
     # matrix sums the pair terms per module (-1 cannot size the reshape
     # of a group of one, which has no pairs).
@@ -558,6 +558,7 @@ def diversify_args(a_groups, b_groups) -> Tensor:
         return (owner @ terms.reshape(terms.shape[:2] + (like[0, 0].size,))).reshape(like.shape)
 
     def grad_fn(g):
+        g = float(g) * np.sign(args)
         need_a, need_b = any(_needs(a_parts)), any(_needs(b_parts))
         ga = gb = None
         if need_a or need_b:
@@ -569,7 +570,7 @@ def diversify_args(a_groups, b_groups) -> Tensor:
             gb = per_module(np.concatenate([b[:, j] @ _swap(gg), b[:, i] @ gg], axis=1), b)
         return _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb)
 
-    return _node(out, a_parts + b_parts, grad_fn)
+    return _node(np.float64(np.abs(args).sum()), a_parts + b_parts, grad_fn)
 
 
 def backprop(root: Tensor, leaves) -> np.ndarray:

@@ -488,3 +488,7 @@ def cmd_analyze(args) -> int:
     print(f"layer {index}.{proj}: numerical rank {report.numerical_rank} at rel tol {tol!r}")
     _write_manifest(args, out / "manifest.json", {"layer": args.layer, "top_k": k}, [], artifacts, t0)
     return EXIT_OK
+
+
+if __name__ == "__main__":  # numpy is loaded, so PEGO_THREADS can no longer cap its threads
+    build_parser().error("run the command line as `python -m pego` or `pego`, not `python -m pego.cli`")

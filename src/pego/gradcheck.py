@@ -106,10 +106,9 @@ def _ambiguity_floor(model: VitModel) -> dict[ag.Tensor, float]:
     layers = adapters.adapted_layers(model)
     if not layers:
         return {}
-    a, b = zip(*(lin.group.factors() for lin in layers))
-    with ag.no_grad():
-        low = np.abs(ag.preserve_args([lin.base for lin in layers], a, b).data).min(axis=(2, 3))
-        pair_low = np.abs(ag.diversify_args(a, b).data).min(axis=(2, 3))
+    a, b = (ag._stack_groups(f)[0] for f in zip(*(lin.group.factors() for lin in layers)))
+    low = np.abs(ag._preserve_args(np.stack([lin.base.data for lin in layers]), a, b)[0]).min(axis=(2, 3))
+    pair_low = np.abs(ag._diversify_args(a, b)[0]).min(axis=(2, 3))
     i, j, _ = ag.pair_order(low.shape[1])
     np.minimum.at(low.T, i, pair_low.T)
     np.minimum.at(low.T, j, pair_low.T)

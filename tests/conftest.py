@@ -31,11 +31,11 @@ SEEDS = [0, 1, 2]
 def penalty_values(target) -> tuple[float, float]:
     """The unweighted (preserve, diversify) values of an adapted layer or
     of a whole model, read from the tape ops that training reads them
-    from: a layer's through ``ag.preserve_args``/``diversify_args``, a
+    from: a layer's through ``ag.preserve_l1``/``diversify_l1``, a
     model's total through ``adapters.loss_or_tensor``."""
     if isinstance(target, AdaptedLinear):
         a, b = target.group.factors()
-        pres, div = ag.abs_sum(ag.preserve_args([target.base], [a], [b])), ag.abs_sum(ag.diversify_args([a], [b]))
+        pres, div = ag.preserve_l1([target.base], [a], [b]), ag.diversify_l1([a], [b])
     else:
         pres, div = adapters.loss_or_tensor(target)
     return float(pres.data), float(div.data)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pego import autograd as ag
-from pego import trainer, vit
+from pego import adapters, trainer, vit
 from pego.errors import ShapeError
 from pego.numerics import make_rng
 
@@ -35,7 +35,10 @@ def _fd_check(build, shapes, seed=0, h=1e-6, tol=1e-6):
 
 
 def _sum_all(t):
-    return ag.abs_sum(ag.add(t, ag.Tensor(np.full(t.data.shape, 100.0))))  # shifted so |.| is smooth
+    """The entries of ``t`` weighted 1, 2, 3, ... in C order and summed, as
+    a 0-d node: a smooth reducer whose gradient is the fixed weights."""
+    weights = np.arange(1.0, t.data.size + 1.0).reshape(t.data.shape)
+    return ag._node(np.float64((weights * t.data).sum()), (t,), lambda g: (float(g) * weights,))
 
 
 def test_matmul_grad():
@@ -123,26 +126,30 @@ def test_cross_entropy_grad_closed_form():
     assert np.allclose(grad, (p / 5.0).ravel(), atol=1e-12)
 
 
-def test_abs_sum_grad_and_subgradient_at_zero():
+def test_penalty_grad_and_subgradient_at_zero():
+    # With W and A the identity, the preserve argument W^T B A is B itself.
+    eye = ag.Tensor(np.eye(2))
     x = ag.Tensor(np.array([[1.5, -2.0], [0.0, 3.0]]), requires_grad=True)
-    assert np.array_equal(ag.backprop(ag.abs_sum(x), [x]), np.array([1.0, -1.0, 0.0, 1.0]))
+    total = ag.preserve_l1([eye], [[eye]], [[x]])
+    assert float(total.data) == 6.5
+    assert np.array_equal(ag.backprop(total, [x]), np.array([1.0, -1.0, 0.0, 1.0]))
 
 
 def test_grad_accumulates_over_reuse():
     x = ag.Tensor(np.array([[2.0]]), requires_grad=True)
-    assert ag.backprop(ag.abs_sum(ag.add(x, x)), [x])[0] == 2.0
+    assert ag.backprop(_sum_all(ag.add(x, x)), [x])[0] == 2.0
 
 
 def test_backprop_gives_zeros_for_a_leaf_the_root_does_not_reach():
     x = ag.Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
     unused = ag.Tensor(np.ones((2, 2)), requires_grad=True)
-    grad = ag.backprop(ag.abs_sum(x), [unused, x])
-    assert np.array_equal(grad, np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]))
+    grad = ag.backprop(_sum_all(x), [unused, x])
+    assert np.array_equal(grad, np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0]))
 
 
 def test_backprop_twice_on_one_tape_returns_equal_vectors():
     x = ag.Tensor(np.array([[2.0]]), requires_grad=True)
-    root = ag.abs_sum(ag.scale(ag.add(x, x), 3.0))
+    root = _sum_all(ag.scale(ag.add(x, x), 3.0))
     first = ag.backprop(root, [x])
     assert first[0] == 6.0
     assert np.array_equal(ag.backprop(root, [x]), first)
@@ -151,7 +158,7 @@ def test_backprop_twice_on_one_tape_returns_equal_vectors():
 def test_backprop_lays_out_the_leaves_in_the_order_given():
     rng = make_rng(4)
     a, b = ag.Tensor(rng.normal(size=(2, 3)), True), ag.Tensor(rng.normal(size=(3, 1)), True)
-    root = ag.abs_sum(ag.matmul(a, b))
+    root = _sum_all(ag.matmul(a, b))
     ab, ba = ag.backprop(root, [a, b]), ag.backprop(root, [b, a])
     assert np.array_equal(ab, np.concatenate([ba[3:], ba[:3]]))
     assert not np.array_equal(ab, ba)
@@ -512,44 +519,62 @@ def _groups(parts, p):
 
 
 P = 2  # adapted projections in the penalty tests
-# The shifted sums in these tests reach about 1e4, so a step of 1e-6
-# would leave central differences with rounding errors near 1e-6.
+# The penalties are L1 norms: central differences hold only where no
+# argument is within a step of 0, so the gradient tests check that.
 H_PENALTY = 1e-5
+
+
+def _away_from_kinks(args):
+    assert np.abs(args).min() > 10 * H_PENALTY
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_preserve_args_grad(n):
+    # The gradient of the preserve arguments' L1 norm, ``preserve_l1``.
     ws = [ag.Tensor(w) for w in make_rng(45).normal(size=(P, 5, 4))]
     shapes = [(2, 4)] * (P * n) + [(5, 2)] * (P * n)
 
     def build(*f):
-        return _skewed_sum(ag.preserve_args(ws, _groups(f[: P * n], P), _groups(f[P * n :], P)))
+        a, b = _groups(f[: P * n], P), _groups(f[P * n :], P)
+        w = np.stack([t.data for t in ws])
+        _away_from_kinks(ag._preserve_args(w, ag._stack_groups(a)[0], ag._stack_groups(b)[0])[0])
+        return ag.preserve_l1(ws, a, b)
 
     _fd_check(build, shapes, h=H_PENALTY)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_diversify_args_grad(n):
+    # The gradient of the diversify arguments' L1 norm, ``diversify_l1``.
     shapes = [(2, 4)] * (P * n) + [(5, 2)] * (P * n)
 
     def build(*f):
-        return _skewed_sum(ag.diversify_args(_groups(f[: P * n], P), _groups(f[P * n :], P)))
+        a, b = _groups(f[: P * n], P), _groups(f[P * n :], P)
+        _away_from_kinks(ag._diversify_args(ag._stack_groups(a)[0], ag._stack_groups(b)[0])[0])
+        return ag.diversify_l1(a, b)
 
     _fd_check(build, shapes, h=H_PENALTY)
 
 
 def test_penalty_ops_match_the_dense_form():
-    # The rank-factored products against D_i = B_i A_i written out.
+    # The rank-factored products against D_i = B_i A_i written out, and
+    # each op the L1 norm of its kernel's arguments.
     rng = make_rng(46)
     a, b, w = rng.normal(size=(P, 3, 2, 4)), rng.normal(size=(P, 3, 5, 2)), rng.normal(size=(P, 5, 4))
     d = b @ a
     preserve = np.stack([[w[p].T @ d[p, i] for i in range(3)] for p in range(P)])
     diversify = np.stack([[d[p, i].T @ d[p, j] for i, j in ((0, 1), (0, 2), (1, 2))] for p in range(P)])
+    pres_args, inner = ag._preserve_args(w, a, b)
+    div_args, gram = ag._diversify_args(a, b)
+    assert np.allclose(pres_args, preserve, rtol=1e-13, atol=1e-13)
+    assert np.allclose(div_args, diversify, rtol=1e-13, atol=1e-13)
+    assert np.allclose(inner, np.swapaxes(w, 1, 2)[:, None] @ b, rtol=1e-13, atol=1e-13)
+    gram_ref = np.stack([[b[p, i].T @ b[p, j] for i, j in ((0, 1), (0, 2), (1, 2))] for p in range(P)])
+    assert np.allclose(gram, gram_ref, rtol=1e-13, atol=1e-13)
     a_groups = [[ag.Tensor(m) for m in group] for group in a]
     b_groups = [[ag.Tensor(m) for m in group] for group in b]
-    got = ag.preserve_args([ag.Tensor(x) for x in w], a_groups, b_groups).data
-    assert np.allclose(got, preserve, rtol=1e-13, atol=1e-13)
-    assert np.allclose(ag.diversify_args(a_groups, b_groups).data, diversify, rtol=1e-13, atol=1e-13)
+    assert ag.preserve_l1([ag.Tensor(x) for x in w], a_groups, b_groups).data == np.abs(pres_args).sum()
+    assert ag.diversify_l1(a_groups, b_groups).data == np.abs(div_args).sum()
 
 
 def test_diversify_of_a_group_of_one_is_zero():
@@ -557,10 +582,10 @@ def test_diversify_of_a_group_of_one_is_zero():
     rng = make_rng(55)
     a_groups = [[ag.Tensor(rng.normal(size=(2, 4)), True)] for _ in range(P)]
     b_groups = [[ag.Tensor(rng.normal(size=(5, 2)), True)] for _ in range(P)]
-    args = ag.diversify_args(a_groups, b_groups)
-    assert args.shape == (P, 0, 4, 4)
-    total = ag.abs_sum(args)
-    assert float(total.data) == 0.0
+    args, gram = ag._diversify_args(ag._stack_groups(a_groups)[0], ag._stack_groups(b_groups)[0])
+    assert args.shape == (P, 0, 4, 4) and gram.shape == (P, 0, 2, 2)
+    total = ag.diversify_l1(a_groups, b_groups)
+    assert total.shape == () and float(total.data) == 0.0
     leaves = [g[0] for g in a_groups + b_groups]
     grad = ag.backprop(total, leaves)
     assert grad.shape == (sum(t.data.size for t in leaves),) and not grad.any()
@@ -578,9 +603,9 @@ def test_penalty_ops_reject_groups_of_different_shapes():
     for other in (factors(3, 2), factors(2, 3)):
         a0, b0 = factors(2, 2)
         with pytest.raises(ShapeError):
-            ag.preserve_args([w, w], [a0, other[0]], [b0, other[1]])
+            ag.preserve_l1([w, w], [a0, other[0]], [b0, other[1]])
         with pytest.raises(ShapeError):
-            ag.diversify_args([a0, other[0]], [b0, other[1]])
+            ag.diversify_l1([a0, other[0]], [b0, other[1]])
 
 
 def _fused_cases():
@@ -608,14 +633,14 @@ def _fused_cases():
     return {
         "linear": ([x, w, bias] + a + b, lin),
         "linear_2d": ([x[0], w, bias] + a + b, lin),
-        "preserve_args": penalty(ag.preserve_args, ws),
-        "diversify_args": penalty(ag.diversify_args),
+        "preserve_l1": penalty(ag.preserve_l1, ws),
+        "diversify_l1": penalty(ag.diversify_l1),
         "mlp": ([x] + ln + fc, lambda p: ag.mlp(*p)),
         "embed": ([w, bias, rng.normal(size=(1, 4)), rng.normal(size=(4, 4))], lambda p: ag.embed(x, *p)),
     }
 
 
-@pytest.mark.parametrize("op", ["linear", "linear_2d", "preserve_args", "diversify_args", "mlp", "embed"])
+@pytest.mark.parametrize("op", ["linear", "linear_2d", "preserve_l1", "diversify_l1", "mlp", "embed"])
 def test_fused_ops_skip_each_frozen_parent(op):
     arrays, build = _fused_cases()[op]
     g = None
@@ -659,3 +684,16 @@ def test_canonical_step_tape_size():
     assert _tape_nodes(vit.batch_loss_tensor(model, images, labels, 0.0).total) <= 100
     vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
     assert _tape_nodes(vit.batch_loss_tensor(model, images, labels, 1e-3).total) <= 100
+
+
+def test_each_penalty_is_one_node_on_the_adapter_factors():
+    # The canonical adapter model: each penalty is a single 0-d node whose
+    # parents are every A, then every B, of the adapted projections.
+    model = vit.init_vit(trainer.canonical_vit_config(), make_rng(49))
+    vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
+    a, b = zip(*(lin.group.factors() for lin in adapters.adapted_layers(model)))
+    factors = [t for group in a + b for t in group]
+    for penalty in adapters.loss_or_tensor(model):
+        assert penalty.shape == () and _tape_nodes(penalty) == 1
+        assert len(penalty.parents) == len(factors) == 32
+        assert all(p is f for p, f in zip(penalty.parents, factors))

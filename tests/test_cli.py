@@ -544,15 +544,19 @@ class TestGradcheck:
         assert out.count("samples=500") == 2
 
     def test_injected_sign_bug_in_l1_backward_exits_1(self, monkeypatch, capsys):
-        real_abs_sum = ag.abs_sum
+        # Each penalty's backward scales sign(args) by g; handing it -g
+        # gives the L1 norm the gradient of -sign.
+        def broken(op):
+            def penalty(*args):
+                out = op(*args)
+                if out.grad_fn is not None:
+                    out.grad_fn = lambda g, real=out.grad_fn: real(-g)
+                return out
 
-        def broken_abs_sum(x):
-            out = real_abs_sum(x)
-            if out.grad_fn is not None:
-                out.grad_fn = lambda g: (float(g) * -np.sign(x.data),)
-            return out
+            return penalty
 
-        monkeypatch.setattr(ag, "abs_sum", broken_abs_sum)
+        for name in ("preserve_l1", "diversify_l1"):
+            monkeypatch.setattr(ag, name, broken(getattr(ag, name)))
         assert cli.main(["gradcheck", "--samples", "60"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -689,6 +693,28 @@ def test_importing_the_cli_loads_no_numpy():
     code = "import sys, pego; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_python_m_pego_runs_the_command_line_and_pego_cli_refuses(tmp_path):
+    # ``python -m pego`` goes through pego.entry, so PEGO_THREADS caps
+    # OpenBLAS; ``python -m pego.cli`` has loaded numpy before any cap.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)), "PEGO_THREADS": "1"}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+        env.pop(var, None)
+
+    def run(module, out):
+        argv = [sys.executable, "-m", module, "gen", "--out", out]
+        return subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    ran = run("pego", "ds.ckpt")
+    assert ran.returncode == 0, ran.stderr
+    assert (tmp_path / "ds.ckpt").is_file()
+    blas = json.loads((tmp_path / "ds.ckpt.manifest.json").read_text())["threads"]["blas"]
+    assert blas["threads"] in (1, None)
+    refused = run("pego.cli", "other.ckpt")
+    assert refused.returncode == 2
+    assert "python -m pego" in refused.stderr and refused.stdout == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ds.ckpt", "ds.ckpt.manifest.json"]
 
 
 # Each error class's exit code, as the command line has always mapped it.

@@ -93,7 +93,7 @@ def test_l1_of_product_gradient_away_from_kinks():
     b = ag.Tensor(rng.normal(0, 1.0, (4, 2)), requires_grad=True)
 
     def loss_tensor():
-        return ag.abs_sum(ag.matmul(ag.transpose(w, (1, 0)), ag.matmul(b, a)))
+        return ag.preserve_l1([w], [[a]], [[b]])  # ||W^T B A||_1
 
     argument = w.data.T @ (b.data @ a.data)
     h = 1e-5

@@ -99,3 +99,37 @@ def test_only_node_and_no_grad_read_the_grad_mode():
         if isinstance(node, ast.Name) and node.id == "_grad_mode" and isinstance(node.ctx, ast.Load)
     }
     assert readers == {"_node", "no_grad"}
+
+
+def test_every_public_autograd_name_is_used_by_the_package():
+    # No engine op that only tests call: each public top-level function
+    # and class of autograd is referenced in the package outside its own
+    # definition, through the module (``ag.name``) or an import of it.
+    sources = dict(_sources())
+    used = set()  # (name, line in autograd.py, or None elsewhere)
+    for name, tree in sources.items():
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+            if alias.name == "autograd"
+        }
+        for node in ast.walk(tree):
+            if name == "autograd.py" and isinstance(node, ast.Name):
+                used.add((node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                used.add((node.attr, None))
+            elif isinstance(node, ast.ImportFrom) and node.module == "autograd":
+                used.update((alias.name, None) for alias in node.names)
+    public = [
+        node
+        for node in sources["autograd.py"].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    unused = [
+        d.name
+        for d in public
+        if not any(n == d.name and not (line and d.lineno <= line <= d.end_lineno) for n, line in used)
+    ]
+    assert len(public) > 15 and unused == []
