@@ -3,7 +3,7 @@ trained with orthogonality penalties, with exact merge-back, gradient
 auditing, a leave-one-domain-out harness on procedural data, and
 weight-space diagnostics.
 
-The package imports no submodule, so ``entry`` can cap numeric thread
+The package imports no submodule, so ``entry`` can pin numeric thread
 pools before numpy is imported.
 """
 
@@ -14,13 +14,12 @@ __version__ = "0.1.0"
 
 
 def entry() -> None:
-    """The ``pego`` console script: copy ``PEGO_THREADS`` into the BLAS
-    thread variables, which take effect only before numpy loads, then run
-    the command line."""
-    threads = os.environ.get("PEGO_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-    from . import cli  # loads numpy, so only after the cap
+    """The ``pego`` console script: pin every BLAS vendor to one thread
+    through its thread variable, which takes effect only before numpy
+    loads, then run the command line. ``PEGO_THREADS`` caps the no-grad
+    forward threads alone."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+        os.environ[var] = "1"
+    from . import cli  # loads numpy, so only after the pin
 
     sys.exit(cli.main(sys.argv[1:]))

@@ -38,9 +38,9 @@ a tape, and start threads only when every thread gets at least two
 chunks.
 
 Importing this module fixes glibc's allocator policy for the process
-(see ``_keep_freed_memory``), before any forward thread starts.
-``blas_threads`` and ``set_blas_threads`` read and set the thread count
-of numpy's OpenBLAS; ``trainer``'s pool workers set it to their budget.
+(see ``_keep_freed_memory``), before any forward thread starts, and pins
+numpy's OpenBLAS to one thread (``set_blas_threads``), so the no-grad
+forward threads and ``trainer``'s process pool are the only parallelism.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ def _keep_freed_memory() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX
 
 
-_keep_freed_memory()
-
-
 def _openblas(name: str, restype, argtypes):
     """The function ``name`` of the OpenBLAS bundled with numpy's wheel,
     through ctypes, or None when there is no such library or symbol."""
@@ -107,6 +104,10 @@ def set_blas_threads(n: int) -> None:
     put = _openblas("scipy_openblas_set_num_threads64_", None, (ctypes.c_int,))
     if put is not None:
         put(n)
+
+
+_keep_freed_memory()
+set_blas_threads(1)
 
 
 class _GradMode(threading.local):
@@ -403,9 +404,7 @@ def _dense(x, w_eff, bias):
 
 def _dense_grads(g, x, w_eff, need):
     """``_dense``'s x, W_eff and bias gradients, None where ``need`` is
-    false. W_eff's is one 2-D GEMM ``g^T x`` over all rows, which large
-    batches make big enough for OpenBLAS to thread (hence pool workers'
-    ``set_blas_threads``)."""
+    false. W_eff's is one 2-D GEMM ``g^T x`` over all rows."""
     need_x, need_w, need_bias = need
     gx = g @ w_eff if need_x else None
     gw = _rows(g).T @ _rows(x) if need_w else None

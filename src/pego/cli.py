@@ -9,15 +9,16 @@ byte for byte in single-job mode.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O or format
 error, 4 degenerate input; each class in ``errors`` names its code.
-``PEGO_THREADS`` caps the threads of no-grad forwards; ``pego.entry``,
-the console script, also hands it to the BLAS thread pools before this
-module loads numpy.
+``PEGO_THREADS`` caps the threads of no-grad forwards. numpy's BLAS runs
+one thread: ``autograd`` pins OpenBLAS on import, and ``pego.entry``, the
+console script, pins every BLAS vendor before this module loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import logging
@@ -166,17 +167,20 @@ def _config_hash(config: dict) -> str:
 def _thread_details(jobs: int) -> dict:
     """How the run could use the CPUs: cores available, the forward-thread
     budget, pool workers and each one's budget, and numpy's BLAS with its
-    live thread count (None where it cannot be read)."""
+    live thread count and the OpenBLAS kernel chosen for this CPU, which
+    its build configuration may not name (None where unreadable)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         blas = {}
+    corename = ag._openblas("scipy_openblas_get_corename64_", ctypes.c_char_p, ())
     return {
         "affinity": vit.cores(),
         "forward_budget": vit.thread_budget(),
         "jobs": jobs,
         "worker_budget": trainer.worker_thread_budget(jobs),
-        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": ag.blas_threads()},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": ag.blas_threads(),
+                 "core": None if corename is None else corename().decode()},
     }
 
 
@@ -490,5 +494,5 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-if __name__ == "__main__":  # numpy is loaded, so PEGO_THREADS can no longer cap its threads
+if __name__ == "__main__":  # numpy is loaded, so its BLAS vendor can no longer be pinned
     build_parser().error("run the command line as `python -m pego` or `pego`, not `python -m pego.cli`")

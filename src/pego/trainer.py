@@ -362,14 +362,13 @@ def worker_thread_budget(jobs: int) -> int:
 
 def _cap_worker_threads(budget: int) -> None:
     os.environ["PEGO_THREADS"] = str(budget)
-    ag.set_blas_threads(budget)
 
 
 def _map_runs(task, payloads, jobs: int):
     # Runs are independent and deterministic, so the pool only changes
     # wall-clock time, never results; outputs come in payload order. Each
-    # worker's forwards and OpenBLAS get an equal share of the cores, so
-    # the workers' threads do not oversubscribe them.
+    # worker's forwards get an equal share of the cores, so the workers'
+    # threads do not oversubscribe them.
     if jobs <= 1:
         yield from map(task, payloads)
         return

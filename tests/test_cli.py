@@ -429,9 +429,11 @@ class TestLodo:
         assert m1["threads"]["jobs"] == 1 and m1["threads"]["worker_budget"] == budget
         assert m2["threads"]["jobs"] == 2 and m2["threads"]["worker_budget"] == max(1, budget // 2)
         assert 1 <= budget <= m1["threads"]["affinity"]
-        assert set(m1["threads"]["blas"]) == {"name", "version", "threads"}
+        assert set(m1["threads"]["blas"]) == {"name", "version", "threads", "core"}
         # The live OpenBLAS thread count of the process that wrote it.
         assert m1["threads"]["blas"]["threads"] == m2["threads"]["blas"]["threads"] == ag.blas_threads()
+        assert m1["threads"]["blas"]["core"] == m2["threads"]["blas"]["core"]
+        assert (m1["threads"]["blas"]["core"] is None) == (ag.blas_threads() is None)
         assert "threads" not in m1["config"] and m1["config_hash"] == m2["config_hash"]
 
 
@@ -689,18 +691,21 @@ def test_bad_group_sizes_and_rank_exit_2_before_pretraining(
 
 
 def test_importing_the_cli_loads_no_numpy():
-    # pego.entry() caps the numeric thread pools, which only works before numpy loads.
+    # pego.entry() pins the numeric thread pools, which only works before numpy loads.
     code = "import sys, pego; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
 def test_python_m_pego_runs_the_command_line_and_pego_cli_refuses(tmp_path):
-    # ``python -m pego`` goes through pego.entry, so PEGO_THREADS caps
-    # OpenBLAS; ``python -m pego.cli`` has loaded numpy before any cap.
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)), "PEGO_THREADS": "1"}
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-        env.pop(var, None)
+    # ``python -m pego`` goes through pego.entry, and with neither
+    # PEGO_THREADS nor a BLAS variable set its BLAS runs one thread;
+    # ``python -m pego.cli`` has loaded numpy before entry could pin it.
+    env = {k: v for k, v in os.environ.items() if k not in ("PEGO_THREADS", *BLAS_THREAD_VARS)}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
 
     def run(module, out):
         argv = [sys.executable, "-m", module, "gen", "--out", out]
@@ -709,8 +714,9 @@ def test_python_m_pego_runs_the_command_line_and_pego_cli_refuses(tmp_path):
     ran = run("pego", "ds.ckpt")
     assert ran.returncode == 0, ran.stderr
     assert (tmp_path / "ds.ckpt").is_file()
-    blas = json.loads((tmp_path / "ds.ckpt.manifest.json").read_text())["threads"]["blas"]
-    assert blas["threads"] in (1, None)
+    threads = json.loads((tmp_path / "ds.ckpt.manifest.json").read_text())["threads"]
+    assert threads["blas"]["threads"] == (None if ag.blas_threads() is None else 1)
+    assert threads["forward_budget"] == vit.cores()
     refused = run("pego.cli", "other.ckpt")
     assert refused.returncode == 2
     assert "python -m pego" in refused.stderr and refused.stdout == ""
@@ -789,14 +795,16 @@ def test_malformed_thread_cap_exits_2(monkeypatch, capsys):
         assert "PEGO_THREADS must be a positive integer" in capsys.readouterr().err
 
 
-def test_entry_applies_thread_cap(monkeypatch):
-    monkeypatch.setenv("PEGO_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+def test_entry_pins_every_blas_vendor_to_one_thread(monkeypatch):
+    # Whatever PEGO_THREADS or the variables said before.
+    monkeypatch.setenv("PEGO_THREADS", "2")
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "2")
     monkeypatch.setattr(sys, "argv", ["pego", "--help"])
     with pytest.raises(SystemExit) as exc:
         pego.entry()
     assert exc.value.code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert {var: os.environ[var] for var in BLAS_THREAD_VARS} == dict.fromkeys(BLAS_THREAD_VARS, "1")
 
 
 @pytest.mark.parametrize("command", ["train", "lodo", "ablate", "sweep", "analyze"])

@@ -4,7 +4,7 @@ from pathlib import Path
 import pego
 from pego import errors
 
-# The only import inside a function: ``entry`` must cap the thread pools
+# The only import inside a function: ``entry`` must pin the thread pools
 # before ``cli`` loads numpy.
 KEPT = {("__init__.py", "entry", "from . import cli")}
 
@@ -32,8 +32,11 @@ def _nodes(tree):
             stack.append((child, inner))
 
 
-def _sources():
-    for path in sorted(Path(pego.__file__).parent.glob("*.py")):
+PACKAGE = Path(pego.__file__).parent
+
+
+def _sources(directory=PACKAGE):
+    for path in sorted(directory.glob("*.py")):
         yield path.name, ast.parse(path.read_text())
 
 
@@ -101,35 +104,51 @@ def test_only_node_and_no_grad_read_the_grad_mode():
     assert readers == {"_node", "no_grad"}
 
 
-def test_every_public_autograd_name_is_used_by_the_package():
-    # No engine op that only tests call: each public top-level function
-    # and class of autograd is referenced in the package outside its own
-    # definition, through the module (``ag.name``) or an import of it.
-    sources = dict(_sources())
-    used = set()  # (name, line in autograd.py, or None elsewhere)
-    for name, tree in sources.items():
-        aliases = {
-            alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
-            for alias in node.names
-            if alias.name == "autograd"
-        }
+def _imported(node):
+    """The package module an import statement reads from, by its file's
+    stem (``__init__`` for the package itself), or None for another."""
+    if node.level:  # within the package: ``from . import x``, ``from .x import y``
+        return node.module or "__init__"
+    if node.module == "pego":
+        return "__init__"
+    return node.module.removeprefix("pego.") if node.module.startswith("pego.") else None
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    # No src/ helper that only tests call: each public top-level function
+    # and class of every package module is referenced outside its own
+    # definition, by the package or perfbench/, through its module
+    # (``ag.name``), an import of it, or by name in its own module.
+    # ``trainer.canonical_dataset_spec`` is the one name only perfbench
+    # and tests reach.
+    package = {name.removesuffix(".py"): tree for name, tree in _sources()}
+    benchmark = [(None, tree) for _, tree in _sources(PACKAGE.parent.parent / "perfbench")]
+    used = set()  # (module, name, line in that module, or None elsewhere)
+    for here, tree in [*package.items(), *benchmark]:
+        aliases = {}  # local name -> module
         for node in ast.walk(tree):
-            if name == "autograd.py" and isinstance(node, ast.Name):
-                used.add((node.id, node.lineno))
+            module = _imported(node) if isinstance(node, ast.ImportFrom) else None
+            for alias in node.names if module else ():
+                if module == "__init__" and alias.name in package:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    used.add((module, alias.name, None))
+        for node in ast.walk(tree):
+            if here and isinstance(node, ast.Name):
+                used.add((here, node.id, node.lineno))
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
-                used.add((node.attr, None))
-            elif isinstance(node, ast.ImportFrom) and node.module == "autograd":
-                used.update((alias.name, None) for alias in node.names)
+                used.add((aliases[node.value.id], node.attr, None))
     public = [
-        node
-        for node in sources["autograd.py"].body
+        (module, node)
+        for module, tree in package.items()
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
     unused = [
-        d.name
-        for d in public
-        if not any(n == d.name and not (line and d.lineno <= line <= d.end_lineno) for n, line in used)
+        f"{module}.{d.name}"
+        for module, d in public
+        if not any(
+            (m, n) == (module, d.name) and not (line and d.lineno <= line <= d.end_lineno) for m, n, line in used
+        )
     ]
-    assert len(public) > 15 and unused == []
+    assert len(public) > 60 and unused == []

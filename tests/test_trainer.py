@@ -541,11 +541,14 @@ def _reported_blas_threads(_):
 
 
 @pytest.mark.skipif(ag.blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read")
-def test_pool_workers_cap_openblas_at_their_budget():
-    before = ag.blas_threads()
-    budget = trainer.worker_thread_budget(2)
-    assert list(trainer._map_runs(_reported_blas_threads, range(4), jobs=2)) == [budget] * 4
-    assert ag.blas_threads() == before
+def test_openblas_runs_one_thread_here_and_in_pool_workers(monkeypatch):
+    # Importing autograd pins it, and workers keep the pin: a worker's
+    # budget caps its forward threads alone.
+    assert ag.blas_threads() == 1
+    assert list(trainer._map_runs(_reported_blas_threads, range(4), jobs=2)) == [1] * 4
+    monkeypatch.setenv("PEGO_THREADS", "1")
+    trainer._cap_worker_threads(2)
+    assert os.environ["PEGO_THREADS"] == "2" and ag.blas_threads() == 1
 
 
 def test_pretrain_base_is_deterministic_and_cached():
