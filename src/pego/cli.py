@@ -9,8 +9,10 @@ byte for byte in single-job mode.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O or format
 error, 4 degenerate input; each class in ``errors`` names its code.
-``PEGO_THREADS`` caps the threads of no-grad forwards. numpy's BLAS runs
-one thread: ``autograd`` pins OpenBLAS on import, and ``pego.entry``, the
+``PEGO_THREADS`` caps how many threads or processes pego keeps busy: the
+threads of a no-grad forward, and the workers of a grid's process pool,
+which run their forwards on one thread each. numpy's BLAS runs one
+thread: ``autograd`` pins OpenBLAS on import, and ``pego.entry``, the
 console script, pins every BLAS vendor before this module loads numpy.
 """
 
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     def harness(name, help_text, run):
         q = train_like(name, help_text)
         q.add_argument("--seeds", default="0,1,2", help="comma-separated run seeds")
-        q.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=1)
+        q.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=1, help="the most workers a grid may fork")
         q.set_defaults(func=partial(_run_harness, run=run))
         return q
 
@@ -166,9 +168,9 @@ def _config_hash(config: dict) -> str:
 
 def _thread_details(jobs: int) -> dict:
     """How the run could use the CPUs: cores available, the forward-thread
-    budget, pool workers and each one's budget, and numpy's BLAS with its
-    live thread count and the OpenBLAS kernel chosen for this CPU, which
-    its build configuration may not name (None where unreadable)."""
+    budget, the most pool workers ``--jobs`` allows, and numpy's BLAS with
+    its live thread count and the OpenBLAS kernel chosen for this CPU,
+    which its build configuration may not name (None where unreadable)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
@@ -178,7 +180,6 @@ def _thread_details(jobs: int) -> dict:
         "affinity": vit.cores(),
         "forward_budget": vit.thread_budget(),
         "jobs": jobs,
-        "worker_budget": trainer.worker_thread_budget(jobs),
         "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": ag.blas_threads(),
                  "core": None if corename is None else corename().decode()},
     }

@@ -60,12 +60,9 @@ def svd(m: Matrix) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"svd did not converge: {exc}") from exc
     v = vh.T.copy()
-    u = u.copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return SvdResult(u=u, s=s, v=v)
 
 

@@ -345,6 +345,9 @@ def run_single(dataset: DomainDataset, cfg: TrainConfig, base: VitModel, test_do
 
 
 def _run_single_task(payload):
+    # Looks ``run_single`` up in this module's globals when it runs, so a
+    # forked worker calls whatever the parent bound there before the fork,
+    # a closure too, which pickle could not send to it.
     return run_single(*payload)
 
 
@@ -354,27 +357,20 @@ def _timed(call):
     return task(payload), time.perf_counter() - t0
 
 
-def worker_thread_budget(jobs: int) -> int:
-    """The forward-thread budget of each of ``jobs`` pool workers: an
-    equal share of this process's ``vit.thread_budget``, at least 1."""
-    return max(1, vit.thread_budget() // max(jobs, 1))
-
-
-def _cap_worker_threads(budget: int) -> None:
-    os.environ["PEGO_THREADS"] = str(budget)
+def _cap_worker_threads() -> None:
+    os.environ["PEGO_THREADS"] = "1"
 
 
 def _map_runs(task, payloads, jobs: int):
     # Runs are independent and deterministic, so the pool only changes
-    # wall-clock time, never results; outputs come in payload order. Each
-    # worker's forwards get an equal share of the cores, so the workers'
-    # threads do not oversubscribe them.
-    if jobs <= 1:
+    # wall-clock time, never results; outputs come in payload order. At
+    # most one single-threaded worker per run and per thread of the budget
+    # keeps the cores from oversubscription; a lone worker adds only a fork.
+    workers = min(jobs, len(payloads), vit.thread_budget())
+    if workers <= 1:
         yield from map(task, payloads)
         return
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_cap_worker_threads, initargs=(worker_thread_budget(jobs),)
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_cap_worker_threads) as pool:
         yield from pool.map(task, payloads)
 
 

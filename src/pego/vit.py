@@ -394,9 +394,9 @@ def cores() -> int:
 
 
 def thread_budget() -> int:
-    """Threads a no-grad forward may use: ``cores()``, capped by a
-    positive integer in ASCII digits in ``PEGO_THREADS``. Read on every
-    call, so a cap set in a pool worker holds for that worker."""
+    """Threads a no-grad forward, or workers a grid's pool, may use:
+    ``cores()`` capped by a positive integer in ASCII digits in
+    ``PEGO_THREADS``, read on every call, so a worker's cap holds in it."""
     budget = cores()
     raw = os.environ.get("PEGO_THREADS")
     if raw:

@@ -152,3 +152,18 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
         )
     ]
     assert len(public) > 60 and unused == []
+
+
+def test_one_process_pool_and_one_thread_pool():
+    # A grid's runs fork workers in ``trainer._map_runs``, and a no-grad
+    # forward spreads its chunks over threads in ``vit._no_grad_chunks``:
+    # the package has no other parallelism.
+    pools = ("ProcessPoolExecutor", "ThreadPoolExecutor")
+    found = sorted(
+        (name, fn, called)
+        for name, tree in _sources()
+        for node, fn in _nodes(tree)
+        if isinstance(node, ast.Call)
+        and (called := getattr(node.func, "id", getattr(node.func, "attr", None))) in pools
+    )
+    assert found == [("trainer.py", "_map_runs", pools[0]), ("vit.py", "_no_grad_chunks", pools[1])]

@@ -109,14 +109,21 @@ def test_svd_invariants_hold_on_random_matrices():
 
 
 def test_svd_sign_convention_is_deterministic():
+    # The vectorized flip is bitwise the column-by-column reference.
     rng = make_rng(11)
-    m = rng.normal(size=(6, 6))
-    first = svd(m)
-    second = svd(m.copy())
-    assert np.array_equal(first.u, second.u)
-    for j in range(first.u.shape[1]):
-        i = int(np.argmax(np.abs(first.u[:, j])))
-        assert first.u[i, j] > 0
+    for shape in [(6, 6), (1600, 32), (5, 3), (3, 5), (1, 4), (4, 1)]:
+        m = rng.normal(size=shape)
+        first = svd(m)
+        second = svd(m.copy())
+        assert np.array_equal(first.u, second.u)
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        v = vh.T.copy()
+        for j in range(first.u.shape[1]):
+            i = int(np.argmax(np.abs(first.u[:, j])))
+            assert first.u[i, j] > 0
+            if u[i, j] < 0:
+                u[:, j], v[:, j] = -u[:, j], -v[:, j]
+        assert np.array_equal(first.u, u) and np.array_equal(first.s, s) and np.array_equal(first.v, v)
 
 
 def test_svd_rejects_non_finite():

@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -410,6 +412,20 @@ class TestLodo:
         with pytest.raises(ConfigError):
             leave_one_domain_out(tiny_dataset, _tiny_cfg(), [], base=tiny_base)
 
+    def test_pool_workers_call_the_run_single_bound_in_trainer(self, tiny_dataset, tiny_base, monkeypatch):
+        # Workers look ``run_single`` up by name, so a wrapper bound there
+        # runs in them although pickle cannot send a closure.
+        real = trainer.run_single
+
+        def marking(*args):
+            record = real(*args)
+            record.marked = True
+            return record
+
+        monkeypatch.setattr(trainer, "run_single", marking)
+        result = leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
+        assert len(result.records) == 4 and all(getattr(r, "marked", False) for r in result.records)
+
     def test_a_library_call_prints_no_progress(self, tiny_dataset, tiny_base, capfd):
         leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base)
         assert capfd.readouterr() == ("", "")
@@ -529,7 +545,7 @@ def _reported_thread_budget(_):
     return vit.thread_budget()
 
 
-def test_pool_workers_share_the_thread_budget(monkeypatch):
+def test_pool_workers_run_their_forwards_on_one_thread(monkeypatch):
     monkeypatch.setenv("PEGO_THREADS", "2")
     assert list(trainer._map_runs(_reported_thread_budget, range(4), jobs=2)) == [1] * 4
     assert list(trainer._map_runs(_reported_thread_budget, range(1), jobs=1)) == [vit.thread_budget()]
@@ -542,13 +558,57 @@ def _reported_blas_threads(_):
 
 @pytest.mark.skipif(ag.blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read")
 def test_openblas_runs_one_thread_here_and_in_pool_workers(monkeypatch):
-    # Importing autograd pins it, and workers keep the pin: a worker's
-    # budget caps its forward threads alone.
+    # Importing autograd pins it, and workers keep the pin: the worker
+    # initializer caps their forward threads alone.
     assert ag.blas_threads() == 1
     assert list(trainer._map_runs(_reported_blas_threads, range(4), jobs=2)) == [1] * 4
-    monkeypatch.setenv("PEGO_THREADS", "1")
-    trainer._cap_worker_threads(2)
-    assert os.environ["PEGO_THREADS"] == "2" and ag.blas_threads() == 1
+    monkeypatch.setenv("PEGO_THREADS", "2")
+    trainer._cap_worker_threads()
+    assert os.environ["PEGO_THREADS"] == "1" and vit.thread_budget() == 1 and ag.blas_threads() == 1
+
+
+def _pid_after_meeting(payload):
+    """This process's pid, once ``count`` processes have each left a file
+    in ``directory`` (or after 30 s), so every worker of a pool of
+    ``count`` takes a run rather than one worker taking them all."""
+    directory, count = payload
+    (directory / str(os.getpid())).touch()
+    deadline = time.monotonic() + 30
+    while len(list(directory.iterdir())) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid()
+
+
+def _pids_and_peak_children(directory, count, runs, jobs):
+    """The pids ``_map_runs`` returns for ``runs`` meeting runs, and the
+    most live child processes seen while its results were consumed."""
+    pids, peak = [], 0
+    for pid in trainer._map_runs(_pid_after_meeting, [(directory, count)] * runs, jobs=jobs):
+        pids.append(pid)
+        peak = max(peak, len(multiprocessing.active_children()))
+    return pids, peak
+
+
+@pytest.mark.skipif(vit.cores() < 2, reason="a pool needs two CPUs")
+class TestPoolSize:
+    # The pool forks min(jobs, runs, vit.thread_budget()) workers, and
+    # none when that is 1.
+    def test_runs_cap_the_pool(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PEGO_THREADS", raising=False)
+        pids, peak = _pids_and_peak_children(tmp_path, 2, runs=2, jobs=4)
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert peak <= 2
+
+    def test_the_thread_budget_caps_the_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PEGO_THREADS", "2")
+        pids, peak = _pids_and_peak_children(tmp_path, 2, runs=4, jobs=3)
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert peak <= 2
+
+    def test_a_budget_of_one_thread_runs_serially(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PEGO_THREADS", "1")
+        pids, peak = _pids_and_peak_children(tmp_path, 1, runs=3, jobs=2)
+        assert pids == [os.getpid()] * 3 and peak == 0
 
 
 def test_pretrain_base_is_deterministic_and_cached():
