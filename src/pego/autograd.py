@@ -34,8 +34,8 @@ A tape is confined to the thread that built it; building independent
 tapes on separate threads is safe, and ``no_grad`` holds for the thread
 that enters it alone. ``vit``'s no-grad forwards use that: they hand
 whole chunks of images to threads, each running its own chunks without
-a tape, and start threads only when every thread gets at least two
-chunks.
+a tape, and start threads only when every thread gets at least
+``vit.FORWARD_CHUNKS_PER_THREAD`` chunks.
 
 Importing this module fixes glibc's allocator policy for the process
 (see ``_keep_freed_memory``), before any forward thread starts, and pins

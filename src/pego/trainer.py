@@ -352,9 +352,11 @@ def _run_single_task(payload):
 
 
 def _timed(call):
+    # Wall and CPU seconds, both taken where the task runs: a pool worker,
+    # or the calling process for a serial grid.
     task, payload = call
-    t0 = time.perf_counter()
-    return task(payload), time.perf_counter() - t0
+    t0, c0 = time.perf_counter(), time.process_time()
+    return task(payload), time.perf_counter() - t0, time.process_time() - c0
 
 
 def _cap_worker_threads() -> None:
@@ -391,12 +393,12 @@ def _run_grid(name: str, task, dataset: DomainDataset, variants, seeds: list[int
     payloads = [(dataset, cfg, base, dom, seed) for _, cfg in variants for dom in dataset.domains for seed in seeds]
     runs = len(dataset.domains) * len(seeds)
     outputs = []
-    for k, (out, seconds) in enumerate(_map_runs(_timed, [(task, p) for p in payloads], jobs)):
+    for k, (out, seconds, cpu) in enumerate(_map_runs(_timed, [(task, p) for p in payloads], jobs)):
         outputs.append(out)
         _, _, _, dom, seed = payloads[k]
         score = f"acc={out.accuracy:.4f}" if isinstance(out, LodoRecord) else f"val_acc={out:.4f}"
         what = " ".join(filter(None, (variants[k // runs][0], dom, f"seed={seed}", score)))
-        log.info("[%s %d/%d] %s %.1fs", name, k + 1, len(payloads), what, seconds)
+        log.info("[%s %d/%d] %s %.1fs cpu=%.1fs", name, k + 1, len(payloads), what, seconds, cpu)
     return [outputs[i : i + runs] for i in range(0, len(outputs), runs)]
 
 

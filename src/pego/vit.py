@@ -375,14 +375,22 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 # Images per no-grad forward, and the unit of threading. Chunks bound the
 # memory of a large batch, and their activations stay in cache: on the
-# canonical model (2-core Xeon, OpenBLAS), 400 images took 75 ms in one
-# forward and 50-52 ms in chunks of 32 to 100 (medians of 40 shuffled
-# runs); 1600 images took 311 ms against 214-219 ms. A forward gives each
-# thread at least two chunks: two threads on two full chunks took 12.0 ms
-# against 10.6 ms on one (medians of 100), while on 400 images they took
-# 37 ms against 52 ms and on 1600 images 137 ms against 209 ms (medians,
-# same box).
+# canonical model (2-core Xeon, OpenBLAS on one thread), one thread took
+# 17.5-18.0 ms for 240 images and 115 ms for 1600 in chunks of 32 to 128,
+# against 22.5 and 192 ms in one forward (medians of 20 interleaved rounds).
+#
+# A forward gives each thread at least FORWARD_CHUNKS_PER_THREAD chunks.
+# Back to back, two threads beat one from 4 chunks up (1.1-1.3x at 4,
+# 1.3x at 7, 1.4-1.5x from 10 to 25, for about 20% more CPU); after 50 ms
+# of one-thread work, as training steps leave a validation pass, they lost
+# at every size (0.92-0.98x; medians of 20 and 30 interleaved rounds, same
+# box). So the floor follows the callers: training's validation and
+# held-out passes (4 and 7 chunks) stay on one thread, where a second
+# thread's chunk would also double the forward's heap peak (5.0 against
+# 8.6-10.0 MiB traced), while reading a whole dataset back to back (25
+# chunks) keeps two.
 FORWARD_CHUNK = 64
+FORWARD_CHUNKS_PER_THREAD = 8
 
 
 def cores() -> int:
@@ -394,9 +402,11 @@ def cores() -> int:
 
 
 def thread_budget() -> int:
-    """Threads a no-grad forward, or workers a grid's pool, may use:
-    ``cores()`` capped by a positive integer in ASCII digits in
-    ``PEGO_THREADS``, read on every call, so a worker's cap holds in it."""
+    """Threads a no-grad forward, or workers a grid's pool, may use at
+    most: ``cores()`` capped by a positive integer in ASCII digits in
+    ``PEGO_THREADS``, read on every call, so a worker's cap holds in it.
+    A forward uses fewer when it has fewer than
+    ``FORWARD_CHUNKS_PER_THREAD`` chunks per thread."""
     budget = cores()
     raw = os.environ.get("PEGO_THREADS")
     if raw:
@@ -408,11 +418,11 @@ def thread_budget() -> int:
 
 def _no_grad_chunks(forward, model: VitModel, images: np.ndarray) -> np.ndarray:
     """``forward(model, chunk)`` without a tape over chunks of
-    ``FORWARD_CHUNK`` images, concatenated in order. With four chunks or
-    more and a ``thread_budget`` above 1, the chunks are spread over
-    ``min(budget, chunks // 2)`` threads of a pool made for this call;
-    each chunk is computed exactly as on one thread, so the result is
-    bitwise the same."""
+    ``FORWARD_CHUNK`` images, concatenated in order. The chunks are spread
+    over ``min(thread_budget(), chunks // FORWARD_CHUNKS_PER_THREAD)``
+    threads of a pool made for this call, and run on the calling thread
+    when that is 1 or less; each chunk is computed exactly as on one
+    thread, so the result is bitwise the same."""
     images = _check_images(model.cfg, images)
     starts = range(0, max(len(images), 1), FORWARD_CHUNK)
 
@@ -420,7 +430,7 @@ def _no_grad_chunks(forward, model: VitModel, images: np.ndarray) -> np.ndarray:
         with ag.no_grad():
             return forward(model, images[s : s + FORWARD_CHUNK]).data
 
-    threads = min(thread_budget(), len(starts) // 2)
+    threads = min(thread_budget(), len(starts) // FORWARD_CHUNKS_PER_THREAD)
     if threads <= 1:
         return np.concatenate([run(s) for s in starts])
     with ThreadPoolExecutor(max_workers=threads) as pool:

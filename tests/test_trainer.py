@@ -1,5 +1,7 @@
+import logging
 import multiprocessing
 import os
+import re
 import time
 from dataclasses import asdict, replace
 
@@ -425,6 +427,16 @@ class TestLodo:
         monkeypatch.setattr(trainer, "run_single", marking)
         result = leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
         assert len(result.records) == 4 and all(getattr(r, "marked", False) for r in result.records)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_progress_line_ends_with_wall_and_cpu_seconds(self, tiny_dataset, tiny_base, caplog, jobs):
+        caplog.set_level(logging.INFO, logger="pego")
+        three = tiny_dataset.without("d3")
+        leave_one_domain_out(three, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=jobs)
+        lines = [r.getMessage() for r in caplog.records if r.name == "pego"]
+        assert len(lines) == 3
+        line_re = r"\[lodo \d/3\] d\d seed=0 acc=\S+ \d+\.\ds cpu=\d+\.\ds"
+        assert all(re.fullmatch(line_re, line) for line in lines), lines
 
     def test_a_library_call_prints_no_progress(self, tiny_dataset, tiny_base, capfd):
         leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base)

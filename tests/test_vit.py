@@ -1,5 +1,6 @@
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -276,7 +277,8 @@ def test_threaded_forwards_equal_one_thread_bitwise(monkeypatch):
     model = init_vit(_cfg(), make_rng(32))
     inject_groups(model, rank=2, n=2, rng=make_rng(33))
     _randomize_adapters(model, make_rng(34))
-    images = make_rng(35).random((4 * vit.FORWARD_CHUNK + 5, 16, 16))
+    full_chunks = 2 * vit.FORWARD_CHUNKS_PER_THREAD  # the fewest that start a second thread
+    images = make_rng(35).random((full_chunks * vit.FORWARD_CHUNK + 5, 16, 16))
     real = vit.batch_features_tensor
     outputs = {}
     for budget in (1, 2):
@@ -291,10 +293,38 @@ def test_threaded_forwards_equal_one_thread_bitwise(monkeypatch):
         outputs[budget] = (vit.features_batch(model, images), vit.forward_logits_batch(model, images), calls)
     (feats1, logits1, calls1), (feats2, logits2, calls2) = outputs[1], outputs[2]
     assert np.array_equal(feats2, feats1) and np.array_equal(logits2, logits1)
-    assert sorted(n for n, _ in calls2) == sorted(n for n, _ in calls1) == sorted([vit.FORWARD_CHUNK] * 8 + [5] * 2)
+    expected = sorted([vit.FORWARD_CHUNK] * 2 * full_chunks + [5] * 2)
+    assert sorted(n for n, _ in calls2) == sorted(n for n, _ in calls1) == expected
     main = threading.get_ident()
     assert all(ident == main for _, ident in calls1)
     assert all(ident != main for _, ident in calls2)
+
+
+@pytest.mark.parametrize("chunks", [4, 7, 2 * vit.FORWARD_CHUNKS_PER_THREAD - 1, 2 * vit.FORWARD_CHUNKS_PER_THREAD])
+def test_a_forward_starts_threads_only_with_enough_chunks_per_thread(monkeypatch, chunks):
+    # Training's validation (4 chunks) and held-out (7 chunks) passes stay
+    # on the calling thread; a budget of 2 threads a pass only from
+    # 2 * FORWARD_CHUNKS_PER_THREAD chunks up.
+    pools, idents = [], []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def forward(m, x):
+        idents.append(threading.get_ident())
+        return ag.Tensor(np.zeros((len(x), 1)))
+
+    monkeypatch.setattr(vit, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(vit, "thread_budget", lambda: 2)
+    images = np.zeros(((chunks - 1) * vit.FORWARD_CHUNK + 1, 16, 16))
+    out = vit._no_grad_chunks(forward, init_vit(_cfg(), make_rng(40)), images)
+    assert out.shape == (len(images), 1) and len(idents) == chunks
+    threaded = chunks >= 2 * vit.FORWARD_CHUNKS_PER_THREAD
+    assert pools == ([2] if threaded else [])
+    main = threading.get_ident()
+    assert all((ident != main) == threaded for ident in idents) and len(set(idents)) <= 2
 
 
 def test_logits_do_not_depend_on_the_images_beside_them():
