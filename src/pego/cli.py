@@ -211,14 +211,12 @@ def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float,
 
 
 def _load_train_config(args, dataset, base=None):
-    """The run's validated config: the config file's, or a default built
-    from the dataset, with the command line's numbers over it and, when
-    ``base`` is given, that checkpoint's model config as its ``vit``."""
-    if args.config:
-        cfg = trainer.TrainConfig.from_dict(_read_json(args.config))
-    else:
-        vit_cfg = trainer.canonical_vit_config(num_classes=dataset.num_classes)
-        cfg = trainer.TrainConfig(batch_per_domain=8, vit=replace(vit_cfg, image_size=_image_size(dataset)))
+    """The run's config: the config file's, or a default built from the
+    dataset, with the command line's numbers over it and, when ``base`` is
+    given, that checkpoint's model config as its ``vit``. Each config
+    checks itself when it is built, so this adds only the check that the
+    model fits the dataset."""
+    loaded = trainer.TrainConfig.from_dict(_read_json(args.config)) if args.config else None
     names = ("seed", "alpha", "rank", "group_n", "lr")
     overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     if args.iters is not None:
@@ -227,8 +225,11 @@ def _load_train_config(args, dataset, base=None):
         overrides["n_search"] = tuple(_parse_ints(args.values, "candidate group size"))
     if base is not None:
         overrides["vit"] = base.cfg
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
+    elif loaded is None:
+        vit_cfg = trainer.canonical_vit_config(num_classes=dataset.num_classes)
+        overrides["vit"] = replace(vit_cfg, image_size=_image_size(dataset))
+    # One build from the final values: every build is checked, so a default the flags replace is never built alone.
+    cfg = replace(loaded, **overrides) if loaded is not None else trainer.TrainConfig(batch_per_domain=8, **overrides)
     model_path = args.base if base is not None else args.config or "the built-in config"
     _check_fit(cfg.vit, model_path, dataset, args.dataset)
     for name in ("alpha", "rank"):

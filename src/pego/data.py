@@ -32,7 +32,7 @@ class DatasetSpec:
     per_class: int = 100
     image_size: int = 16
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)
         if self.domains < 3:
             raise ConfigError(f"need at least 3 domains for leave-one-out, got {self.domains}")
@@ -177,7 +177,6 @@ def _render(class_idx: int, style: _Style, background: np.ndarray, rng: np.rando
 def generate_dataset(spec: DatasetSpec, seed: int) -> DomainDataset:
     """Deterministic dataset: domain d holds per_class samples of every class,
     all rendered in domain d's style."""
-    spec.validate()
     names = [f"d{i}" for i in range(spec.domains)]
     images: dict[str, np.ndarray] = {}
     labels: dict[str, np.ndarray] = {}

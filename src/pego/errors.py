@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the field check that
-every config dataclass runs before its value checks.
+runs first in each config dataclass's ``__post_init__``, before its value
+checks, so a config is checked once, when it is built.
 
 Each class names the command line's exit code for it in ``exit_code``:
 2 for a bad config or input, 3 for a file that cannot be read or written
@@ -64,7 +65,8 @@ def check_field_types(config) -> None:
     """Raise ``ConfigError`` for a field of the dataclass ``config``
     annotated ``int``, ``float`` or ``bool`` that holds another type, or a
     ``float`` field that holds NaN or an infinity. An integer passes for a
-    float; a bool passes for a bool only."""
+    float; a bool passes for a bool only. Each config dataclass calls it
+    first in its ``__post_init__``."""
     for f in fields(config):
         kind = _FIELD_KINDS.get(f.type)
         value = getattr(config, f.name)

@@ -46,7 +46,7 @@ def canonical_dataset_spec() -> DatasetSpec:
     return DatasetSpec(domains=4, classes=4, per_class=100, image_size=16)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 1e-3
     rank: int = 4
@@ -62,7 +62,7 @@ class TrainConfig:
     n_search: tuple[int, ...] = (2, 4, 6)
     vit: VitConfig = field(default_factory=canonical_vit_config)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)
         if not isinstance(self.n_search, tuple) or not all(
             isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in self.n_search
@@ -86,7 +86,6 @@ class TrainConfig:
             raise ConfigError(f"batch per domain must be positive, got {self.batch_per_domain}")
         if self.eval_every < 1:
             raise ConfigError(f"eval cadence must be positive, got {self.eval_every}")
-        self.vit.validate()
         if self.rank > self.vit.embed_dim:
             raise ConfigError(f"rank {self.rank} exceeds the embed dim {self.vit.embed_dim}")
 
@@ -104,9 +103,7 @@ class TrainConfig:
                 raise ConfigError(f"bad vit config: {exc}") from exc
         if isinstance(raw.get("n_search"), list):
             raw["n_search"] = tuple(raw["n_search"])
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
 
 def flatten_params(params: dict[str, ag.Tensor]) -> np.ndarray:
@@ -206,7 +203,6 @@ def evaluate(model: VitModel, dataset: DomainDataset, domains: list[str] | None 
 def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResult:
     """Inject adapter groups into a frozen base, optimize on the source
     domains, keep the best validation snapshot, and merge."""
-    cfg.validate()
     model = vit.clone(base)
     vit.inject_groups(model, cfg.rank, cfg.group_n, make_rng(cfg.seed, 11))
     _reinit_head(model, make_rng(cfg.seed, 12))
@@ -466,7 +462,6 @@ def sweep_n(dataset: DomainDataset, cfg: TrainConfig, seeds: list[int], base: Vi
     training-domain validation accuracy. Held-out test accuracy is never
     computed here, so the selection cannot leak; ties go to the smaller
     size."""
-    cfg.validate()
     variants = [(f"n={n}", replace(cfg, group_n=n)) for n in sorted(cfg.n_search)]
     rows = [
         SweepRow(n=v.group_n, mean_val_acc=float(np.mean(accs)), stderr=stderr(accs))

@@ -56,7 +56,7 @@ class VitConfig:
     mlp_ratio: float = 4.0
     num_classes: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)
         if self.image_size <= 0 or self.patch_size <= 0 or self.image_size % self.patch_size != 0:
             raise ConfigError(f"image size {self.image_size} not divisible by patch size {self.patch_size}")
@@ -200,7 +200,6 @@ def init_vit(cfg: VitConfig, rng: np.random.Generator) -> VitModel:
     """Fresh model, every weight matrix Gaussian with std 0.02, biases zero,
     layernorm at identity. Weights are drawn in canonical order, so a seed
     pins the model."""
-    cfg.validate()
     model = _zeros(cfg, {})
     for name, t in named_params(model):
         if name.endswith(".scale"):

@@ -260,6 +260,24 @@ class TestTrain:
         assert cli.main(argv + ["--rank", "9"]) == 2
         assert "rank 9 exceeds the embed dim 8" in capsys.readouterr().err
 
+    def test_a_base_is_not_checked_against_the_built_in_model_config(self, workdir):
+        # The built-in patch size 4 does not divide these 10 px images, and the
+        # default rank 4 exceeds this base's embed dim 2; neither matters once
+        # --base and --rank replace them.
+        spec = workdir / "spec_10px.json"
+        spec.write_text(json.dumps({"domains": 3, "classes": 2, "per_class": 5, "image_size": 10}))
+        dataset = workdir / "toy_10px.ckpt"
+        assert cli.main(["gen", "--config", str(spec), "--out", str(dataset)]) == 0
+        tiny = vit.VitConfig(
+            image_size=10, patch_size=5, embed_dim=2, num_blocks=1, num_heads=1, mlp_ratio=2.0, num_classes=2
+        )
+        base = workdir / "base_10px.ckpt"
+        checkpoint.save_model(base, vit.init_vit(tiny, make_rng(3)))
+        out = workdir / "trained_on_10px"
+        argv = ["train", "--dataset", str(dataset), "--out", str(out), "--base", str(base), "--iters", "2"]
+        assert cli.main(argv + ["--rank", "1"]) == 0
+        assert checkpoint.load_model(out / "merged.ckpt").cfg == tiny
+
 
 class TestEval:
     def test_pre_and_post_merge_accuracies_agree(self, dataset_file, trained, capsys):

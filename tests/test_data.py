@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ def test_spec_validation():
         generate_dataset(DatasetSpec(classes=9), seed=0)
     with pytest.raises(ConfigError):
         generate_dataset(DatasetSpec(per_class=0), seed=0)
+    with pytest.raises(ConfigError, match="need at least 3 domains for leave-one-out, got 2"):
+        replace(DatasetSpec(), domains=2)
 
 
 def test_split_counts_match_fraction():

@@ -167,3 +167,24 @@ def test_one_process_pool_and_one_thread_pool():
         and (called := getattr(node.func, "id", getattr(node.func, "attr", None))) in pools
     )
     assert found == [("trainer.py", "_map_runs", pools[0]), ("vit.py", "_no_grad_chunks", pools[1])]
+
+
+def test_configs_check_themselves_and_only_the_dataset_is_validated_later():
+    # A config checks its values in ``__post_init__``, once, as it is built.
+    # ``DomainDataset`` holds mutable dicts and ``without`` may leave a single
+    # domain, so its two builders call its ``validate`` instead.
+    calls = sorted(
+        (name, fn)
+        for name, tree in _sources()
+        for node, fn in _nodes(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "validate"
+    )
+    definers = [
+        cls.name
+        for _, tree in _sources()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "validate" for f in cls.body)
+    ]
+    assert calls == [("checkpoint.py", "load_dataset"), ("data.py", "generate_dataset")]
+    assert definers == ["DomainDataset"]

@@ -3,7 +3,7 @@ import multiprocessing
 import os
 import re
 import time
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -69,18 +69,18 @@ class TestTrainConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            _tiny_cfg(alpha=-1.0).validate()
+            _tiny_cfg(alpha=-1.0)
         with pytest.raises(ConfigError):
-            _tiny_cfg(val_fraction=1.5).validate()
+            _tiny_cfg(val_fraction=1.5)
         with pytest.raises(ConfigError):
-            _tiny_cfg(lr=0.0).validate()
+            _tiny_cfg(lr=0.0)
         with pytest.raises(ConfigError):
-            _tiny_cfg(group_n=0).validate()
+            _tiny_cfg(group_n=0)
 
     def test_a_negative_seed_is_rejected(self):
-        _tiny_cfg(seed=0).validate()
+        _tiny_cfg(seed=0)
         with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
-            _tiny_cfg(seed=-1).validate()
+            _tiny_cfg(seed=-1)
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -94,7 +94,14 @@ class TestTrainConfig:
     )
     def test_group_sizes_and_rank_are_validated(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
-            _tiny_cfg(**overrides).validate()
+            _tiny_cfg(**overrides)
+
+    def test_a_built_config_stays_valid(self):
+        cfg = _tiny_cfg()
+        with pytest.raises(ConfigError, match="learning rate must be positive, got 0.0"):
+            replace(cfg, lr=0.0)
+        with pytest.raises(FrozenInstanceError):
+            cfg.lr = 1.0
 
     def test_dict_roundtrip(self):
         cfg = _tiny_cfg(alpha=0.5, n_search=(2, 6))

@@ -1,6 +1,7 @@
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,13 +64,15 @@ def test_token_count_and_head_dim():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        _cfg(image_size=15).validate()
+        _cfg(image_size=15)
     with pytest.raises(ConfigError):
-        _cfg(embed_dim=30).validate()
+        _cfg(embed_dim=30)
     with pytest.raises(ConfigError):
-        _cfg(num_blocks=0).validate()
+        _cfg(num_blocks=0)
     with pytest.raises(ConfigError):
-        _cfg(num_classes=1).validate()
+        _cfg(num_classes=1)
+    with pytest.raises(ConfigError, match="image size 15 not divisible by patch size 4"):
+        replace(_cfg(), image_size=15)
 
 
 def test_extract_patches_layout():
