@@ -18,7 +18,10 @@ closure mapping the output gradient to parent gradients; ``backprop``
 walks the tape once in reverse topological order and returns the
 gradient with respect to the leaves it is handed as one vector. An op
 computes its output alike with or without a tape; ``_node`` alone
-decides whether it is recorded. No tensor stores a gradient: a node's
+decides whether it is recorded. What an op keeps for its backward
+follows its parents' needs, not the grad mode: ``mlp`` with no parent
+that needs a gradient keeps nothing and runs its hidden layer in
+blocks of images. No tensor stores a gradient: a node's
 gradient lives in ``backprop`` until its closure has used it. The
 closures of matmul, add, layernorm and the fused ops return ``None``
 for a parent that needs no gradient (a frozen weight or a constant)
@@ -440,16 +443,45 @@ def linear(x: Tensor, w: Tensor, bias: Tensor, a_parts=(), b_parts=()) -> Tensor
     return _node(out, (x, w, bias) + tuple(a_parts) + tuple(b_parts), grad_fn)
 
 
+# Images per block of an ``mlp`` that keeps nothing for a backward, so
+# that a no-grad forward holds one block's hidden buffers (three of
+# 0.56 MB at 32 canonical images, against 1.1 MB for a 64-image chunk).
+# On the canonical model (2-core Xeon, medians of 400 interleaved calls
+# on 64 images), 32-image blocks took 1.88 ms at a traced heap peak of
+# 2383 KiB, one 64-image block 2.00 ms at 4427 KiB, and 16-image blocks
+# 2.00 ms at 1361 KiB; with 16, eval-read's process peak stayed where 32
+# put it (61.5-61.8 against 61.6-61.9 MB) and it read 11% fewer images/s.
+MLP_BLOCK = 32
+
+
+def _mlp(x, ln_scale, ln_offset, w1, b1, w2, b2):
+    """``mlp``'s output on arrays, and the buffers its backward reads."""
+    m, ln_saved = _layernorm(x, ln_scale, ln_offset)
+    h = _dense(m, w1, b1)
+    act, t = _gelu(h)
+    out = _dense(act, w2, b2)
+    out += x
+    return out, (m, ln_saved, h, act, t)
+
+
 def mlp(x: Tensor, ln_scale: Tensor, ln_offset: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``x + fc2(gelu(fc1(ln(x))))`` as one node, fc1 and fc2 unadapted
     projections as in ``linear``: the kernels of ``layernorm``, ``linear``
-    and GELU in a chain's order, so bitwise that chain's values."""
-    m, ln_saved = _layernorm(x.data, ln_scale.data, ln_offset.data)
-    h = _dense(m, w1.data, b1.data)
-    act, t = _gelu(h)
-    out = _dense(act, w2.data, b2.data)
-    out += x.data
+    and GELU in a chain's order, so bitwise that chain's values.
+
+    When no parent needs a gradient, nothing is kept for a backward, and
+    the chain runs over blocks of at most ``MLP_BLOCK`` entries of the
+    leading (image) axis, one block's hidden layer at a time. No GEMM or
+    row reduction mixes images, so the output is bitwise the whole
+    batch's, which is what a parent that needs a gradient gets."""
     parents = (x, ln_scale, ln_offset, w1, b1, w2, b2)
+    weights = [p.data for p in parents[1:]]
+    if not any(_needs(parents)):
+        out = np.empty_like(x.data)
+        for s in range(0, len(out), MLP_BLOCK):
+            out[s : s + MLP_BLOCK] = _mlp(x.data[s : s + MLP_BLOCK], *weights)[0]
+        return _node(out, parents, None)
+    out, (m, ln_saved, h, act, t) = _mlp(x.data, *weights)
 
     def grad_fn(g):
         need_x, need_s, need_o, need_w1, need_b1, need_w2, need_b2 = _needs(parents)

@@ -166,23 +166,28 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _thread_details(jobs: int) -> dict:
+def _thread_details(jobs: int, workers: int | None) -> dict:
     """How the run could use the CPUs: cores available, the forward-thread
-    budget, the most pool workers ``--jobs`` allows, and numpy's BLAS with
-    its live thread count and the OpenBLAS kernel chosen for this CPU,
-    which its build configuration may not name (None where unreadable)."""
+    budget, the most pool workers ``--jobs`` allows, for a grid the
+    workers its pool forked (1 when it ran serially), and numpy's BLAS
+    with its live thread count and the OpenBLAS kernel chosen for this
+    CPU, which its build configuration may not name (None where
+    unreadable)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         blas = {}
     corename = ag._openblas("scipy_openblas_get_corename64_", ctypes.c_char_p, ())
-    return {
+    details = {
         "affinity": vit.cores(),
         "forward_budget": vit.thread_budget(),
         "jobs": jobs,
         "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": ag.blas_threads(),
                  "core": None if corename is None else corename().decode()},
     }
+    if workers is not None:
+        details["workers"] = workers
+    return details
 
 
 def _write_json(path: Path, obj) -> Path:
@@ -193,7 +198,7 @@ def _write_json(path: Path, obj) -> Path:
     return path
 
 
-def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float, **extra) -> None:
+def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float, workers=None, **extra) -> None:
     options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
     manifest = {
         "command": args.command,
@@ -203,7 +208,7 @@ def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float,
         "seeds": list(seeds),
         "artifacts": [str(a) for a in artifacts],
         "wall_clock_seconds": time.monotonic() - t0,
-        "threads": _thread_details(options.get("jobs", 1)),
+        "threads": _thread_details(options.get("jobs", 1), workers),
         "version": __version__,
         **extra,
     }
@@ -348,7 +353,8 @@ def cmd_eval(args) -> int:
 def _run_harness(args, run) -> int:
     """Load the dataset, config, seeds and output directory, build the base,
     call ``run(args, dataset, cfg, seeds, base, out)`` for the artifacts it
-    writes, with progress lines on stderr, then write the manifest."""
+    writes and the number of variants its grid ran, with progress lines on
+    stderr, then write the manifest."""
     t0 = time.monotonic()
     dataset = checkpoint.load_dataset(args.dataset)
     cfg = _load_train_config(args, dataset)
@@ -362,16 +368,17 @@ def _run_harness(args, run) -> int:
     trainer.log.addHandler(handler)
     trainer.log.setLevel(logging.INFO)
     try:
-        artifacts = run(args, dataset, cfg, seeds, base, out)
+        artifacts, variants = run(args, dataset, cfg, seeds, base, out)
     finally:
         trainer.log.removeHandler(handler)
         trainer.log.setLevel(level)
     phases = {"load": t1 - t0, "pretrain": t2 - t1, "run": time.monotonic() - t2}
-    _write_manifest(args, out / "manifest.json", asdict(cfg), seeds, artifacts, t0, phases=phases)
+    workers = trainer.pool_workers(args.jobs, variants * len(dataset.domains) * len(seeds))
+    _write_manifest(args, out / "manifest.json", asdict(cfg), seeds, artifacts, t0, workers, phases=phases)
     return EXIT_OK
 
 
-def cmd_lodo(args, dataset, cfg, seeds, base, out) -> list[Path]:
+def cmd_lodo(args, dataset, cfg, seeds, base, out) -> tuple[list[Path], int]:
     result = trainer.leave_one_domain_out(dataset, cfg, seeds, base, jobs=args.jobs)
     rows = ([rec.test_domain, rec.seed, rec.accuracy, rec.selected_iter] for rec in result.records)
     artifacts = [_write_csv(out / "summary.csv", ["test_domain", "seed", "accuracy", "selected_iter"], rows)]
@@ -381,10 +388,10 @@ def cmd_lodo(args, dataset, cfg, seeds, base, out) -> list[Path]:
     for dom in dataset.domains:
         print(f"{dom}: {means[dom]:.4f} +/- {errs[dom]:.4f}")
     print(f"average: {result.average:.4f}")
-    return artifacts
+    return artifacts, 1
 
 
-def cmd_ablate(args, dataset, cfg, seeds, base, out) -> list[Path]:
+def cmd_ablate(args, dataset, cfg, seeds, base, out) -> tuple[list[Path], int]:
     rows = trainer.ablate(dataset, cfg, seeds, base, jobs=args.jobs)
     table_path = out / "ablate.csv"
     _write_csv(
@@ -394,10 +401,10 @@ def cmd_ablate(args, dataset, cfg, seeds, base, out) -> list[Path]:
     )
     for row in rows:
         print(f"{row.label}: {row.mean_acc:.4f} +/- {row.stderr:.4f}")
-    return [table_path]
+    return [table_path], len(rows)
 
 
-def cmd_sweep(args, dataset, cfg, seeds, base, out) -> list[Path]:
+def cmd_sweep(args, dataset, cfg, seeds, base, out) -> tuple[list[Path], int]:
     result = trainer.sweep_n(dataset, cfg, seeds, base, jobs=args.jobs)
     table_path = out / "sweep.csv"
     _write_csv(
@@ -406,7 +413,7 @@ def cmd_sweep(args, dataset, cfg, seeds, base, out) -> list[Path]:
         ([r.n, r.mean_val_acc, r.stderr, int(r.n == result.best_n)] for r in result.rows),
     )
     print(f"selected group size {result.best_n}")
-    return [table_path]
+    return [table_path], len(result.rows)
 
 
 def cmd_gradcheck(args) -> int:

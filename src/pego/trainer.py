@@ -186,16 +186,17 @@ def evaluate(model: VitModel, dataset: DomainDataset, domains: list[str] | None 
     """Accuracy of ``model`` over every image of ``domains`` (all of the
     dataset's domains when None), each image weighted equally.
 
-    The domains' images go through one no-grad forward, so a pass over
-    several small domains still fills whole chunks and threads; a
-    logit does not depend on the images it is computed beside. An
-    empty ``domains`` raises ``ConfigError``.
+    The domains' images go through one no-grad forward, read in place as
+    a list of arrays, so no copy of them is made and a pass over several
+    small domains still fills whole chunks and threads; a logit does not
+    depend on the images it is computed beside. An empty ``domains``
+    raises ``ConfigError``.
     """
     if domains is None:
         domains = dataset.domains
     if not domains:
         raise ConfigError("evaluate needs at least one domain")
-    images = np.concatenate([dataset.images[d] for d in domains])
+    images = [dataset.images[d] for d in domains]
     labels = np.concatenate([dataset.labels[d] for d in domains])
     return int(np.sum(vit.predict_batch(model, images) == labels)) / len(labels)
 
@@ -359,13 +360,19 @@ def _cap_worker_threads() -> None:
     os.environ["PEGO_THREADS"] = "1"
 
 
+def pool_workers(jobs: int, runs: int) -> int:
+    """The workers ``_map_runs`` forks for ``runs`` runs under ``jobs``,
+    1 when it runs them serially. At most one single-threaded worker per
+    run and per thread of the budget keeps the cores from
+    oversubscription; a lone worker would add only a fork."""
+    return max(1, min(jobs, runs, vit.thread_budget()))
+
+
 def _map_runs(task, payloads, jobs: int):
     # Runs are independent and deterministic, so the pool only changes
-    # wall-clock time, never results; outputs come in payload order. At
-    # most one single-threaded worker per run and per thread of the budget
-    # keeps the cores from oversubscription; a lone worker adds only a fork.
-    workers = min(jobs, len(payloads), vit.thread_budget())
-    if workers <= 1:
+    # wall-clock time, never results; outputs come in payload order.
+    workers = pool_workers(jobs, len(payloads))
+    if workers == 1:
         yield from map(task, payloads)
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_cap_worker_threads) as pool:

@@ -372,11 +372,16 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-# Images per no-grad forward, and the unit of threading. Chunks bound the
-# memory of a large batch, and their activations stay in cache: on the
-# canonical model (2-core Xeon, OpenBLAS on one thread), one thread took
-# 17.5-18.0 ms for 240 images and 115 ms for 1600 in chunks of 32 to 128,
-# against 22.5 and 192 ms in one forward (medians of 20 interleaved rounds).
+# Images per no-grad forward, and the unit of threading. A forward holds
+# one chunk per thread: it reads its images in place, copying only a chunk
+# that spans two arrays, and ``ag.mlp`` runs a chunk's hidden layer in
+# blocks of ``ag.MLP_BLOCK``. Chunks bound the memory of a large batch, and
+# their activations stay in cache: on the canonical model (2-core Xeon,
+# OpenBLAS on one thread), one thread took 17.5-18.0 ms for 240 images and
+# 115 ms for 1600 in chunks of 32 to 128, against 22.5 and 192 ms in one
+# forward (medians of 20 interleaved rounds). On two threads, 32-image
+# chunks cut a 1600-image forward's traced peak from 6.5 to 5.4 MiB but
+# took 120 against 93 ms (medians of 40 interleaved rounds).
 #
 # A forward gives each thread at least FORWARD_CHUNKS_PER_THREAD chunks.
 # Back to back, two threads beat one from 4 chunks up (1.1-1.3x at 4,
@@ -415,19 +420,26 @@ def thread_budget() -> int:
     return budget
 
 
-def _no_grad_chunks(forward, model: VitModel, images: np.ndarray) -> np.ndarray:
+def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
     """``forward(model, chunk)`` without a tape over chunks of
-    ``FORWARD_CHUNK`` images, concatenated in order. The chunks are spread
-    over ``min(thread_budget(), chunks // FORWARD_CHUNKS_PER_THREAD)``
-    threads of a pool made for this call, and run on the calling thread
-    when that is 1 or less; each chunk is computed exactly as on one
-    thread, so the result is bitwise the same."""
-    images = _check_images(model.cfg, images)
-    starts = range(0, max(len(images), 1), FORWARD_CHUNK)
+    ``FORWARD_CHUNK`` images, concatenated in order. ``images`` is one
+    array or a list of arrays read as their concatenation, which is never
+    made: a chunk is a view into one array, and only a chunk that spans
+    two arrays is copied. The chunks are spread over
+    ``min(thread_budget(), chunks // FORWARD_CHUNKS_PER_THREAD)`` threads
+    of a pool made for this call, and run on the calling thread when that
+    is 1 or less; each chunk is computed exactly as on one thread, so the
+    result is bitwise the same."""
+    parts = [_check_images(model.cfg, p) for p in (images if isinstance(images, list) and images else [images])]
+    offsets = np.cumsum([0] + [len(p) for p in parts]).tolist()
+    starts = range(0, max(offsets[-1], 1), FORWARD_CHUNK)
 
     def run(s):
+        stop = s + FORWARD_CHUNK
+        pieces = [p[max(s - o, 0) : stop - o] for p, o in zip(parts, offsets) if o < stop and s < o + len(p)]
+        chunk = pieces[0] if len(pieces) == 1 else np.concatenate(pieces or parts[:1])
         with ag.no_grad():
-            return forward(model, images[s : s + FORWARD_CHUNK]).data
+            return forward(model, chunk).data
 
     threads = min(thread_budget(), len(starts) // FORWARD_CHUNKS_PER_THREAD)
     if threads <= 1:
@@ -436,16 +448,18 @@ def _no_grad_chunks(forward, model: VitModel, images: np.ndarray) -> np.ndarray:
         return np.concatenate(list(pool.map(run, starts)))
 
 
-def features_batch(model: VitModel, images: np.ndarray) -> np.ndarray:
-    """Class-token features per image, the head's input, without a tape."""
+def features_batch(model: VitModel, images) -> np.ndarray:
+    """Class-token features per image, the head's input, without a tape;
+    ``images`` is one array or a list of them, as in ``_no_grad_chunks``."""
     return _no_grad_chunks(batch_features_tensor, model, images)
 
 
-def forward_logits_batch(model: VitModel, images: np.ndarray) -> np.ndarray:
-    """Logits per image, without a tape."""
+def forward_logits_batch(model: VitModel, images) -> np.ndarray:
+    """Logits per image of one array or a list of them, without a tape."""
     return _check_finite(_no_grad_chunks(batch_logits_tensor, model, images), "logits")
 
 
-def predict_batch(model: VitModel, images: np.ndarray) -> np.ndarray:
-    """Argmax class per image; ties resolve to the lowest class index."""
+def predict_batch(model: VitModel, images) -> np.ndarray:
+    """Argmax class per image of one array or a list of them; ties
+    resolve to the lowest class index."""
     return np.argmax(forward_logits_batch(model, images), axis=1)

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,50 @@ def test_mlp_without_a_tape_equals_the_taped_output():
     assert np.array_equal(untaped.data, taped.data)
     # Inputs that need no gradient go unrecorded and give the same output.
     assert np.array_equal(ag.mlp(*[ag.Tensor(a) for a in arrays]).data, taped.data)
+
+
+def _mlp_weights(rng):
+    """The canonical model's layernorm and MLP weights, embed 32, hidden 128."""
+    return [ag.Tensor(rng.normal(size=shape)) for shape in [(1, 32), (1, 32), (128, 32), (1, 128), (32, 128), (1, 32)]]
+
+
+def test_mlp_without_a_gradient_runs_in_blocks_bitwise(monkeypatch):
+    # 70 images: two full blocks and a partial one. A parent that needs a
+    # gradient makes the op run the whole batch and keep its buffers.
+    rng = make_rng(62)
+    weights, x = _mlp_weights(rng), rng.normal(size=(70, 17, 32))
+    whole = ag.mlp(ag.Tensor(x, requires_grad=True), *weights)
+    assert whole.grad_fn is not None
+    blocks = []
+    real = ag._mlp
+
+    def recording(x, *rest):
+        blocks.append(len(x))
+        return real(x, *rest)
+
+    monkeypatch.setattr(ag, "_mlp", recording)
+    blocked = ag.mlp(ag.Tensor(x), *weights)
+    assert blocked.grad_fn is None and blocks == [32, 32, 6]
+    assert np.array_equal(blocked.data, whole.data)
+
+
+def test_mlp_without_a_gradient_holds_one_blocks_hidden_layer():
+    # Four blocks' worth of images peak above one block's by their extra
+    # output (and input, made beforehand here) alone; the whole batch's
+    # hidden buffers would add about 15 times that.
+    rng = make_rng(63)
+    weights, peaks = _mlp_weights(rng), {}
+    for images in (ag.MLP_BLOCK, 4 * ag.MLP_BLOCK):
+        x = ag.Tensor(rng.normal(size=(images, 17, 32)))
+        ag.mlp(x, *weights)
+        tracemalloc.start()
+        try:
+            ag.mlp(x, *weights)
+            peaks[images] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    extra_input_and_output = 2 * 3 * ag.MLP_BLOCK * 17 * 32 * 8
+    assert peaks[4 * ag.MLP_BLOCK] - peaks[ag.MLP_BLOCK] <= extra_input_and_output
 
 
 def _t(m):

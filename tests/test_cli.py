@@ -455,6 +455,21 @@ class TestLodo:
         assert "threads" not in m1["config"] and m1["config_hash"] == m2["config_hash"]
 
 
+    def test_manifest_records_the_workers_the_pool_forked(self, workdir, dataset_file, config_file, monkeypatch):
+        # Four runs under --jobs 4: the pool forks one worker per thread
+        # of the budget, and a budget of one runs the grid serially.
+        csvs = []
+        for cap in ("2", "1"):
+            monkeypatch.setenv("PEGO_THREADS", cap)
+            out = workdir / f"workers{cap}"
+            argv = ["lodo", "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(out)]
+            assert cli.main(argv + ["--seeds", "0", "--jobs", "4"]) == 0
+            threads = json.loads((out / "manifest.json").read_text())["threads"]
+            assert threads["jobs"] == 4
+            assert threads["workers"] == min(int(cap), vit.cores())
+            csvs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+        assert len(csvs[0]) == 5 and csvs[0] == csvs[1]
+
     def test_progress_lines_and_phases(self, workdir, dataset_file, config_file, capsys):
         out = workdir / "progress"
         argv = ["lodo", "--config", str(config_file), "--dataset", str(dataset_file), "--out", str(out)]
@@ -515,6 +530,7 @@ class TestAblate:
         assert [r[0] for r in rows[1:]] == ["both", "preserve_only", "diversify_only", "none", "lora"]
         assert [(r[1], r[2]) for r in rows[1:5]] == [("1", "1"), ("1", "0"), ("0", "1"), ("0", "0")]
         assert rows[5][3] == "1"
+        assert json.loads((out / "manifest.json").read_text())["threads"]["workers"] == 1  # --jobs 1: serial
 
 
 class TestSweep:
@@ -550,6 +566,7 @@ class TestSweep:
         # the manifest's config records the sizes actually searched
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["n_search"] == [2, 4]
+        assert manifest["threads"]["workers"] == 1  # --jobs 1: serial
 
 
 class TestGradcheck:

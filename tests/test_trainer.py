@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import re
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -240,7 +241,8 @@ class TestEvaluate:
         real = vit.predict_batch
 
         def counting(m, images):
-            calls.append(len(images))
+            # evaluate hands over the domains' arrays as a list, uncopied.
+            calls.append(sum(len(a) for a in images))
             return real(m, images)
 
         monkeypatch.setattr(vit, "predict_batch", counting)
@@ -248,6 +250,32 @@ class TestEvaluate:
         assert calls == [26]
         assert trainer.evaluate(model, uneven, ["d2", "d0"]) == (hits["d2"] + hits["d0"]) / 21
         assert calls == [26, 21]
+
+    def test_a_read_holds_no_copy_of_the_images(self, monkeypatch):
+        # Doubling the dataset grows evaluate's traced heap peak by its
+        # per-image outputs (logits, predictions, labels), about 65 bytes
+        # an image, not by a copy of the 512-byte images.
+        monkeypatch.setenv("PEGO_THREADS", "1")
+        model = init_vit(_tiny_vit(), make_rng(7))
+        peaks = {}
+        for per_domain in (150, 300):
+            rng = make_rng(9, per_domain)
+            domains = ["d0", "d1", "d2"]
+            dataset = DomainDataset(
+                domains=domains,
+                images={d: rng.random((per_domain, 8, 8)) for d in domains},
+                labels={d: np.arange(per_domain) % 2 for d in domains},
+                num_classes=2,
+            )
+            trainer.evaluate(model, dataset)
+            tracemalloc.start()
+            try:
+                trainer.evaluate(model, dataset)
+                peaks[per_domain] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra_image_bytes = 3 * 150 * 8 * 8 * 8
+        assert peaks[300] - peaks[150] < extra_image_bytes / 4
 
     def test_an_empty_domain_list_is_an_error(self, uneven):
         model = init_vit(_tiny_vit(), make_rng(7))
@@ -608,10 +636,18 @@ def _pids_and_peak_children(directory, count, runs, jobs):
     return pids, peak
 
 
+def test_pool_workers_is_the_least_of_jobs_runs_and_budget(monkeypatch):
+    monkeypatch.setattr(vit, "thread_budget", lambda: 8)
+    assert [trainer.pool_workers(jobs, runs) for jobs, runs in ((4, 3), (2, 5), (9, 12), (1, 4))] == [3, 2, 8, 1]
+    assert trainer.pool_workers(4, 0) == 1  # nothing to run: serial, no pool
+    monkeypatch.setattr(vit, "thread_budget", lambda: 1)
+    assert trainer.pool_workers(4, 4) == 1
+
+
 @pytest.mark.skipif(vit.cores() < 2, reason="a pool needs two CPUs")
 class TestPoolSize:
-    # The pool forks min(jobs, runs, vit.thread_budget()) workers, and
-    # none when that is 1.
+    # The pool forks trainer.pool_workers(jobs, runs) workers, and none
+    # when that is 1.
     def test_runs_cap_the_pool(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PEGO_THREADS", raising=False)
         pids, peak = _pids_and_peak_children(tmp_path, 2, runs=2, jobs=4)

@@ -330,6 +330,39 @@ def test_a_forward_starts_threads_only_with_enough_chunks_per_thread(monkeypatch
     assert all((ident != main) == threaded for ident in idents) and len(set(idents)) <= 2
 
 
+@pytest.mark.parametrize("budget", [1, 2])
+def test_forwards_on_a_list_of_arrays_equal_the_concatenated_array(monkeypatch, budget):
+    # 50 + 100 + 37 images go in chunks of 64, 64 and 59 either way: the
+    # first and last chunks cross an array boundary and are copied, the
+    # middle one is a view into the second array. One chunk per thread
+    # lets the three chunks start two threads at a budget of 2.
+    model = init_vit(_cfg(), make_rng(41))
+    inject_groups(model, rank=2, n=2, rng=make_rng(42))
+    _randomize_adapters(model, make_rng(43))
+    arrays = [make_rng(44, i).random((n, 16, 16)) for i, n in enumerate((50, 100, 37))]
+    monkeypatch.setattr(vit, "thread_budget", lambda: budget)
+    monkeypatch.setattr(vit, "FORWARD_CHUNKS_PER_THREAD", 1)
+    real = vit.batch_features_tensor
+    outputs = {}
+    for key, images in (("list", arrays), ("array", np.concatenate(arrays))):
+        chunks = []
+
+        def recording(m, x, chunks=chunks):
+            chunks.append(x)
+            return real(m, x)
+
+        monkeypatch.setattr(vit, "batch_features_tensor", recording)
+        forwards = (vit.features_batch(model, images), vit.forward_logits_batch(model, images))
+        outputs[key] = forwards + (vit.predict_batch(model, images), chunks)
+    *listed, list_chunks = outputs["list"]
+    *whole, array_chunks = outputs["array"]
+    for got, want in zip(listed, whole):
+        assert np.array_equal(got, want)
+    assert sorted(map(len, list_chunks)) == sorted(map(len, array_chunks)) == [59] * 3 + [64] * 6
+    views = [c for c in list_chunks if any(np.shares_memory(c, a) for a in arrays)]
+    assert len(views) == 3 and all(len(c) == 64 and np.shares_memory(c, arrays[1]) for c in views)
+
+
 def test_logits_do_not_depend_on_the_images_beside_them():
     # trainer.evaluate scores its domains in one forward: three domains
     # of 80 images are chunked 64 + 64 + 64 + 48 there and 64 + 16 per
