@@ -486,7 +486,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("checkpoint has no adapters at the requested layer; provide --pre for a merged pair")
     k = min(args.top_k, min(w_pre.shape))
     report = diagnostics.weight_pc_report(w_pre, delta, k)
-    images = np.concatenate([dataset.images[d] for d in dataset.domains])
+    images = [dataset.images[d] for d in dataset.domains]
     labels = np.concatenate([dataset.labels[d] for d in dataset.domains])
     projection = diagnostics.feature_projection(models, images, labels)
     csv_paths = _write_analysis_csvs(out, report, projection)

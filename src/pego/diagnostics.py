@@ -66,21 +66,22 @@ class FeatureProjection:
 
 
 def feature_projection(
-    models: list[tuple[str, vit.VitModel]], images: np.ndarray, labels: np.ndarray
+    models: list[tuple[str, vit.VitModel]], images, labels: np.ndarray
 ) -> FeatureProjection:
     """Project every (model, sample) feature vector onto the top-2
-    principal axes of the pooled, mean-centered feature set."""
-    images = np.asarray(images, dtype=np.float64)
+    principal axes of the pooled, mean-centered feature set. ``images``
+    is one array or a list of arrays read in place, as
+    ``vit.features_batch`` reads them; ``labels`` has one entry per image."""
     labels = np.asarray(labels)
-    if images.shape[0] < 2:
-        raise ConfigError(f"need at least 2 samples, got {images.shape[0]}")
+    if labels.shape[0] < 2:
+        raise ConfigError(f"need at least 2 samples, got {labels.shape[0]}")
     if not models:
         raise ConfigError("need at least one model")
     feats = []
     tags: list[str] = []
     for tag, model in models:
         feats.append(vit.features_batch(model, images))
-        tags.extend([tag] * images.shape[0])
+        tags.extend([tag] * labels.shape[0])
     pooled = np.concatenate(feats, axis=0)
     centered = pooled - pooled.mean(axis=0, keepdims=True)
     if float(np.abs(centered).max(initial=0.0)) < 1e-12:

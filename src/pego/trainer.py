@@ -7,10 +7,13 @@ head on the source domains with the regularized objective, select the
 snapshot with the best training-domain validation accuracy, then merge
 the adapters away. The held-out domain never contributes a sample to a
 gradient step or a selection decision; every run records which domains
-it actually touched so harnesses can assert that.
+it actually touched, and leave-one-domain-out and sweep runs share one
+audit of that record.
 
-Each harness is one grid of independent (variant, held-out domain, seed)
-runs in one process pool; within one run training is sequential.
+Pretraining the base and training the adapters share one step: a batch,
+its loss gradient, one Adam update. Each harness is one grid of
+independent (variant, held-out domain, seed) runs in one process pool;
+within one run training is sequential.
 """
 
 from __future__ import annotations
@@ -156,6 +159,20 @@ def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -
     flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
+def _steps(model, params, data, batch_per_domain, rng, lr, alpha=0.0, preserve_on=True, diversify_on=True):
+    """Endless Adam steps on ``params`` of ``model``: each draws a batch of ``data``,
+    updates by the loss gradient and yields the flat parameter vector, the batch and the loss parts."""
+    for t in params.values():
+        t.requires_grad = True
+    flat = flatten_params(params)
+    state = adam_init(flat.size)
+    while True:
+        batch = make_batch(data, batch_per_domain, rng)
+        _, grad, parts = gradcheck.backward(model, batch, alpha, params, preserve_on, diversify_on)
+        adam_step(flat, grad, state, lr)
+        yield flat, batch, parts
+
+
 @dataclass
 class HistoryRow:
     """One training iteration. ``loss_cls`` (the batch cross-entropy)
@@ -208,20 +225,14 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
     vit.inject_groups(model, cfg.rank, cfg.group_n, make_rng(cfg.seed, 11))
     _reinit_head(model, make_rng(cfg.seed, 12))
     train_ds, val_ds = split_train_val(sources, cfg.val_fraction, cfg.seed)
-    params = vit.trainable_params(model)
-    flat = flatten_params(params)
-    state = adam_init(flat.size)
-    batch_rng = make_rng(cfg.seed, 13)
+    steps = _steps(model, vit.trainable_params(model), train_ds, cfg.batch_per_domain, make_rng(cfg.seed, 13), cfg.lr,
+                   cfg.alpha, cfg.preserve_on, cfg.diversify_on)
     touched: set[str] = set()
     history: list[HistoryRow] = []
     best_acc = -1.0
     best_iter = 0
-    best_flat = flat.copy()
-    for it in range(1, cfg.iterations + 1):
-        batch = make_batch(train_ds, cfg.batch_per_domain, batch_rng)
+    for it, (flat, batch, (ce, pres, div)) in zip(range(1, cfg.iterations + 1), steps):
         touched.update(dom for dom, _ in batch.tags)
-        _, grad, (ce, pres, div) = gradcheck.backward(model, batch, cfg.alpha, params, cfg.preserve_on, cfg.diversify_on)
-        adam_step(flat, grad, state, cfg.lr)
         row = HistoryRow(iteration=it, loss_cls=ce, loss_preserve=pres, loss_diversify=div, loss_or=pres + div)
         if it % cfg.eval_every == 0 or it == cfg.iterations:
             acc = evaluate(model, val_ds)
@@ -235,7 +246,8 @@ def train(base: VitModel, sources: DomainDataset, cfg: TrainConfig) -> TrainResu
     if cfg.iterations == 0:
         best_acc = evaluate(model, val_ds)
         touched.update(val_ds.domains)
-    np.copyto(flat, best_flat)
+    else:  # the last iteration validates, so a snapshot was kept
+        np.copyto(flat, best_flat)
     cloned_from = dict(vit.named_params(base))
     for name, t in vit.named_params(model):
         if not vit.is_trainable_name(name) and not np.array_equal(t.data, cloned_from[name].data):
@@ -280,15 +292,8 @@ def pretrain_base(cfg: VitConfig, seed: int, iterations: int = 300) -> VitModel:
     ds = generate_dataset(spec, derive_seed(seed, 91))
     model = vit.init_vit(cfg, make_rng(seed, 90))
     params = {name: t for name, t in vit.named_params(model) if not name.endswith(".attn.wk.bias")}
-    for t in params.values():
-        t.requires_grad = True
-    flat = flatten_params(params)
-    state = adam_init(flat.size)
-    rng = make_rng(seed, 92)
-    for _ in range(iterations):
-        batch = make_batch(ds, PRETRAIN_BATCH_PER_DOMAIN, rng)
-        _, grad, _ = gradcheck.backward(model, batch, 0.0, params, True, True)
-        adam_step(flat, grad, state, 1e-3)
+    for _ in zip(range(iterations), _steps(model, params, ds, PRETRAIN_BATCH_PER_DOMAIN, make_rng(seed, 92), 1e-3)):
+        pass
     vit.apply_trainability(model)
     _PRETRAIN_CACHE[key] = model
     return model
@@ -333,10 +338,18 @@ def stderr(values) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def run_single(dataset: DomainDataset, cfg: TrainConfig, base: VitModel, test_domain: str, seed: int) -> LodoRecord:
+def _train_without(
+    dataset: DomainDataset, cfg: TrainConfig, base: VitModel, test_domain: str, seed: int
+) -> TrainResult:
+    """Train on every domain of ``dataset`` but ``test_domain``; raise if the run touched it anyway."""
     result = train(base, dataset.without(test_domain), replace(cfg, seed=seed))
     if test_domain in result.domains_touched:
         raise RuntimeError(f"held-out domain {test_domain} leaked into training")
+    return result
+
+
+def run_single(dataset: DomainDataset, cfg: TrainConfig, base: VitModel, test_domain: str, seed: int) -> LodoRecord:
+    result = _train_without(dataset, cfg, base, test_domain, seed)
     acc = evaluate(result.model, dataset, domains=[test_domain])
     return LodoRecord(test_domain, seed, acc, result.selected_iter, result.history)
 
@@ -460,8 +473,7 @@ class SweepResult:
 
 def _sweep_task(payload):
     # Scores only the source domains' validation split, never the held-out domain.
-    dataset, cfg, base, test_domain, seed = payload
-    return train(base, dataset.without(test_domain), replace(cfg, seed=seed)).best_val_acc
+    return _train_without(*payload).best_val_acc
 
 
 def sweep_n(dataset: DomainDataset, cfg: TrainConfig, seeds: list[int], base: VitModel, jobs: int = 1) -> SweepResult:

@@ -125,6 +125,16 @@ class TestFeatureProjection:
         assert col_ss[0] == pytest.approx(s[0] ** 2, rel=1e-9)
         assert col_ss[1] == pytest.approx(s[1] ** 2, rel=1e-9)
 
+    def test_a_list_of_arrays_projects_as_their_concatenation(self, two_models):
+        # 50 + 100 + 37 images: chunks of 64 cross both array boundaries.
+        a, b = two_models
+        arrays = [make_rng(18, i).random((n, 8, 8)) for i, n in enumerate((50, 100, 37))]
+        labels = make_rng(19).integers(0, 2, 187)
+        listed = feature_projection([("a", a), ("b", b)], arrays, labels)
+        whole = feature_projection([("a", a), ("b", b)], np.concatenate(arrays), labels)
+        assert np.array_equal(listed.coords, whole.coords)
+        assert np.array_equal(listed.labels, whole.labels) and listed.model_tags == whole.model_tags
+
     def test_degenerate_features_raise(self, two_models):
         model, _ = two_models
         images = np.zeros((5, 8, 8))

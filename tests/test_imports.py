@@ -169,6 +169,21 @@ def test_one_process_pool_and_one_thread_pool():
     assert found == [("trainer.py", "_map_runs", pools[0]), ("vit.py", "_no_grad_chunks", pools[1])]
 
 
+def test_one_function_takes_the_training_steps():
+    # Pretraining and adapter training both drive ``trainer._steps``, the
+    # one place that draws a batch, takes its gradient and updates by Adam.
+    # Each call is a module-global lookup, so a wrapper bound there sees
+    # every step.
+    step_calls = ("make_batch", "gradcheck.backward", "adam_step")
+    tree = ast.parse((PACKAGE / "trainer.py").read_text())
+    found = sorted(
+        (fn, called)
+        for node, fn in _nodes(tree)
+        if isinstance(node, ast.Call) and (called := ast.unparse(node.func)) in step_calls
+    )
+    assert found == sorted(("_steps", called) for called in step_calls)
+
+
 def test_configs_check_themselves_and_only_the_dataset_is_validated_later():
     # A config checks its values in ``__post_init__``, once, as it is built.
     # ``DomainDataset`` holds mutable dicts and ``without`` may leave a single

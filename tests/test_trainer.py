@@ -361,6 +361,37 @@ class TestTrain:
         assert result.domains_touched == set(sources.domains)
 
 
+def _count_step_calls(monkeypatch) -> dict[str, int]:
+    """Patch the three calls of a training step, each looked up as a
+    module global, to count how often they run."""
+    counts = {}
+    for module, name in ((trainer, "make_batch"), (gradcheck, "backward"), (trainer, "adam_step")):
+
+        def counting(*args, real=getattr(module, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        counts[name] = 0
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestSteps:
+    @pytest.mark.parametrize("iterations", [0, 1, 5])
+    def test_train_takes_one_batch_gradient_and_update_per_iteration(
+        self, tiny_dataset, tiny_base, monkeypatch, iterations
+    ):
+        counts = _count_step_calls(monkeypatch)
+        train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=iterations))
+        assert counts == {"make_batch": iterations, "backward": iterations, "adam_step": iterations}
+
+    def test_pretraining_takes_one_batch_gradient_and_update_per_iteration(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_PRETRAIN_CACHE", {})
+        counts = _count_step_calls(monkeypatch)
+        pretrain_base(_tiny_vit(), seed=5, iterations=3)
+        assert counts == {"make_batch": 3, "backward": 3, "adam_step": 3}
+
+
 class TestHistoryLogging:
     @pytest.mark.parametrize(
         "overrides",
@@ -432,15 +463,8 @@ class TestLodo:
             assert err >= 0.0
 
     def test_leak_detection_fires(self, tiny_dataset, tiny_base, monkeypatch):
-        real_train = trainer.train
-
-        def leaky_train(base, sources, cfg):
-            result = real_train(base, sources, cfg)
-            result.domains_touched.add("d1")
-            return result
-
-        monkeypatch.setattr(trainer, "train", leaky_train)
-        with pytest.raises(RuntimeError, match="leaked"):
+        _report_d1_touched(monkeypatch)
+        with pytest.raises(RuntimeError, match="held-out domain d1 leaked"):
             run_single(tiny_dataset, _tiny_cfg(iterations=2), tiny_base, "d1", seed=0)
 
     def test_requires_three_domains_and_seeds(self, tiny_dataset, tiny_base):
@@ -508,6 +532,18 @@ class TestAblate:
         assert pooled == serial
 
 
+def _report_d1_touched(monkeypatch) -> None:
+    """Patch ``trainer.train`` so that every run reports touching d1."""
+    real_train = trainer.train
+
+    def leaky_train(base, sources, cfg):
+        result = real_train(base, sources, cfg)
+        result.domains_touched.add("d1")
+        return result
+
+    monkeypatch.setattr(trainer, "train", leaky_train)
+
+
 def _count_map_runs(monkeypatch) -> list[int]:
     """Patch ``trainer._map_runs`` to record the payload count of each call."""
     calls: list[int] = []
@@ -559,6 +595,12 @@ class TestSweep:
         assert all(len(src) == len(tiny_dataset.domains) - 1 for src in sources)
         for src, domains in seen:
             assert domains == src
+
+    def test_leak_detection_fires(self, tiny_dataset, tiny_base, monkeypatch):
+        # The d0 run passes the audit; the d1 run trips it.
+        _report_d1_touched(monkeypatch)
+        with pytest.raises(RuntimeError, match="held-out domain d1 leaked"):
+            sweep_n(tiny_dataset, _tiny_cfg(iterations=2, n_search=(2,)), [0], base=tiny_base)
 
     def test_one_pool_for_every_size(self, tiny_dataset, tiny_base, monkeypatch):
         calls = _count_map_runs(monkeypatch)
