@@ -1,17 +1,23 @@
 """Reverse-mode differentiation on a dynamically recorded tape.
 
 The operator vocabulary is the fixed set the transformer and its
-regularizers need: matmul, broadcasting add, a handful of shape movers,
-layernorm, softmax, mean cross-entropy, and fused ops. ``matmul``
-multiplies its operands as given; a caller that needs a transposed
-operand lays it out with ``transpose``, as attention does with its
-keys. ``linear`` is a whole projection, ``x (W + B A)^T + bias``, with
-``B A`` a group's update (``adapter_update``); ``mlp`` is a block's MLP
-sublayer with its residual, ``embed`` the token embedding;
-``preserve_l1`` and ``diversify_l1`` are the orthogonality penalties,
-each one 0-d node: the L1 norm of the matrix arguments that
-``_preserve_args`` or ``_diversify_args`` stacks over every adapted
-projection. Plain and fused ops share one numpy kernel per formula
+regularizers need:
+
+- ``matmul``, broadcasting ``add`` and ``scale``;
+- the shape movers ``transpose``, ``reshape`` and ``narrow``;
+- ``layernorm`` and ``cross_entropy_mean``;
+- the fused ops. ``attention_probs`` is attention's
+  ``softmax(c q k)``; ``linear`` is a whole projection,
+  ``x (W + B A)^T + bias``, with ``B A`` a group's update
+  (``adapter_update``); ``mlp`` is a block's MLP sublayer with its
+  residual; ``embed`` is the token embedding. ``preserve_l1`` and
+  ``diversify_l1`` are the orthogonality penalties, each one 0-d node:
+  the L1 norm of the matrix arguments that ``_preserve_args`` or
+  ``_diversify_args`` stacks over every adapted projection.
+
+``matmul`` multiplies its operands as given; a caller that needs a
+transposed operand lays it out with ``transpose``, as attention does
+with its keys. Plain and fused ops share one numpy kernel per formula
 (``_layernorm``, ``_gelu``, ``_dense``, the penalty arguments), so a
 fused op is bitwise the chain it replaces. Each operator stores a
 closure mapping the output gradient to parent gradients; ``backprop``
@@ -19,9 +25,11 @@ walks the tape once in reverse topological order and returns the
 gradient with respect to the leaves it is handed as one vector. An op
 computes its output alike with or without a tape; ``_node`` alone
 decides whether it is recorded. What an op keeps for its backward
-follows its parents' needs, not the grad mode: ``mlp`` with no parent
-that needs a gradient keeps nothing and runs its hidden layer in
-blocks of images. No tensor stores a gradient: a node's
+follows its parents' needs, not the grad mode, and is only what that
+backward reads: ``attention_probs`` keeps its probabilities but no
+scores, ``mlp`` keeps GELU's slope rather than the hidden layer, and
+``mlp`` with no parent that needs a gradient keeps nothing and runs its
+hidden layer in blocks of images. No tensor stores a gradient: a node's
 gradient lives in ``backprop`` until its closure has used it. The
 closures of matmul, add, layernorm and the fused ops return ``None``
 for a parent that needs no gradient (a frozen weight or a constant)
@@ -294,7 +302,7 @@ _GELU_A = 0.044715
 
 
 def _gelu(x):
-    """GELU (tanh form) and the tanh its backward reads, each built in
+    """GELU (tanh form) and the tanh ``_gelu_slope`` reads, each built in
     place in one buffer; ``x**3`` would go through a slow ``pow``."""
     t = x * x
     t *= x
@@ -308,8 +316,10 @@ def _gelu(x):
     return out, t
 
 
-def _gelu_grad(g, x, t):
-    """0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2)) g, in two buffers."""
+def _gelu_slope(x, t):
+    """GELU's derivative at ``x`` from the tanh ``_gelu`` returned,
+    0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2)), in two buffers; the
+    backward multiplies the output gradient by it."""
     s = x * x
     s *= 3.0 * _GELU_A
     s += 1.0
@@ -321,31 +331,38 @@ def _gelu_grad(g, x, t):
     u += t
     u += 1.0
     u *= 0.5
-    u *= g
     return u
 
 
-def softmax_last(x: Tensor) -> Tensor:
-    """Softmax over the last axis.
+def attention_probs(q: Tensor, k: Tensor, c: float) -> Tensor:
+    """Attention probabilities: the softmax over the last axis of the
+    scores ``c q k``, ``q`` (..., n, dh) and ``k`` (..., dh, m) laid out as
+    keys by column.
 
-    numpy reduces short last axes slowly, so the row max is taken over
-    the leading axis of a copy with the last axis moved first; a max
-    does not depend on order, so it is exact. The row sum stays on the
-    contiguous last axis, and ``exp`` and the division run in place.
+    The scores are scaled in their own buffer and softmaxed in place, so
+    the node keeps only its output and its parents. numpy reduces short
+    last axes slowly, so the row max is taken over the leading axis of a
+    copy with the last axis moved first; a max does not depend on order,
+    so it is exact. The row sum stays on the contiguous last axis.
     """
-    xd = x.data
-    y = xd - np.ascontiguousarray(np.moveaxis(xd, -1, 0)).max(axis=0)[..., None]
+    c = float(c)
+    y = q.data @ k.data
+    y *= c
+    y -= np.ascontiguousarray(np.moveaxis(y, -1, 0)).max(axis=0)[..., None]
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
 
     def grad_fn(g):
-        # (g - sum(g y)) y, in one buffer
+        # c (g - sum(g y)) y, the scores' gradient, in one buffer
         u = g * y
         np.subtract(g, np.add.reduce(u, axis=-1, keepdims=True), out=u)
         u *= y
-        return (u,)
+        u *= c
+        gq = _unbroadcast(u @ _swap(k.data), q.data.shape) if q.requires_grad else None
+        gk = _unbroadcast(_swap(q.data) @ u, k.data.shape) if k.requires_grad else None
+        return gq, gk
 
-    return _node(y, (x,), grad_fn)
+    return _node(y, (q, k), grad_fn)
 
 
 def cross_entropy_mean(logits: Tensor, labels) -> Tensor:
@@ -455,7 +472,7 @@ MLP_BLOCK = 32
 
 
 def _mlp(x, ln_scale, ln_offset, w1, b1, w2, b2):
-    """``mlp``'s output on arrays, and the buffers its backward reads."""
+    """``mlp``'s output on arrays, and the intermediates a backward reads from."""
     m, ln_saved = _layernorm(x, ln_scale, ln_offset)
     h = _dense(m, w1, b1)
     act, t = _gelu(h)
@@ -473,23 +490,32 @@ def mlp(x: Tensor, ln_scale: Tensor, ln_offset: Tensor, w1: Tensor, b1: Tensor, 
     the chain runs over blocks of at most ``MLP_BLOCK`` entries of the
     leading (image) axis, one block's hidden layer at a time. No GEMM or
     row reduction mixes images, so the output is bitwise the whole
-    batch's, which is what a parent that needs a gradient gets."""
+    batch's, which is what a parent that needs a gradient gets.
+
+    Otherwise the node keeps only what its backward reads: GELU's slope
+    (``_gelu_slope``) in place of the hidden layer and its tanh, fc1's
+    input only when ``w1`` needs a gradient, and fc2's only when ``w2``
+    does."""
     parents = (x, ln_scale, ln_offset, w1, b1, w2, b2)
     weights = [p.data for p in parents[1:]]
-    if not any(_needs(parents)):
+    need = _needs(parents)
+    if not any(need):
         out = np.empty_like(x.data)
         for s in range(0, len(out), MLP_BLOCK):
             out[s : s + MLP_BLOCK] = _mlp(x.data[s : s + MLP_BLOCK], *weights)[0]
         return _node(out, parents, None)
+    need_x, need_s, need_o, need_w1, need_b1, need_w2, need_b2 = need
+    need_m = need_x or need_s or need_o
+    need_h = need_m or need_w1 or need_b1
     out, (m, ln_saved, h, act, t) = _mlp(x.data, *weights)
+    slope = _gelu_slope(h, t) if need_h else None
+    m, act = (m if need_w1 else None), (act if need_w2 else None)
 
     def grad_fn(g):
-        need_x, need_s, need_o, need_w1, need_b1, need_w2, need_b2 = _needs(parents)
-        need_m = need_x or need_s or need_o
-        need_h = need_m or need_w1 or need_b1
         g_act, gw2, gb2 = _dense_grads(g, act, w2.data, (need_h, need_w2, need_b2))
-        gh = _gelu_grad(g_act, h, t) if need_h else None
-        gm, gw1, gb1 = _dense_grads(gh, m, w1.data, (need_m, need_w1, need_b1))
+        if need_h:
+            g_act *= slope
+        gm, gw1, gb1 = _dense_grads(g_act, m, w1.data, (need_m, need_w1, need_b1))
         gx, gs, go = _layernorm_grads(gm, ln_saved, ln_scale.data, (need_x, need_s, need_o))
         return (gx + g if need_x else None), gs, go, gw1, gb1, gw2, gb2
 

@@ -71,10 +71,14 @@ def feature_projection(
     """Project every (model, sample) feature vector onto the top-2
     principal axes of the pooled, mean-centered feature set. ``images``
     is one array or a list of arrays read in place, as
-    ``vit.features_batch`` reads them; ``labels`` has one entry per image."""
+    ``vit.features_batch`` reads them; ``labels`` has one entry per image,
+    or ``ShapeError`` is raised before any forward."""
     labels = np.asarray(labels)
     if labels.shape[0] < 2:
         raise ConfigError(f"need at least 2 samples, got {labels.shape[0]}")
+    count = sum(len(p) for p in images) if isinstance(images, list) else len(images)
+    if labels.shape[0] != count:
+        raise ShapeError(f"{labels.shape[0]} labels for {count} images")
     if not models:
         raise ConfigError("need at least one model")
     feats = []

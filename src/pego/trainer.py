@@ -12,12 +12,14 @@ audit of that record.
 
 Pretraining the base and training the adapters share one step: a batch,
 its loss gradient, one Adam update. Each harness is one grid of
-independent (variant, held-out domain, seed) runs in one process pool;
+independent (variant, held-out domain, seed) runs in one process pool,
+whose workers receive the grid's dataset and base once, when they start;
 within one run training is sequential.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -206,13 +208,16 @@ def evaluate(model: VitModel, dataset: DomainDataset, domains: list[str] | None 
     The domains' images go through one no-grad forward, read in place as
     a list of arrays, so no copy of them is made and a pass over several
     small domains still fills whole chunks and threads; a logit does not
-    depend on the images it is computed beside. An empty ``domains``
-    raises ``ConfigError``.
+    depend on the images it is computed beside. An empty ``domains``, or
+    one naming a domain the dataset lacks, raises ``ConfigError``.
     """
     if domains is None:
         domains = dataset.domains
     if not domains:
         raise ConfigError("evaluate needs at least one domain")
+    unknown = [d for d in domains if d not in dataset.domains]
+    if unknown:
+        raise ConfigError(f"unknown domain {unknown[0]}: the dataset has {dataset.domains}")
     images = [dataset.images[d] for d in domains]
     labels = np.concatenate([dataset.labels[d] for d in domains])
     return int(np.sum(vit.predict_batch(model, images) == labels)) / len(labels)
@@ -354,23 +359,36 @@ def run_single(dataset: DomainDataset, cfg: TrainConfig, base: VitModel, test_do
     return LodoRecord(test_domain, seed, acc, result.selected_iter, result.history)
 
 
-def _run_single_task(payload):
+def _run_single_task(shared, payload):
     # Looks ``run_single`` up in this module's globals when it runs, so a
     # forked worker calls whatever the parent bound there before the fork,
     # a closure too, which pickle could not send to it.
-    return run_single(*payload)
+    (dataset, base), (cfg, test_domain, seed) = shared, payload
+    return run_single(dataset, cfg, base, test_domain, seed)
 
 
-def _timed(call):
+def _timed(task, shared, payload):
     # Wall and CPU seconds, both taken where the task runs: a pool worker,
     # or the calling process for a serial grid.
-    task, payload = call
     t0, c0 = time.perf_counter(), time.process_time()
-    return task(payload), time.perf_counter() - t0, time.process_time() - c0
+    return task(shared, payload), time.perf_counter() - t0, time.process_time() - c0
 
 
-def _cap_worker_threads() -> None:
+# ``task(shared, payload)`` of the grid a pool worker serves, bound by
+# ``_start_worker``; None in any other process.
+_worker_task = None
+
+
+def _start_worker(task) -> None:
+    # A pool worker's initializer: cap its forwards at one thread and keep
+    # the grid's task with its shared inputs for every payload it gets.
+    global _worker_task
     os.environ["PEGO_THREADS"] = "1"
+    _worker_task = task
+
+
+def _run_in_worker(payload):
+    return _worker_task(payload)
 
 
 def pool_workers(jobs: int, runs: int) -> int:
@@ -381,15 +399,19 @@ def pool_workers(jobs: int, runs: int) -> int:
     return max(1, min(jobs, runs, vit.thread_budget()))
 
 
-def _map_runs(task, payloads, jobs: int):
-    # Runs are independent and deterministic, so the pool only changes
-    # wall-clock time, never results; outputs come in payload order.
+def _map_runs(task, shared, payloads, jobs: int):
+    # ``task(shared, payload)`` per payload. ``shared`` reaches each worker
+    # once, through the pool's initializer: forked workers inherit it, and
+    # only the payloads are pickled per run. Runs are independent and
+    # deterministic, so the pool only changes wall-clock time, never
+    # results; outputs come in payload order.
+    call = functools.partial(task, shared)
     workers = pool_workers(jobs, len(payloads))
     if workers == 1:
-        yield from map(task, payloads)
+        yield from map(call, payloads)
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_cap_worker_threads) as pool:
-        yield from pool.map(task, payloads)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(call,)) as pool:
+        yield from pool.map(_run_in_worker, payloads)
 
 
 def check_grid(dataset: DomainDataset, seeds: list[int]) -> None:
@@ -402,16 +424,18 @@ def check_grid(dataset: DomainDataset, seeds: list[int]) -> None:
 
 
 def _run_grid(name: str, task, dataset: DomainDataset, variants, seeds: list[int], base: VitModel, jobs: int):
-    """Run ``task`` on each ``(dataset, config, base, held-out domain, seed)``
-    payload of the (label, config) ``variants`` in one ``_map_runs`` call,
-    logging a line per finished run; return one output list per variant."""
+    """Run ``task`` on ``(dataset, base)`` and each ``(config, held-out
+    domain, seed)`` payload of the (label, config) ``variants`` in one
+    ``_map_runs`` call, logging a line per finished run; return one
+    output list per variant."""
     check_grid(dataset, seeds)
-    payloads = [(dataset, cfg, base, dom, seed) for _, cfg in variants for dom in dataset.domains for seed in seeds]
+    payloads = [(cfg, dom, seed) for _, cfg in variants for dom in dataset.domains for seed in seeds]
     runs = len(dataset.domains) * len(seeds)
     outputs = []
-    for k, (out, seconds, cpu) in enumerate(_map_runs(_timed, [(task, p) for p in payloads], jobs)):
+    timed = functools.partial(_timed, task)
+    for k, (out, seconds, cpu) in enumerate(_map_runs(timed, (dataset, base), payloads, jobs)):
         outputs.append(out)
-        _, _, _, dom, seed = payloads[k]
+        _, dom, seed = payloads[k]
         score = f"acc={out.accuracy:.4f}" if isinstance(out, LodoRecord) else f"val_acc={out:.4f}"
         what = " ".join(filter(None, (variants[k // runs][0], dom, f"seed={seed}", score)))
         log.info("[%s %d/%d] %s %.1fs cpu=%.1fs", name, k + 1, len(payloads), what, seconds, cpu)
@@ -471,9 +495,10 @@ class SweepResult:
     rows: list[SweepRow]
 
 
-def _sweep_task(payload):
+def _sweep_task(shared, payload):
     # Scores only the source domains' validation split, never the held-out domain.
-    return _train_without(*payload).best_val_acc
+    (dataset, base), (cfg, test_domain, seed) = shared, payload
+    return _train_without(dataset, cfg, base, test_domain, seed).best_val_acc
 
 
 def sweep_n(dataset: DomainDataset, cfg: TrainConfig, seeds: list[int], base: VitModel, jobs: int = 1) -> SweepResult:

@@ -284,11 +284,10 @@ def _attention(q_in: Tensor, x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
         return ag.transpose(ag.reshape(t, (bs, rows, h, dh)), axes)
 
     q = split(_linear(q_in, block.attn.wq), nq, (0, 2, 1, 3))
-    # The keys go straight to (bs, h, dh, n), so q k^T is a plain matmul.
+    # The keys go straight to (bs, h, dh, n), so q k^T is a plain product.
     k = split(_linear(x, block.attn.wk), n, (0, 2, 3, 1))
     v = split(_linear(x, block.attn.wv), n, (0, 2, 1, 3))
-    scores = ag.scale(ag.matmul(q, k), 1.0 / math.sqrt(dh))
-    probs = ag.softmax_last(scores)
+    probs = ag.attention_probs(q, k, 1.0 / math.sqrt(dh))
     ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, nq, d))
     return _linear(ctx, block.attn.wo)
 

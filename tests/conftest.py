@@ -114,11 +114,11 @@ def rank_battery(canonical_dataset, canonical_cfg, pretrained_base):
         "stress": replace(canonical_cfg, rank=2, group_n=4, alpha=1e-1),
         "plain": replace(canonical_cfg, rank=2, group_n=4, alpha=0.0),
     }
-    payloads = [(pretrained_base, sources, replace(cfg, seed=s)) for cfg in variants.values() for s in SEEDS]
-    adapted = list(trainer._map_runs(_train_adapted, payloads, jobs=os.cpu_count()))
+    cfgs = [replace(cfg, seed=s) for cfg in variants.values() for s in SEEDS]
+    adapted = list(trainer._map_runs(_train_adapted, (pretrained_base, sources), cfgs, jobs=os.cpu_count()))
     return {label: adapted[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, label in enumerate(variants)}
 
 
-def _train_adapted(payload):
-    base, sources, cfg = payload
+def _train_adapted(shared, cfg):
+    base, sources = shared
     return trainer.train(base, sources, cfg).adapted

@@ -96,7 +96,7 @@ def test_layernorm_grad():
 def _gelu(x):
     """The GELU kernels as a tape op of their own."""
     out, t = ag._gelu(x.data)
-    return ag._node(out, (x,), lambda g: (ag._gelu_grad(g, x.data, t),))
+    return ag._node(out, (x,), lambda g: (g * ag._gelu_slope(x.data, t),))
 
 
 def test_gelu_grad():
@@ -106,7 +106,20 @@ def test_gelu_grad():
 
 
 def test_softmax_grad():
-    _fd_check(lambda x: _sum_all(ag.softmax_last(x)), [(2, 2, 4)], tol=1e-5)
+    # The row softmax is attention's probabilities: q (2, 2, 3, 4) against
+    # keys laid out (2, 2, 4, 5), as attention's are, both trainable.
+    _fd_check(lambda q, k: _sum_all(ag.attention_probs(q, k, 0.7)), [(2, 2, 3, 4), (2, 2, 4, 5)], tol=1e-5)
+
+
+def test_softmax_grad_with_frozen_keys():
+    # Block 0's keys come from frozen weights alone: the closure returns
+    # None for them and the queries' gradient still matches.
+    k = ag.Tensor(make_rng(64).normal(size=(2, 2, 4, 5)))
+    _fd_check(lambda q: _sum_all(ag.attention_probs(q, k, 0.7)), [(2, 2, 3, 4)], tol=1e-5)
+    q = ag.Tensor(make_rng(65).normal(size=(2, 2, 3, 4)), requires_grad=True)
+    out = ag.attention_probs(q, k, 0.7)
+    gq, gk = out.grad_fn(np.ones_like(out.data))
+    assert gq.shape == q.shape and gk is None
 
 
 def test_cross_entropy_grad_matches_fd():
@@ -308,25 +321,34 @@ def _reference_mlp(x, s, o, w1, b1, w2, b2):
     return x + y, grads
 
 
-def _reference_softmax(scores):
+def _reference_attention_probs(q, k, c):
+    """softmax(c q k) over the last axis, and the gradients of q and k."""
+    scores = (q @ k) * c
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
-    return y, lambda g: ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
+
+    def grads(g):
+        g_scores = (g - (g * y).sum(axis=-1, keepdims=True)) * y * c
+        return g_scores @ _t(k), _t(q) @ g_scores
+
+    return y, grads
 
 
 def test_row_ops_equal_the_written_out_formulas_bitwise():
-    # Shapes of the canonical model: activations, MLP hidden rows and
-    # attention scores of 24 images, with every parent trainable.
+    # Shapes of the canonical model: activations, MLP hidden rows, and
+    # attention queries, keys and probabilities of 24 images, with every
+    # parent trainable.
     rng = make_rng(60)
-    x, h, scores = rng.normal(size=(24, 17, 32)), rng.normal(size=(24, 17, 128)), rng.normal(size=(24, 4, 17, 17))
+    x, h = rng.normal(size=(24, 17, 32)), rng.normal(size=(24, 17, 128))
+    q, k, c = rng.normal(size=(24, 4, 17, 8)), rng.normal(size=(24, 4, 8, 17)), 1.0 / np.sqrt(8)
     s, o = rng.normal(size=(1, 32)), rng.normal(size=(1, 32))
     fc = [rng.normal(size=shape) for shape in [(128, 32), (1, 128), (32, 128), (1, 32)]]
-    g_x, g_h, g_scores = (rng.normal(size=a.shape) for a in (x, h, scores))
-    leaves = [ag.Tensor(a, requires_grad=True) for a in [x, s, o, scores, x, s, o] + fc]
+    g_x, g_h, g_probs = (rng.normal(size=shape) for shape in (x.shape, h.shape, (24, 4, 17, 17)))
+    leaves = [ag.Tensor(a, requires_grad=True) for a in [x, s, o, q, k, x, s, o] + fc]
     ops = [
         (ag.layernorm(*leaves[:3]), g_x, _reference_layernorm(x, s, o)),
-        (ag.softmax_last(leaves[3]), g_scores, _reference_softmax(scores)),
-        (ag.mlp(*leaves[4:]), g_x, _reference_mlp(x, s, o, *fc)),
+        (ag.attention_probs(leaves[3], leaves[4], c), g_probs, _reference_attention_probs(q, k, c)),
+        (ag.mlp(*leaves[5:]), g_x, _reference_mlp(x, s, o, *fc)),
     ]
     for out, g, (value, grads) in ops:
         assert np.array_equal(out.data, value)
@@ -337,10 +359,12 @@ def test_row_ops_equal_the_written_out_formulas_bitwise():
     value, t = ag._gelu(h)
     gelu, gelu_grad = _reference_gelu(h)
     assert np.array_equal(value, gelu)
-    assert np.array_equal(ag._gelu_grad(g_h, h, t), gelu_grad(g_h))
+    slope = ag._gelu_slope(h, t)
+    assert np.array_equal(slope, gelu_grad(np.ones_like(h)))
+    assert np.array_equal(g_h * slope, gelu_grad(g_h))
     with ag.no_grad():
         assert np.array_equal(ag.layernorm(ag.Tensor(x), ag.Tensor(s), ag.Tensor(o)).data, ops[0][2][0])
-        assert np.array_equal(ag.softmax_last(ag.Tensor(scores)).data, ops[1][2][0])
+        assert np.array_equal(ag.attention_probs(ag.Tensor(q), ag.Tensor(k), c).data, ops[1][2][0])
 
 
 def test_mlp_without_a_tape_equals_the_taped_output():
@@ -672,7 +696,8 @@ def _fused_cases():
         return ag.linear(p[0], p[1], p[2], p[3:5], p[5:])
 
     # The MLP sublayer on x with a hidden width of 6; the embedding of
-    # x's rows as patches, which are a plain array and so no parent.
+    # x's rows as patches, which are a plain array and so no parent; and
+    # x's rows as queries against four keys.
     ln = [rng.normal(size=(1, 5)) for _ in range(2)]
     fc = [rng.normal(size=shape) for shape in [(6, 5), (1, 6), (5, 6), (1, 5)]]
     return {
@@ -682,10 +707,11 @@ def _fused_cases():
         "diversify_l1": penalty(ag.diversify_l1),
         "mlp": ([x] + ln + fc, lambda p: ag.mlp(*p)),
         "embed": ([w, bias, rng.normal(size=(1, 4)), rng.normal(size=(4, 4))], lambda p: ag.embed(x, *p)),
+        "attention_probs": ([x, rng.normal(size=(2, 5, 4))], lambda p: ag.attention_probs(*p, 0.7)),
     }
 
 
-@pytest.mark.parametrize("op", ["linear", "linear_2d", "preserve_l1", "diversify_l1", "mlp", "embed"])
+@pytest.mark.parametrize("op", ["linear", "linear_2d", "preserve_l1", "diversify_l1", "mlp", "embed", "attention_probs"])
 def test_fused_ops_skip_each_frozen_parent(op):
     arrays, build = _fused_cases()[op]
     g = None
@@ -729,6 +755,51 @@ def test_canonical_step_tape_size():
     assert _tape_nodes(vit.batch_loss_tensor(model, images, labels, 0.0).total) <= 100
     vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
     assert _tape_nodes(vit.batch_loss_tensor(model, images, labels, 1e-3).total) <= 100
+
+
+def _step_heap_peak(model, images, labels, alpha):
+    """The traced heap peak above its start of one forward and backprop
+    on the model's trainable tensors, after a first step."""
+    leaves = [t for _, t in vit.named_params(model) if t.requires_grad]
+
+    def step():
+        ag.backprop(vit.batch_loss_tensor(model, images, labels, alpha).total, leaves)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonical_steps_keep_only_what_their_backward_reads():
+    # The MLP keeps GELU's slope, not its input and tanh, and the inputs
+    # of trainable weights alone; attention keeps its probabilities, not
+    # its raw and scaled scores. Adapter step: 3.7 MiB (5.5 when every
+    # buffer was kept); pretraining step: 5.2 MiB (6.9).
+    cfg = trainer.canonical_vit_config()
+    model = vit.init_vit(cfg, make_rng(49))
+    rng = make_rng(53)
+    for name, t in vit.named_params(model):
+        t.requires_grad = not name.endswith(".attn.wk.bias")
+    images, labels = rng.random((32, cfg.image_size, cfg.image_size)), rng.integers(0, cfg.num_classes, 32)
+    assert _step_heap_peak(model, images, labels, 0.0) <= 6.0 * 2**20
+    vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
+    assert _step_heap_peak(model, images[:24], labels[:24], 1e-3) <= 4.5 * 2**20
+
+
+@pytest.mark.parametrize("trained", [(5, 6), (3,), (4,), (1, 2), (0,)])
+def test_mlp_with_some_parents_frozen_matches_every_parent_trainable(trained):
+    # Parent order: x, ln scale, ln offset, fc1 w, fc1 b, fc2 w, fc2 b.
+    rng = make_rng(66)
+    arrays = [rng.normal(size=shape) for shape in [(2, 3, 5), (1, 5), (1, 5), (6, 5), (1, 6), (5, 6), (1, 5)]]
+    g = rng.normal(size=(2, 3, 5))
+    reference = ag.mlp(*[ag.Tensor(a, requires_grad=True) for a in arrays]).grad_fn(g)
+    grads = ag.mlp(*[ag.Tensor(a, requires_grad=i in trained) for i, a in enumerate(arrays)]).grad_fn(g)
+    for i, (got, want) in enumerate(zip(grads, reference)):
+        assert got is None if i not in trained else np.array_equal(got, want)
 
 
 def test_each_penalty_is_one_node_on_the_adapter_factors():

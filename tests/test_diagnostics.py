@@ -141,6 +141,15 @@ class TestFeatureProjection:
         with pytest.raises(DegenerateInputError):
             feature_projection([("a", model), ("same", model)], images, np.zeros(5, dtype=int))
 
+    def test_label_count_must_match_image_count(self, two_models, monkeypatch):
+        model, _ = two_models
+        monkeypatch.setattr(vit, "features_batch", lambda *_: pytest.fail("forward ran"))
+        images = make_rng(20).random((10, 8, 8))
+        with pytest.raises(ShapeError, match="12 labels for 10 images"):
+            feature_projection([("a", model)], images, np.zeros(12, dtype=int))
+        with pytest.raises(ShapeError, match="12 labels for 10 images"):
+            feature_projection([("a", model)], [images[:4], images[4:]], np.zeros(12, dtype=int))
+
     def test_needs_two_samples(self, two_models):
         model, _ = two_models
         with pytest.raises(ConfigError):

@@ -7,7 +7,8 @@ from pego.numerics import explained_variance_ratio, make_rng, numerical_rank, sv
 
 
 # The package's matrix product, entrywise L1 norm and row softmax are the
-# tape ops; these read their forward values.
+# tape ops; these read their forward values. The row softmax is attention's
+# probabilities with identity keys and no scaling.
 def matmul(a, b):
     return ag.matmul(ag.Tensor(a), ag.Tensor(b)).data
 
@@ -23,7 +24,7 @@ def l1_entrywise(m):
 
 
 def softmax_rows(m):
-    return ag.softmax_last(ag.Tensor(m)).data
+    return ag.attention_probs(ag.Tensor(m), ag.Tensor(np.eye(m.shape[-1])), 1.0).data
 
 
 def test_matmul_identity():

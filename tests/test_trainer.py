@@ -282,6 +282,11 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="at least one domain"):
             trainer.evaluate(model, uneven, [])
 
+    def test_an_unknown_domain_is_an_error_naming_the_datasets_domains(self, uneven):
+        model = init_vit(_tiny_vit(), make_rng(7))
+        with pytest.raises(ConfigError, match=r"unknown domain d9: the dataset has \['d0', 'd1', 'd2'\]"):
+            trainer.evaluate(model, uneven, ["d0", "d9"])
+
 
 class TestTrain:
     def test_history_and_cadence_bookkeeping(self, tiny_dataset, tiny_base):
@@ -484,8 +489,10 @@ class TestLodo:
             return record
 
         monkeypatch.setattr(trainer, "run_single", marking)
+        calls = _count_map_runs(monkeypatch)
         result = leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
         assert len(result.records) == 4 and all(getattr(r, "marked", False) for r in result.records)
+        assert calls == [4]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_progress_line_ends_with_wall_and_cpu_seconds(self, tiny_dataset, tiny_base, caplog, jobs):
@@ -544,14 +551,22 @@ def _report_d1_touched(monkeypatch) -> None:
     monkeypatch.setattr(trainer, "train", leaky_train)
 
 
+def _holds(obj, types) -> bool:
+    """Whether ``obj`` is an instance of ``types`` or a tuple or list holding one, at any depth."""
+    return isinstance(obj, types) or (isinstance(obj, (tuple, list)) and any(_holds(o, types) for o in obj))
+
+
 def _count_map_runs(monkeypatch) -> list[int]:
-    """Patch ``trainer._map_runs`` to record the payload count of each call."""
+    """Patch ``trainer._map_runs`` to record the payload count of each
+    call, and check that no payload holds the dataset or the base: those
+    reach a pool's workers once, as the shared inputs."""
     calls: list[int] = []
     real = trainer._map_runs
 
-    def counting(task, payloads, jobs):
+    def counting(task, shared, payloads, jobs):
+        assert not _holds(payloads, (DomainDataset, vit.VitModel))
         calls.append(len(payloads))
-        return real(task, payloads, jobs)
+        return real(task, shared, payloads, jobs)
 
     monkeypatch.setattr(trainer, "_map_runs", counting)
     return calls
@@ -630,18 +645,18 @@ def test_stderr_behaviour():
     assert stderr([0.5, 0.5, 0.5]) == 0.0
 
 
-def _reported_thread_budget(_):
-    return vit.thread_budget()
+def _reported_thread_budget(shared, _):
+    return shared, vit.thread_budget()
 
 
 def test_pool_workers_run_their_forwards_on_one_thread(monkeypatch):
     monkeypatch.setenv("PEGO_THREADS", "2")
-    assert list(trainer._map_runs(_reported_thread_budget, range(4), jobs=2)) == [1] * 4
-    assert list(trainer._map_runs(_reported_thread_budget, range(1), jobs=1)) == [vit.thread_budget()]
+    assert list(trainer._map_runs(_reported_thread_budget, "s", range(4), jobs=2)) == [("s", 1)] * 4
+    assert list(trainer._map_runs(_reported_thread_budget, "s", range(1), jobs=1)) == [("s", vit.thread_budget())]
     assert os.environ["PEGO_THREADS"] == "2"
 
 
-def _reported_blas_threads(_):
+def _reported_blas_threads(shared, _):
     return ag.blas_threads()
 
 
@@ -650,13 +665,15 @@ def test_openblas_runs_one_thread_here_and_in_pool_workers(monkeypatch):
     # Importing autograd pins it, and workers keep the pin: the worker
     # initializer caps their forward threads alone.
     assert ag.blas_threads() == 1
-    assert list(trainer._map_runs(_reported_blas_threads, range(4), jobs=2)) == [1] * 4
+    assert list(trainer._map_runs(_reported_blas_threads, None, range(4), jobs=2)) == [1] * 4
     monkeypatch.setenv("PEGO_THREADS", "2")
-    trainer._cap_worker_threads()
+    monkeypatch.setattr(trainer, "_worker_task", None)
+    trainer._start_worker(len)
     assert os.environ["PEGO_THREADS"] == "1" and vit.thread_budget() == 1 and ag.blas_threads() == 1
+    assert trainer._run_in_worker("run") == 3
 
 
-def _pid_after_meeting(payload):
+def _pid_after_meeting(_, payload):
     """This process's pid, once ``count`` processes have each left a file
     in ``directory`` (or after 30 s), so every worker of a pool of
     ``count`` takes a run rather than one worker taking them all."""
@@ -672,7 +689,7 @@ def _pids_and_peak_children(directory, count, runs, jobs):
     """The pids ``_map_runs`` returns for ``runs`` meeting runs, and the
     most live child processes seen while its results were consumed."""
     pids, peak = [], 0
-    for pid in trainer._map_runs(_pid_after_meeting, [(directory, count)] * runs, jobs=jobs):
+    for pid in trainer._map_runs(_pid_after_meeting, None, [(directory, count)] * runs, jobs=jobs):
         pids.append(pid)
         peak = max(peak, len(multiprocessing.active_children()))
     return pids, peak

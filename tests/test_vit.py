@@ -188,14 +188,14 @@ def test_argmax_invariant_under_constant_logit_shift():
 def test_attention_rows_sum_to_one(monkeypatch):
     model = init_vit(_cfg(), make_rng(17))
     captured = []
-    real_softmax = ag.softmax_last
+    real_probs = ag.attention_probs
 
-    def recording(x):
-        out = real_softmax(x)
+    def recording(q, k, c):
+        out = real_probs(q, k, c)
         captured.append(np.array(out.data))
         return out
 
-    monkeypatch.setattr(ag, "softmax_last", recording)
+    monkeypatch.setattr(ag, "attention_probs", recording)
     with ag.no_grad():
         vit.batch_logits_tensor(model, make_rng(18).random((3, 16, 16)))
     # the last block queries with the class token alone
@@ -222,7 +222,7 @@ def _full_sequence_features(model, images):
     for blk in model.blocks:
         z = ag.layernorm(x, blk.ln1_scale, blk.ln1_offset)
         q, k, v = (heads(proj(z, lin)) for lin in (blk.attn.wq, blk.attn.wk, blk.attn.wv))
-        probs = ag.softmax_last(ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)))
+        probs = ag.attention_probs(q, ag.transpose(k, (0, 1, 3, 2)), 1.0 / np.sqrt(dh))
         ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, n, d))
         x = ag.add(x, proj(ctx, blk.attn.wo))
         x = ag.mlp(x, blk.ln2_scale, blk.ln2_offset, blk.fc1_w, blk.fc1_b, blk.fc2_w, blk.fc2_b)
