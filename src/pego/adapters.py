@@ -3,7 +3,10 @@ penalties, and exact merge-back.
 
 Conventions: a host weight W has shape (d, k) and acts on column
 vectors. Each adapter module is a pair A (r, k), B (d, r); a group of N
-modules contributes the update sum_i B_i A_i on top of W. The penalties
+modules contributes the update sum_i B_i A_i on top of W. A group holds
+its modules as two trainable stacks, A's (N, r, k) and B's (N, d, r),
+which are the tape's leaves and the optimizer's parameters; a module is
+a view of them (``LoraGroup.modules``). The penalties
 read the entrywise L1 norm (sum of absolute values) of their matrix
 arguments:
 
@@ -15,7 +18,7 @@ arguments:
 Fresh groups start with B_i = 0, so both penalties are exactly zero at
 initialization; a group of one module has no pair to diversify. The
 forward path (``autograd.linear``) multiplies by W + B A and merge-back
-adds the same product B A of the stacked factors
+adds the same product B A of the stacks laid end to end
 (``autograd.adapter_update``), so merged logits are bitwise the adapted
 ones. The penalties, L1 norms of (W^T B_i) A_i and A_i^T (B_i^T B_j) A_j,
 are the tape ops ``autograd.preserve_l1``/``diversify_l1``, one node
@@ -50,15 +53,19 @@ class LoraModule:
 
 @dataclass
 class LoraGroup:
-    modules: list[LoraModule]
+    """N modules as two stacks, ``a`` (N, r, k) and ``b`` (N, d, r); module i is ``a[i]``, ``b[i]``."""
+
+    a: Tensor
+    b: Tensor
 
     @property
     def n(self) -> int:
-        return len(self.modules)
+        return self.a.data.shape[0]
 
-    def factors(self) -> tuple[list[Tensor], list[Tensor]]:
-        """The modules' A tensors and B tensors, in module order."""
-        return [m.a for m in self.modules], [m.b for m in self.modules]
+    @property
+    def modules(self) -> list[LoraModule]:
+        """Each module as tensors that view the stacks' data as it is now."""
+        return [LoraModule(Tensor(a), Tensor(b)) for a, b in zip(self.a.data, self.b.data)]
 
 
 @dataclass
@@ -80,17 +87,13 @@ def init_group(d: int, k: int, r: int, n: int, rng: np.random.Generator) -> Lora
         raise ConfigError(f"group size must be at least 1, got {n}")
     if r < 1 or r > min(d, k):
         raise ConfigError(f"rank {r} outside [1, min({d}, {k})]")
-    modules = []
-    for _ in range(n):
-        a = Tensor(rng.normal(0.0, 0.02, (r, k)), requires_grad=True)
-        b = Tensor(np.zeros((d, r)), requires_grad=True)
-        modules.append(LoraModule(a=a, b=b))
-    return LoraGroup(modules=modules)
+    a = Tensor(rng.normal(0.0, 0.02, (n, r, k)), requires_grad=True)
+    return LoraGroup(a=a, b=Tensor(np.zeros((n, d, r)), requires_grad=True))
 
 
 def group_delta(group: LoraGroup) -> np.ndarray:
     """The combined update sum_i B_i A_i as a dense matrix, as ``autograd.linear`` forms it."""
-    return ag.adapter_update(*group.factors())[2]
+    return ag.adapter_update(group.a.data, group.b.data)[2]
 
 
 # The projections of each block that carry a group, in draw order.
@@ -116,7 +119,7 @@ def loss_or_tensor(model) -> tuple[Tensor | None, Tensor | None]:
     layers = adapted_layers(model)
     if not layers:
         return None, None
-    a, b = zip(*(lin.group.factors() for lin in layers))
+    a, b = [lin.group.a for lin in layers], [lin.group.b for lin in layers]
     return ag.preserve_l1([lin.base for lin in layers], a, b), ag.diversify_l1(a, b)
 
 

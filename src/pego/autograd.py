@@ -6,14 +6,17 @@ regularizers need:
 - ``matmul``, broadcasting ``add`` and ``scale``;
 - the shape movers ``transpose``, ``reshape`` and ``narrow``;
 - ``layernorm`` and ``cross_entropy_mean``;
-- the fused ops. ``attention_probs`` is attention's
-  ``softmax(c q k)``; ``linear`` is a whole projection,
-  ``x (W + B A)^T + bias``, with ``B A`` a group's update
-  (``adapter_update``); ``mlp`` is a block's MLP sublayer with its
-  residual; ``embed`` is the token embedding. ``preserve_l1`` and
-  ``diversify_l1`` are the orthogonality penalties, each one 0-d node:
-  the L1 norm of the matrix arguments that ``_preserve_args`` or
-  ``_diversify_args`` stacks over every adapted projection.
+- the fused ops. ``attention_probs(q, k, c)`` is attention's
+  ``softmax(c q k)``; ``linear(x, w, bias, a=None, b=None)`` is a whole
+  projection, ``x (W + B A)^T + bias``, with ``B A`` the update
+  (``adapter_update``) of a group's factor stacks ``a`` (N, r, k) and
+  ``b`` (N, d, r); ``mlp`` is a block's MLP sublayer with its residual;
+  ``embed`` is the token embedding. ``preserve_l1(ws, a_stacks,
+  b_stacks)`` and ``diversify_l1(a_stacks, b_stacks)`` are the
+  orthogonality penalties, each one 0-d node on the P adapted
+  projections' stacks: the L1 norm of the matrix arguments that
+  ``_preserve_args`` or ``_diversify_args`` stacks over them. A group's
+  factor gradient comes back as one block per stack.
 
 ``matmul`` multiplies its operands as given; a caller that needs a
 transposed operand lays it out with ``transpose``, as attention does
@@ -385,33 +388,17 @@ def cross_entropy_mean(logits: Tensor, labels) -> Tensor:
     return _node(np.float64(loss), (logits,), grad_fn)
 
 
-def _row_blocks(parts, stacked, axis=0):
-    """Per-part blocks of the gradient of ``np.concatenate(parts, axis)``;
-    None for a part that needs no gradient, or when ``stacked`` is None.
-    ``stacked`` is read as rows over its last axis, so a (P, N, ...)
-    stack of 2-D parts splits along axis 0 as well."""
-    if stacked is None:
-        return [None] * len(parts)
-    stacked, lead, start, blocks = _rows(stacked), (slice(None),) * axis, 0, []
-    for p in parts:
-        stop = start + p.data.shape[axis]
-        blocks.append(stacked[lead + (slice(start, stop),)] if p.requires_grad else None)
-        start = stop
-    return blocks
-
-
 def _rows(t):
     """``t`` as 2-D rows over its last axis."""
     return t.reshape(-1, t.shape[-1])
 
 
-def adapter_update(a_parts, b_parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(A, B, B A)``: the factors of adapter modules ``a_parts[i]`` (r_i,
-    k), ``b_parts[i]`` (d, r_i) stacked, A's by rows and B's by columns,
-    and their one product, the group's update ``sum_i B_i A_i``."""
-    a = np.concatenate([p.data for p in a_parts], axis=0)
-    b = np.concatenate([p.data for p in b_parts], axis=1)
-    return a, b, b @ a
+def adapter_update(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A, B, B A)``: the A's of a group's stack ``a`` (N, r, k) by rows, a
+    view, and the B's of its stack ``b`` (N, d, r) by columns, a copy, and
+    their one product, the group's update ``sum_i B_i A_i``."""
+    a_cat, b_cat = a.reshape(-1, a.shape[-1]), np.concatenate(b, axis=1)
+    return a_cat, b_cat, b_cat @ a_cat
 
 
 def _dense(x, w_eff, bias):
@@ -432,32 +419,35 @@ def _dense_grads(g, x, w_eff, need):
     return gx, gw, gbias
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor, a_parts=(), b_parts=()) -> Tensor:
+def linear(x: Tensor, w: Tensor, bias: Tensor, a: Tensor | None = None, b: Tensor | None = None) -> Tensor:
     """One projection: ``x (W + sum_i B_i A_i)^T + bias``.
 
     ``x`` is (..., k), with leading batch axes, ``w`` is (d, k), ``bias``
-    is (1, d), and adapter module i is the pair ``a_parts[i]`` (r_i, k),
-    ``b_parts[i]`` (d, r_i). The op forms ``W_eff = W + B A``
+    is (1, d), and an adapter group, when given, is its factor stacks
+    ``a`` (N, r, k) and ``b`` (N, d, r). The op forms ``W_eff = W + B A``
     (``adapter_update``) and multiplies ``x`` by it alone; merge-back
     adds the same ``B A``. With ``G`` the gradient of ``W_eff``, A's is
-    ``B^T G`` and B's ``G A^T``.
+    ``B^T G`` and B's ``G A^T``, each returned as one stack.
     """
-    w_eff = w.data
-    if a_parts:
-        a, b, update = adapter_update(a_parts, b_parts)
+    w_eff, parents = w.data, (x, w, bias)
+    if a is not None:
+        parents += (a, b)
+        a_cat, b_cat, update = adapter_update(a.data, b.data)
         w_eff = w.data + update
     out = _dense(x.data, w_eff, bias.data)
 
     def grad_fn(g):
-        need_a, need_b = any(_needs(a_parts)), any(_needs(b_parts))
-        need = (x.requires_grad, w.requires_grad or need_a or need_b, bias.requires_grad)
-        gx, g_eff, gbias = _dense_grads(g, x.data, w_eff, need)
-        gw = g_eff if w.requires_grad else None
-        ga = b.T @ g_eff if need_a else None
-        gb = g_eff @ a.T if need_b else None
-        return [gx, gw, gbias] + _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb, 1)
+        need_x, need_w, need_bias, *need_ab = _needs(parents)
+        gx, g_eff, gbias = _dense_grads(g, x.data, w_eff, (need_x, need_w or any(need_ab), need_bias))
+        grads = [gx, g_eff if need_w else None, gbias]
+        if need_ab:
+            need_a, need_b = need_ab
+            grads.append((b_cat.T @ g_eff).reshape(a.data.shape) if need_a else None)
+            # G A^T is (d, N r); its i-th block of r columns is B_i's gradient.
+            grads.append((g_eff @ a_cat.T).reshape(len(b_cat), len(b.data), -1).swapaxes(0, 1) if need_b else None)
+        return grads
 
-    return _node(out, (x, w, bias) + tuple(a_parts) + tuple(b_parts), grad_fn)
+    return _node(out, parents, grad_fn)
 
 
 # Images per block of an ``mlp`` that keeps nothing for a backward, so
@@ -555,15 +545,17 @@ def pair_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, owner
 
 
-def _stack_groups(groups) -> tuple[np.ndarray, list[Tensor]]:
-    """The data of P groups of N equal-shaped tensors stacked (P, N, ...),
-    and the tensors in one flat list, group by group."""
-    parts = [p for g in groups for p in g]
-    shapes = {p.data.shape for p in parts}
-    n = len(groups[0])
-    if len(shapes) != 1 or any(len(g) != n for g in groups):
-        raise ShapeError(f"adapter groups differ: sizes {[len(g) for g in groups]}, shapes {sorted(shapes)}")
-    return np.stack([p.data for p in parts]).reshape((len(groups), n) + shapes.pop()), parts
+def _stack_factors(stacks) -> np.ndarray:
+    """The data of P equal-shaped factor stacks as one (P, N, ...) array."""
+    shapes = {t.data.shape for t in stacks}
+    if len(shapes) != 1:
+        raise ShapeError(f"adapter groups differ: shapes {sorted(shapes)}")
+    return np.stack([t.data for t in stacks])
+
+
+def _per_stack(stacks, g):
+    """The (P, N, ...) gradient ``g`` of P stacks per stack; None for a stack that needs none."""
+    return [g[p] if t.requires_grad else None for p, t in enumerate(stacks)]
 
 
 def _preserve_args(w, a, b):
@@ -579,32 +571,32 @@ def _diversify_args(a, b):
     return _swap(a[:, i]) @ (gram @ a[:, j]), gram
 
 
-def preserve_l1(ws, a_groups, b_groups) -> Tensor:
+def preserve_l1(ws, a_stacks, b_stacks) -> Tensor:
     """The preserve penalty, the L1 norm of ``_preserve_args``, as one 0-d
-    node. Projection p has the host weight ``ws[p]`` (d, k) and the factors
-    ``a_groups[p]``, ``b_groups[p]`` as in ``linear``, shaped alike for all p.
+    node. Projection p has the host weight ``ws[p]`` (d, k) and the stacks
+    ``a_stacks[p]``, ``b_stacks[p]`` as in ``linear``, shaped alike for all p.
 
     The host weights are read as constants and get no gradient: only
     adapter factors are trained while groups are attached.
     """
-    (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
+    a, b = _stack_factors(a_stacks), _stack_factors(b_stacks)
     w = np.stack([t.data for t in ws])
     args, inner = _preserve_args(w, a, b)
 
     def grad_fn(g):
         g = float(g) * np.sign(args)
-        ga = _swap(inner) @ g if any(_needs(a_parts)) else None
-        gb = w[:, None] @ (g @ _swap(a)) if any(_needs(b_parts)) else None
-        return _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb)
+        ga = _swap(inner) @ g if any(_needs(a_stacks)) else None
+        gb = w[:, None] @ (g @ _swap(a)) if any(_needs(b_stacks)) else None
+        return _per_stack(a_stacks, ga) + _per_stack(b_stacks, gb)
 
-    return _node(np.float64(np.abs(args).sum()), a_parts + b_parts, grad_fn)
+    return _node(np.float64(np.abs(args).sum()), (*a_stacks, *b_stacks), grad_fn)
 
 
-def diversify_l1(a_groups, b_groups) -> Tensor:
+def diversify_l1(a_stacks, b_stacks) -> Tensor:
     """The diversify penalty, the L1 norm of the ``_diversify_args`` of
-    groups as in ``preserve_l1``, as one 0-d node. A group of one module
+    stacks as in ``preserve_l1``, as one 0-d node. A group of one module
     has no pair: its penalty is 0 and the factors get zero gradients."""
-    (a, a_parts), (b, b_parts) = _stack_groups(a_groups), _stack_groups(b_groups)
+    a, b = _stack_factors(a_stacks), _stack_factors(b_stacks)
     i, j, owner = pair_order(a.shape[1])
     args, gram = _diversify_args(a, b)
     # Pair p feeds modules i[p] and j[p]; a GEMM against the 0/1 owner
@@ -616,7 +608,7 @@ def diversify_l1(a_groups, b_groups) -> Tensor:
 
     def grad_fn(g):
         g = float(g) * np.sign(args)
-        need_a, need_b = any(_needs(a_parts)), any(_needs(b_parts))
+        need_a, need_b = any(_needs(a_stacks)), any(_needs(b_stacks))
         ga = gb = None
         if need_a or need_b:
             aig = a[:, i] @ g  # A_i G_p
@@ -625,9 +617,9 @@ def diversify_l1(a_groups, b_groups) -> Tensor:
         if need_b:
             gg = aig @ _swap(a[:, j])  # gradient of the Gram B_i^T B_j
             gb = per_module(np.concatenate([b[:, j] @ _swap(gg), b[:, i] @ gg], axis=1), b)
-        return _row_blocks(a_parts, ga) + _row_blocks(b_parts, gb)
+        return _per_stack(a_stacks, ga) + _per_stack(b_stacks, gb)
 
-    return _node(np.float64(np.abs(args).sum()), a_parts + b_parts, grad_fn)
+    return _node(np.float64(np.abs(args).sum()), (*a_stacks, *b_stacks), grad_fn)
 
 
 def backprop(root: Tensor, leaves) -> np.ndarray:

@@ -22,7 +22,7 @@ from . import autograd as ag
 from .data import Batch
 from .errors import ConfigError, InconclusiveCheckError, InputError, NumericError
 from .numerics import make_rng
-from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_params
+from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_arrays
 
 # (cross-entropy, preserve, diversify) as the tape computed them, masked
 # penalties included; a penalty is None only for a model without groups.
@@ -101,22 +101,18 @@ def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: 
         flat[entry] = saved
 
 
-def _ambiguity_floor(model: VitModel) -> dict[ag.Tensor, float]:
-    """Smallest |entry| of any L1 argument each adapter factor tensor feeds."""
+def _ambiguity_floor(model: VitModel) -> dict[ag.Tensor, np.ndarray]:
+    """Per adapter factor stack, each module's smallest |entry| of any L1 argument it feeds."""
     layers = adapters.adapted_layers(model)
     if not layers:
         return {}
-    a, b = (ag._stack_groups(f)[0] for f in zip(*(lin.group.factors() for lin in layers)))
+    a, b = (ag._stack_factors([getattr(lin.group, f) for lin in layers]) for f in "ab")
     low = np.abs(ag._preserve_args(np.stack([lin.base.data for lin in layers]), a, b)[0]).min(axis=(2, 3))
     pair_low = np.abs(ag._diversify_args(a, b)[0]).min(axis=(2, 3))
     i, j, _ = ag.pair_order(low.shape[1])
     np.minimum.at(low.T, i, pair_low.T)
     np.minimum.at(low.T, j, pair_low.T)
-    floors: dict[ag.Tensor, float] = {}
-    for lin, layer_low in zip(layers, low):
-        for mod, floor in zip(lin.group.modules, layer_low):
-            floors[mod.a] = floors[mod.b] = float(floor)
-    return floors
+    return {t: layer_low for lin, layer_low in zip(layers, low) for t in (lin.group.a, lin.group.b)}
 
 
 def grad_check(
@@ -143,7 +139,8 @@ def grad_check(
     for _ in range(samples):
         flat_idx = int(rng.integers(0, grad.size))
         name, entry = _locate(params, flat_idx)
-        if floors.get(params[name], np.inf) < AMBIGUITY_TOL:
+        floor = floors.get(params[name], [np.inf])  # module entry * N // size holds the entry
+        if floor[entry * len(floor) // params[name].data.size] < AMBIGUITY_TOL:
             continue
         accepted += 1
         p0 = float(params[name].data.reshape(-1)[entry])
@@ -162,8 +159,8 @@ def make_probe_model(seed: int):
 
     Two heads on an 8-dim single-block transformer with a two-module
     rank-2 group per adapted projection. Weights are re-drawn at a
-    healthy scale (std 0.4) so activations and penalty arguments sit
-    far from the L1 kinks and no gradient is vanishingly small.
+    healthy scale (std 0.4), in checkpoint order, so activations and
+    penalty arguments sit far from the L1 kinks and no gradient is tiny.
     """
     cfg = vit.VitConfig(
         image_size=8, patch_size=4, embed_dim=8, num_blocks=1, num_heads=2, mlp_ratio=2.0, num_classes=2
@@ -171,13 +168,13 @@ def make_probe_model(seed: int):
     model = vit.init_vit(cfg, make_rng(seed, 0))
     vit.inject_groups(model, rank=2, n=2, rng=make_rng(seed, 1))
     rng = make_rng(seed, 2)
-    for name, t in named_params(model):
+    for name, arr in named_arrays(model):
         if name.endswith(".scale"):
-            t.data[...] = 1.0 + 0.1 * rng.normal(0.0, 1.0, t.data.shape)
+            arr[...] = 1.0 + 0.1 * rng.normal(0.0, 1.0, arr.shape)
         elif name.endswith(".offset"):
-            t.data[...] = 0.1 * rng.normal(0.0, 1.0, t.data.shape)
+            arr[...] = 0.1 * rng.normal(0.0, 1.0, arr.shape)
         else:
-            t.data[...] = rng.normal(0.0, 0.4, t.data.shape)
+            arr[...] = rng.normal(0.0, 0.4, arr.shape)
     images = make_rng(seed, 3).random((4, 8, 8))
     labels = make_rng(seed, 4).integers(0, cfg.num_classes, 4)
     return model, Batch(images=images, labels=labels, tags=[("probe", i) for i in range(4)])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import multiprocessing
 import numbers
 import os
 import time
@@ -391,6 +392,13 @@ def _run_in_worker(payload):
     return _worker_task(payload)
 
 
+# Grid workers are forked wherever the platform can fork: a worker looks
+# ``run_single`` up in ``trainer``'s globals as the parent bound them, which
+# only a forked worker inherits (Python 3.14 makes forkserver the default on
+# Linux). Elsewhere the pool takes the platform's default start method.
+POOL_CONTEXT = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+
+
 def pool_workers(jobs: int, runs: int) -> int:
     """The workers ``_map_runs`` forks for ``runs`` runs under ``jobs``,
     1 when it runs them serially. At most one single-threaded worker per
@@ -410,7 +418,8 @@ def _map_runs(task, shared, payloads, jobs: int):
     if workers == 1:
         yield from map(call, payloads)
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(call,)) as pool:
+    pool = ProcessPoolExecutor(workers, mp_context=POOL_CONTEXT, initializer=_start_worker, initargs=(call,))
+    with pool:
         yield from pool.map(_run_in_worker, payloads)
 
 

@@ -15,17 +15,20 @@ else is frozen by name. A model is single-writer: training mutates the
 trainable tensors from one thread, while read-only inference on an
 unchanging model may run from many.
 
-``named_params`` is the one list of parameter names and their order,
-which are also the checkpoint's; ``_zeros`` holds the shapes. The names
-and order:
+``named_params`` is the one list of parameter names and their order;
+``_zeros`` holds the shapes. The names and order:
 
     patch_embed.w, patch_embed.b, class_token, pos_embed,
     blocks.{b}.ln1.scale, blocks.{b}.ln1.offset,
     blocks.{b}.attn.{wq|wk|wv|wo}.base, ....bias,
-    blocks.{b}.attn.{wq|wv}.lora.{i}.A, ....B,
+    blocks.{b}.attn.{wq|wv}.lora.A, ....B,
     blocks.{b}.ln2.scale, blocks.{b}.ln2.offset,
     blocks.{b}.mlp.fc1.w, ....b, blocks.{b}.mlp.fc2.w, ....b,
     final_ln.scale, final_ln.offset, head.w, head.b
+
+where ``lora.A`` (N, r, k) and ``lora.B`` (N, d, r) are a group's stacks.
+A checkpoint (``named_arrays``) keeps this order but holds each module's
+slices in their place, ``lora.{i}.A`` then ``lora.{i}.B`` for i = 0, 1, ...
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import adapters
 from . import autograd as ag
-from .adapters import AdaptedLinear, LoraGroup, LoraModule
+from .adapters import AdaptedLinear, LoraGroup
 from .autograd import Tensor
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError, check_field_types
 
@@ -136,7 +139,7 @@ def is_trainable_name(name: str) -> bool:
 
 
 def named_params(model: VitModel):
-    """Yield (name, tensor) pairs in a fixed canonical order."""
+    """Yield (name, tensor) pairs in a fixed canonical order, a group as its stacks ``...lora.A``, ``...lora.B``."""
     yield "patch_embed.w", model.patch_w
     yield "patch_embed.b", model.patch_b
     yield "class_token", model.class_token
@@ -149,9 +152,8 @@ def named_params(model: VitModel):
             yield f"blocks.{b}.attn.{proj}.base", lin.base
             yield f"blocks.{b}.attn.{proj}.bias", lin.bias
             if lin.group is not None:
-                for i, mod in enumerate(lin.group.modules):
-                    yield f"blocks.{b}.attn.{proj}.lora.{i}.A", mod.a
-                    yield f"blocks.{b}.attn.{proj}.lora.{i}.B", mod.b
+                yield f"blocks.{b}.attn.{proj}.lora.A", lin.group.a
+                yield f"blocks.{b}.attn.{proj}.lora.B", lin.group.b
         yield f"blocks.{b}.ln2.scale", blk.ln2_scale
         yield f"blocks.{b}.ln2.offset", blk.ln2_offset
         yield f"blocks.{b}.mlp.fc1.w", blk.fc1_w
@@ -162,6 +164,20 @@ def named_params(model: VitModel):
     yield "final_ln.offset", model.final_ln_offset
     yield "head.w", model.head_w
     yield "head.b", model.head_b
+
+
+def named_arrays(model: VitModel):
+    """Yield (name, array) pairs in checkpoint order: ``named_params``' data, a group's
+    stacks as their modules' views ``...lora.{i}.A``, ``...lora.{i}.B``, module by module."""
+    params = named_params(model)
+    for name, t in params:
+        if name.endswith(".lora.A"):  # the B stack comes next
+            (_, b), prefix = next(params), name[:-1]
+            for i, (ai, bi) in enumerate(zip(t.data, b.data)):
+                yield f"{prefix}{i}.A", ai
+                yield f"{prefix}{i}.B", bi
+        else:
+            yield name, t.data
 
 
 def apply_trainability(model: VitModel) -> None:
@@ -184,7 +200,7 @@ def _zeros(cfg: VitConfig, groups: dict[tuple[int, str], tuple[int, int]]) -> Vi
 
     def lin(b, proj):
         n, r = groups.get((b, proj), (0, 0))
-        group = LoraGroup([LoraModule(z(r, d), z(d, r)) for _ in range(n)]) if n else None
+        group = LoraGroup(z(n, r, d), z(n, d, r)) if n else None
         return AdaptedLinear(z(d, d), z(1, d), group)
 
     def block(b):
@@ -221,7 +237,7 @@ def inject_groups(model: VitModel, rank: int, n: int, rng: np.random.Generator) 
 
 
 def model_to_arrays(model: VitModel) -> dict[str, np.ndarray]:
-    return {name: np.array(t.data) for name, t in named_params(model)}
+    return {name: np.array(arr) for name, arr in named_arrays(model)}
 
 
 def model_from_arrays(cfg: VitConfig, arrays: dict[str, np.ndarray]) -> VitModel:
@@ -242,13 +258,13 @@ def model_from_arrays(cfg: VitConfig, arrays: dict[str, np.ndarray]) -> VitModel
                 groups[b, proj] = (n, r)
     model = _zeros(cfg, groups)
     unused = set(arrays)
-    for name, t in named_params(model):
+    for name, view in named_arrays(model):
         if name not in arrays:
             raise CheckpointError(f"incomplete model: no tensor {name}")
         arr = np.asarray(arrays[name])
-        if arr.shape != t.data.shape:
-            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {t.data.shape}")
-        t.data[...] = arr
+        if arr.shape != view.shape:
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {view.shape}")
+        view[...] = arr
         unused.discard(name)
     if unused:
         raise CheckpointError(f"unknown tensors {sorted(unused)}")
@@ -270,8 +286,8 @@ def extract_patches(images: np.ndarray, patch: int) -> np.ndarray:
 
 
 def _linear(x: Tensor, lin: AdaptedLinear) -> Tensor:
-    a, b = lin.group.factors() if lin.group is not None else ((), ())
-    return ag.linear(x, lin.base, lin.bias, a, b)
+    group = (lin.group.a, lin.group.b) if lin.group is not None else ()
+    return ag.linear(x, lin.base, lin.bias, *group)
 
 
 def _attention(q_in: Tensor, x: Tensor, block: Block, cfg: VitConfig) -> Tensor:

@@ -6,8 +6,8 @@ between the trainer checks and the acceptance suite. Their runs are
 independent and deterministic, so they go through the trainer's process
 pool with one worker per core; the results equal those of a serial run.
 
-It also holds three plain helpers that test modules import:
-``penalty_values``, ``feature_orthogonality_gap`` and
+It also holds four plain helpers that test modules import:
+``stack_group``, ``penalty_values``, ``feature_orthogonality_gap`` and
 ``assert_independent_copy``.
 """
 
@@ -20,12 +20,18 @@ import pytest
 
 from pego import adapters, trainer, vit
 from pego import autograd as ag
-from pego.adapters import AdaptedLinear, group_delta
+from pego.adapters import AdaptedLinear, LoraGroup, group_delta
 from pego.data import generate_dataset
 from pego.errors import ShapeError
 from pego.trainer import TrainConfig, canonical_dataset_spec, canonical_vit_config
 
 SEEDS = [0, 1, 2]
+
+
+def stack_group(modules) -> LoraGroup:
+    """The group of ``modules`` (``LoraModule``s of one shape), their A's
+    and B's copied into the group's two stacks."""
+    return LoraGroup(*(ag.Tensor(np.stack([getattr(m, f).data for m in modules])) for f in "ab"))
 
 
 def penalty_values(target) -> tuple[float, float]:
@@ -34,8 +40,8 @@ def penalty_values(target) -> tuple[float, float]:
     from: a layer's through ``ag.preserve_l1``/``diversify_l1``, a
     model's total through ``adapters.loss_or_tensor``."""
     if isinstance(target, AdaptedLinear):
-        a, b = target.group.factors()
-        pres, div = ag.preserve_l1([target.base], [a], [b]), ag.diversify_l1([a], [b])
+        a, b = [target.group.a], [target.group.b]
+        pres, div = ag.preserve_l1([target.base], a, b), ag.diversify_l1(a, b)
     else:
         pres, div = adapters.loss_or_tensor(target)
     return float(pres.data), float(div.data)

@@ -25,6 +25,7 @@ and rewrites ``golden.json``.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import ctypes
@@ -175,6 +176,9 @@ def within(name: str, old, new) -> bool:
 
 
 def main() -> int:
+    # No options: ``--help`` prints the docstring and anything else exits
+    # 2, both before the record is computed or written.
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         fresh = compute(Path(tmp))
     old = load() if RECORD.exists() else {"environment": None, "values": {}}

@@ -10,10 +10,10 @@ import json
 import time
 
 import numpy as np
-from conftest import feature_orthogonality_gap, penalty_values
+from conftest import feature_orthogonality_gap, penalty_values, stack_group
 
 from pego import adapters, cli, vit
-from pego.adapters import AdaptedLinear, LoraGroup, LoraModule, group_delta, init_group
+from pego.adapters import AdaptedLinear, LoraModule, group_delta, init_group
 from pego.autograd import Tensor
 from pego.diagnostics import weight_pc_report
 from pego.gradcheck import grad_check, make_probe_model
@@ -37,13 +37,13 @@ def _random_layer(rng, d, k, r, n, scale=0.3):
     return AdaptedLinear(
         base=Tensor(rng.normal(0, 1.0, (d, k))),
         bias=Tensor(np.zeros((1, d))),
-        group=LoraGroup(modules=[_random_module(rng, d, k, r, scale) for _ in range(n)]),
+        group=stack_group([_random_module(rng, d, k, r, scale) for _ in range(n)]),
     )
 
 
 def _with_modules(layer, modules):
     """``layer`` with its group's modules replaced by ``modules``."""
-    return AdaptedLinear(base=layer.base, bias=layer.bias, group=LoraGroup(modules=list(modules)))
+    return AdaptedLinear(base=layer.base, bias=layer.bias, group=stack_group(modules))
 
 
 def test_criterion_01_merge_equivalence():
@@ -56,9 +56,9 @@ def test_criterion_01_merge_equivalence():
         model = init_vit(cfg, make_rng(1000 + trial))
         inject_groups(model, rank=r, n=n, rng=make_rng(2000 + trial))
         rng = make_rng(3000 + trial)
-        for name, t in vit.named_params(model):
+        for name, arr in vit.named_arrays(model):
             if ".lora." in name:
-                t.data[...] = rng.normal(0, 0.2, t.data.shape)
+                arr[...] = rng.normal(0, 0.2, arr.shape)
         merged = adapters.merge_all(model)
         images = make_rng(4000 + trial).random((20, 16, 16))
         diff = np.abs(

@@ -2,13 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import assert_independent_copy, feature_orthogonality_gap, penalty_values
+from conftest import assert_independent_copy, feature_orthogonality_gap, penalty_values, stack_group
 
 from pego import autograd as ag
 from pego import gradcheck, trainer, vit
 from pego.adapters import (
     AdaptedLinear,
-    LoraGroup,
     LoraModule,
     adapted_layers,
     group_delta,
@@ -28,7 +27,7 @@ def _module(b, a):
 
 def _layer(w, modules=None):
     w = np.asarray(w, dtype=float)
-    group = LoraGroup(modules=modules) if modules else None
+    group = stack_group(modules) if modules else None
     return AdaptedLinear(base=Tensor(w), bias=Tensor(np.zeros((1, w.shape[0]))), group=group)
 
 
@@ -47,7 +46,7 @@ def _random_group(d, k, r, n, rng, scale=0.5):
         _module(rng.normal(0, scale, (d, r)), rng.normal(0, scale, (r, k)))
         for _ in range(n)
     ]
-    return LoraGroup(modules=mods)
+    return stack_group(mods)
 
 
 def _small_model(seed=0, n=2, r=2):
@@ -58,9 +57,9 @@ def _small_model(seed=0, n=2, r=2):
 
 
 def _randomize_adapters(model, rng, scale=0.2):
-    for name, t in vit.named_params(model):
+    for name, arr in vit.named_arrays(model):
         if ".lora." in name:
-            t.data[...] = rng.normal(0, scale, t.data.shape)
+            arr[...] = rng.normal(0, scale, arr.shape)
 
 
 class TestInitGroup:
@@ -79,6 +78,15 @@ class TestInitGroup:
         for m1, m2 in zip(g1.modules, g2.modules):
             assert np.array_equal(m1.a.data, m2.a.data)
             assert np.array_equal(m1.b.data, np.zeros_like(m1.b.data))
+
+    def test_one_stacked_draw_is_each_module_drawn_in_turn(self):
+        # A fresh group draws its A stack at once; a module-by-module draw
+        # gives the same matrices and leaves the stream where it does.
+        rng, per_module = make_rng(5), make_rng(5)
+        group = init_group(4, 3, 2, 3, rng)
+        for m in group.modules:
+            assert np.array_equal(m.a.data, per_module.normal(0.0, 0.02, (2, 3)))
+        assert rng.random() == per_module.random()
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ConfigError):
@@ -147,8 +155,8 @@ class TestLossDiversify:
         assert _diversify(_random_group(4, 4, 2, 1, make_rng(0))) == 0.0
 
     def test_orthogonal_updates_give_zero(self):
-        g = LoraGroup(
-            modules=[
+        g = stack_group(
+            [
                 _module([[1.0], [0.0]], [[1.0, 0.0]]),  # B1 A1 = [[1,0],[0,0]]
                 _module([[0.0], [1.0]], [[0.0, 1.0]]),  # B2 A2 = [[0,0],[0,1]]
             ]
@@ -157,14 +165,14 @@ class TestLossDiversify:
 
     def test_identical_updates_worked_example(self):
         mods = [_module([[1.0], [0.0]], [[1.0, 0.0]]) for _ in range(2)]
-        assert _diversify(LoraGroup(modules=mods)) == pytest.approx(1.0, abs=1e-15)
+        assert _diversify(stack_group(mods)) == pytest.approx(1.0, abs=1e-15)
 
     def test_permutation_invariance(self):
         rng = make_rng(6)
         group = _random_group(6, 6, 2, 3, rng)
         reference = _diversify(group)
         for perm in itertools.permutations(group.modules):
-            permuted = _diversify(LoraGroup(modules=list(perm)))
+            permuted = _diversify(stack_group(list(perm)))
             assert abs(permuted - reference) <= 1e-12 * max(1.0, reference)
 
 
@@ -190,7 +198,7 @@ class TestLossComposition:
 
         before_p = preserve_terms(group)
         before_d = diversify_terms(group)
-        doubled = LoraGroup(modules=[_module(2.0 * m.b.data, m.a.data) for m in group.modules])
+        doubled = stack_group([_module(2.0 * m.b.data, m.a.data) for m in group.modules])
         for got, want in zip(preserve_terms(doubled), before_p):
             assert got == pytest.approx(2.0 * want, rel=1e-12)
         for got, want in zip(diversify_terms(doubled), before_d):
@@ -204,7 +212,7 @@ class TestLossComposition:
             _module(2.0 * m.b.data, m.a.data) if i == 0 else _module(m.b.data, m.a.data)
             for i, m in enumerate(group.modules)
         ]
-        scaled = LoraGroup(modules=scaled_modules)
+        scaled = stack_group(scaled_modules)
         deltas = [m.b.data @ m.a.data for m in group.modules]
         deltas_s = [m.b.data @ m.a.data for m in scaled.modules]
         assert np.abs(w.T @ deltas_s[0]).sum() == pytest.approx(2.0 * np.abs(w.T @ deltas[0]).sum(), rel=1e-12)

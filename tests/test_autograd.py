@@ -143,8 +143,8 @@ def test_cross_entropy_grad_closed_form():
 def test_penalty_grad_and_subgradient_at_zero():
     # With W and A the identity, the preserve argument W^T B A is B itself.
     eye = ag.Tensor(np.eye(2))
-    x = ag.Tensor(np.array([[1.5, -2.0], [0.0, 3.0]]), requires_grad=True)
-    total = ag.preserve_l1([eye], [[eye]], [[x]])
+    x = ag.Tensor(np.array([[[1.5, -2.0], [0.0, 3.0]]]), requires_grad=True)
+    total = ag.preserve_l1([eye], [ag.Tensor(np.eye(2)[None])], [x])
     assert float(total.data) == 6.5
     assert np.array_equal(ag.backprop(total, [x]), np.array([1.0, -1.0, 0.0, 1.0]))
 
@@ -515,18 +515,23 @@ def _skewed_sum(t):
     return _sum_all(ag.matmul(t, ag.Tensor(m)))
 
 
-def _linear_build(n_parts, bias_trainable, w_trainable, w_fixed):
+def _linear_build(bias_trainable, w_trainable, w_fixed):
     """A scalar tape through ``linear`` whose leaves are x, then W when
     trainable, then the bias when trainable (a constant otherwise), then
-    the A's and the B's."""
+    the A stack and the B stack of a group, if any."""
 
     def build(x, *rest):
         rest = list(rest)
         w = rest.pop(0) if w_trainable else ag.Tensor(w_fixed)
         b = rest.pop(0) if bias_trainable else ag.Tensor(np.linspace(-1.0, 1.0, w.shape[0])[None])
-        return _skewed_sum(ag.linear(x, w, b, rest[:n_parts], rest[n_parts:]))
+        return _skewed_sum(ag.linear(x, w, b, *rest))
 
     return build
+
+
+def _stack_shapes(n, d, r, k):
+    """The shapes of a group's A and B stacks, none for a group of 0."""
+    return [(n, r, k), (n, d, r)] if n else []
 
 
 @pytest.mark.parametrize("n_parts", [0, 1, 3])
@@ -534,13 +539,13 @@ def _linear_build(n_parts, bias_trainable, w_trainable, w_fixed):
 def test_linear_grad(n_parts, bias_trainable):
     # 3-D activation against a 2-D frozen weight, the projection in every layer
     w = make_rng(44).normal(size=(4, 5))
-    shapes = [(2, 3, 5)] + ([(1, 4)] if bias_trainable else []) + [(2, 5)] * n_parts + [(4, 2)] * n_parts
-    _fd_check(_linear_build(n_parts, bias_trainable, False, w), shapes)
+    shapes = [(2, 3, 5)] + ([(1, 4)] if bias_trainable else []) + _stack_shapes(n_parts, 4, 2, 5)
+    _fd_check(_linear_build(bias_trainable, False, w), shapes)
 
 
 def test_linear_grad_trainable_weight():
-    shapes = [(2, 3, 5), (4, 5), (1, 4), (2, 5), (1, 5), (4, 2), (4, 1)]
-    _fd_check(_linear_build(2, True, True, None), shapes)
+    shapes = [(2, 3, 5), (4, 5), (1, 4)] + _stack_shapes(2, 4, 1, 5)
+    _fd_check(_linear_build(True, True, None), shapes)
 
 
 def _close(got, ref):
@@ -560,8 +565,8 @@ def test_linear_matches_a_per_image_reference(x_shape, n_parts):
     a = [rng.normal(size=(2, 5)) for _ in range(n_parts)]
     b = [rng.normal(size=(4, 2)) for _ in range(n_parts)]
     g = rng.normal(size=x_shape[:-1] + (4,))
-    t = [ag.Tensor(arr, requires_grad=True) for arr in [x, w, bias] + a + b]
-    out = ag.linear(t[0], t[1], t[2], t[3 : 3 + n_parts], t[3 + n_parts :])
+    stacks = [np.stack(a), np.stack(b)] if n_parts else []
+    out = ag.linear(*[ag.Tensor(arr, requires_grad=True) for arr in [x, w, bias] + stacks])
     grads = out.grad_fn(g)
 
     rows = 1 if len(x_shape) == 2 else x_shape[1]
@@ -574,17 +579,12 @@ def test_linear_matches_a_per_image_reference(x_shape, n_parts):
         sum(gi.T @ xi for xi, gi in zip(xs, gs)),
         sum(gi.sum(axis=0, keepdims=True) for gi in gs),
     ]
-    ref += [sum((gi @ bi).T @ xi for xi, gi in zip(xs, gs)) for bi in b]
-    ref += [sum(gi.T @ (xi @ ai.T) for xi, gi in zip(xs, gs)) for ai in a]
-    assert len(grads) == len(ref) - 1
+    if n_parts:
+        ref.append(np.stack([sum((gi @ bi).T @ xi for xi, gi in zip(xs, gs)) for bi in b]))
+        ref.append(np.stack([sum(gi.T @ (xi @ ai.T) for xi, gi in zip(xs, gs)) for ai in a]))
+    assert len(grads) == len(ref) - 1 == (5 if n_parts else 3)
     for got, want in zip([out.data] + list(grads), ref):
         assert _close(got, want)
-
-
-def _groups(parts, p):
-    """``parts`` cut into ``p`` equal groups, as one per adapted projection."""
-    n = len(parts) // p
-    return [list(parts[q * n : (q + 1) * n]) for q in range(p)]
 
 
 P = 2  # adapted projections in the penalty tests
@@ -601,12 +601,12 @@ def _away_from_kinks(args):
 def test_preserve_args_grad(n):
     # The gradient of the preserve arguments' L1 norm, ``preserve_l1``.
     ws = [ag.Tensor(w) for w in make_rng(45).normal(size=(P, 5, 4))]
-    shapes = [(2, 4)] * (P * n) + [(5, 2)] * (P * n)
+    shapes = [(n, 2, 4)] * P + [(n, 5, 2)] * P
 
     def build(*f):
-        a, b = _groups(f[: P * n], P), _groups(f[P * n :], P)
+        a, b = f[:P], f[P:]
         w = np.stack([t.data for t in ws])
-        _away_from_kinks(ag._preserve_args(w, ag._stack_groups(a)[0], ag._stack_groups(b)[0])[0])
+        _away_from_kinks(ag._preserve_args(w, ag._stack_factors(a), ag._stack_factors(b))[0])
         return ag.preserve_l1(ws, a, b)
 
     _fd_check(build, shapes, h=H_PENALTY)
@@ -615,11 +615,11 @@ def test_preserve_args_grad(n):
 @pytest.mark.parametrize("n", [2, 4])
 def test_diversify_args_grad(n):
     # The gradient of the diversify arguments' L1 norm, ``diversify_l1``.
-    shapes = [(2, 4)] * (P * n) + [(5, 2)] * (P * n)
+    shapes = [(n, 2, 4)] * P + [(n, 5, 2)] * P
 
     def build(*f):
-        a, b = _groups(f[: P * n], P), _groups(f[P * n :], P)
-        _away_from_kinks(ag._diversify_args(ag._stack_groups(a)[0], ag._stack_groups(b)[0])[0])
+        a, b = f[:P], f[P:]
+        _away_from_kinks(ag._diversify_args(ag._stack_factors(a), ag._stack_factors(b))[0])
         return ag.diversify_l1(a, b)
 
     _fd_check(build, shapes, h=H_PENALTY)
@@ -640,22 +640,21 @@ def test_penalty_ops_match_the_dense_form():
     assert np.allclose(inner, np.swapaxes(w, 1, 2)[:, None] @ b, rtol=1e-13, atol=1e-13)
     gram_ref = np.stack([[b[p, i].T @ b[p, j] for i, j in ((0, 1), (0, 2), (1, 2))] for p in range(P)])
     assert np.allclose(gram, gram_ref, rtol=1e-13, atol=1e-13)
-    a_groups = [[ag.Tensor(m) for m in group] for group in a]
-    b_groups = [[ag.Tensor(m) for m in group] for group in b]
-    assert ag.preserve_l1([ag.Tensor(x) for x in w], a_groups, b_groups).data == np.abs(pres_args).sum()
-    assert ag.diversify_l1(a_groups, b_groups).data == np.abs(div_args).sum()
+    a_stacks, b_stacks = [ag.Tensor(stack) for stack in a], [ag.Tensor(stack) for stack in b]
+    assert ag.preserve_l1([ag.Tensor(x) for x in w], a_stacks, b_stacks).data == np.abs(pres_args).sum()
+    assert ag.diversify_l1(a_stacks, b_stacks).data == np.abs(div_args).sum()
 
 
 def test_diversify_of_a_group_of_one_is_zero():
     # One module has no pair: an empty stack, a zero sum, zero gradients.
     rng = make_rng(55)
-    a_groups = [[ag.Tensor(rng.normal(size=(2, 4)), True)] for _ in range(P)]
-    b_groups = [[ag.Tensor(rng.normal(size=(5, 2)), True)] for _ in range(P)]
-    args, gram = ag._diversify_args(ag._stack_groups(a_groups)[0], ag._stack_groups(b_groups)[0])
+    a_stacks = [ag.Tensor(rng.normal(size=(1, 2, 4)), True) for _ in range(P)]
+    b_stacks = [ag.Tensor(rng.normal(size=(1, 5, 2)), True) for _ in range(P)]
+    args, gram = ag._diversify_args(ag._stack_factors(a_stacks), ag._stack_factors(b_stacks))
     assert args.shape == (P, 0, 4, 4) and gram.shape == (P, 0, 2, 2)
-    total = ag.diversify_l1(a_groups, b_groups)
+    total = ag.diversify_l1(a_stacks, b_stacks)
     assert total.shape == () and float(total.data) == 0.0
-    leaves = [g[0] for g in a_groups + b_groups]
+    leaves = a_stacks + b_stacks
     grad = ag.backprop(total, leaves)
     assert grad.shape == (sum(t.data.size for t in leaves),) and not grad.any()
 
@@ -665,9 +664,7 @@ def test_penalty_ops_reject_groups_of_different_shapes():
     w = ag.Tensor(rng.normal(size=(5, 4)))
 
     def factors(n, r):
-        return [ag.Tensor(rng.normal(size=(r, 4)), True) for _ in range(n)], [
-            ag.Tensor(rng.normal(size=(5, r)), True) for _ in range(n)
-        ]
+        return ag.Tensor(rng.normal(size=(n, r, 4)), True), ag.Tensor(rng.normal(size=(n, 5, r)), True)
 
     for other in (factors(3, 2), factors(2, 3)):
         a0, b0 = factors(2, 2)
@@ -680,20 +677,19 @@ def test_penalty_ops_reject_groups_of_different_shapes():
 def _fused_cases():
     rng = make_rng(47)
     x, w, bias = rng.normal(size=(2, 3, 5)), rng.normal(size=(4, 5)), rng.normal(size=(1, 4))
-    a = [rng.normal(size=(2, 5)) for _ in range(2)]
-    b = [rng.normal(size=(4, 2)) for _ in range(2)]
-    # Two modules on each of P projections for the penalty ops, whose host
-    # weights are read as constants, even when they require a gradient,
-    # and so are no parents.
-    a_pen = a + [rng.normal(size=(2, 5)) for _ in range(2 * P - 2)]
-    b_pen = b + [rng.normal(size=(4, 2)) for _ in range(2 * P - 2)]
+    a, b = rng.normal(size=(2, 2, 5)), rng.normal(size=(2, 4, 2))
+    # A group of two modules on each of P projections for the penalty ops,
+    # whose host weights are read as constants, even when they require a
+    # gradient, and so are no parents.
+    a_pen = [a] + [rng.normal(size=(2, 2, 5)) for _ in range(P - 1)]
+    b_pen = [b] + [rng.normal(size=(2, 4, 2)) for _ in range(P - 1)]
     ws = [ag.Tensor(rng.normal(size=(4, 5)), requires_grad=True) for _ in range(P)]
 
     def penalty(op, *head):
-        return a_pen + b_pen, lambda p: op(*head, _groups(p[: 2 * P], P), _groups(p[2 * P :], P))
+        return a_pen + b_pen, lambda p: op(*head, p[:P], p[P:])
 
     def lin(p):
-        return ag.linear(p[0], p[1], p[2], p[3:5], p[5:])
+        return ag.linear(*p)
 
     # The MLP sublayer on x with a hidden width of 6; the embedding of
     # x's rows as patches, which are a plain array and so no parent; and
@@ -701,8 +697,8 @@ def _fused_cases():
     ln = [rng.normal(size=(1, 5)) for _ in range(2)]
     fc = [rng.normal(size=shape) for shape in [(6, 5), (1, 6), (5, 6), (1, 5)]]
     return {
-        "linear": ([x, w, bias] + a + b, lin),
-        "linear_2d": ([x[0], w, bias] + a + b, lin),
+        "linear": ([x, w, bias, a, b], lin),
+        "linear_2d": ([x[0], w, bias, a, b], lin),
         "preserve_l1": penalty(ag.preserve_l1, ws),
         "diversify_l1": penalty(ag.diversify_l1),
         "mlp": ([x] + ln + fc, lambda p: ag.mlp(*p)),
@@ -804,12 +800,24 @@ def test_mlp_with_some_parents_frozen_matches_every_parent_trainable(trained):
 
 def test_each_penalty_is_one_node_on_the_adapter_factors():
     # The canonical adapter model: each penalty is a single 0-d node whose
-    # parents are every A, then every B, of the adapted projections.
+    # parents are the A stacks of the 4 adapted projections, then their B
+    # stacks, as the groups hold them.
     model = vit.init_vit(trainer.canonical_vit_config(), make_rng(49))
     vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
-    a, b = zip(*(lin.group.factors() for lin in adapters.adapted_layers(model)))
-    factors = [t for group in a + b for t in group]
+    layers = adapters.adapted_layers(model)
+    stacks = [lin.group.a for lin in layers] + [lin.group.b for lin in layers]
     for penalty in adapters.loss_or_tensor(model):
         assert penalty.shape == () and _tape_nodes(penalty) == 1
-        assert len(penalty.parents) == len(factors) == 32
-        assert all(p is f for p, f in zip(penalty.parents, factors))
+        assert len(penalty.parents) == len(stacks) == 8
+        assert all(p is s for p, s in zip(penalty.parents, stacks))
+        assert [p.shape for p in penalty.parents] == [(4, 4, 32)] * 4 + [(4, 32, 4)] * 4
+
+
+def test_an_adapted_projection_is_one_node_on_its_two_stacks():
+    # ``linear``'s parents are x, W, the bias and the group's A and B stacks.
+    model = vit.init_vit(trainer.canonical_vit_config(), make_rng(49))
+    vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
+    lin = model.blocks[0].attn.wq
+    out = vit._linear(ag.Tensor(make_rng(51).normal(size=(2, 17, 32))), lin)
+    assert len(out.parents) == 5
+    assert out.parents[1:] == (lin.base, lin.bias, lin.group.a, lin.group.b)

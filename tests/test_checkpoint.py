@@ -18,9 +18,9 @@ def _model(seed=0, with_adapters=True):
     if with_adapters:
         inject_groups(model, rank=2, n=2, rng=make_rng(seed, 1))
         rng = make_rng(seed, 2)
-        for name, t in vit.named_params(model):
+        for name, arr in vit.named_arrays(model):
             if ".lora." in name:
-                t.data[...] = rng.normal(0, 0.1, t.data.shape)
+                arr[...] = rng.normal(0, 0.1, arr.shape)
     return model
 
 

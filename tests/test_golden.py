@@ -3,6 +3,11 @@ the numpy, BLAS and BLAS kernel are the record's, otherwise within
 ``golden.TOLERANCES``. ``PYTHONPATH=src python tests/golden.py``
 regenerates the record."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import golden
 import pytest
 
@@ -42,3 +47,15 @@ def test_every_value_matches_the_record(records):
 )
 def test_tolerances(name, old, new, ok):
     assert golden.within(name, old, new) is ok
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2)], ids=["help", "unknown"])
+def test_help_and_unknown_arguments_leave_the_record_alone(argv, code):
+    # The script takes no options: neither call may compute or write the record.
+    before = golden.RECORD.read_bytes(), golden.RECORD.stat().st_mtime_ns
+    script = Path(golden.__file__)
+    env = {**os.environ, "PYTHONPATH": str(script.parent.parent / "src")}
+    run = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert (golden.__doc__.splitlines()[0] in run.stdout) is (code == 0)
+    assert (golden.RECORD.read_bytes(), golden.RECORD.stat().st_mtime_ns) == before

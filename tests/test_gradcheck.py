@@ -89,13 +89,13 @@ def test_central_diff_quadratic_probe():
 def test_l1_of_product_gradient_away_from_kinks():
     rng = make_rng(30)
     w = ag.Tensor(rng.normal(0, 1.0, (4, 4)))
-    a = ag.Tensor(rng.normal(0, 1.0, (2, 4)), requires_grad=True)
-    b = ag.Tensor(rng.normal(0, 1.0, (4, 2)), requires_grad=True)
+    a = ag.Tensor(rng.normal(0, 1.0, (1, 2, 4)), requires_grad=True)
+    b = ag.Tensor(rng.normal(0, 1.0, (1, 4, 2)), requires_grad=True)
 
     def loss_tensor():
-        return ag.preserve_l1([w], [[a]], [[b]])  # ||W^T B A||_1
+        return ag.preserve_l1([w], [a], [b])  # ||W^T B A||_1, a group of one
 
-    argument = w.data.T @ (b.data @ a.data)
+    argument = w.data.T @ (b.data[0] @ a.data[0])
     h = 1e-5
     assert np.abs(argument).min() > 10 * h
     grads = np.split(ag.backprop(loss_tensor(), [a, b]), [a.data.size])

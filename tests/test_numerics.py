@@ -20,7 +20,7 @@ def l1_entrywise(m):
     square = np.zeros((k, k))
     square[: m.shape[0], : m.shape[1]] = m
     eye = ag.Tensor(np.eye(k))
-    return float(ag.preserve_l1([eye], [[eye]], [[ag.Tensor(square)]]).data)
+    return float(ag.preserve_l1([eye], [ag.Tensor(np.eye(k)[None])], [ag.Tensor(square[None])]).data)
 
 
 def softmax_rows(m):

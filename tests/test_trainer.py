@@ -360,6 +360,23 @@ class TestTrain:
         checkpoint.save_model(tmp_path / "clone.ckpt", vit.clone(result.adapted))
         assert (tmp_path / "adapted.ckpt").read_bytes() == (tmp_path / "clone.ckpt").read_bytes()
 
+    def test_modules_view_the_trained_stacks_and_checkpoints_name_each_module(self, tiny_dataset, tiny_base):
+        # Training rebinds each group's stacks to views into one vector; a
+        # module still reads them, and a checkpoint still names each
+        # module's factors, module by module.
+        result = train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=3))
+        arrays = vit.model_to_arrays(result.adapted)
+        names = [f"blocks.0.attn.{p}.lora.{i}.{f}" for p in ("wq", "wv") for i in (0, 1) for f in "AB"]
+        assert [n for n in arrays if ".lora." in n] == names
+        for lin in adapters.adapted_layers(result.adapted):
+            group = lin.group
+            assert group.n == 2 and group.b.data.any()
+            for i, m in enumerate(group.modules):
+                assert m.rank == 2
+                assert np.array_equal(m.a.data, group.a.data[i]) and np.array_equal(m.b.data, group.b.data[i])
+        wv = result.adapted.blocks[0].attn.wv.group
+        assert np.array_equal(arrays["blocks.0.attn.wv.lora.1.B"], wv.b.data[1])
+
     def test_domains_touched_excludes_nothing_from_sources(self, tiny_dataset, tiny_base):
         sources = tiny_dataset.without("d2")
         result = train(tiny_base, sources, _tiny_cfg(iterations=4))
@@ -489,10 +506,22 @@ class TestLodo:
             return record
 
         monkeypatch.setattr(trainer, "run_single", marking)
+        assert trainer.POOL_CONTEXT.get_start_method() == "fork"
         calls = _count_map_runs(monkeypatch)
         result = leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
         assert len(result.records) == 4 and all(getattr(r, "marked", False) for r in result.records)
         assert calls == [4]
+
+    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(), reason="no forkserver")
+    def test_a_forkserver_pool_matches_the_serial_grid(self, tiny_dataset, tiny_base, monkeypatch):
+        # Workers that import the package afresh, as forkserver's do, give
+        # the serial grid's records: results do not hang on the start method.
+        cfg = _tiny_cfg(iterations=2)
+        serial = leave_one_domain_out(tiny_dataset, cfg, [0], base=tiny_base, jobs=1)
+        monkeypatch.setattr(trainer, "POOL_CONTEXT", multiprocessing.get_context("forkserver"))
+        calls = _count_map_runs(monkeypatch)
+        pooled = leave_one_domain_out(tiny_dataset, cfg, [0], base=tiny_base, jobs=2)
+        assert calls == [4] and pooled.records == serial.records
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_progress_line_ends_with_wall_and_cpu_seconds(self, tiny_dataset, tiny_base, caplog, jobs):

@@ -21,9 +21,9 @@ def _cfg(**overrides):
 
 
 def _randomize_adapters(model, rng, scale=0.2):
-    for name, t in vit.named_params(model):
+    for name, arr in vit.named_arrays(model):
         if ".lora." in name:
-            t.data[...] = rng.normal(0, scale, t.data.shape)
+            arr[...] = rng.normal(0, scale, arr.shape)
 
 
 def test_init_is_deterministic():
@@ -85,9 +85,22 @@ def test_extract_patches_layout():
 
 
 def test_param_names_follow_the_checkpoint_scheme():
+    # A checkpoint names each module's factors, module by module after the
+    # projection's bias; the model's parameters are the groups' stacks.
     model = init_vit(_cfg(), make_rng(0))
     inject_groups(model, rank=2, n=2, rng=make_rng(1))
-    names = {n for n, _ in vit.named_params(model)}
+    ordered = list(vit.model_to_arrays(model))
+    names = set(ordered)
+    start = ordered.index("blocks.0.attn.wq.bias") + 1
+    assert ordered[start : start + 5] == [f"blocks.0.attn.wq.lora.{i}.{f}" for i in (0, 1) for f in "AB"] + [
+        "blocks.0.attn.wk.base"
+    ]
+    params = dict(vit.named_params(model))
+    assert [n for n in params if ".lora." in n] == [
+        f"blocks.{b}.attn.{p}.lora.{f}" for b in (0, 1) for p in ("wq", "wv") for f in "AB"
+    ]
+    assert params["blocks.0.attn.wq.lora.A"].shape == (2, 2, 32)
+    assert params["blocks.0.attn.wq.lora.B"].shape == (2, 32, 2)
     expected = {
         "patch_embed.w",
         "patch_embed.b",
@@ -104,6 +117,14 @@ def test_param_names_follow_the_checkpoint_scheme():
     }
     assert expected <= names
     assert not any(".lora." in n for n in names if ".wk." in n or ".wo." in n)
+
+
+def test_the_canonical_adapted_model_trains_two_stacks_per_projection_and_the_head():
+    model = init_vit(trainer.canonical_vit_config(), make_rng(49))
+    inject_groups(model, rank=4, n=4, rng=make_rng(50))
+    params = vit.trainable_params(model)
+    assert len(params) == 10 and list(params)[-2:] == ["head.w", "head.b"]
+    assert [t.shape for n, t in params.items() if ".lora." in n] == [(4, 4, 32), (4, 32, 4)] * 4
 
 
 def test_trainable_set_is_exactly_adapters_and_head():
@@ -211,8 +232,8 @@ def _full_sequence_features(model, images):
     bs, n, d, h, dh = len(images), cfg.seq_len, cfg.embed_dim, cfg.num_heads, cfg.head_dim
 
     def proj(x, lin):
-        a, b = lin.group.factors() if lin.group is not None else ((), ())
-        return ag.linear(x, lin.base, lin.bias, a, b)
+        group = (lin.group.a, lin.group.b) if lin.group is not None else ()
+        return ag.linear(x, lin.base, lin.bias, *group)
 
     def heads(t):
         return ag.transpose(ag.reshape(t, (bs, n, h, dh)), (0, 2, 1, 3))
