@@ -461,14 +461,21 @@ def linear(x: Tensor, w: Tensor, bias: Tensor, a: Tensor | None = None, b: Tenso
 MLP_BLOCK = 32
 
 
-def _mlp(x, ln_scale, ln_offset, w1, b1, w2, b2):
-    """``mlp``'s output on arrays, and the intermediates a backward reads from."""
+def _mlp(x, ln_scale, ln_offset, w1, b1, w2, b2, need):
+    """``mlp``'s output on arrays, and what its backward reads for the
+    parents' gradient ``need`` (layernorm's buffers, fc1's input, GELU's
+    slope, fc2's input), None where unread. Every other intermediate dies
+    after its last reader: the hidden layer and its tanh before fc2's GEMM."""
+    need_m, (need_w1, need_b1, need_w2) = any(need[:3]), need[3:6]
     m, ln_saved = _layernorm(x, ln_scale, ln_offset)
-    h = _dense(m, w1, b1)
+    ln_saved, h = (ln_saved if need_m else None), _dense(m, w1, b1)
+    m = m if need_w1 else None
     act, t = _gelu(h)
+    slope = _gelu_slope(h, t) if need_m or need_w1 or need_b1 else None
+    del h, t
     out = _dense(act, w2, b2)
     out += x
-    return out, (m, ln_saved, h, act, t)
+    return out, (ln_saved, m, slope, act if need_w2 else None)
 
 
 def mlp(x: Tensor, ln_scale: Tensor, ln_offset: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -482,31 +489,28 @@ def mlp(x: Tensor, ln_scale: Tensor, ln_offset: Tensor, w1: Tensor, b1: Tensor, 
     row reduction mixes images, so the output is bitwise the whole
     batch's, which is what a parent that needs a gradient gets.
 
-    Otherwise the node keeps only what its backward reads: GELU's slope
-    (``_gelu_slope``) in place of the hidden layer and its tanh, fc1's
-    input only when ``w1`` needs a gradient, and fc2's only when ``w2``
-    does."""
+    Otherwise the node keeps only what its backward reads (``_mlp``):
+    GELU's slope (``_gelu_slope``) in place of the hidden layer and its
+    tanh, layernorm's buffers only when x or layernorm's scale or offset
+    needs a gradient, and fc1's and fc2's inputs only when their weights do."""
     parents = (x, ln_scale, ln_offset, w1, b1, w2, b2)
     weights = [p.data for p in parents[1:]]
     need = _needs(parents)
     if not any(need):
         out = np.empty_like(x.data)
         for s in range(0, len(out), MLP_BLOCK):
-            out[s : s + MLP_BLOCK] = _mlp(x.data[s : s + MLP_BLOCK], *weights)[0]
+            out[s : s + MLP_BLOCK] = _mlp(x.data[s : s + MLP_BLOCK], *weights, need)[0]
         return _node(out, parents, None)
     need_x, need_s, need_o, need_w1, need_b1, need_w2, need_b2 = need
-    need_m = need_x or need_s or need_o
-    need_h = need_m or need_w1 or need_b1
-    out, (m, ln_saved, h, act, t) = _mlp(x.data, *weights)
-    slope = _gelu_slope(h, t) if need_h else None
-    m, act = (m if need_w1 else None), (act if need_w2 else None)
+    out, (ln_saved, m, slope, act) = _mlp(x.data, *weights, need)
+    need_m, need_h = ln_saved is not None, slope is not None
 
     def grad_fn(g):
         g_act, gw2, gb2 = _dense_grads(g, act, w2.data, (need_h, need_w2, need_b2))
         if need_h:
             g_act *= slope
         gm, gw1, gb1 = _dense_grads(g_act, m, w1.data, (need_m, need_w1, need_b1))
-        gx, gs, go = _layernorm_grads(gm, ln_saved, ln_scale.data, (need_x, need_s, need_o))
+        gx, gs, go = _layernorm_grads(gm, ln_saved, ln_scale.data, (need_x, need_s, need_o)) if need_m else [None] * 3
         return (gx + g if need_x else None), gs, go, gw1, gb1, gw2, gb2
 
     return _node(out, parents, grad_fn)

@@ -86,8 +86,8 @@ def feature_projection(
     for tag, model in models:
         feats.append(vit.features_batch(model, images))
         tags.extend([tag] * labels.shape[0])
-    pooled = np.concatenate(feats, axis=0)
-    centered = pooled - pooled.mean(axis=0, keepdims=True)
+    centered = feats[0] if len(feats) == 1 else np.concatenate(feats, axis=0)
+    centered -= centered.mean(axis=0, keepdims=True)
     if float(np.abs(centered).max(initial=0.0)) < 1e-12:
         raise DegenerateInputError("all feature vectors are identical")
     basis = svd(centered).v[:, :2]

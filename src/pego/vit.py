@@ -290,34 +290,29 @@ def _linear(x: Tensor, lin: AdaptedLinear) -> Tensor:
     return ag.linear(x, lin.base, lin.bias, *group)
 
 
-def _attention(q_in: Tensor, x: Tensor, block: Block, cfg: VitConfig) -> Tensor:
-    """Multi-head attention of the query rows ``q_in`` over all tokens ``x``."""
-    bs, n, d = x.data.shape
-    nq = q_in.data.shape[1]
+def _attention(x: Tensor, block: Block, cfg: VitConfig, last: bool) -> Tensor:
+    """The attention sublayer ``x + wo(attn(ln1(x)))``. Each intermediate dies
+    after its last reader, so a forward without a tape holds only live arrays."""
     h, dh = cfg.num_heads, cfg.head_dim
 
-    def split(t, rows, axes):
-        return ag.transpose(ag.reshape(t, (bs, rows, h, dh)), axes)
+    def split(t, axes):
+        return ag.transpose(ag.reshape(t, t.shape[:2] + (h, dh)), axes)
 
-    q = split(_linear(q_in, block.attn.wq), nq, (0, 2, 1, 3))
+    kv_in = ag.layernorm(x, block.ln1_scale, block.ln1_offset)
+    # Only the class-token row reaches the logits, so the last block
+    # queries with that row alone and carries only it onwards; keys and
+    # values still come from every token.
+    x, q_in = (ag.narrow(x, 1, 0, 1), ag.narrow(kv_in, 1, 0, 1)) if last else (x, kv_in)
+    q = split(_linear(q_in, block.attn.wq), (0, 2, 1, 3))
     # The keys go straight to (bs, h, dh, n), so q k^T is a plain product.
-    k = split(_linear(x, block.attn.wk), n, (0, 2, 3, 1))
-    v = split(_linear(x, block.attn.wv), n, (0, 2, 1, 3))
+    k = split(_linear(kv_in, block.attn.wk), (0, 2, 3, 1))
+    v = split(_linear(kv_in, block.attn.wv), (0, 2, 1, 3))
+    del kv_in, q_in
     probs = ag.attention_probs(q, k, 1.0 / math.sqrt(dh))
-    ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), (bs, nq, d))
-    return _linear(ctx, block.attn.wo)
-
-
-def _block_forward(x: Tensor, block: Block, cfg: VitConfig, last: bool) -> Tensor:
-    h = ag.layernorm(x, block.ln1_scale, block.ln1_offset)
-    q_in = h
-    if last:
-        # Only the class-token row reaches the logits, so the last block
-        # queries with that row alone and carries only it onwards; keys
-        # and values still come from every token.
-        x, q_in = ag.narrow(x, 1, 0, 1), ag.narrow(h, 1, 0, 1)
-    x = ag.add(x, _attention(q_in, h, block, cfg))
-    return ag.mlp(x, block.ln2_scale, block.ln2_offset, block.fc1_w, block.fc1_b, block.fc2_w, block.fc2_b)
+    del q, k
+    ctx = ag.reshape(ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3)), x.shape)
+    del probs, v
+    return ag.add(x, _linear(ctx, block.attn.wo))
 
 
 def _check_images(cfg: VitConfig, images) -> np.ndarray:
@@ -338,7 +333,8 @@ def batch_features_tensor(model: VitModel, images: np.ndarray) -> Tensor:
     x = ag.embed(patches, model.patch_w, model.patch_b, model.class_token, model.pos_embed)
     last = len(model.blocks) - 1
     for b, block in enumerate(model.blocks):
-        x = _block_forward(x, block, cfg, b == last)
+        x = _attention(x, block, cfg, b == last)
+        x = ag.mlp(x, block.ln2_scale, block.ln2_offset, block.fc1_w, block.fc1_b, block.fc2_w, block.fc2_b)
     return ag.layernorm(ag.reshape(x, (bs, d)), model.final_ln_scale, model.final_ln_offset)
 
 

@@ -6,13 +6,14 @@ between the trainer checks and the acceptance suite. Their runs are
 independent and deterministic, so they go through the trainer's process
 pool with one worker per core; the results equal those of a serial run.
 
-It also holds four plain helpers that test modules import:
-``stack_group``, ``penalty_values``, ``feature_orthogonality_gap`` and
-``assert_independent_copy``.
+It also holds five plain helpers that test modules import:
+``stack_group``, ``penalty_values``, ``feature_orthogonality_gap``,
+``assert_independent_copy`` and ``traced_peak``.
 """
 
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,16 @@ def assert_independent_copy(copy, source, before: dict[str, np.ndarray]) -> None
     for name, t in vit.named_params(copy):
         assert not any(np.shares_memory(t.data, s.data) for _, s in vit.named_params(source)), name
         assert t.requires_grad == vit.is_trainable_name(name), name
+
+
+def traced_peak(fn) -> int:
+    """The traced heap peak, in bytes above its start, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def feature_orthogonality_gap(layer: AdaptedLinear, z_in: np.ndarray) -> float:

@@ -2,10 +2,10 @@
 
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from pego import autograd as ag
 from pego import adapters, trainer, vit
@@ -415,12 +415,7 @@ def test_mlp_without_a_gradient_holds_one_blocks_hidden_layer():
     for images in (ag.MLP_BLOCK, 4 * ag.MLP_BLOCK):
         x = ag.Tensor(rng.normal(size=(images, 17, 32)))
         ag.mlp(x, *weights)
-        tracemalloc.start()
-        try:
-            ag.mlp(x, *weights)
-            peaks[images] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[images] = traced_peak(lambda: ag.mlp(x, *weights))
     extra_input_and_output = 2 * 3 * ag.MLP_BLOCK * 17 * 32 * 8
     assert peaks[4 * ag.MLP_BLOCK] - peaks[ag.MLP_BLOCK] <= extra_input_and_output
 
@@ -762,12 +757,7 @@ def _step_heap_peak(model, images, labels, alpha):
         ag.backprop(vit.batch_loss_tensor(model, images, labels, alpha).total, leaves)
 
     step()
-    tracemalloc.start()
-    try:
-        step()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(step)
 
 
 def test_canonical_steps_keep_only_what_their_backward_reads():
@@ -796,6 +786,15 @@ def test_mlp_with_some_parents_frozen_matches_every_parent_trainable(trained):
     grads = ag.mlp(*[ag.Tensor(a, requires_grad=i in trained) for i, a in enumerate(arrays)]).grad_fn(g)
     for i, (got, want) in enumerate(zip(grads, reference)):
         assert got is None if i not in trained else np.array_equal(got, want)
+    # What the backward reads: layernorm's buffers for x, the ln scale or
+    # offset; fc1's input for fc1's weight; GELU's slope for any parent
+    # below fc2; fc2's input for fc2's weight. The rest is None.
+    need = tuple(i in trained for i in range(7))
+    _, saved = ag._mlp(*arrays, need)
+    reads = [any(need[:3]), need[3], any(need[:5]), need[5]]
+    assert [entry is not None for entry in saved] == reads
+    _, saved = ag._mlp(*arrays, (False,) * 7)
+    assert saved == (None,) * 4
 
 
 def test_each_penalty_is_one_node_on_the_adapter_factors():

@@ -3,11 +3,11 @@ import multiprocessing
 import os
 import re
 import time
-import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from pego import autograd as ag
 from pego import adapters, checkpoint, gradcheck, trainer, vit
@@ -268,12 +268,7 @@ class TestEvaluate:
                 num_classes=2,
             )
             trainer.evaluate(model, dataset)
-            tracemalloc.start()
-            try:
-                trainer.evaluate(model, dataset)
-                peaks[per_domain] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[per_domain] = traced_peak(lambda: trainer.evaluate(model, dataset))
         extra_image_bytes = 3 * 150 * 8 * 8 * 8
         assert peaks[300] - peaks[150] < extra_image_bytes / 4
 
