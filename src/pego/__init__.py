@@ -16,8 +16,9 @@ __version__ = "0.1.0"
 def entry() -> None:
     """The ``pego`` console script: pin every BLAS vendor to one thread
     through its thread variable, which takes effect only before numpy
-    loads, then run the command line. ``PEGO_THREADS`` caps the forward
-    threads and pool workers that pego keeps busy, not BLAS."""
+    loads, then run the command line. Everything else about how pego uses
+    the CPUs is ``machine``'s: ``PEGO_THREADS`` caps the forward threads
+    and pool workers there, not BLAS."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
         os.environ[var] = "1"
     from . import cli  # loads numpy, so only after the pin

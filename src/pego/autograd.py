@@ -47,81 +47,21 @@ The subgradient of ``|x|`` at 0 is 0.
 A tape is confined to the thread that built it; building independent
 tapes on separate threads is safe, and ``no_grad`` holds for the thread
 that enters it alone. ``vit``'s no-grad forwards use that: they hand
-whole chunks of images to threads, each running its own chunks without
-a tape, and start threads only when every thread gets at least
-``vit.FORWARD_CHUNKS_PER_THREAD`` chunks.
-
-Importing this module fixes glibc's allocator policy for the process
-(see ``_keep_freed_memory``), before any forward thread starts, and pins
-numpy's OpenBLAS to one thread (``set_blas_threads``), so the no-grad
-forward threads and ``trainer``'s process pool are the only parallelism.
+whole chunks of images to the threads of ``machine.map_threads``, each
+running its own chunks without a tape, and start threads only when
+every thread gets at least ``vit.FORWARD_CHUNKS_PER_THREAD`` chunks.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError
-
-
-def _keep_freed_memory() -> None:
-    """Keep the memory a training step frees for the next step, and the
-    heap of threaded forwards in one arena. Under glibc's adaptive
-    thresholds, whether a step's tape is handed back to the system and
-    faulted in again next step (about 400 page faults per step on the
-    canonical config) depends on how earlier work left the heap; fixed
-    thresholds keep it. A thread that allocates would otherwise get an
-    arena of its own, whose freed pages the fixed trim threshold then
-    keeps as well. Other C libraries are left alone."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-8, 1)  # M_ARENA_MAX
-
-
-def _openblas(name: str, restype, argtypes):
-    """The function ``name`` of the OpenBLAS bundled with numpy's wheel,
-    through ctypes, or None when there is no such library or symbol."""
-    libs = sorted(Path(np.__file__).parent.parent.joinpath("numpy.libs").glob("libscipy_openblas*.so*"))
-    if not libs:
-        return None
-    try:
-        fn = getattr(ctypes.CDLL(str(libs[0])), name)
-    except (AttributeError, OSError):
-        return None
-    fn.restype, fn.argtypes = restype, argtypes
-    return fn
-
-
-def blas_threads() -> int | None:
-    """The number of threads numpy's OpenBLAS uses now, or None when it
-    cannot be read."""
-    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int, ())
-    return None if get is None else get()
-
-
-def set_blas_threads(n: int) -> None:
-    """Let numpy's OpenBLAS use ``n`` threads; nothing happens when its
-    thread count cannot be set."""
-    put = _openblas("scipy_openblas_set_num_threads64_", None, (ctypes.c_int,))
-    if put is not None:
-        put(n)
-
-
-_keep_freed_memory()
-set_blas_threads(1)
 
 
 class _GradMode(threading.local):

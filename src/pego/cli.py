@@ -9,18 +9,18 @@ byte for byte in single-job mode.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O or format
 error, 4 degenerate input; each class in ``errors`` names its code.
-``PEGO_THREADS`` caps how many threads or processes pego keeps busy: the
-threads of a no-grad forward, and the workers of a grid's process pool,
-which run their forwards on one thread each. numpy's BLAS runs one
-thread: ``autograd`` pins OpenBLAS on import, and ``pego.entry``, the
-console script, pins every BLAS vendor before this module loads numpy.
+``machine`` decides how a run uses the CPUs: ``PEGO_THREADS`` caps how
+many threads or processes pego keeps busy, the threads of a no-grad
+forward and the workers of a grid's process pool, which run their
+forwards on one thread each. numpy's BLAS runs one thread: ``machine``
+pins OpenBLAS on import, and ``pego.entry``, the console script, pins
+every BLAS vendor before this module loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import hashlib
 import json
 import logging
@@ -32,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adapters, checkpoint, data, diagnostics, gradcheck, trainer, vit
-from . import autograd as ag
+from . import __version__, adapters, checkpoint, data, diagnostics, gradcheck, machine, trainer
 from .errors import ConfigError, PegoError
 from .numerics import make_rng
 
@@ -128,7 +127,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        vit.thread_budget()  # a malformed PEGO_THREADS fails here, before any work
+        machine.thread_budget()  # a malformed PEGO_THREADS fails here, before any work
         return args.func(args)
     except PegoError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -166,30 +165,6 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _thread_details(jobs: int, workers: int | None) -> dict:
-    """How the run could use the CPUs: cores available, the forward-thread
-    budget, the most pool workers ``--jobs`` allows, for a grid the
-    workers its pool forked (1 when it ran serially), and numpy's BLAS
-    with its live thread count and the OpenBLAS kernel chosen for this
-    CPU, which its build configuration may not name (None where
-    unreadable)."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
-        blas = {}
-    corename = ag._openblas("scipy_openblas_get_corename64_", ctypes.c_char_p, ())
-    details = {
-        "affinity": vit.cores(),
-        "forward_budget": vit.thread_budget(),
-        "jobs": jobs,
-        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": ag.blas_threads(),
-                 "core": None if corename is None else corename().decode()},
-    }
-    if workers is not None:
-        details["workers"] = workers
-    return details
-
-
 def _write_json(path: Path, obj) -> Path:
     """Write ``obj`` to ``path`` as indented, key-sorted JSON; return ``path``."""
     with checkpoint.atomic_write(path) as fh:
@@ -208,7 +183,7 @@ def _write_manifest(args, path: Path, config: dict, seeds, artifacts, t0: float,
         "seeds": list(seeds),
         "artifacts": [str(a) for a in artifacts],
         "wall_clock_seconds": time.monotonic() - t0,
-        "threads": _thread_details(options.get("jobs", 1), workers),
+        "threads": machine.details(options.get("jobs", 1), workers),
         "version": __version__,
         **extra,
     }
@@ -326,8 +301,10 @@ def cmd_train(args) -> int:
     base = adapters.merge_all(checkpoint.load_model(args.base)) if args.base else None
     cfg = _load_train_config(args, dataset, base)
     out = _ensure_outdir(args.out)
+    t1 = time.monotonic()
     if base is None:
         base = trainer.pretrain_base(cfg.vit, cfg.seed)
+    t2 = time.monotonic()
     result = trainer.train(base, dataset, cfg)
     artifacts = [out / name for name in ("adapted.ckpt", "merged.ckpt", "run.csv")]
     adapted_path, merged_path, run_path = artifacts
@@ -335,7 +312,8 @@ def cmd_train(args) -> int:
     checkpoint.save_model(merged_path, result.model)
     _history_csv(run_path, result.history)
     print(f"selected iteration {result.selected_iter} with validation accuracy {result.best_val_acc!r}")
-    _write_manifest(args, out / "manifest.json", asdict(cfg), [cfg.seed], artifacts, t0)
+    phases = {"load": t1 - t0, "pretrain": t2 - t1, "run": time.monotonic() - t2}
+    _write_manifest(args, out / "manifest.json", asdict(cfg), [cfg.seed], artifacts, t0, phases=phases)
     return EXIT_OK
 
 
@@ -343,8 +321,6 @@ def cmd_eval(args) -> int:
     model = checkpoint.load_model(args.ckpt)
     dataset = checkpoint.load_dataset(args.dataset)
     _check_fit(model.cfg, args.ckpt, dataset, args.dataset)
-    if args.domain not in dataset.domains:
-        raise ConfigError(f"domain {args.domain!r} not in dataset (has {dataset.domains})")
     acc = trainer.evaluate(model, dataset, domains=[args.domain])
     print(f"domain={args.domain} samples={len(dataset.labels[args.domain])} accuracy={acc!r}")
     return EXIT_OK
@@ -373,7 +349,7 @@ def _run_harness(args, run) -> int:
         trainer.log.removeHandler(handler)
         trainer.log.setLevel(level)
     phases = {"load": t1 - t0, "pretrain": t2 - t1, "run": time.monotonic() - t2}
-    workers = trainer.pool_workers(args.jobs, variants * len(dataset.domains) * len(seeds))
+    workers = machine.pool_workers(args.jobs, variants * len(dataset.domains) * len(seeds))
     _write_manifest(args, out / "manifest.json", asdict(cfg), seeds, artifacts, t0, workers, phases=phases)
     return EXIT_OK
 

@@ -12,9 +12,9 @@ audit of that record.
 
 Pretraining the base and training the adapters share one step: a batch,
 its loss gradient, one Adam update. Each harness is one grid of
-independent (variant, held-out domain, seed) runs in one process pool,
-whose workers receive the grid's dataset and base once, when they start;
-within one run training is sequential.
+independent (variant, held-out domain, seed) runs in one process pool
+(``machine.map_runs``), whose workers receive the grid's dataset and
+base once, when they start; within one run training is sequential.
 """
 
 from __future__ import annotations
@@ -22,18 +22,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import multiprocessing
 import numbers
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import adapters
 from . import autograd as ag
-from . import gradcheck, vit
+from . import gradcheck, machine, vit
 from .data import DatasetSpec, DomainDataset, generate_dataset, make_batch, split_train_val
 from .errors import ConfigError, check_field_types
 from .numerics import derive_seed, make_rng
@@ -375,54 +372,6 @@ def _timed(task, shared, payload):
     return task(shared, payload), time.perf_counter() - t0, time.process_time() - c0
 
 
-# ``task(shared, payload)`` of the grid a pool worker serves, bound by
-# ``_start_worker``; None in any other process.
-_worker_task = None
-
-
-def _start_worker(task) -> None:
-    # A pool worker's initializer: cap its forwards at one thread and keep
-    # the grid's task with its shared inputs for every payload it gets.
-    global _worker_task
-    os.environ["PEGO_THREADS"] = "1"
-    _worker_task = task
-
-
-def _run_in_worker(payload):
-    return _worker_task(payload)
-
-
-# Grid workers are forked wherever the platform can fork: a worker looks
-# ``run_single`` up in ``trainer``'s globals as the parent bound them, which
-# only a forked worker inherits (Python 3.14 makes forkserver the default on
-# Linux). Elsewhere the pool takes the platform's default start method.
-POOL_CONTEXT = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
-
-
-def pool_workers(jobs: int, runs: int) -> int:
-    """The workers ``_map_runs`` forks for ``runs`` runs under ``jobs``,
-    1 when it runs them serially. At most one single-threaded worker per
-    run and per thread of the budget keeps the cores from
-    oversubscription; a lone worker would add only a fork."""
-    return max(1, min(jobs, runs, vit.thread_budget()))
-
-
-def _map_runs(task, shared, payloads, jobs: int):
-    # ``task(shared, payload)`` per payload. ``shared`` reaches each worker
-    # once, through the pool's initializer: forked workers inherit it, and
-    # only the payloads are pickled per run. Runs are independent and
-    # deterministic, so the pool only changes wall-clock time, never
-    # results; outputs come in payload order.
-    call = functools.partial(task, shared)
-    workers = pool_workers(jobs, len(payloads))
-    if workers == 1:
-        yield from map(call, payloads)
-        return
-    pool = ProcessPoolExecutor(workers, mp_context=POOL_CONTEXT, initializer=_start_worker, initargs=(call,))
-    with pool:
-        yield from pool.map(_run_in_worker, payloads)
-
-
 def check_grid(dataset: DomainDataset, seeds: list[int]) -> None:
     """Raise ``ConfigError`` unless ``dataset`` and ``seeds`` make a
     leave-one-domain-out grid: at least 3 domains and one seed."""
@@ -435,14 +384,14 @@ def check_grid(dataset: DomainDataset, seeds: list[int]) -> None:
 def _run_grid(name: str, task, dataset: DomainDataset, variants, seeds: list[int], base: VitModel, jobs: int):
     """Run ``task`` on ``(dataset, base)`` and each ``(config, held-out
     domain, seed)`` payload of the (label, config) ``variants`` in one
-    ``_map_runs`` call, logging a line per finished run; return one
+    ``machine.map_runs`` call, logging a line per finished run; return one
     output list per variant."""
     check_grid(dataset, seeds)
     payloads = [(cfg, dom, seed) for _, cfg in variants for dom in dataset.domains for seed in seeds]
     runs = len(dataset.domains) * len(seeds)
     outputs = []
     timed = functools.partial(_timed, task)
-    for k, (out, seconds, cpu) in enumerate(_map_runs(timed, (dataset, base), payloads, jobs)):
+    for k, (out, seconds, cpu) in enumerate(machine.map_runs(timed, (dataset, base), payloads, jobs)):
         outputs.append(out)
         _, dom, seed = payloads[k]
         score = f"acc={out.accuracy:.4f}" if isinstance(out, LodoRecord) else f"val_acc={out:.4f}"

@@ -13,7 +13,8 @@ layernorm run on that one row.
 Only the adapter matrices and the head are ever trainable; everything
 else is frozen by name. A model is single-writer: training mutates the
 trainable tensors from one thread, while read-only inference on an
-unchanging model may run from many.
+unchanging model may run from many: a no-grad forward hands its chunks
+of images to the threads of ``machine.map_threads``.
 
 ``named_params`` is the one list of parameter names and their order;
 ``_zeros`` holds the shapes. The names and order:
@@ -35,8 +36,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +43,7 @@ import numpy as np
 
 from . import adapters
 from . import autograd as ag
+from . import machine
 from .adapters import AdaptedLinear, LoraGroup
 from .autograd import Tensor
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError, check_field_types
@@ -408,39 +408,16 @@ FORWARD_CHUNK = 64
 FORWARD_CHUNKS_PER_THREAD = 8
 
 
-def cores() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def thread_budget() -> int:
-    """Threads a no-grad forward, or workers a grid's pool, may use at
-    most: ``cores()`` capped by a positive integer in ASCII digits in
-    ``PEGO_THREADS``, read on every call, so a worker's cap holds in it.
-    A forward uses fewer when it has fewer than
-    ``FORWARD_CHUNKS_PER_THREAD`` chunks per thread."""
-    budget = cores()
-    raw = os.environ.get("PEGO_THREADS")
-    if raw:
-        if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
-            raise ConfigError(f"PEGO_THREADS must be a positive integer, got {raw!r}")
-        budget = min(budget, int(raw))
-    return budget
-
-
 def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
     """``forward(model, chunk)`` without a tape over chunks of
     ``FORWARD_CHUNK`` images, concatenated in order. ``images`` is one
     array or a list of arrays read as their concatenation, which is never
     made: a chunk is a view into one array, and only a chunk that spans
-    two arrays is copied. The chunks are spread over
-    ``min(thread_budget(), chunks // FORWARD_CHUNKS_PER_THREAD)`` threads
-    of a pool made for this call, and run on the calling thread when that
-    is 1 or less; each chunk is computed exactly as on one thread, so the
-    result is bitwise the same."""
+    two arrays is copied. ``machine.map_threads`` spreads the chunks over
+    ``min(machine.thread_budget(), chunks // FORWARD_CHUNKS_PER_THREAD)``
+    threads, or runs them on the calling thread when that is 1 or less;
+    each chunk is computed exactly as on one thread, so the result is
+    bitwise the same."""
     parts = [_check_images(model.cfg, p) for p in (images if isinstance(images, list) and images else [images])]
     offsets = np.cumsum([0] + [len(p) for p in parts]).tolist()
     starts = range(0, max(offsets[-1], 1), FORWARD_CHUNK)
@@ -452,11 +429,7 @@ def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
         with ag.no_grad():
             return forward(model, chunk).data
 
-    threads = min(thread_budget(), len(starts) // FORWARD_CHUNKS_PER_THREAD)
-    if threads <= 1:
-        return np.concatenate([run(s) for s in starts])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(run, starts)))
+    return np.concatenate(machine.map_threads(run, starts, FORWARD_CHUNKS_PER_THREAD))
 
 
 def features_batch(model: VitModel, images) -> np.ndarray:

@@ -3,7 +3,7 @@
 The leave-one-domain-out batteries are expensive (dozens of full
 training runs), so they are computed once per session and shared
 between the trainer checks and the acceptance suite. Their runs are
-independent and deterministic, so they go through the trainer's process
+independent and deterministic, so they go through pego's process
 pool with one worker per core; the results equal those of a serial run.
 
 It also holds five plain helpers that test modules import:
@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pego import adapters, trainer, vit
+from pego import adapters, machine, trainer, vit
 from pego import autograd as ag
 from pego.adapters import AdaptedLinear, LoraGroup, group_delta
 from pego.data import generate_dataset
@@ -132,7 +132,7 @@ def rank_battery(canonical_dataset, canonical_cfg, pretrained_base):
         "plain": replace(canonical_cfg, rank=2, group_n=4, alpha=0.0),
     }
     cfgs = [replace(cfg, seed=s) for cfg in variants.values() for s in SEEDS]
-    adapted = list(trainer._map_runs(_train_adapted, (pretrained_base, sources), cfgs, jobs=os.cpu_count()))
+    adapted = list(machine.map_runs(_train_adapted, (pretrained_base, sources), cfgs, jobs=os.cpu_count()))
     return {label: adapted[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, label in enumerate(variants)}
 
 

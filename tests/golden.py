@@ -38,8 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pego import autograd as ag
-from pego import checkpoint, cli, data, trainer, vit
+from pego import checkpoint, cli, data, machine, trainer, vit
 
 RECORD = Path(__file__).with_name("golden.json")
 ITERS = "30"
@@ -69,7 +68,7 @@ def environment() -> dict:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         blas = {}
-    config = ag._openblas("scipy_openblas_get_config64_", ctypes.c_char_p, ())
+    config = machine._openblas("scipy_openblas_get_config64_", ctypes.c_char_p, ())
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",

@@ -11,7 +11,7 @@ import pytest
 
 import pego
 from pego import autograd as ag
-from pego import checkpoint, cli, errors, trainer, vit
+from pego import checkpoint, cli, errors, machine, trainer, vit
 from pego.numerics import make_rng
 
 
@@ -140,6 +140,9 @@ class TestTrain:
         assert manifest["config"]["iterations"] == 4
         assert len(manifest["config_hash"]) == 64
         assert any(p.endswith("merged.ckpt") for p in manifest["artifacts"])
+        assert set(manifest["phases"]) == {"load", "pretrain", "run"}
+        assert all(seconds >= 0.0 for seconds in manifest["phases"].values())
+        assert "phases" not in manifest["config"]
 
     def test_alpha_deviation_warns(self, workdir, dataset_file, config_file, capsys):
         out = workdir / "warned"
@@ -288,11 +291,13 @@ class TestEval:
 
         assert accuracy(trained / "adapted.ckpt") == accuracy(trained / "merged.ckpt")
 
-    def test_unknown_domain_exits_2(self, dataset_file, trained):
+    def test_unknown_domain_exits_2(self, dataset_file, trained, capsys):
         code = cli.main(
             ["eval", "--ckpt", str(trained / "merged.ckpt"), "--dataset", str(dataset_file), "--domain", "zz"]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown domain zz" in err and "'d0'" in err
 
     def test_corrupt_checkpoint_exits_3(self, workdir, dataset_file):
         garbage = workdir / "garbage.ckpt"
@@ -449,9 +454,9 @@ class TestLodo:
         assert 1 <= budget <= m1["threads"]["affinity"]
         assert set(m1["threads"]["blas"]) == {"name", "version", "threads", "core"}
         # The live OpenBLAS thread count of the process that wrote it.
-        assert m1["threads"]["blas"]["threads"] == m2["threads"]["blas"]["threads"] == ag.blas_threads()
+        assert m1["threads"]["blas"]["threads"] == m2["threads"]["blas"]["threads"] == machine.blas_threads()
         assert m1["threads"]["blas"]["core"] == m2["threads"]["blas"]["core"]
-        assert (m1["threads"]["blas"]["core"] is None) == (ag.blas_threads() is None)
+        assert (m1["threads"]["blas"]["core"] is None) == (machine.blas_threads() is None)
         assert "threads" not in m1["config"] and m1["config_hash"] == m2["config_hash"]
 
 
@@ -466,7 +471,7 @@ class TestLodo:
             assert cli.main(argv + ["--seeds", "0", "--jobs", "4"]) == 0
             threads = json.loads((out / "manifest.json").read_text())["threads"]
             assert threads["jobs"] == 4
-            assert threads["workers"] == min(int(cap), vit.cores())
+            assert threads["workers"] == min(int(cap), machine.cores())
             csvs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
         assert len(csvs[0]) == 5 and csvs[0] == csvs[1]
 
@@ -750,8 +755,8 @@ def test_python_m_pego_runs_the_command_line_and_pego_cli_refuses(tmp_path):
     assert ran.returncode == 0, ran.stderr
     assert (tmp_path / "ds.ckpt").is_file()
     threads = json.loads((tmp_path / "ds.ckpt.manifest.json").read_text())["threads"]
-    assert threads["blas"]["threads"] == (None if ag.blas_threads() is None else 1)
-    assert threads["forward_budget"] == vit.cores()
+    assert threads["blas"]["threads"] == (None if machine.blas_threads() is None else 1)
+    assert threads["forward_budget"] == machine.cores()
     refused = run("pego.cli", "other.ckpt")
     assert refused.returncode == 2
     assert "python -m pego" in refused.stderr and refused.stdout == ""

@@ -155,8 +155,8 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
 
 
 def test_one_process_pool_and_one_thread_pool():
-    # A grid's runs fork workers in ``trainer._map_runs``, and a no-grad
-    # forward spreads its chunks over threads in ``vit._no_grad_chunks``:
+    # A grid's runs fork workers in ``machine.map_runs``, and a no-grad
+    # forward spreads its chunks over threads in ``machine.map_threads``:
     # the package has no other parallelism.
     pools = ("ProcessPoolExecutor", "ThreadPoolExecutor")
     found = sorted(
@@ -166,7 +166,39 @@ def test_one_process_pool_and_one_thread_pool():
         if isinstance(node, ast.Call)
         and (called := getattr(node.func, "id", getattr(node.func, "attr", None))) in pools
     )
-    assert found == [("trainer.py", "_map_runs", pools[0]), ("vit.py", "_no_grad_chunks", pools[1])]
+    assert found == [("machine.py", "map_runs", pools[0]), ("machine.py", "map_threads", pools[1])]
+
+
+# What only ``machine`` may do: load the libraries that pin BLAS and the
+# allocator or start pools, and read the CPUs or the environment.
+MACHINE_MODULES = {"ctypes", "multiprocessing", "concurrent"}
+MACHINE_OS_NAMES = {"sched_getaffinity", "cpu_count", "environ", "getenv", "putenv"}
+
+
+def test_only_machine_decides_how_pego_uses_the_cpus_and_memory():
+    # One module holds the BLAS and allocator pins, the thread budget and
+    # both pools, and is the only one that runs a call when imported.
+    # ``entry`` sets the BLAS variables itself, before numpy loads.
+    found = []
+    for name, tree in _sources():
+        for node, fn in _nodes(tree):
+            if isinstance(node, ast.Import):
+                hit = any(a.name.partition(".")[0] in MACHINE_MODULES for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                root = node.module.partition(".")[0]
+                hit = root in MACHINE_MODULES or (root == "os" and any(a.name in MACHINE_OS_NAMES for a in node.names))
+            else:
+                hit = isinstance(node, ast.Attribute) and ast.unparse(node.value) == "os" and node.attr in MACHINE_OS_NAMES
+            if hit and name != "machine.py":
+                found.append((name, fn, ast.unparse(node)))
+        # A bare call among a module's statements runs on import; a script's
+        # call under its ``__main__`` check does not.
+        found += [
+            (name, None, ast.unparse(stmt))
+            for stmt in tree.body
+            if name != "machine.py" and isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+        ]
+    assert found == [("__init__.py", "entry", "os.environ")]
 
 
 def test_one_function_takes_the_training_steps():

@@ -10,7 +10,7 @@ import pytest
 from conftest import traced_peak
 
 from pego import autograd as ag
-from pego import adapters, checkpoint, gradcheck, trainer, vit
+from pego import adapters, checkpoint, gradcheck, machine, trainer, vit
 from pego.data import DatasetSpec, DomainDataset, generate_dataset, split_train_val
 from pego.errors import ConfigError
 from pego.numerics import make_rng
@@ -501,7 +501,7 @@ class TestLodo:
             return record
 
         monkeypatch.setattr(trainer, "run_single", marking)
-        assert trainer.POOL_CONTEXT.get_start_method() == "fork"
+        assert machine.POOL_CONTEXT.get_start_method() == "fork"
         calls = _count_map_runs(monkeypatch)
         result = leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
         assert len(result.records) == 4 and all(getattr(r, "marked", False) for r in result.records)
@@ -513,7 +513,7 @@ class TestLodo:
         # the serial grid's records: results do not hang on the start method.
         cfg = _tiny_cfg(iterations=2)
         serial = leave_one_domain_out(tiny_dataset, cfg, [0], base=tiny_base, jobs=1)
-        monkeypatch.setattr(trainer, "POOL_CONTEXT", multiprocessing.get_context("forkserver"))
+        monkeypatch.setattr(machine, "POOL_CONTEXT", multiprocessing.get_context("forkserver"))
         calls = _count_map_runs(monkeypatch)
         pooled = leave_one_domain_out(tiny_dataset, cfg, [0], base=tiny_base, jobs=2)
         assert calls == [4] and pooled.records == serial.records
@@ -581,18 +581,18 @@ def _holds(obj, types) -> bool:
 
 
 def _count_map_runs(monkeypatch) -> list[int]:
-    """Patch ``trainer._map_runs`` to record the payload count of each
+    """Patch ``machine.map_runs`` to record the payload count of each
     call, and check that no payload holds the dataset or the base: those
     reach a pool's workers once, as the shared inputs."""
     calls: list[int] = []
-    real = trainer._map_runs
+    real = machine.map_runs
 
     def counting(task, shared, payloads, jobs):
         assert not _holds(payloads, (DomainDataset, vit.VitModel))
         calls.append(len(payloads))
         return real(task, shared, payloads, jobs)
 
-    monkeypatch.setattr(trainer, "_map_runs", counting)
+    monkeypatch.setattr(machine, "map_runs", counting)
     return calls
 
 
@@ -670,31 +670,31 @@ def test_stderr_behaviour():
 
 
 def _reported_thread_budget(shared, _):
-    return shared, vit.thread_budget()
+    return shared, machine.thread_budget()
 
 
 def test_pool_workers_run_their_forwards_on_one_thread(monkeypatch):
     monkeypatch.setenv("PEGO_THREADS", "2")
-    assert list(trainer._map_runs(_reported_thread_budget, "s", range(4), jobs=2)) == [("s", 1)] * 4
-    assert list(trainer._map_runs(_reported_thread_budget, "s", range(1), jobs=1)) == [("s", vit.thread_budget())]
+    assert list(machine.map_runs(_reported_thread_budget, "s", range(4), jobs=2)) == [("s", 1)] * 4
+    assert list(machine.map_runs(_reported_thread_budget, "s", range(1), jobs=1)) == [("s", machine.thread_budget())]
     assert os.environ["PEGO_THREADS"] == "2"
 
 
 def _reported_blas_threads(shared, _):
-    return ag.blas_threads()
+    return machine.blas_threads()
 
 
-@pytest.mark.skipif(ag.blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read")
+@pytest.mark.skipif(machine.blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read")
 def test_openblas_runs_one_thread_here_and_in_pool_workers(monkeypatch):
-    # Importing autograd pins it, and workers keep the pin: the worker
+    # Importing machine pins it, and workers keep the pin: the worker
     # initializer caps their forward threads alone.
-    assert ag.blas_threads() == 1
-    assert list(trainer._map_runs(_reported_blas_threads, None, range(4), jobs=2)) == [1] * 4
+    assert machine.blas_threads() == 1
+    assert list(machine.map_runs(_reported_blas_threads, None, range(4), jobs=2)) == [1] * 4
     monkeypatch.setenv("PEGO_THREADS", "2")
-    monkeypatch.setattr(trainer, "_worker_task", None)
-    trainer._start_worker(len)
-    assert os.environ["PEGO_THREADS"] == "1" and vit.thread_budget() == 1 and ag.blas_threads() == 1
-    assert trainer._run_in_worker("run") == 3
+    monkeypatch.setattr(machine, "_worker_task", None)
+    machine._start_worker(len)
+    assert os.environ["PEGO_THREADS"] == "1" and machine.thread_budget() == 1 and machine.blas_threads() == 1
+    assert machine._run_in_worker("run") == 3
 
 
 def _pid_after_meeting(_, payload):
@@ -710,26 +710,26 @@ def _pid_after_meeting(_, payload):
 
 
 def _pids_and_peak_children(directory, count, runs, jobs):
-    """The pids ``_map_runs`` returns for ``runs`` meeting runs, and the
+    """The pids ``map_runs`` returns for ``runs`` meeting runs, and the
     most live child processes seen while its results were consumed."""
     pids, peak = [], 0
-    for pid in trainer._map_runs(_pid_after_meeting, None, [(directory, count)] * runs, jobs=jobs):
+    for pid in machine.map_runs(_pid_after_meeting, None, [(directory, count)] * runs, jobs=jobs):
         pids.append(pid)
         peak = max(peak, len(multiprocessing.active_children()))
     return pids, peak
 
 
 def test_pool_workers_is_the_least_of_jobs_runs_and_budget(monkeypatch):
-    monkeypatch.setattr(vit, "thread_budget", lambda: 8)
-    assert [trainer.pool_workers(jobs, runs) for jobs, runs in ((4, 3), (2, 5), (9, 12), (1, 4))] == [3, 2, 8, 1]
-    assert trainer.pool_workers(4, 0) == 1  # nothing to run: serial, no pool
-    monkeypatch.setattr(vit, "thread_budget", lambda: 1)
-    assert trainer.pool_workers(4, 4) == 1
+    monkeypatch.setattr(machine, "thread_budget", lambda: 8)
+    assert [machine.pool_workers(jobs, runs) for jobs, runs in ((4, 3), (2, 5), (9, 12), (1, 4))] == [3, 2, 8, 1]
+    assert machine.pool_workers(4, 0) == 1  # nothing to run: serial, no pool
+    monkeypatch.setattr(machine, "thread_budget", lambda: 1)
+    assert machine.pool_workers(4, 4) == 1
 
 
-@pytest.mark.skipif(vit.cores() < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif(machine.cores() < 2, reason="a pool needs two CPUs")
 class TestPoolSize:
-    # The pool forks trainer.pool_workers(jobs, runs) workers, and none
+    # The pool forks machine.pool_workers(jobs, runs) workers, and none
     # when that is 1.
     def test_runs_cap_the_pool(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PEGO_THREADS", raising=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import assert_independent_copy, traced_peak
 
-from pego import adapters, trainer, vit
+from pego import adapters, machine, trainer, vit
 from pego import autograd as ag
 from pego.errors import ConfigError, ShapeError
 from pego.numerics import make_rng
@@ -331,7 +331,7 @@ def test_threaded_forwards_equal_one_thread_bitwise(monkeypatch):
             return real(m, x)
 
         monkeypatch.setattr(vit, "batch_features_tensor", recording)
-        monkeypatch.setattr(vit, "thread_budget", lambda: budget)
+        monkeypatch.setattr(machine, "thread_budget", lambda: budget)
         outputs[budget] = (vit.features_batch(model, images), vit.forward_logits_batch(model, images), calls)
     (feats1, logits1, calls1), (feats2, logits2, calls2) = outputs[1], outputs[2]
     assert np.array_equal(feats2, feats1) and np.array_equal(logits2, logits1)
@@ -358,8 +358,8 @@ def test_a_forward_starts_threads_only_with_enough_chunks_per_thread(monkeypatch
         idents.append(threading.get_ident())
         return ag.Tensor(np.zeros((len(x), 1)))
 
-    monkeypatch.setattr(vit, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(vit, "thread_budget", lambda: 2)
+    monkeypatch.setattr(machine, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(machine, "thread_budget", lambda: 2)
     images = np.zeros(((chunks - 1) * vit.FORWARD_CHUNK + 1, 16, 16))
     out = vit._no_grad_chunks(forward, init_vit(_cfg(), make_rng(40)), images)
     assert out.shape == (len(images), 1) and len(idents) == chunks
@@ -379,7 +379,7 @@ def test_forwards_on_a_list_of_arrays_equal_the_concatenated_array(monkeypatch, 
     inject_groups(model, rank=2, n=2, rng=make_rng(42))
     _randomize_adapters(model, make_rng(43))
     arrays = [make_rng(44, i).random((n, 16, 16)) for i, n in enumerate((50, 100, 37))]
-    monkeypatch.setattr(vit, "thread_budget", lambda: budget)
+    monkeypatch.setattr(machine, "thread_budget", lambda: budget)
     monkeypatch.setattr(vit, "FORWARD_CHUNKS_PER_THREAD", 1)
     real = vit.batch_features_tensor
     outputs = {}
@@ -417,15 +417,15 @@ def test_logits_do_not_depend_on_the_images_beside_them():
 def test_thread_budget_is_the_affinity_capped_by_pego_threads(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     monkeypatch.delenv("PEGO_THREADS", raising=False)
-    assert vit.thread_budget() == cores
+    assert machine.thread_budget() == cores
     monkeypatch.setenv("PEGO_THREADS", "1")
-    assert vit.thread_budget() == 1
+    assert machine.thread_budget() == 1
     monkeypatch.setenv("PEGO_THREADS", str(cores + 3))
-    assert vit.thread_budget() == cores
+    assert machine.thread_budget() == cores
     for bad in ("0", "-2", "two", "²"):
         monkeypatch.setenv("PEGO_THREADS", bad)
         with pytest.raises(ConfigError):
-            vit.thread_budget()
+            machine.thread_budget()
 
 
 def test_forward_shape_errors():
