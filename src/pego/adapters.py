@@ -5,8 +5,9 @@ Conventions: a host weight W has shape (d, k) and acts on column
 vectors. Each adapter module is a pair A (r, k), B (d, r); a group of N
 modules contributes the update sum_i B_i A_i on top of W. A group holds
 its modules as two trainable stacks, A's (N, r, k) and B's (N, d, r),
-which are the tape's leaves and the optimizer's parameters; a module is
-a view of them (``LoraGroup.modules``). The penalties
+which are the tape's leaves while ``gradcheck.backward`` differentiates
+them and the optimizer's parameters; a module is a view of them
+(``LoraGroup.modules``). The penalties
 read the entrywise L1 norm (sum of absolute values) of their matrix
 arguments:
 
@@ -87,8 +88,7 @@ def init_group(d: int, k: int, r: int, n: int, rng: np.random.Generator) -> Lora
         raise ConfigError(f"group size must be at least 1, got {n}")
     if r < 1 or r > min(d, k):
         raise ConfigError(f"rank {r} outside [1, min({d}, {k})]")
-    a = Tensor(rng.normal(0.0, 0.02, (n, r, k)), requires_grad=True)
-    return LoraGroup(a=a, b=Tensor(np.zeros((n, d, r)), requires_grad=True))
+    return LoraGroup(a=Tensor(rng.normal(0.0, 0.02, (n, r, k))), b=Tensor(np.zeros((n, d, r))))
 
 
 def group_delta(group: LoraGroup) -> np.ndarray:

@@ -27,9 +27,9 @@ closure mapping the output gradient to parent gradients; ``backprop``
 walks the tape once in reverse topological order and returns the
 gradient with respect to the leaves it is handed as one vector. An op
 computes its output alike with or without a tape; ``_node`` alone
-decides whether it is recorded. What an op keeps for its backward
-follows its parents' needs, not the grad mode, and is only what that
-backward reads: ``attention_probs`` keeps its probabilities but no
+decides whether it is recorded: when a parent needs a gradient. What an
+op keeps for its backward follows its parents' needs and is only what
+that backward reads: ``attention_probs`` keeps its probabilities but no
 scores, ``mlp`` keeps GELU's slope rather than the hidden layer, and
 ``mlp`` with no parent that needs a gradient keeps nothing and runs its
 hidden layer in blocks of images. No tensor stores a gradient: a node's
@@ -44,44 +44,26 @@ summation in the backward pass, except in ``_dense``, whose weight
 gradient is one 2-D GEMM over the flattened batch rows.
 The subgradient of ``|x|`` at 0 is 0.
 
-A tape is confined to the thread that built it; building independent
-tapes on separate threads is safe, and ``no_grad`` holds for the thread
-that enters it alone. ``vit``'s no-grad forwards use that: they hand
-whole chunks of images to the threads of ``machine.map_threads``, each
-running its own chunks without a tape, and start threads only when
-every thread gets at least ``vit.FORWARD_CHUNKS_PER_THREAD`` chunks.
+A tensor needs a gradient only inside ``differentiating``, which marks
+the leaves it is handed and puts back their flags on leaving, also by an
+exception. ``gradcheck.backward``, the one gradient call of training,
+pretraining and ``pego gradcheck``, builds its tape and runs ``backprop``
+in it, so every other forward records nothing. The mark is on the
+tensors, not on a thread: a forward on another thread over the marked
+leaves would record a tape while the block runs. No caller does that:
+``vit``'s forwards that hand whole chunks of images to the threads of
+``machine.map_threads`` run between training steps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ShapeError
-
-
-class _GradMode(threading.local):
-    # Read as the class attribute until a thread's no_grad sets its own.
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-@contextmanager
-def no_grad():
-    """Suspend tape recording inside the block (pure evaluation), on the
-    calling thread only."""
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -101,10 +83,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+@contextmanager
+def differentiating(leaves):
+    """Mark each of ``leaves`` as needing a gradient inside the block, so
+    that ops on them record a tape, and put back each leaf's previous
+    flag on leaving, also by an exception."""
+    leaves = list(leaves)
+    before = [t.requires_grad for t in leaves]
+    for t in leaves:
+        t.requires_grad = True
+    try:
+        yield
+    finally:
+        for t, flag in zip(leaves, before):
+            t.requires_grad = flag
+
+
 def _node(data, parents, grad_fn) -> Tensor:
     """The output ``data`` of an op on ``parents``, recorded with its
-    ``grad_fn`` when grad mode is on and a parent needs a gradient."""
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    ``grad_fn`` when a parent needs a gradient."""
+    if any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out.parents = tuple(parents)
         out.grad_fn = grad_fn

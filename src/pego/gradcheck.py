@@ -3,14 +3,15 @@ oracle that audits them.
 
 ``backward`` differentiates the full objective with respect to the
 parameters it is handed (in training, the adapter pairs and the head;
-while pretraining the base, every parameter) and nothing else, and
-returns the gradient as one vector, the layout of the flat parameter
-buffer the optimizer steps; the vector is ``autograd.backprop``'s
-return value, and no tensor holds a gradient before or after.
-``grad_check`` compares those gradients against central differences of
-the forward-only loss at randomly probed entries, skipping probes where
-an L1 penalty argument sits close enough to zero that the subgradient
-choice is ambiguous.
+while pretraining the base, every parameter but the key biases) and
+nothing else, and returns the gradient as one vector, the layout of the
+flat parameter buffer the optimizer steps; the vector is
+``autograd.backprop``'s return value. The parameters need a gradient
+only inside its ``autograd.differentiating`` block, so no other forward
+records a tape. ``grad_check`` compares those gradients against central
+differences of the forward-only loss at randomly probed entries,
+skipping probes where an L1 penalty argument sits close enough to zero
+that the subgradient choice is ambiguous.
 """
 
 from __future__ import annotations
@@ -67,11 +68,12 @@ def backward(
     """
     if len(batch.labels) == 0:
         raise InputError("empty batch")
-    terms = batch_loss_tensor(
-        model, batch.images, batch.labels, alpha, preserve_on=preserve_on, diversify_on=diversify_on
-    )
-    grad = ag.backprop(terms.total, params.values())
-    check_finite(params, grad)
+    with ag.differentiating(params.values()):
+        terms = batch_loss_tensor(
+            model, batch.images, batch.labels, alpha, preserve_on=preserve_on, diversify_on=diversify_on
+        )
+        grad = ag.backprop(terms.total, params.values())
+        check_finite(params, grad)
     parts = tuple(None if t is None else float(t.data) for t in (terms.ce, terms.preserve, terms.diversify))
     return float(terms.total.data), grad, parts
 
@@ -92,8 +94,7 @@ def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: 
 
     def f(p):
         flat[entry] = p
-        with ag.no_grad():
-            return float(batch_loss_tensor(model, batch.images, batch.labels, alpha).total.data)
+        return float(batch_loss_tensor(model, batch.images, batch.labels, alpha).total.data)
 
     try:
         return central_diff(f, saved, h)

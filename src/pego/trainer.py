@@ -11,7 +11,8 @@ it actually touched, and leave-one-domain-out and sweep runs share one
 audit of that record.
 
 Pretraining the base and training the adapters share one step: a batch,
-its loss gradient, one Adam update. Each harness is one grid of
+its loss gradient (``gradcheck.backward``, which alone marks the
+parameters for a tape), one Adam update. Each harness is one grid of
 independent (variant, held-out domain, seed) runs in one process pool
 (``machine.map_runs``), whose workers receive the grid's dataset and
 base once, when they start; within one run training is sequential.
@@ -162,8 +163,6 @@ def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -
 def _steps(model, params, data, batch_per_domain, rng, lr, alpha=0.0, preserve_on=True, diversify_on=True):
     """Endless Adam steps on ``params`` of ``model``: each draws a batch of ``data``,
     updates by the loss gradient and yields the flat parameter vector, the batch and the loss parts."""
-    for t in params.values():
-        t.requires_grad = True
     flat = flatten_params(params)
     state = adam_init(flat.size)
     while True:
@@ -283,7 +282,8 @@ def pretrain_base(cfg: VitConfig, seed: int, iterations: int = 300) -> VitModel:
 
     Briefly fine-tunes every parameter of a fresh model but the key
     biases on a synthetic task drawn from a seed-derived stream disjoint
-    from any downstream dataset, then freezes it. A key bias shifts all
+    from any downstream dataset; a run on it then trains only the adapters
+    and head it adds (``vit.trainable_params``). A key bias shifts all
     scores of a query by the same amount, which softmax ignores, so its
     gradient is only rounding noise; it stays at zero. Cached per
     configuration; callers clone before mutating.
@@ -297,7 +297,6 @@ def pretrain_base(cfg: VitConfig, seed: int, iterations: int = 300) -> VitModel:
     params = {name: t for name, t in vit.named_params(model) if not name.endswith(".attn.wk.bias")}
     for _ in zip(range(iterations), _steps(model, params, ds, PRETRAIN_BATCH_PER_DOMAIN, make_rng(seed, 92), 1e-3)):
         pass
-    vit.apply_trainability(model)
     _PRETRAIN_CACHE[key] = model
     return model
 

@@ -11,10 +11,13 @@ from every token, and its output projection, residual, MLP and
 layernorm run on that one row.
 
 Only the adapter matrices and the head are ever trainable; everything
-else is frozen by name. A model is single-writer: training mutates the
+else is frozen by name (``is_trainable_name``, ``trainable_params``).
+No tensor of a model needs a gradient: ``gradcheck.backward`` marks the
+ones it differentiates for its own tape alone, so every other forward
+records nothing. A model is single-writer: training mutates the
 trainable tensors from one thread, while read-only inference on an
-unchanging model may run from many: a no-grad forward hands its chunks
-of images to the threads of ``machine.map_threads``.
+unchanging model may run from many: a forward hands its chunks of
+images to the threads of ``machine.map_threads``.
 
 ``named_params`` is the one list of parameter names and their order;
 ``_zeros`` holds the shapes. The names and order:
@@ -180,11 +183,6 @@ def named_arrays(model: VitModel):
             yield name, t.data
 
 
-def apply_trainability(model: VitModel) -> None:
-    for name, t in named_params(model):
-        t.requires_grad = is_trainable_name(name)
-
-
 def trainable_params(model: VitModel) -> dict[str, Tensor]:
     return {n: t for n, t in named_params(model) if is_trainable_name(n)}
 
@@ -222,7 +220,6 @@ def init_vit(cfg: VitConfig, rng: np.random.Generator) -> VitModel:
             t.data[...] = 1.0
         elif not name.endswith((".b", ".bias", ".offset")):
             t.data[...] = rng.normal(0.0, 0.02, t.data.shape)
-    apply_trainability(model)
     return model
 
 
@@ -233,7 +230,6 @@ def inject_groups(model: VitModel, rank: int, n: int, rng: np.random.Generator) 
     for blk in model.blocks:
         for proj in adapters.ADAPTED_PROJECTIONS:
             getattr(blk.attn, proj).group = adapters.init_group(d, d, rank, n, rng)
-    apply_trainability(model)
 
 
 def model_to_arrays(model: VitModel) -> dict[str, np.ndarray]:
@@ -268,7 +264,6 @@ def model_from_arrays(cfg: VitConfig, arrays: dict[str, np.ndarray]) -> VitModel
         unused.discard(name)
     if unused:
         raise CheckpointError(f"unknown tensors {sorted(unused)}")
-    apply_trainability(model)
     return model
 
 
@@ -426,8 +421,7 @@ def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
         stop = s + FORWARD_CHUNK
         pieces = [p[max(s - o, 0) : stop - o] for p, o in zip(parts, offsets) if o < stop and s < o + len(p)]
         chunk = pieces[0] if len(pieces) == 1 else np.concatenate(pieces or parts[:1])
-        with ag.no_grad():
-            return forward(model, chunk).data
+        return forward(model, chunk).data
 
     return np.concatenate(machine.map_threads(run, starts, FORWARD_CHUNKS_PER_THREAD))
 

@@ -6,9 +6,9 @@ between the trainer checks and the acceptance suite. Their runs are
 independent and deterministic, so they go through pego's process
 pool with one worker per core; the results equal those of a serial run.
 
-It also holds five plain helpers that test modules import:
+It also holds six plain helpers that test modules import:
 ``stack_group``, ``penalty_values``, ``feature_orthogonality_gap``,
-``assert_independent_copy`` and ``traced_peak``.
+``assert_independent_copy``, ``marked`` and ``traced_peak``.
 """
 
 import os
@@ -51,13 +51,21 @@ def penalty_values(target) -> tuple[float, float]:
 def assert_independent_copy(copy, source, before: dict[str, np.ndarray]) -> None:
     """``source`` still holds ``before`` (its ``vit.model_to_arrays`` taken
     ahead of the copy) bitwise, no array of ``copy`` shares memory with
-    ``source``, and each tensor of ``copy`` trains exactly when its name
-    is trainable."""
+    ``source``, and differentiating the trainable tensors of ``copy``
+    marks exactly those of its tensors whose names are trainable and none
+    of ``source``."""
     for name, arr in vit.model_to_arrays(source).items():
         assert np.array_equal(arr, before[name]), name
-    for name, t in vit.named_params(copy):
-        assert not any(np.shares_memory(t.data, s.data) for _, s in vit.named_params(source)), name
-        assert t.requires_grad == vit.is_trainable_name(name), name
+    with ag.differentiating(vit.trainable_params(copy).values()):
+        for name, t in vit.named_params(copy):
+            assert not any(np.shares_memory(t.data, s.data) for _, s in vit.named_params(source)), name
+            assert t.requires_grad == vit.is_trainable_name(name), name
+        assert not any(s.requires_grad for _, s in vit.named_params(source))
+
+
+def marked(model) -> list[str]:
+    """The names of the tensors of ``model`` that need a gradient."""
+    return [name for name, t in vit.named_params(model) if t.requires_grad]
 
 
 def traced_peak(fn) -> int:

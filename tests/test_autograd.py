@@ -1,8 +1,5 @@
 """Operator-level checks: every backward closure against central differences."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -27,8 +24,7 @@ def _fd_check(build, shapes, seed=0, h=1e-6, tol=1e-6):
 
             def f(p):
                 flat[idx] = p
-                with ag.no_grad():
-                    return float(build(*[ag.Tensor(a) for a in arrays]).data)
+                return float(build(*[ag.Tensor(a) for a in arrays]).data)
 
             num = (f(saved + h) - f(saved - h)) / (2 * h)
             flat[idx] = saved
@@ -178,62 +174,20 @@ def test_backprop_lays_out_the_leaves_in_the_order_given():
     assert not np.array_equal(ab, ba)
 
 
-def test_no_grad_builds_no_graph():
-    x = ag.Tensor(np.ones((2, 2)), requires_grad=True)
-    with ag.no_grad():
-        y = ag.matmul(x, x)
-    assert y.grad_fn is None and not y.requires_grad
-
-
-def test_no_grad_in_another_thread_leaves_this_tape_on():
-    x = ag.Tensor(np.ones((2, 2)), requires_grad=True)
-    entered, release = threading.Event(), threading.Event()
-
-    def hold():
-        with ag.no_grad():
-            entered.set()
-            release.wait(timeout=10)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    try:
-        assert entered.wait(timeout=10)
-        y = ag.add(x, x)
-    finally:
-        release.set()
-        holder.join(timeout=10)
-    assert not holder.is_alive()
-    assert y.grad_fn is not None and y.requires_grad
-
-
-def test_grad_mode_is_per_thread_under_contention():
-    # More threads than cores, switching often: each builds tapes with
-    # and without no_grad, and a mode shared between threads would give
-    # some op the other thread's setting.
-    x = ag.Tensor(np.ones((2, 2)), requires_grad=True)
-    wrong = []
-
-    def work(k):
-        for n in range(200):
-            if (n + k) % 2:
-                with ag.no_grad():
-                    if ag.add(x, x).grad_fn is not None:
-                        wrong.append((k, n))
-            elif ag.add(x, x).grad_fn is None:
-                wrong.append((k, n))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+def test_differentiating_marks_its_leaves_and_puts_their_flags_back():
+    # A leaf given twice, and one already marked, keep the flag they had.
+    x, y = ag.Tensor(np.ones((2, 2))), ag.Tensor(np.ones((2, 2)), requires_grad=True)
+    with ag.differentiating([x, y, x]):
+        assert x.requires_grad and y.requires_grad
+        taped = ag.matmul(x, x)
+    assert taped.grad_fn is not None and taped.parents == (x, x)
+    assert not x.requires_grad and y.requires_grad
+    assert ag.matmul(x, x).grad_fn is None
+    with pytest.raises(RuntimeError, match="inside"):
+        with ag.differentiating(iter([x])):
+            assert x.requires_grad
+            raise RuntimeError("inside")
+    assert not x.requires_grad
 
 
 def test_pair_order_is_one_read_only_copy_per_size():
@@ -362,23 +316,23 @@ def test_row_ops_equal_the_written_out_formulas_bitwise():
     slope = ag._gelu_slope(h, t)
     assert np.array_equal(slope, gelu_grad(np.ones_like(h)))
     assert np.array_equal(g_h * slope, gelu_grad(g_h))
-    with ag.no_grad():
-        assert np.array_equal(ag.layernorm(ag.Tensor(x), ag.Tensor(s), ag.Tensor(o)).data, ops[0][2][0])
-        assert np.array_equal(ag.attention_probs(ag.Tensor(q), ag.Tensor(k), c).data, ops[1][2][0])
+    assert np.array_equal(ag.layernorm(ag.Tensor(x), ag.Tensor(s), ag.Tensor(o)).data, ops[0][2][0])
+    assert np.array_equal(ag.attention_probs(ag.Tensor(q), ag.Tensor(k), c).data, ops[1][2][0])
 
 
 def test_mlp_without_a_tape_equals_the_taped_output():
     rng = make_rng(61)
     shapes = [(24, 17, 32), (1, 32), (1, 32), (128, 32), (1, 128), (32, 128), (1, 32)]
     arrays = [rng.normal(size=shape) for shape in shapes]
-    taped = ag.mlp(*[ag.Tensor(a, requires_grad=True) for a in arrays])
+    inputs = [ag.Tensor(a) for a in arrays]
+    with ag.differentiating(inputs):
+        taped = ag.mlp(*inputs)
     assert taped.grad_fn is not None
-    with ag.no_grad():
-        untaped = ag.mlp(*[ag.Tensor(a, requires_grad=True) for a in arrays])
+    # The same inputs once the block has put their flags back go
+    # unrecorded and give the same output.
+    untaped = ag.mlp(*inputs)
     assert untaped.grad_fn is None
     assert np.array_equal(untaped.data, taped.data)
-    # Inputs that need no gradient go unrecorded and give the same output.
-    assert np.array_equal(ag.mlp(*[ag.Tensor(a) for a in arrays]).data, taped.data)
 
 
 def _mlp_weights(rng):
@@ -741,20 +695,25 @@ def test_canonical_step_tape_size():
     images = make_rng(51).random((24, cfg.image_size, cfg.image_size))
     labels = make_rng(52).integers(0, cfg.num_classes, 24)
     # A pretraining step: every weight but the key biases trains.
-    for name, t in vit.named_params(model):
-        t.requires_grad = not name.endswith(".attn.wk.bias")
-    assert _tape_nodes(vit.batch_loss_tensor(model, images, labels, 0.0).total) <= 100
+    with ag.differentiating(_pretrained_leaves(model)):
+        assert 0 < _tape_nodes(vit.batch_loss_tensor(model, images, labels, 0.0).total) <= 100
     vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
-    assert _tape_nodes(vit.batch_loss_tensor(model, images, labels, 1e-3).total) <= 100
+    with ag.differentiating(vit.trainable_params(model).values()):
+        assert 0 < _tape_nodes(vit.batch_loss_tensor(model, images, labels, 1e-3).total) <= 100
 
 
-def _step_heap_peak(model, images, labels, alpha):
+def _pretrained_leaves(model):
+    """The tensors a pretraining step trains: every one but the key biases."""
+    return [t for name, t in vit.named_params(model) if not name.endswith(".attn.wk.bias")]
+
+
+def _step_heap_peak(model, images, labels, alpha, leaves):
     """The traced heap peak above its start of one forward and backprop
-    on the model's trainable tensors, after a first step."""
-    leaves = [t for _, t in vit.named_params(model) if t.requires_grad]
+    on ``leaves``, after a first step."""
 
     def step():
-        ag.backprop(vit.batch_loss_tensor(model, images, labels, alpha).total, leaves)
+        with ag.differentiating(leaves):
+            ag.backprop(vit.batch_loss_tensor(model, images, labels, alpha).total, leaves)
 
     step()
     return traced_peak(step)
@@ -768,12 +727,11 @@ def test_canonical_steps_keep_only_what_their_backward_reads():
     cfg = trainer.canonical_vit_config()
     model = vit.init_vit(cfg, make_rng(49))
     rng = make_rng(53)
-    for name, t in vit.named_params(model):
-        t.requires_grad = not name.endswith(".attn.wk.bias")
     images, labels = rng.random((32, cfg.image_size, cfg.image_size)), rng.integers(0, cfg.num_classes, 32)
-    assert _step_heap_peak(model, images, labels, 0.0) <= 6.0 * 2**20
+    assert _step_heap_peak(model, images, labels, 0.0, _pretrained_leaves(model)) <= 6.0 * 2**20
     vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
-    assert _step_heap_peak(model, images[:24], labels[:24], 1e-3) <= 4.5 * 2**20
+    leaves = list(vit.trainable_params(model).values())
+    assert _step_heap_peak(model, images[:24], labels[:24], 1e-3, leaves) <= 4.5 * 2**20
 
 
 @pytest.mark.parametrize("trained", [(5, 6), (3,), (4,), (1, 2), (0,)])
@@ -805,7 +763,9 @@ def test_each_penalty_is_one_node_on_the_adapter_factors():
     vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
     layers = adapters.adapted_layers(model)
     stacks = [lin.group.a for lin in layers] + [lin.group.b for lin in layers]
-    for penalty in adapters.loss_or_tensor(model):
+    with ag.differentiating(vit.trainable_params(model).values()):
+        penalties = adapters.loss_or_tensor(model)
+    for penalty in penalties:
         assert penalty.shape == () and _tape_nodes(penalty) == 1
         assert len(penalty.parents) == len(stacks) == 8
         assert all(p is s for p, s in zip(penalty.parents, stacks))
@@ -817,6 +777,7 @@ def test_an_adapted_projection_is_one_node_on_its_two_stacks():
     model = vit.init_vit(trainer.canonical_vit_config(), make_rng(49))
     vit.inject_groups(model, rank=4, n=4, rng=make_rng(50))
     lin = model.blocks[0].attn.wq
-    out = vit._linear(ag.Tensor(make_rng(51).normal(size=(2, 17, 32))), lin)
+    with ag.differentiating(vit.trainable_params(model).values()):
+        out = vit._linear(ag.Tensor(make_rng(51).normal(size=(2, 17, 32))), lin)
     assert len(out.parents) == 5
     assert out.parents[1:] == (lin.base, lin.bias, lin.group.a, lin.group.b)

@@ -112,12 +112,7 @@ class TestFeatureProjection:
         images = make_rng(13).random((16, 8, 8))
         labels = make_rng(14).integers(0, 2, 16)
         proj = feature_projection([("a", a), ("b", b)], images, labels)
-        feats = []
-        import pego.autograd as ag
-
-        with ag.no_grad():
-            for model in (a, b):
-                feats.append(vit.batch_features_tensor(model, images).data)
+        feats = [vit.batch_features_tensor(model, images).data for model in (a, b)]
         pooled = np.concatenate(feats)
         centered = pooled - pooled.mean(axis=0, keepdims=True)
         s = svd(centered).s

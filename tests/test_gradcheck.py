@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import marked
 
 from pego import autograd as ag
 from pego import vit
@@ -30,18 +33,43 @@ def test_backward_loss_matches_forward_only_loss(probe):
     model, batch = probe
     for alpha in (0.0, 1e-3, 0.1):
         loss, _, _ = backward(model, batch, alpha, vit.trainable_params(model), True, True)
-        with ag.no_grad():
-            assert loss == float(vit.batch_loss_tensor(model, batch.images, batch.labels, alpha).total.data)
+        assert loss == float(vit.batch_loss_tensor(model, batch.images, batch.labels, alpha).total.data)
 
 
 def test_backward_vector_is_the_backprop_gradients_end_to_end(probe):
     model, batch = probe
     params = vit.trainable_params(model)
     _, grad, _ = backward(model, batch, 1e-3, params, True, True)
-    terms = vit.batch_loss_tensor(model, batch.images, batch.labels, 1e-3)
-    expected = ag.backprop(terms.total, params.values())
+    with ag.differentiating(params.values()):
+        terms = vit.batch_loss_tensor(model, batch.images, batch.labels, 1e-3)
+        expected = ag.backprop(terms.total, params.values())
     assert np.all(np.isfinite(grad))
     assert np.array_equal(grad, expected)
+
+
+def test_backward_puts_the_flags_back_when_it_returns_and_when_it_raises(probe, monkeypatch):
+    # The parameters need a gradient while the tape is built and walked,
+    # and no tensor of the model does before or after, also when the
+    # finite check fails inside the block.
+    model, batch = probe
+    params = vit.trainable_params(model)
+    seen = []
+    real_backprop = ag.backprop
+
+    def recording(root, leaves):
+        seen.append(marked(model))
+        return real_backprop(root, leaves)
+
+    monkeypatch.setattr(ag, "backprop", recording)
+    assert marked(model) == []
+    backward(model, batch, 1e-3, params, True, True)
+    assert marked(model) == []
+    images = batch.images.copy()
+    images[0, 0, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        backward(model, replace(batch, images=images), 1e-3, params, True, True)
+    assert seen == [list(params)] * 2
+    assert marked(model) == []
 
 
 def test_non_finite_gradient_names_its_parameter():
@@ -89,8 +117,8 @@ def test_central_diff_quadratic_probe():
 def test_l1_of_product_gradient_away_from_kinks():
     rng = make_rng(30)
     w = ag.Tensor(rng.normal(0, 1.0, (4, 4)))
-    a = ag.Tensor(rng.normal(0, 1.0, (1, 2, 4)), requires_grad=True)
-    b = ag.Tensor(rng.normal(0, 1.0, (1, 4, 2)), requires_grad=True)
+    a = ag.Tensor(rng.normal(0, 1.0, (1, 2, 4)))
+    b = ag.Tensor(rng.normal(0, 1.0, (1, 4, 2)))
 
     def loss_tensor():
         return ag.preserve_l1([w], [a], [b])  # ||W^T B A||_1, a group of one
@@ -98,7 +126,8 @@ def test_l1_of_product_gradient_away_from_kinks():
     argument = w.data.T @ (b.data[0] @ a.data[0])
     h = 1e-5
     assert np.abs(argument).min() > 10 * h
-    grads = np.split(ag.backprop(loss_tensor(), [a, b]), [a.data.size])
+    with ag.differentiating([a, b]):
+        grads = np.split(ag.backprop(loss_tensor(), [a, b]), [a.data.size])
     for leaf, grad in zip((a, b), grads):
         flat = leaf.data.reshape(-1)
         for idx in range(flat.size):
@@ -106,8 +135,7 @@ def test_l1_of_product_gradient_away_from_kinks():
 
             def f(p):
                 flat[idx] = p
-                with ag.no_grad():
-                    return float(loss_tensor().data)
+                return float(loss_tensor().data)
 
             num = (f(saved + h) - f(saved - h)) / (2 * h)
             flat[idx] = saved

@@ -92,16 +92,19 @@ def test_only_the_command_line_maps_errors_prints_and_exits():
     assert output == {"cli.py", ("__init__.py", "entry")}
 
 
-def test_only_node_and_no_grad_read_the_grad_mode():
-    # An op computes alike with or without a tape: ``_node`` alone decides
-    # what is recorded, and ``no_grad`` alone switches the mode.
-    tree = ast.parse((Path(pego.__file__).parent / "autograd.py").read_text())
-    readers = {
-        fn
+def test_only_autograd_marks_a_tensor_as_needing_a_gradient():
+    # ``differentiating`` marks a backward's leaves for its tape alone and
+    # ``_node`` marks the tape's own outputs; no other code sets
+    # ``requires_grad``, by assignment or as a keyword, so every forward
+    # outside a backward records nothing.
+    found = {
+        (name, fn)
+        for name, tree in _sources()
         for node, fn in _nodes(tree)
-        if isinstance(node, ast.Name) and node.id == "_grad_mode" and isinstance(node.ctx, ast.Load)
+        if (isinstance(node, ast.Attribute) and node.attr == "requires_grad" and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.keyword) and node.arg == "requires_grad")
     }
-    assert readers == {"_node", "no_grad"}
+    assert found == {("autograd.py", "__init__"), ("autograd.py", "differentiating"), ("autograd.py", "_node")}
 
 
 def _imported(node):

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import marked, traced_peak
 
 from pego import autograd as ag
 from pego import adapters, checkpoint, gradcheck, machine, trainer, vit
@@ -407,6 +407,56 @@ class TestSteps:
         counts = _count_step_calls(monkeypatch)
         pretrain_base(_tiny_vit(), seed=5, iterations=3)
         assert counts == {"make_batch": 3, "backward": 3, "adam_step": 3}
+
+
+class TestOnlyBackwardDifferentiates:
+    def test_no_tensor_is_marked_on_a_built_injected_loaded_pretrained_or_trained_model(
+        self, tiny_dataset, tiny_base, monkeypatch, tmp_path
+    ):
+        model = init_vit(_tiny_vit(), make_rng(1))
+        assert marked(model) == []
+        vit.inject_groups(model, rank=2, n=2, rng=make_rng(2))
+        assert marked(model) == []
+        checkpoint.save_model(tmp_path / "m.ckpt", model)
+        assert marked(checkpoint.load_model(tmp_path / "m.ckpt")) == []
+        monkeypatch.setattr(trainer, "_PRETRAIN_CACHE", {})
+        assert marked(pretrain_base(_tiny_vit(), seed=5, iterations=2)) == []
+        result = train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=3))
+        assert marked(result.adapted) == marked(result.model) == marked(tiny_base) == []
+
+    def test_a_forward_outside_backward_records_no_node_and_runs_the_mlp_in_blocks(
+        self, tiny_dataset, tiny_base, monkeypatch
+    ):
+        # Over a training run with validation, ops record nodes inside
+        # ``gradcheck.backward`` alone; each MLP of a validation forward
+        # runs in blocks with nothing kept (``ag._mlp`` needs no gradient).
+        inside = [False]
+        nodes = {True: 0, False: 0}
+        needs = {True: set(), False: set()}
+
+        def backward(*args, real=gradcheck.backward):
+            inside[0] = True
+            try:
+                return real(*args)
+            finally:
+                inside[0] = False
+
+        def node(data, parents, grad_fn, real=ag._node):
+            out = real(data, parents, grad_fn)
+            nodes[inside[0]] += out.grad_fn is not None
+            return out
+
+        def mlp(*args, real=ag._mlp):
+            needs[inside[0]].add(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(gradcheck, "backward", backward)
+        monkeypatch.setattr(ag, "_node", node)
+        monkeypatch.setattr(ag, "_mlp", mlp)
+        train(tiny_base, tiny_dataset.without("d0"), _tiny_cfg(iterations=4, eval_every=2))
+        assert nodes[True] > 0 and nodes[False] == 0
+        assert needs[False] == {(False,) * 7}
+        assert needs[True] and all(any(need) for need in needs[True])
 
 
 class TestHistoryLogging:

@@ -47,10 +47,11 @@ def test_init_draws_the_weight_matrices_in_canonical_order():
     params = dict(vit.named_params(model))
     for name in drawn:
         assert np.array_equal(params[name].data, rng.normal(0.0, 0.02, params[name].data.shape)), name
-    for name, t in params.items():
-        if name not in drawn:
-            assert np.array_equal(t.data, np.full(t.data.shape, 1.0 if name.endswith(".scale") else 0.0)), name
-        assert t.requires_grad == vit.is_trainable_name(name), name
+    with ag.differentiating(vit.trainable_params(model).values()):
+        for name, t in params.items():
+            if name not in drawn:
+                assert np.array_equal(t.data, np.full(t.data.shape, 1.0 if name.endswith(".scale") else 0.0)), name
+            assert t.requires_grad == vit.is_trainable_name(name), name
     assert params["blocks.2.mlp.fc1.w"].data.shape == (cfg.hidden_dim, cfg.embed_dim)
 
 
@@ -130,10 +131,11 @@ def test_the_canonical_adapted_model_trains_two_stacks_per_projection_and_the_he
 def test_trainable_set_is_exactly_adapters_and_head():
     model = init_vit(_cfg(), make_rng(0))
     inject_groups(model, rank=2, n=2, rng=make_rng(1))
-    for name, t in vit.named_params(model):
-        expected = name.startswith("head.") or (".lora." in name and name.endswith((".A", ".B")))
-        assert vit.is_trainable_name(name) == expected
-        assert t.requires_grad == expected
+    with ag.differentiating(vit.trainable_params(model).values()):
+        for name, t in vit.named_params(model):
+            expected = name.startswith("head.") or (".lora." in name and name.endswith((".A", ".B")))
+            assert vit.is_trainable_name(name) == expected
+            assert t.requires_grad == expected
 
 
 def test_adapter_placement():
@@ -217,8 +219,7 @@ def test_attention_rows_sum_to_one(monkeypatch):
         return out
 
     monkeypatch.setattr(ag, "attention_probs", recording)
-    with ag.no_grad():
-        vit.batch_logits_tensor(model, make_rng(18).random((3, 16, 16)))
+    vit.batch_logits_tensor(model, make_rng(18).random((3, 16, 16)))
     # the last block queries with the class token alone
     assert [probs.shape for probs in captured] == [(3, 4, 17, 17), (3, 4, 1, 17)]
     for probs in captured:
@@ -261,8 +262,10 @@ def test_class_token_only_last_block_matches_the_full_sequence(num_blocks):
     params = vit.trainable_params(model)
 
     def features_and_grads(features):
-        feats = features(model, images)
-        grad = ag.backprop(ag.cross_entropy_mean(ag.linear(feats, model.head_w, model.head_b), labels), params.values())
+        with ag.differentiating(params.values()):
+            feats = features(model, images)
+            logits = ag.linear(feats, model.head_w, model.head_b)
+            grad = ag.backprop(ag.cross_entropy_mean(logits, labels), params.values())
         return feats.data, dict(zip(params, np.split(grad, np.cumsum([t.data.size for t in params.values()])[:-1])))
 
     feats, grads = features_and_grads(vit.batch_features_tensor)
@@ -283,8 +286,7 @@ def test_a_no_grad_chunk_holds_only_live_activations():
     images = make_rng(51).random((vit.FORWARD_CHUNK, cfg.image_size, cfg.image_size))
 
     def forward():
-        with ag.no_grad():
-            vit.batch_logits_tensor(model, images)
+        vit.batch_logits_tensor(model, images)
 
     forward()
     assert traced_peak(forward) <= 2.75 * 2**20
@@ -295,9 +297,8 @@ def test_no_grad_forwards_run_in_chunks(monkeypatch):
     inject_groups(model, rank=2, n=2, rng=make_rng(29))
     _randomize_adapters(model, make_rng(30))
     images = make_rng(31).random((2 * vit.FORWARD_CHUNK + 5, 16, 16))
-    with ag.no_grad():
-        whole_feats = vit.batch_features_tensor(model, images).data
-        whole_logits = vit.batch_logits_tensor(model, images).data
+    whole_feats = vit.batch_features_tensor(model, images).data
+    whole_logits = vit.batch_logits_tensor(model, images).data
     sizes = []
     real = vit.batch_features_tensor
 
