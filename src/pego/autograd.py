@@ -32,11 +32,14 @@ op keeps for its backward follows its parents' needs and is only what
 that backward reads: ``attention_probs`` keeps its probabilities but no
 scores, ``mlp`` keeps GELU's slope rather than the hidden layer, and
 ``mlp`` with no parent that needs a gradient keeps nothing and runs its
-hidden layer in blocks of images. No tensor stores a gradient: a node's
-gradient lives in ``backprop`` until its closure has used it. The
-closures of matmul, add, layernorm and the fused ops return ``None``
-for a parent that needs no gradient (a frozen weight or a constant)
-and skip its work; ``backprop`` skips ``None`` entries.
+hidden layer in blocks of images. Temporaries are bounded alike with or
+without a tape: ``attention_probs`` copies its scores for their row max
+one block of rows at a time, and ``_gelu`` computes the slope only when
+asked and finishes GELU in its tanh's buffer. No tensor stores a
+gradient: a node's gradient lives in ``backprop`` until its closure has
+used it. The closures of matmul, add, layernorm and the fused ops
+return ``None`` for a parent that needs no gradient (a frozen weight or
+a constant) and skip its work; ``backprop`` skips ``None`` entries.
 
 Everything is float64. Parameters are 2-D; activations may carry
 leading batch axes, and broadcasting against parameters is undone by
@@ -242,37 +245,47 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu(x):
-    """GELU (tanh form) and the tanh ``_gelu_slope`` reads, each built in
-    place in one buffer; ``x**3`` would go through a slow ``pow``."""
+def _gelu(x, slope: bool):
+    """GELU (tanh form) at ``x``, and when ``slope`` its derivative there,
+    by which a backward multiplies the output gradient (else None). The
+    tanh is built in place in one buffer, the slope
+    0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2)) is read from it in two more,
+    and GELU is then finished in the tanh's buffer; ``x**3`` would go
+    through a slow ``pow``."""
     t = x * x
     t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0
-    out *= x
-    out *= 0.5
-    return out, t
+    u = None
+    if slope:
+        s = x * x
+        s *= 3.0 * _GELU_A
+        s += 1.0
+        s *= _GELU_C
+        u = t * t
+        np.subtract(1.0, u, out=u)
+        u *= x
+        u *= s
+        u += t
+        u += 1.0
+        u *= 0.5
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t, u
 
 
-def _gelu_slope(x, t):
-    """GELU's derivative at ``x`` from the tanh ``_gelu`` returned,
-    0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2)), in two buffers; the
-    backward multiplies the output gradient by it."""
-    s = x * x
-    s *= 3.0 * _GELU_A
-    s += 1.0
-    s *= _GELU_C
-    u = t * t
-    np.subtract(1.0, u, out=u)
-    u *= x
-    u *= s
-    u += t
-    u += 1.0
-    u *= 0.5
-    return u
+# Score rows per block of ``attention_probs``' row max, so that the max
+# copies one block of rows, not the whole score tensor (592 KB for a
+# 64-image chunk of the canonical model, once that chunk's heap peak). On
+# the canonical model (2-core Xeon, medians of 400 interleaved calls),
+# 1024-row blocks took 44-48 us on 24 images against 46-50 us for one
+# whole copy, and 125-132 against 126-134 us on 64 images; the chunk's
+# traced peak fell from 2409 to 1941 KiB. 512-row blocks reached 1895 KiB,
+# where the MLP sets the peak, and 256-row blocks took 20% longer.
+ROW_MAX_BLOCK = 1024
 
 
 def attention_probs(q: Tensor, k: Tensor, c: float) -> Tensor:
@@ -282,14 +295,18 @@ def attention_probs(q: Tensor, k: Tensor, c: float) -> Tensor:
 
     The scores are scaled in their own buffer and softmaxed in place, so
     the node keeps only its output and its parents. numpy reduces short
-    last axes slowly, so the row max is taken over the leading axis of a
-    copy with the last axis moved first; a max does not depend on order,
-    so it is exact. The row sum stays on the contiguous last axis.
+    last axes slowly, so each block of ``ROW_MAX_BLOCK`` score rows takes
+    its row max over the leading axis of its own transposed copy; a max
+    does not depend on order, so it is exact. The row sum stays on the
+    contiguous last axis.
     """
     c = float(c)
     y = q.data @ k.data
     y *= c
-    y -= np.ascontiguousarray(np.moveaxis(y, -1, 0)).max(axis=0)[..., None]
+    rows = _rows(y)  # a view: a matmul's product is C-contiguous
+    for s in range(0, len(rows), ROW_MAX_BLOCK):
+        block = rows[s : s + ROW_MAX_BLOCK]
+        block -= np.ascontiguousarray(block.T).max(axis=0)[:, None]
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
 
@@ -389,13 +406,14 @@ def linear(x: Tensor, w: Tensor, bias: Tensor, a: Tensor | None = None, b: Tenso
 
 
 # Images per block of an ``mlp`` that keeps nothing for a backward, so
-# that a no-grad forward holds one block's hidden buffers (three of
+# that a no-grad forward holds one block's hidden buffers (two of
 # 0.56 MB at 32 canonical images, against 1.1 MB for a 64-image chunk).
-# On the canonical model (2-core Xeon, medians of 400 interleaved calls
-# on 64 images), 32-image blocks took 1.88 ms at a traced heap peak of
-# 2383 KiB, one 64-image block 2.00 ms at 4427 KiB, and 16-image blocks
-# 2.00 ms at 1361 KiB; with 16, eval-read's process peak stayed where 32
-# put it (61.5-61.8 against 61.6-61.9 MB) and it read 11% fewer images/s.
+# With GELU in three buffers, on the canonical model (2-core Xeon,
+# medians of 400 interleaved calls on 64 images), 32-image blocks took
+# 1.88 ms at a traced heap peak of 2383 KiB, one 64-image block 2.00 ms
+# at 4427 KiB, and 16-image blocks 2.00 ms at 1361 KiB; with 16,
+# eval-read's process peak stayed where 32 put it (61.5-61.8 against
+# 61.6-61.9 MB) and it read 11% fewer images/s.
 MLP_BLOCK = 32
 
 
@@ -403,14 +421,14 @@ def _mlp(x, ln_scale, ln_offset, w1, b1, w2, b2, need):
     """``mlp``'s output on arrays, and what its backward reads for the
     parents' gradient ``need`` (layernorm's buffers, fc1's input, GELU's
     slope, fc2's input), None where unread. Every other intermediate dies
-    after its last reader: the hidden layer and its tanh before fc2's GEMM."""
+    after its last reader, the hidden layer before fc2's GEMM, and GELU's
+    output is its tanh's buffer."""
     need_m, (need_w1, need_b1, need_w2) = any(need[:3]), need[3:6]
     m, ln_saved = _layernorm(x, ln_scale, ln_offset)
     ln_saved, h = (ln_saved if need_m else None), _dense(m, w1, b1)
     m = m if need_w1 else None
-    act, t = _gelu(h)
-    slope = _gelu_slope(h, t) if need_m or need_w1 or need_b1 else None
-    del h, t
+    act, slope = _gelu(h, need_m or need_w1 or need_b1)
+    del h
     out = _dense(act, w2, b2)
     out += x
     return out, (ln_saved, m, slope, act if need_w2 else None)
@@ -428,8 +446,8 @@ def mlp(x: Tensor, ln_scale: Tensor, ln_offset: Tensor, w1: Tensor, b1: Tensor, 
     batch's, which is what a parent that needs a gradient gets.
 
     Otherwise the node keeps only what its backward reads (``_mlp``):
-    GELU's slope (``_gelu_slope``) in place of the hidden layer and its
-    tanh, layernorm's buffers only when x or layernorm's scale or offset
+    GELU's slope (``_gelu``'s second buffer) in place of the hidden layer,
+    layernorm's buffers only when x or layernorm's scale or offset
     needs a gradient, and fc1's and fc2's inputs only when their weights do."""
     parents = (x, ln_scale, ln_offset, w1, b1, w2, b2)
     weights = [p.data for p in parents[1:]]

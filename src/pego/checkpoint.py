@@ -73,12 +73,16 @@ class _Reader:
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Step over the next ``n`` bytes, which must be there; their offset."""
         if self.off + n > len(self.buf):
             raise CheckpointError(f"{self.path}: truncated (needed {n} bytes at offset {self.off})")
-        out = self.buf[self.off : self.off + n]
         self.off += n
-        return out
+        return self.off - n
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.buf[start : start + n]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -121,8 +125,10 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if ndim > 8:
             raise CheckpointError(f"{path}: implausible rank {ndim} for tensor {name}")
         shape = tuple(r.u64() for _ in range(ndim))
-        raw = r.take(math.prod(shape) * _F64.itemsize)  # Python ints: no int64 wrap-around
-        tensors[name] = np.frombuffer(raw, dtype=_F64).astype(np.float64).reshape(shape)
+        count = math.prod(shape)
+        offset = r.skip(count * _F64.itemsize)  # Python ints: no int64 wrap-around
+        # A view of the file's bytes, so its one copy is astype's.
+        tensors[name] = np.frombuffer(buf, _F64, count, offset).astype(np.float64).reshape(shape)
     if r.off != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - r.off} bytes after the last tensor")
     return header, tensors

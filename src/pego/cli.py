@@ -209,7 +209,7 @@ def _load_train_config(args, dataset, base=None):
         vit_cfg = trainer.canonical_vit_config(num_classes=dataset.num_classes)
         overrides["vit"] = replace(vit_cfg, image_size=_image_size(dataset))
     # One build from the final values: every build is checked, so a default the flags replace is never built alone.
-    cfg = replace(loaded, **overrides) if loaded is not None else trainer.TrainConfig(batch_per_domain=8, **overrides)
+    cfg = replace(loaded, **overrides) if loaded is not None else trainer.TrainConfig(**overrides)
     model_path = args.base if base is not None else args.config or "the built-in config"
     _check_fit(cfg.vit, model_path, dataset, args.dataset)
     for name in ("alpha", "rank"):

@@ -11,7 +11,8 @@ only inside its ``autograd.differentiating`` block, so no other forward
 records a tape. ``grad_check`` compares those gradients against central
 differences of the forward-only loss at randomly probed entries,
 skipping probes where an L1 penalty argument sits close enough to zero
-that the subgradient choice is ambiguous.
+that the subgradient choice is ambiguous, and stepping each probe short
+of its nearest kink.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ LossParts = tuple[float, float | None, float | None]
 # A probe whose L1 arguments hold an entry smaller than this in magnitude
 # sits too close to a kink for a central difference to audit.
 AMBIGUITY_TOL = 1e-6
+
+# A probe's step, times max(1, |entry|), where no kink is nearer. A central
+# difference errs by O(h^2) and by O(u/h) from rounding (Nocedal and
+# Wright, Numerical Optimization, 8.1); with the h^2 term cancelled, a long
+# step keeps both small, where neither 1e-5 nor 1e-4 alone served all seeds.
+FD_STEP = 1e-3
 
 
 def _locate(params: dict[str, ag.Tensor], flat_idx: int) -> tuple[str, int]:
@@ -102,18 +109,44 @@ def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: 
         flat[entry] = saved
 
 
+def _penalty_args(layers) -> tuple[np.ndarray, np.ndarray]:
+    """The L1 arguments of both penalties over the adapted ``layers``, as
+    ``_preserve_args`` and ``_diversify_args`` stack them."""
+    a, b = (ag._stack_factors([getattr(lin.group, f) for lin in layers]) for f in "ab")
+    return ag._preserve_args(np.stack([lin.base.data for lin in layers]), a, b)[0], ag._diversify_args(a, b)[0]
+
+
 def _ambiguity_floor(model: VitModel) -> dict[ag.Tensor, np.ndarray]:
     """Per adapter factor stack, each module's smallest |entry| of any L1 argument it feeds."""
     layers = adapters.adapted_layers(model)
     if not layers:
         return {}
-    a, b = (ag._stack_factors([getattr(lin.group, f) for lin in layers]) for f in "ab")
-    low = np.abs(ag._preserve_args(np.stack([lin.base.data for lin in layers]), a, b)[0]).min(axis=(2, 3))
-    pair_low = np.abs(ag._diversify_args(a, b)[0]).min(axis=(2, 3))
+    low, pair_low = (np.abs(args).min(axis=(2, 3)) for args in _penalty_args(layers))
     i, j, _ = ag.pair_order(low.shape[1])
     np.minimum.at(low.T, i, pair_low.T)
     np.minimum.at(low.T, j, pair_low.T)
     return {t: layer_low for lin, layer_low in zip(layers, low) for t in (lin.group.a, lin.group.b)}
+
+
+def _kink_distance(model: VitModel, flat: np.ndarray, entry: int) -> float:
+    """How far entry ``entry`` of ``flat``, an adapter factor stack's data,
+    can move before an L1 argument changes sign (inf if none depends on
+    it). Each argument is affine in any one factor entry, so its value
+    after a unit step gives its slope; within that distance the penalties
+    are linear in the entry."""
+    layers, saved = adapters.adapted_layers(model), flat[entry]
+
+    def args():
+        return np.concatenate([x.ravel() for x in _penalty_args(layers)])
+
+    at = args()
+    flat[entry] = saved + 1.0
+    try:
+        slope = args() - at
+    finally:
+        flat[entry] = saved
+    moved = slope != 0.0
+    return float(np.min(np.abs(at[moved] / slope[moved]), initial=np.inf))
 
 
 def grad_check(
@@ -128,7 +161,11 @@ def grad_check(
 
     Probes whose L1 arguments contain an entry below ``AMBIGUITY_TOL`` in
     magnitude are skipped; if fewer than half the probes survive, the
-    check is inconclusive.
+    check is inconclusive. Each probe's numeric gradient is Richardson's
+    ``(4 D(h/2) - D(h)) / 3`` of central differences ``D``, with ``h``
+    ``FD_STEP`` times max(1, |entry|), or half the entry's distance to the
+    nearest kink of the penalties when that is shorter, so that no step
+    crosses one.
     """
     if samples < 1:
         raise ConfigError(f"need at least one probe, got {samples}")
@@ -144,9 +181,12 @@ def grad_check(
         if floor[entry * len(floor) // params[name].data.size] < AMBIGUITY_TOL:
             continue
         accepted += 1
-        p0 = float(params[name].data.reshape(-1)[entry])
-        h = 1e-5 * max(1.0, abs(p0))
-        numeric = finite_diff(model, batch, alpha, name, entry, h)
+        flat = params[name].data.reshape(-1)
+        h = FD_STEP * max(1.0, abs(float(flat[entry])))
+        if params[name] in floors:
+            h = min(h, 0.5 * _kink_distance(model, flat, entry))
+        half, whole = (finite_diff(model, batch, alpha, name, entry, step) for step in (h / 2, h))
+        numeric = (4.0 * half - whole) / 3.0
         analytic = float(grad[flat_idx])
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
         max_rel = max(max_rel, rel)

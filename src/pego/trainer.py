@@ -57,7 +57,7 @@ class TrainConfig:
     group_n: int = 4
     lr: float = 5e-4
     iterations: int = 500
-    batch_per_domain: int = 32
+    batch_per_domain: int = 8
     seed: int = 0
     val_fraction: float = 0.2
     eval_every: int = 50

@@ -90,9 +90,9 @@ def test_layernorm_grad():
 
 
 def _gelu(x):
-    """The GELU kernels as a tape op of their own."""
-    out, t = ag._gelu(x.data)
-    return ag._node(out, (x,), lambda g: (g * ag._gelu_slope(x.data, t),))
+    """The GELU kernel as a tape op of its own."""
+    out, slope = ag._gelu(x.data, True)
+    return ag._node(out, (x,), lambda g: (g * slope,))
 
 
 def test_gelu_grad():
@@ -218,7 +218,8 @@ def test_gelu_forward_matches_reference():
     x = np.concatenate([np.linspace(-6.0, 6.0, 2401), [0.0, 1e-8, -1e-8, 30.0, -30.0]])
     c, a = np.sqrt(2.0 / np.pi), 0.044715
     reference = 0.5 * x * (1.0 + np.tanh(c * (x + a * x**3)))
-    assert np.max(np.abs(ag._gelu(x)[0] - reference)) <= 1e-15
+    for slope in (False, True):
+        assert np.max(np.abs(ag._gelu(x, slope)[0] - reference)) <= 1e-15
 
 
 def _batch_sum(g):
@@ -310,14 +311,34 @@ def test_row_ops_equal_the_written_out_formulas_bitwise():
         assert len(got) == len(want)
         for got_grad, want_grad in zip(got, want):
             assert np.array_equal(got_grad, want_grad)
-    value, t = ag._gelu(h)
     gelu, gelu_grad = _reference_gelu(h)
-    assert np.array_equal(value, gelu)
-    slope = ag._gelu_slope(h, t)
+    (value, slope), (value_alone, no_slope) = ag._gelu(h, True), ag._gelu(h, False)
+    assert np.array_equal(value, gelu) and np.array_equal(value_alone, gelu) and no_slope is None
     assert np.array_equal(slope, gelu_grad(np.ones_like(h)))
     assert np.array_equal(g_h * slope, gelu_grad(g_h))
     assert np.array_equal(ag.layernorm(ag.Tensor(x), ag.Tensor(s), ag.Tensor(o)).data, ops[0][2][0])
     assert np.array_equal(ag.attention_probs(ag.Tensor(q), ag.Tensor(k), c).data, ops[1][2][0])
+
+
+@pytest.mark.parametrize("images", [ag.ROW_MAX_BLOCK // 68 + 1, 64])
+def test_row_max_in_blocks_equals_one_whole_copy_bitwise(images):
+    # 4 heads of 17 queries give 68 score rows an image: one block and a
+    # few rows, then a 64-image chunk's four blocks and a part.
+    assert images * 68 > ag.ROW_MAX_BLOCK and images * 68 % ag.ROW_MAX_BLOCK
+    rng = make_rng(66)
+    q, k, g = (rng.normal(size=shape) for shape in [(images, 4, 17, 8), (images, 4, 8, 17), (images, 4, 17, 17)])
+    c = 1.0 / np.sqrt(8)
+    whole = (q @ k) * c
+    whole -= np.ascontiguousarray(np.moveaxis(whole, -1, 0)).max(axis=0)[..., None]
+    whole = np.exp(whole)
+    whole /= np.add.reduce(whole, axis=-1, keepdims=True)
+    leaves = [ag.Tensor(q, requires_grad=True), ag.Tensor(k, requires_grad=True)]
+    taped = ag.attention_probs(*leaves, c)
+    assert np.array_equal(taped.data, whole)
+    assert np.array_equal(ag.attention_probs(ag.Tensor(q), ag.Tensor(k), c).data, whole)
+    g_scores = (g - (g * whole).sum(axis=-1, keepdims=True)) * whole * c
+    for got, want in zip(taped.grad_fn(g), (g_scores @ _t(k), _t(q) @ g_scores)):
+        assert np.array_equal(got, want)
 
 
 def test_mlp_without_a_tape_equals_the_taped_output():

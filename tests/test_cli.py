@@ -585,6 +585,12 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.count("samples=500") == 2
 
+    @pytest.mark.parametrize("seed", range(21))
+    def test_right_gradients_pass_on_every_probe_model(self, seed, capsys):
+        # At one fixed step of 1e-5, rounding failed seed 1 at alpha=0 and a
+        # step across an L1 kink failed seed 14 at alpha=1e-3.
+        assert cli.main(["gradcheck", "--seed", str(seed)]) == 0, capsys.readouterr().out
+
     def test_injected_sign_bug_in_l1_backward_exits_1(self, monkeypatch, capsys):
         # Each penalty's backward scales sign(args) by g; handing it -g
         # gives the L1 norm the gradient of -sign.

@@ -66,7 +66,7 @@ class TestTrainConfig:
         assert cfg.lr == 5e-4
         assert cfg.val_fraction == 0.2
         assert cfg.n_search == (2, 4, 6)
-        assert cfg.batch_per_domain == 32
+        assert cfg.batch_per_domain == 8
 
     def test_validation(self):
         with pytest.raises(ConfigError):
