@@ -441,7 +441,6 @@ def cmd_analyze(args) -> int:
     dataset = checkpoint.load_dataset(args.dataset)
     model = checkpoint.load_model(args.ckpt)
     _check_fit(model.cfg, args.ckpt, dataset, args.dataset)
-    out = _ensure_outdir(args.out)
     index, proj = _resolve_layer(model, args.layer)
     layer = getattr(model.blocks[index].attn, proj)
     models = [(Path(args.ckpt).stem, model)]
@@ -465,6 +464,7 @@ def cmd_analyze(args) -> int:
     images = [dataset.images[d] for d in dataset.domains]
     labels = np.concatenate([dataset.labels[d] for d in dataset.domains])
     projection = diagnostics.feature_projection(models, images, labels)
+    out = _ensure_outdir(args.out)
     csv_paths = _write_analysis_csvs(out, report, projection)
     tol = diagnostics.SIGNIFICANT_PC_REL_TOL
     meta = {

@@ -9,10 +9,11 @@ flat parameter buffer the optimizer steps; the vector is
 ``autograd.backprop``'s return value. The parameters need a gradient
 only inside its ``autograd.differentiating`` block, so no other forward
 records a tape. ``grad_check`` compares those gradients against central
-differences of the forward-only loss at randomly probed entries,
-skipping probes where an L1 penalty argument sits close enough to zero
-that the subgradient choice is ambiguous, and stepping each probe short
-of its nearest kink.
+differences of the forward-only loss at randomly probed entries. It
+reads the penalties' L1 arguments per probe: a probe that moves one
+close enough to zero that the subgradient choice is ambiguous is
+skipped, and any other steps short of the nearest kink among those it
+moves.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .vit import VitModel, batch_loss_tensor, is_trainable_name, named_arrays
 # penalties included; a penalty is None only for a model without groups.
 LossParts = tuple[float, float | None, float | None]
 
-# A probe whose L1 arguments hold an entry smaller than this in magnitude
-# sits too close to a kink for a central difference to audit.
+# A probe that moves an L1 argument smaller than this in magnitude sits
+# too close to a kink for a central difference to audit.
 AMBIGUITY_TOL = 1e-6
 
 # A probe's step, times max(1, |entry|), where no kink is nearer. A central
@@ -109,35 +110,19 @@ def finite_diff(model: VitModel, batch, alpha: float, name: str, entry: int, h: 
         flat[entry] = saved
 
 
-def _penalty_args(layers) -> tuple[np.ndarray, np.ndarray]:
-    """The L1 arguments of both penalties over the adapted ``layers``, as
-    ``_preserve_args`` and ``_diversify_args`` stack them."""
-    a, b = (ag._stack_factors([getattr(lin.group, f) for lin in layers]) for f in "ab")
-    return ag._preserve_args(np.stack([lin.base.data for lin in layers]), a, b)[0], ag._diversify_args(a, b)[0]
-
-
-def _ambiguity_floor(model: VitModel) -> dict[ag.Tensor, np.ndarray]:
-    """Per adapter factor stack, each module's smallest |entry| of any L1 argument it feeds."""
-    layers = adapters.adapted_layers(model)
-    if not layers:
-        return {}
-    low, pair_low = (np.abs(args).min(axis=(2, 3)) for args in _penalty_args(layers))
-    i, j, _ = ag.pair_order(low.shape[1])
-    np.minimum.at(low.T, i, pair_low.T)
-    np.minimum.at(low.T, j, pair_low.T)
-    return {t: layer_low for lin, layer_low in zip(layers, low) for t in (lin.group.a, lin.group.b)}
-
-
-def _kink_distance(model: VitModel, flat: np.ndarray, entry: int) -> float:
-    """How far entry ``entry`` of ``flat``, an adapter factor stack's data,
-    can move before an L1 argument changes sign (inf if none depends on
-    it). Each argument is affine in any one factor entry, so its value
-    after a unit step gives its slope; within that distance the penalties
-    are linear in the entry."""
-    layers, saved = adapters.adapted_layers(model), flat[entry]
+def _kink_reading(layers, flat: np.ndarray, entry: int) -> tuple[float, float]:
+    """Among the L1 arguments of both penalties over the adapted
+    ``layers`` that entry ``entry`` of ``flat``, an adapter factor stack's
+    data, moves: the smallest |value|, and how far the entry can move
+    before one of them changes sign (both inf if it moves none). Each
+    argument is affine in any one factor entry, so its value after a unit
+    step gives its slope; within that distance the penalties are linear in
+    the entry."""
+    w, saved = np.stack([lin.base.data for lin in layers]), flat[entry]
 
     def args():
-        return np.concatenate([x.ravel() for x in _penalty_args(layers)])
+        a, b = (ag._stack_factors([getattr(lin.group, f) for lin in layers]) for f in "ab")
+        return np.concatenate([ag._preserve_args(w, a, b)[0].ravel(), ag._diversify_args(a, b)[0].ravel()])
 
     at = args()
     flat[entry] = saved + 1.0
@@ -145,8 +130,8 @@ def _kink_distance(model: VitModel, flat: np.ndarray, entry: int) -> float:
         slope = args() - at
     finally:
         flat[entry] = saved
-    moved = slope != 0.0
-    return float(np.min(np.abs(at[moved] / slope[moved]), initial=np.inf))
+    at, slope = at[slope != 0.0], slope[slope != 0.0]
+    return float(np.min(np.abs(at), initial=np.inf)), float(np.min(np.abs(at / slope), initial=np.inf))
 
 
 def grad_check(
@@ -159,9 +144,9 @@ def grad_check(
     """Max relative error between analytic and central-difference gradients
     over randomly probed trainable entries.
 
-    Probes whose L1 arguments contain an entry below ``AMBIGUITY_TOL`` in
-    magnitude are skipped; if fewer than half the probes survive, the
-    check is inconclusive. Each probe's numeric gradient is Richardson's
+    Probes that move an L1 argument below ``AMBIGUITY_TOL`` in magnitude
+    are skipped; if fewer than half the probes survive, the check is
+    inconclusive. Each probe's numeric gradient is Richardson's
     ``(4 D(h/2) - D(h)) / 3`` of central differences ``D``, with ``h``
     ``FD_STEP`` times max(1, |entry|), or half the entry's distance to the
     nearest kink of the penalties when that is shorter, so that no step
@@ -171,20 +156,21 @@ def grad_check(
         raise ConfigError(f"need at least one probe, got {samples}")
     params = vit.trainable_params(model)
     _, grad, _ = backward(model, batch, alpha, params, True, True)
-    floors = _ambiguity_floor(model) if alpha != 0.0 else {}
+    layers = adapters.adapted_layers(model) if alpha != 0.0 else []
+    factors = {t for lin in layers for t in (lin.group.a, lin.group.b)}
     max_rel = 0.0
     accepted = 0
     for _ in range(samples):
         flat_idx = int(rng.integers(0, grad.size))
         name, entry = _locate(params, flat_idx)
-        floor = floors.get(params[name], [np.inf])  # module entry * N // size holds the entry
-        if floor[entry * len(floor) // params[name].data.size] < AMBIGUITY_TOL:
-            continue
-        accepted += 1
         flat = params[name].data.reshape(-1)
         h = FD_STEP * max(1.0, abs(float(flat[entry])))
-        if params[name] in floors:
-            h = min(h, 0.5 * _kink_distance(model, flat, entry))
+        if params[name] in factors:
+            nearest, kink = _kink_reading(layers, flat, entry)
+            if nearest < AMBIGUITY_TOL:
+                continue
+            h = min(h, 0.5 * kink)
+        accepted += 1
         half, whole = (finite_diff(model, batch, alpha, name, entry, step) for step in (h / 2, h))
         numeric = (4.0 * half - whole) / 3.0
         analytic = float(grad[flat_idx])

@@ -671,6 +671,7 @@ class TestAnalyze:
             ["analyze", "--ckpt", str(fresh), "--dataset", str(dataset_file), "--out", str(out)]
         )
         assert code == 4
+        assert not out.exists()
 
     def test_pre_of_another_model_config_exits_2(self, workdir, dataset_file, trained, capsys):
         from pego.checkpoint import load_model, save_model
@@ -681,15 +682,19 @@ class TestAnalyze:
         wide = workdir / "wide.ckpt"
         save_model(wide, init_vit(replace(cfg, embed_dim=16), make_rng(0)))
         argv = ["--ckpt", str(trained / "merged.ckpt"), "--pre", str(wide), "--dataset", str(dataset_file)]
-        assert cli.main(["analyze", *argv, "--out", str(workdir / "analysis_wide")]) == 2
+        out = workdir / "analysis_wide"
+        assert cli.main(["analyze", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "embed_dim=16" in err and "embed_dim=8" in err
+        assert not out.exists()
 
     def test_a_zero_update_of_a_pair_exits_4(self, workdir, dataset_file, trained, capsys):
         merged = str(trained / "merged.ckpt")
         argv = ["analyze", "--ckpt", merged, "--pre", merged, "--dataset", str(dataset_file)]
-        assert cli.main(argv + ["--out", str(workdir / "analysis_zero")]) == 4
+        out = workdir / "analysis_zero"
+        assert cli.main(argv + ["--out", str(out)]) == 4
         assert "identically zero" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_merged_without_pre_exits_2(self, workdir, dataset_file, trained):
         out = workdir / "analysis_merged"
@@ -697,8 +702,10 @@ class TestAnalyze:
             ["analyze", "--ckpt", str(trained / "merged.ckpt"), "--dataset", str(dataset_file), "--out", str(out)]
         )
         assert code == 2
+        assert not out.exists()
 
     def test_bad_layer_spec_exits_2(self, workdir, dataset_file, trained):
+        out = workdir / "x"
         code = cli.main(
             [
                 "analyze",
@@ -707,12 +714,21 @@ class TestAnalyze:
                 "--dataset",
                 str(dataset_file),
                 "--out",
-                str(workdir / "x"),
+                str(out),
                 "--layer",
                 "0.wo",
             ]
         )
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top_k", ["0", "-2"])
+    def test_top_k_below_one_exits_2(self, workdir, dataset_file, trained, top_k, capsys):
+        out = workdir / f"analysis_top_k{top_k}"
+        argv = ["analyze", "--ckpt", str(trained / "adapted.ckpt"), "--dataset", str(dataset_file)]
+        assert cli.main(argv + ["--out", str(out), "--top-k", top_k]) == 2
+        assert f"k={top_k} outside" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_has_no_jobs_flag(workdir, dataset_file, config_file):

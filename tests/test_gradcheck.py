@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from conftest import marked
 
+from pego import adapters, vit
 from pego import autograd as ag
-from pego import vit
 from pego.errors import ConfigError, InconclusiveCheckError, NumericError
 from pego.gradcheck import backward, central_diff, check_finite, finite_diff, grad_check, make_probe_model
 from pego.numerics import make_rng
@@ -97,13 +97,17 @@ def test_head_bias_gradient_matches_closed_form(probe):
     assert np.allclose(grads["head.b"], p.mean(axis=0, keepdims=True), atol=1e-12)
 
 
+def _zero_b(model):
+    for name, t in vit.named_params(model):
+        if ".lora." in name and name.endswith(".B"):
+            t.data[...] = 0.0
+
+
 def test_fresh_group_diversify_gradient_is_zero():
     # With B = 0 both factors of every pairwise product vanish, so the
     # diversify term contributes nothing to any gradient.
     model, batch = make_probe_model(1)
-    for name, t in vit.named_params(model):
-        if ".lora." in name and name.endswith(".B"):
-            t.data[...] = 0.0
+    _zero_b(model)
     with_div = _grads_by_name(model, batch, 1.0, preserve_on=False, diversify_on=True)
     without = _grads_by_name(model, batch, 0.0)
     for name in with_div:
@@ -170,13 +174,28 @@ def test_grad_check_is_deterministic(probe):
     assert a == b
 
 
+def test_grad_check_passes_on_a_fresh_group():
+    # With every B_i = 0 each L1 argument is exactly zero, but no argument
+    # moves along an A entry, so the A probes are checked; the B probes
+    # move arguments at zero and are skipped.
+    model, batch = make_probe_model(2)
+    _zero_b(model)
+    assert grad_check(model, batch, 1e-3, 100, make_rng(43)) < 1e-5
+
+
 def test_grad_check_inconclusive_when_arguments_sit_at_zero():
-    # A fresh group keeps every L1 argument at exactly zero, so all the
-    # adapter probes are ambiguous and too few survive.
+    # Cancelling pairs: each A_i's two rows are equal and each B_i's two
+    # columns opposite, so every B_i A_i and every L1 argument is zero up
+    # to rounding while both factors are nonzero. Every adapter probe then
+    # moves an argument at zero, and too few probes survive.
     model, batch = make_probe_model(2)
     for name, t in vit.named_params(model):
-        if ".lora." in name and name.endswith(".B"):
-            t.data[...] = 0.0
-    with pytest.raises(InconclusiveCheckError):
+        if ".lora." in name and name.endswith(".A"):
+            t.data[:, 1] = t.data[:, 0]
+        elif ".lora." in name and name.endswith(".B"):
+            t.data[..., 1] = -t.data[..., 0]
+    for lin in adapters.adapted_layers(model):
+        assert np.any(lin.group.a.data) and np.any(lin.group.b.data)
+        assert np.abs(lin.group.b.data @ lin.group.a.data).max() < 1e-15  # zero up to rounding
+    with pytest.raises(InconclusiveCheckError, match="probes were unambiguous"):
         grad_check(model, batch, 1e-3, 100, make_rng(43))
-
