@@ -51,11 +51,7 @@ A tensor needs a gradient only inside ``differentiating``, which marks
 the leaves it is handed and puts back their flags on leaving, also by an
 exception. ``gradcheck.backward``, the one gradient call of training,
 pretraining and ``pego gradcheck``, builds its tape and runs ``backprop``
-in it, so every other forward records nothing. The mark is on the
-tensors, not on a thread: a forward on another thread over the marked
-leaves would record a tape while the block runs. No caller does that:
-``vit``'s forwards that hand whole chunks of images to the threads of
-``machine.map_threads`` run between training steps.
+in it, so every other forward records nothing.
 """
 
 from __future__ import annotations

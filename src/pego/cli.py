@@ -10,9 +10,10 @@ byte for byte in single-job mode.
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O or format
 error, 4 degenerate input; each class in ``errors`` names its code.
 ``machine`` decides how a run uses the CPUs: ``PEGO_THREADS`` caps how
-many threads or processes pego keeps busy, the threads of a no-grad
-forward and the workers of a grid's process pool, which run their
-forwards on one thread each. numpy's BLAS runs one thread: ``machine``
+many processes pego keeps busy, the children a whole-dataset no-grad
+forward forks beside the reading process and the workers of a grid's
+process pool, which never fork for their own forwards. Every process
+computes on one thread, and numpy's BLAS runs one thread: ``machine``
 pins OpenBLAS on import, and ``pego.entry``, the console script, pins
 every BLAS vendor before this module loads numpy.
 """
@@ -460,10 +461,13 @@ def cmd_analyze(args) -> int:
     else:
         raise ConfigError("checkpoint has no adapters at the requested layer; provide --pre for a merged pair")
     k = min(args.top_k, min(w_pre.shape))
+    t1 = time.monotonic()
     report = diagnostics.weight_pc_report(w_pre, delta, k)
+    t2 = time.monotonic()
     images = [dataset.images[d] for d in dataset.domains]
     labels = np.concatenate([dataset.labels[d] for d in dataset.domains])
     projection = diagnostics.feature_projection(models, images, labels)
+    t3 = time.monotonic()
     out = _ensure_outdir(args.out)
     csv_paths = _write_analysis_csvs(out, report, projection)
     tol = diagnostics.SIGNIFICANT_PC_REL_TOL
@@ -475,7 +479,8 @@ def cmd_analyze(args) -> int:
     }
     artifacts = [*csv_paths, _write_json(out / "analyze_meta.json", meta)]
     print(f"layer {index}.{proj}: numerical rank {report.numerical_rank} at rel tol {tol!r}")
-    _write_manifest(args, out / "manifest.json", {"layer": args.layer, "top_k": k}, [], artifacts, t0)
+    phases = {"load": t1 - t0, "weight_report": t2 - t1, "feature_projection": t3 - t2, "write": time.monotonic() - t3}
+    _write_manifest(args, out / "manifest.json", {"layer": args.layer, "top_k": k}, [], artifacts, t0, phases=phases)
     return EXIT_OK
 
 

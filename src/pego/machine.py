@@ -4,12 +4,13 @@ Importing this module fixes glibc's allocator policy for the process
 (see ``_keep_freed_memory``) and pins numpy's OpenBLAS to one thread
 (``set_blas_threads``). ``vit``, ``trainer`` and ``cli`` import it, so
 every path that forwards, trains or forks has both in place before its
-first thread or worker starts, and the two pools here are the only
-parallelism: ``map_threads`` spreads a no-grad forward's chunks over
-threads, and ``map_runs`` spreads a grid's independent runs over forked
-worker processes. ``thread_budget`` caps both: the CPUs this process may
-run on, capped by ``PEGO_THREADS``. Neither pool changes a result, only
-the wall-clock time.
+first worker starts, and the two ways of forking here are the only
+parallelism: ``map_split`` cuts a whole-dataset no-grad forward's chunks
+into slices and forks a child for each slice but the first, which the
+calling process computes, and ``map_runs`` spreads a grid's independent
+runs over a pool of forked worker processes. ``thread_budget`` caps
+both: the CPUs this process may run on, capped by ``PEGO_THREADS``.
+Neither changes a result, only the wall-clock time.
 
 ``pego.entry`` sets the BLAS vendors' thread variables itself: they
 take effect only before numpy loads, which this module imports.
@@ -21,7 +22,9 @@ import ctypes
 import functools
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import pickle
+import signal
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +33,15 @@ from .errors import ConfigError
 
 
 def _keep_freed_memory() -> None:
-    """Keep the memory a training step frees for the next step, and the
-    heap of threaded forwards in one arena. Under glibc's adaptive
-    thresholds, whether a step's tape is handed back to the system and
-    faulted in again next step (about 400 page faults per step on the
-    canonical config) depends on how earlier work left the heap; fixed
-    thresholds keep it. A thread that allocates would otherwise get an
-    arena of its own, whose freed pages the fixed trim threshold then
-    keeps as well. Other C libraries are left alone."""
+    """Keep the memory a training step frees for the next step, in one
+    arena. Under glibc's adaptive thresholds, whether a step's tape is
+    handed back to the system and faulted in again next step (about 400
+    page faults per step on the canonical config) depends on how earlier
+    work left the heap; fixed thresholds keep it. No pego thread
+    computes, but a grid's process pool runs its manager and queue
+    threads in the calling process; a thread that allocates would
+    otherwise get an arena of its own, whose freed pages the fixed trim
+    threshold then keeps as well. Other C libraries are left alone."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -91,11 +95,11 @@ def cores() -> int:
 
 
 def thread_budget() -> int:
-    """Threads a no-grad forward, or workers a grid's pool, may use at
-    most: ``cores()`` capped by a positive integer in ASCII digits in
-    ``PEGO_THREADS``, read on every call, so a worker's cap holds in it.
-    ``map_threads`` uses fewer when it has fewer than ``per_thread``
-    items per thread."""
+    """Processes a no-grad forward's split, or workers a grid's pool, may
+    keep busy at most: ``cores()`` capped by a positive integer in ASCII
+    digits in ``PEGO_THREADS``, read on every call, so a worker's cap
+    holds in it. ``map_split`` uses fewer when it has fewer than
+    ``per_worker`` items per worker."""
     budget = cores()
     raw = os.environ.get("PEGO_THREADS")
     if raw:
@@ -105,15 +109,76 @@ def thread_budget() -> int:
     return budget
 
 
-def map_threads(fn, items, per_thread: int) -> list:
-    """``fn(item)`` per item, in order, spread over
-    ``min(thread_budget(), len(items) // per_thread)`` threads of a pool
-    made for this call, and on the calling thread when that is 1 or less."""
-    threads = min(thread_budget(), len(items) // per_thread)
-    if threads <= 1:
+def map_split(fn, items, per_worker: int) -> list:
+    """``fn(item)`` per item of the sequence ``items``, in order. With
+    ``workers = min(thread_budget(), len(items) // per_worker)`` above 1
+    on a platform that forks (``POOL_CONTEXT``), the items are cut into
+    ``workers`` contiguous slices: this process computes the first while
+    a forked child computes each other one and sends back its pickled
+    results, or the exception that stopped it, through a pipe; otherwise
+    every item runs here. A child sees memory as it was at the fork and
+    its writes die with it, so ``fn`` may only read what it shares, and
+    its results must pickle. Every child is reaped before this returns or
+    raises, and killed first when its results are no longer wanted."""
+    workers = min(thread_budget(), len(items) // per_worker)
+    if workers <= 1 or POOL_CONTEXT is None:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append(_fork_slice(fn, items[lo:hi]))
+        results = [fn(item) for item in items[: cuts[1]]]
+        for pid, pipe in children:
+            results += _receive(pid, pipe)
+        return results
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _fork_slice(fn, items):
+    """Fork a child that sends ``(True, [fn(item) for item in items])``,
+    or ``(False, exception)``, pickled through a pipe, then exits without
+    running any of this process's exit handlers; the child's pid and the
+    pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, [fn(item) for item in items])
+            except BaseException as exc:
+                reply = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _receive(pid: int, pipe) -> list:
+    """The results the child ``pid`` sent through ``pipe``; its exception
+    is raised here."""
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(f"forward worker {pid} exited without sending its results") from None
+    if not ok:
+        raise value
+    return value
 
 
 # ``task(shared, payload)`` of the grid a pool worker serves, bound by
@@ -122,8 +187,9 @@ _worker_task = None
 
 
 def _start_worker(task) -> None:
-    # A pool worker's initializer: cap its forwards at one thread and keep
-    # the grid's task with its shared inputs for every payload it gets.
+    # A pool worker's initializer: a budget of one keeps its forwards from
+    # forking, and the grid's task with its shared inputs is kept for
+    # every payload it gets.
     global _worker_task
     os.environ["PEGO_THREADS"] = "1"
     _worker_task = task
@@ -136,14 +202,15 @@ def _run_in_worker(payload):
 # Grid workers are forked wherever the platform can fork: a worker looks
 # ``run_single`` up in ``trainer``'s globals as the parent bound them, which
 # only a forked worker inherits (Python 3.14 makes forkserver the default on
-# Linux). Elsewhere the pool takes the platform's default start method.
+# Linux). Elsewhere the pool takes the platform's default start method,
+# and ``map_split``, whose children must inherit the model, runs serially.
 POOL_CONTEXT = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 def pool_workers(jobs: int, runs: int) -> int:
     """The workers ``map_runs`` forks for ``runs`` runs under ``jobs``,
     1 when it runs them serially. At most one single-threaded worker per
-    run and per thread of the budget keeps the cores from
+    run and per CPU of the budget keeps the cores from
     oversubscription; a lone worker would add only a fork."""
     return max(1, min(jobs, runs, thread_budget()))
 
@@ -165,7 +232,7 @@ def map_runs(task, shared, payloads, jobs: int):
 
 
 def details(jobs: int, workers: int | None) -> dict:
-    """How the run could use the CPUs: cores available, the forward-thread
+    """How the run could use the CPUs: cores available, the forward
     budget, the most pool workers ``--jobs`` allows, for a grid the
     workers its pool forked (1 when it ran serially), and numpy's BLAS
     with its live thread count and the OpenBLAS kernel chosen for this

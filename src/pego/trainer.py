@@ -204,7 +204,7 @@ def evaluate(model: VitModel, dataset: DomainDataset, domains: list[str] | None 
 
     The domains' images go through one no-grad forward, read in place as
     a list of arrays, so no copy of them is made and a pass over several
-    small domains still fills whole chunks and threads; a logit does not
+    small domains still fills whole chunks; a logit does not
     depend on the images it is computed beside. An empty ``domains``, or
     one naming a domain the dataset lacks, raises ``ConfigError``.
     """

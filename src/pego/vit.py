@@ -15,9 +15,9 @@ else is frozen by name (``is_trainable_name``, ``trainable_params``).
 No tensor of a model needs a gradient: ``gradcheck.backward`` marks the
 ones it differentiates for its own tape alone, so every other forward
 records nothing. A model is single-writer: training mutates the
-trainable tensors from one thread, while read-only inference on an
-unchanging model may run from many: a forward hands its chunks of
-images to the threads of ``machine.map_threads``.
+trainable tensors, while a no-grad forward only reads the model, so
+``machine.map_split`` may hand slices of a forward's chunks of images
+to forked children, which read the model as it was at the fork.
 
 ``named_params`` is the one list of parameter names and their order;
 ``_zeros`` holds the shapes. The names and order:
@@ -378,29 +378,29 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-# Images per no-grad forward, and the unit of threading. A forward holds
-# one chunk per thread: it reads its images in place, copying only a chunk
+# Images per no-grad forward, and the unit of its split. A process holds
+# one chunk at a time: it reads its images in place, copying only a chunk
 # that spans two arrays, and ``ag.mlp`` runs a chunk's hidden layer in
 # blocks of ``ag.MLP_BLOCK``. Chunks bound the memory of a large batch, and
 # their activations stay in cache: on the canonical model (2-core Xeon,
-# OpenBLAS on one thread), one thread took 17.5-18.0 ms for 240 images and
-# 115 ms for 1600 in chunks of 32 to 128, against 22.5 and 192 ms in one
-# forward (medians of 20 interleaved rounds). On two threads, 32-image
-# chunks cut a 1600-image forward's traced peak from 6.5 to 5.4 MiB but
-# took 120 against 93 ms (medians of 40 interleaved rounds).
+# OpenBLAS on one thread), one process took 13.5 ms for 240 images and
+# 85.6 ms for 1600 in chunks of 64, against 13.7 and 100.0 ms in one
+# forward and 13.9 and 95.5 ms in chunks of 32 (medians of 40 interleaved
+# rounds in one process).
 #
-# A forward gives each thread at least FORWARD_CHUNKS_PER_THREAD chunks.
-# Back to back, two threads beat one from 4 chunks up (1.1-1.3x at 4,
-# 1.3x at 7, 1.4-1.5x from 10 to 25, for about 20% more CPU); after 50 ms
-# of one-thread work, as training steps leave a validation pass, they lost
-# at every size (0.92-0.98x; medians of 20 and 30 interleaved rounds, same
-# box). So the floor follows the callers: training's validation and
-# held-out passes (4 and 7 chunks) stay on one thread, where a second
-# thread's chunk would also double the forward's heap peak (5.0 against
-# 8.6-10.0 MiB traced), while reading a whole dataset back to back (25
-# chunks) keeps two.
+# A forward gives each worker at least FORWARD_CHUNKS_PER_WORKER chunks.
+# Back to back, a forked second worker sped a forward up 1.03x at 4
+# chunks, 1.14x at 7, 1.26x at 10, 1.38x at 16 and 1.60x at 25 (same
+# rounds; an earlier run of 20 rounds read 0.76x at 4 and 1.13-1.15x from
+# 16 up, as the shared box's load moved). Right after 50 training steps a
+# 240-image validation pass split in two took 22.2 ms against 11.9 ms in
+# one process (medians of 30 interleaved rounds). So the floor follows the
+# callers: training's validation and held-out passes (4 and 7 chunks) stay
+# in one process, while reading a whole dataset (25 chunks) splits. The
+# reading process still holds one chunk's activations at a time: a split
+# 1600-image forward's traced peak there is 1970 KiB.
 FORWARD_CHUNK = 64
-FORWARD_CHUNKS_PER_THREAD = 8
+FORWARD_CHUNKS_PER_WORKER = 8
 
 
 def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
@@ -408,10 +408,11 @@ def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
     ``FORWARD_CHUNK`` images, concatenated in order. ``images`` is one
     array or a list of arrays read as their concatenation, which is never
     made: a chunk is a view into one array, and only a chunk that spans
-    two arrays is copied. ``machine.map_threads`` spreads the chunks over
-    ``min(machine.thread_budget(), chunks // FORWARD_CHUNKS_PER_THREAD)``
-    threads, or runs them on the calling thread when that is 1 or less;
-    each chunk is computed exactly as on one thread, so the result is
+    two arrays is copied. ``machine.map_split`` cuts the chunks into
+    ``min(machine.thread_budget(), chunks // FORWARD_CHUNKS_PER_WORKER)``
+    contiguous slices, computes the first here and forks a child for
+    each other one, or computes every chunk here when that is 1 or less;
+    each chunk is computed exactly as in one process, so the result is
     bitwise the same."""
     parts = [_check_images(model.cfg, p) for p in (images if isinstance(images, list) and images else [images])]
     offsets = np.cumsum([0] + [len(p) for p in parts]).tolist()
@@ -423,7 +424,7 @@ def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
         chunk = pieces[0] if len(pieces) == 1 else np.concatenate(pieces or parts[:1])
         return forward(model, chunk).data
 
-    return np.concatenate(machine.map_threads(run, starts, FORWARD_CHUNKS_PER_THREAD))
+    return np.concatenate(machine.map_split(run, starts, FORWARD_CHUNKS_PER_WORKER))
 
 
 def features_batch(model: VitModel, images) -> np.ndarray:

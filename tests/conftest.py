@@ -8,7 +8,8 @@ pool with one worker per core; the results equal those of a serial run.
 
 It also holds six plain helpers that test modules import:
 ``stack_group``, ``penalty_values``, ``feature_orthogonality_gap``,
-``assert_independent_copy``, ``marked`` and ``traced_peak``.
+``assert_independent_copy``, ``marked`` and ``traced_peak``, and the
+``forks`` fixture, which lists the children a test forks.
 """
 
 import os
@@ -94,6 +95,22 @@ def feature_orthogonality_gap(layer: AdaptedLinear, z_in: np.ndarray) -> float:
     lhs = float(z_init @ z_new)
     rhs = float(z @ (w.T @ delta) @ z)
     return abs(lhs - rhs)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test, as the parent saw them."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 @pytest.fixture(scope="session")

@@ -655,6 +655,17 @@ class TestAnalyze:
         assert code == 0
         assert (out / "pc_cosine.csv").exists()
 
+    def test_manifest_records_phases_within_the_wall_clock(self, workdir, dataset_file, trained):
+        out = workdir / "analysis_phases"
+        args = ["--ckpt", str(trained / "adapted.ckpt"), "--dataset", str(dataset_file), "--out", str(out)]
+        assert cli.main(["analyze", *args]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        phases = manifest["phases"]
+        assert list(phases) == ["feature_projection", "load", "weight_report", "write"]  # key-sorted JSON
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= manifest["wall_clock_seconds"]
+        assert "phases" not in manifest["config"]
+
     def test_untrained_checkpoint_exits_4(self, workdir, dataset_file, config_file):
         from pego.checkpoint import save_model
         from pego.numerics import make_rng

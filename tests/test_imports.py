@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pego
@@ -158,18 +159,25 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
 
 
 def test_one_process_pool_and_one_thread_pool():
-    # A grid's runs fork workers in ``machine.map_runs``, and a no-grad
-    # forward spreads its chunks over threads in ``machine.map_threads``:
-    # the package has no other parallelism.
-    pools = ("ProcessPoolExecutor", "ThreadPoolExecutor")
+    # A grid's runs fork workers in ``machine.map_runs``, and a
+    # whole-dataset no-grad forward forks a child per slice of its chunks
+    # in ``machine.map_split``, through ``_fork_slice``, which nothing else
+    # calls: the package has no other parallelism, and no threads.
+    starters = ("ProcessPoolExecutor", "ThreadPoolExecutor", "Thread", "fork", "_fork_slice")
     found = sorted(
         (name, fn, called)
         for name, tree in _sources()
         for node, fn in _nodes(tree)
         if isinstance(node, ast.Call)
-        and (called := getattr(node.func, "id", getattr(node.func, "attr", None))) in pools
+        and (called := getattr(node.func, "id", getattr(node.func, "attr", None))) in starters
     )
-    assert found == [("machine.py", "map_runs", pools[0]), ("machine.py", "map_threads", pools[1])]
+    assert found == [
+        ("machine.py", "_fork_slice", "fork"),
+        ("machine.py", "map_runs", "ProcessPoolExecutor"),
+        ("machine.py", "map_split", "_fork_slice"),
+    ]
+    threaded = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(r"threading|ThreadPool", path.read_text())]
+    assert threaded == []
 
 
 # What only ``machine`` may do: load the libraries that pin BLAS and the

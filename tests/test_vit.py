@@ -1,6 +1,4 @@
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -320,91 +318,123 @@ def test_no_grad_forwards_run_in_chunks(monkeypatch):
     assert np.abs(logits - whole_logits).max() <= 1e-14 * np.abs(whole_logits).max()
 
 
+def _record_across_the_split(monkeypatch, calls):
+    """Route ``machine.map_split`` through a wrapper whose workers send
+    back, with each chunk's result, what the forward appended to ``calls``
+    while computing it; after each split ``calls`` holds every chunk's
+    record in chunk order. A forked worker's own appends never reach
+    this process."""
+    real = machine.map_split
+
+    def split(fn, items, per_worker):
+        before = len(calls)
+
+        def run(item):
+            start = len(calls)
+            return fn(item), calls[start:]
+
+        pairs = real(run, items, per_worker)
+        del calls[before:]
+        calls.extend(record for _, records in pairs for record in records)
+        return [out for out, _ in pairs]
+
+    monkeypatch.setattr(machine, "map_split", split)
+
+
 def test_threaded_forwards_equal_one_thread_bitwise(monkeypatch):
+    # A budget of 2 splits a forward of 17 chunks: this process computes
+    # the first 8 and a forked child the other 9.
     model = init_vit(_cfg(), make_rng(32))
     inject_groups(model, rank=2, n=2, rng=make_rng(33))
     _randomize_adapters(model, make_rng(34))
-    full_chunks = 2 * vit.FORWARD_CHUNKS_PER_THREAD  # the fewest that start a second thread
+    full_chunks = 2 * vit.FORWARD_CHUNKS_PER_WORKER  # the fewest that fork a second worker
     images = make_rng(35).random((full_chunks * vit.FORWARD_CHUNK + 5, 16, 16))
     real = vit.batch_features_tensor
+    calls = []
+
+    def recording(m, x):
+        calls.append((len(x), os.getpid()))
+        return real(m, x)
+
+    monkeypatch.setattr(vit, "batch_features_tensor", recording)
+    _record_across_the_split(monkeypatch, calls)
     outputs = {}
     for budget in (1, 2):
-        calls = []
-
-        def recording(m, x):
-            calls.append((len(x), threading.get_ident()))
-            return real(m, x)
-
-        monkeypatch.setattr(vit, "batch_features_tensor", recording)
         monkeypatch.setattr(machine, "thread_budget", lambda: budget)
-        outputs[budget] = (vit.features_batch(model, images), vit.forward_logits_batch(model, images), calls)
+        del calls[:]
+        outputs[budget] = (vit.features_batch(model, images), vit.forward_logits_batch(model, images), list(calls))
     (feats1, logits1, calls1), (feats2, logits2, calls2) = outputs[1], outputs[2]
     assert np.array_equal(feats2, feats1) and np.array_equal(logits2, logits1)
     expected = sorted([vit.FORWARD_CHUNK] * 2 * full_chunks + [5] * 2)
     assert sorted(n for n, _ in calls2) == sorted(n for n, _ in calls1) == expected
-    main = threading.get_ident()
-    assert all(ident == main for _, ident in calls1)
-    assert all(ident != main for _, ident in calls2)
+    main = os.getpid()
+    assert all(pid == main for _, pid in calls1)
+    here = (full_chunks + 1) // 2
+    for forward in (calls2[: full_chunks + 1], calls2[full_chunks + 1 :]):
+        pids = [pid for _, pid in forward]
+        assert pids[:here] == [main] * here
+        assert len(set(pids[here:])) == 1 and pids[-1] != main
 
 
-@pytest.mark.parametrize("chunks", [4, 7, 2 * vit.FORWARD_CHUNKS_PER_THREAD - 1, 2 * vit.FORWARD_CHUNKS_PER_THREAD])
-def test_a_forward_starts_threads_only_with_enough_chunks_per_thread(monkeypatch, chunks):
+@pytest.mark.parametrize("chunks", [4, 7, 2 * vit.FORWARD_CHUNKS_PER_WORKER - 1, 2 * vit.FORWARD_CHUNKS_PER_WORKER])
+def test_a_forward_starts_threads_only_with_enough_chunks_per_thread(monkeypatch, forks, chunks):
     # Training's validation (4 chunks) and held-out (7 chunks) passes stay
-    # on the calling thread; a budget of 2 threads a pass only from
-    # 2 * FORWARD_CHUNKS_PER_THREAD chunks up.
-    pools, idents = [], []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    # in the calling process; a budget of 2 forks one child for a pass
+    # only from 2 * FORWARD_CHUNKS_PER_WORKER chunks up.
+    calls = []
 
     def forward(m, x):
-        idents.append(threading.get_ident())
+        calls.append(os.getpid())
         return ag.Tensor(np.zeros((len(x), 1)))
 
-    monkeypatch.setattr(machine, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(machine, "thread_budget", lambda: 2)
+    _record_across_the_split(monkeypatch, calls)
     images = np.zeros(((chunks - 1) * vit.FORWARD_CHUNK + 1, 16, 16))
     out = vit._no_grad_chunks(forward, init_vit(_cfg(), make_rng(40)), images)
-    assert out.shape == (len(images), 1) and len(idents) == chunks
-    threaded = chunks >= 2 * vit.FORWARD_CHUNKS_PER_THREAD
-    assert pools == ([2] if threaded else [])
-    main = threading.get_ident()
-    assert all((ident != main) == threaded for ident in idents) and len(set(idents)) <= 2
+    assert out.shape == (len(images), 1) and len(calls) == chunks
+    split = chunks >= 2 * vit.FORWARD_CHUNKS_PER_WORKER and machine.POOL_CONTEXT is not None
+    assert len(forks) == (1 if split else 0)
+    main = os.getpid()
+    assert calls[: chunks // 2] == [main] * (chunks // 2)
+    assert all((pid != main) == split for pid in calls[chunks // 2 :]) and len(set(calls)) <= 2
 
 
 @pytest.mark.parametrize("budget", [1, 2])
 def test_forwards_on_a_list_of_arrays_equal_the_concatenated_array(monkeypatch, budget):
     # 50 + 100 + 37 images go in chunks of 64, 64 and 59 either way: the
     # first and last chunks cross an array boundary and are copied, the
-    # middle one is a view into the second array. One chunk per thread
-    # lets the three chunks start two threads at a budget of 2.
+    # middle one is a view into the second array. One chunk per worker
+    # lets the three chunks fork a child at a budget of 2. Each chunk is
+    # recorded by its size and whether it is a view, computed where the
+    # chunk runs.
     model = init_vit(_cfg(), make_rng(41))
     inject_groups(model, rank=2, n=2, rng=make_rng(42))
     _randomize_adapters(model, make_rng(43))
     arrays = [make_rng(44, i).random((n, 16, 16)) for i, n in enumerate((50, 100, 37))]
     monkeypatch.setattr(machine, "thread_budget", lambda: budget)
-    monkeypatch.setattr(vit, "FORWARD_CHUNKS_PER_THREAD", 1)
+    monkeypatch.setattr(vit, "FORWARD_CHUNKS_PER_WORKER", 1)
     real = vit.batch_features_tensor
+    chunks = []
+
+    def recording(m, x):
+        views = [np.shares_memory(x, a) for a in arrays]
+        chunks.append((len(x), any(views), views[1]))
+        return real(m, x)
+
+    monkeypatch.setattr(vit, "batch_features_tensor", recording)
+    _record_across_the_split(monkeypatch, chunks)
     outputs = {}
     for key, images in (("list", arrays), ("array", np.concatenate(arrays))):
-        chunks = []
-
-        def recording(m, x, chunks=chunks):
-            chunks.append(x)
-            return real(m, x)
-
-        monkeypatch.setattr(vit, "batch_features_tensor", recording)
+        del chunks[:]
         forwards = (vit.features_batch(model, images), vit.forward_logits_batch(model, images))
-        outputs[key] = forwards + (vit.predict_batch(model, images), chunks)
+        outputs[key] = forwards + (vit.predict_batch(model, images), list(chunks))
     *listed, list_chunks = outputs["list"]
     *whole, array_chunks = outputs["array"]
     for got, want in zip(listed, whole):
         assert np.array_equal(got, want)
-    assert sorted(map(len, list_chunks)) == sorted(map(len, array_chunks)) == [59] * 3 + [64] * 6
-    views = [c for c in list_chunks if any(np.shares_memory(c, a) for a in arrays)]
-    assert len(views) == 3 and all(len(c) == 64 and np.shares_memory(c, arrays[1]) for c in views)
+    assert sorted(n for n, _, _ in list_chunks) == sorted(n for n, _, _ in array_chunks) == [59] * 3 + [64] * 6
+    views = [c for c in list_chunks if c[1]]
+    assert len(views) == 3 and all(n == 64 and of_second for n, _, of_second in views)
 
 
 def test_logits_do_not_depend_on_the_images_beside_them():
