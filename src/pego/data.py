@@ -53,7 +53,8 @@ class DomainDataset:
 
     def validate(self) -> None:
         """Check for more than one domain, each named once and holding
-        (n, s, s) finite images at one size s, n labels and every class."""
+        (n, s, s) finite images at one size s, n integer labels (bool is
+        not an integer) and every class."""
         if len(self.domains) < 2:
             raise ConfigError("a domain dataset needs more than one domain")
         repeated = next((d for i, d in enumerate(self.domains) if d in self.domains[:i]), None)
@@ -69,7 +70,9 @@ class DomainDataset:
                 )
             if not np.isfinite(images).all():
                 raise ConfigError(f"domain {dom} has non-finite pixels")
-            present = set(int(c) for c in np.unique(labels))
+            if not np.issubdtype(labels.dtype, np.integer):
+                raise ConfigError(f"domain {dom} has labels of dtype {labels.dtype}, expected an integer dtype")
+            present = set(labels.tolist())
             if present != set(range(self.num_classes)):
                 raise ConfigError(f"domain {dom} has classes {sorted(present)}, expected 0 to {self.num_classes - 1}")
 

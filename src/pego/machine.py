@@ -10,7 +10,9 @@ into slices and forks a child for each slice but the first, which the
 calling process computes, and ``map_runs`` spreads a grid's independent
 runs over a pool of forked worker processes. ``thread_budget`` caps
 both: the CPUs this process may run on, capped by ``PEGO_THREADS``.
-Neither changes a result, only the wall-clock time.
+Neither changes a result, only the wall-clock time. ``map_runs`` loads
+``multiprocessing`` and ``concurrent.futures`` only when it first builds
+a pool, so a process that never forks a grid holds neither.
 
 ``pego.entry`` sets the BLAS vendors' thread variables itself: they
 take effect only before numpy loads, which this module imports.
@@ -20,11 +22,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import multiprocessing
 import os
 import pickle
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -199,12 +199,14 @@ def _run_in_worker(payload):
     return _worker_task(payload)
 
 
-# Grid workers are forked wherever the platform can fork: a worker looks
-# ``run_single`` up in ``trainer``'s globals as the parent bound them, which
-# only a forked worker inherits (Python 3.14 makes forkserver the default on
-# Linux). Elsewhere the pool takes the platform's default start method,
-# and ``map_split``, whose children must inherit the model, runs serially.
-POOL_CONTEXT = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+# The start method of a grid's pool, by name. Grid workers are forked
+# wherever ``os`` can fork: a worker looks ``run_single`` up in
+# ``trainer``'s globals as the parent bound them, which only a forked
+# worker inherits (Python 3.14 makes forkserver the default on Linux).
+# Elsewhere it is None: the pool takes the platform's default start
+# method, and ``map_split``, whose children must inherit the model, runs
+# serially.
+POOL_CONTEXT = "fork" if hasattr(os, "fork") else None
 
 
 def pool_workers(jobs: int, runs: int) -> int:
@@ -226,7 +228,13 @@ def map_runs(task, shared, payloads, jobs: int):
     if workers == 1:
         yield from map(call, payloads)
         return
-    pool = ProcessPoolExecutor(workers, mp_context=POOL_CONTEXT, initializer=_start_worker, initargs=(call,))
+    # Imported here: with what they load (socket, subprocess, selectors,
+    # queue) they are about 2 MB that only a pool needs.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context(POOL_CONTEXT)
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(call,))
     with pool:
         yield from pool.map(_run_in_worker, payloads)
 

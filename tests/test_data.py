@@ -174,6 +174,32 @@ def test_dataset_validate_rejects_missing_class():
         ds.validate()
 
 
+def _two_domains(labels: np.ndarray) -> DomainDataset:
+    return DomainDataset(
+        domains=["a", "b"],
+        images={d: np.zeros((labels.size, 4, 4)) for d in "ab"},
+        labels={"a": np.arange(labels.size), "b": labels},
+        num_classes=labels.size,
+    )
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.array([0.5, 1, 2, 3]), np.array([0.0, 1, 2, 3]), np.array([False, True])],
+    ids=["fractional", "whole-float", "bool"],
+)
+def test_dataset_validate_rejects_labels_of_a_non_integer_dtype(labels):
+    # A float label would be counted as a class, and a whole-number float
+    # or bool label would fail only mid-training, in the loss's indexing.
+    with pytest.raises(ConfigError, match=f"domain b has labels of dtype {labels.dtype}"):
+        _two_domains(labels).validate()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_dataset_validate_accepts_integer_labels(dtype):
+    _two_domains(np.arange(4, dtype=dtype)).validate()
+
+
 def test_canonical_dataset_digest_is_pinned():
     # Every pixel and label of the canonical dataset at seed 1, as first
     # generated; a change to rendering that moves any bit shows here.

@@ -1,5 +1,8 @@
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -112,3 +115,46 @@ def test_without_fork_a_forward_runs_here_bitwise_as_split(monkeypatch, forks):
     assert len(forks) == forked
     for got, want in zip(here, split):
         assert np.array_equal(got, want)
+
+
+# A cell, a checkpoint round trip and a split forward, then a grid, in a
+# fresh interpreter: the pytest process has the pool's modules loaded.
+FOOTPRINT = textwrap.dedent("""
+    import sys, tempfile
+    from pathlib import Path
+
+    import numpy as np
+
+    from pego import checkpoint, machine, trainer, vit
+    from pego.data import DatasetSpec, generate_dataset
+    from pego.numerics import make_rng
+
+    LOADED_BY_A_POOL = ("numpy.ma", "multiprocessing", "concurrent.futures")
+    machine.thread_budget = lambda: 2
+    ds = generate_dataset(DatasetSpec(domains=4, classes=2, per_class=6, image_size=8), seed=0)
+    net = vit.VitConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=1, num_heads=2, mlp_ratio=2.0, num_classes=2)
+    cfg = trainer.TrainConfig(iterations=2, eval_every=1, batch_per_domain=4, group_n=2, rank=2, seed=0, vit=net)
+    base = vit.init_vit(net, make_rng(99))
+    trainer.run_single(ds, cfg, base, "d1", seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint.save_dataset(Path(tmp) / "ds.ckpt", ds)
+        checkpoint.load_dataset(Path(tmp) / "ds.ckpt")
+        checkpoint.save_model(Path(tmp) / "base.ckpt", base)
+        model = checkpoint.load_model(Path(tmp) / "base.ckpt")
+    chunks = 2 * vit.FORWARD_CHUNKS_PER_WORKER
+    vit.forward_logits_batch(model, make_rng(5).random((chunks * vit.FORWARD_CHUNK, 8, 8)))
+    serial = trainer.leave_one_domain_out(ds, cfg, [0], base=base, jobs=1)
+    assert [m for m in LOADED_BY_A_POOL if m in sys.modules] == [], sys.modules.keys() & set(LOADED_BY_A_POOL)
+    pooled = trainer.leave_one_domain_out(ds, cfg, [0], base=base, jobs=2)
+    assert pooled.records == serial.records
+    assert "multiprocessing" in sys.modules
+""")
+
+
+def test_only_a_pool_loads_the_pool_modules():
+    # A cell, a dataset or model load and a split forward load neither
+    # numpy.ma nor the process-pool stack; a 2-job grid loads
+    # multiprocessing and gives the serial grid's records.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(machine.__file__))}
+    ran = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, timeout=120)
+    assert ran.returncode == 0, ran.stderr

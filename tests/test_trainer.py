@@ -551,7 +551,7 @@ class TestLodo:
             return record
 
         monkeypatch.setattr(trainer, "run_single", marking)
-        assert machine.POOL_CONTEXT.get_start_method() == "fork"
+        assert machine.POOL_CONTEXT == "fork"
         calls = _count_map_runs(monkeypatch)
         result = leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
         assert len(result.records) == 4 and all(getattr(r, "marked", False) for r in result.records)
@@ -563,7 +563,7 @@ class TestLodo:
         # the serial grid's records: results do not hang on the start method.
         cfg = _tiny_cfg(iterations=2)
         serial = leave_one_domain_out(tiny_dataset, cfg, [0], base=tiny_base, jobs=1)
-        monkeypatch.setattr(machine, "POOL_CONTEXT", multiprocessing.get_context("forkserver"))
+        monkeypatch.setattr(machine, "POOL_CONTEXT", "forkserver")
         calls = _count_map_runs(monkeypatch)
         pooled = leave_one_domain_out(tiny_dataset, cfg, [0], base=tiny_base, jobs=2)
         assert calls == [4] and pooled.records == serial.records

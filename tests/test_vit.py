@@ -392,7 +392,7 @@ def test_a_forward_starts_threads_only_with_enough_chunks_per_thread(monkeypatch
     images = np.zeros(((chunks - 1) * vit.FORWARD_CHUNK + 1, 16, 16))
     out = vit._no_grad_chunks(forward, init_vit(_cfg(), make_rng(40)), images)
     assert out.shape == (len(images), 1) and len(calls) == chunks
-    split = chunks >= 2 * vit.FORWARD_CHUNKS_PER_WORKER and machine.POOL_CONTEXT is not None
+    split = chunks >= 2 * vit.FORWARD_CHUNKS_PER_WORKER and machine.POOL_CONTEXT == "fork"
     assert len(forks) == (1 if split else 0)
     main = os.getpid()
     assert calls[: chunks // 2] == [main] * (chunks // 2)
