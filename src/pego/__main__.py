@@ -1,4 +1,4 @@
 from . import entry
 
-if __name__ == "__main__":  # not in a pool worker that re-imports the main module
+if __name__ == "__main__":
     entry()

@@ -10,9 +10,9 @@ byte for byte in single-job mode.
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O or format
 error, 4 degenerate input; each class in ``errors`` names its code.
 ``machine`` decides how a run uses the CPUs: ``PEGO_THREADS`` caps how
-many processes pego keeps busy, the children a whole-dataset no-grad
-forward forks beside the reading process and the workers of a grid's
-process pool, which never fork for their own forwards. Every process
+many processes pego keeps busy, the calling process and the children it
+forks for a whole-dataset no-grad forward or a grid's runs, which never
+fork again for their own forwards. Every process
 computes on one thread, and numpy's BLAS runs one thread: ``machine``
 pins OpenBLAS on import, and ``pego.entry``, the console script, pins
 every BLAS vendor before this module loads numpy.
@@ -46,8 +46,8 @@ GRADCHECK_THRESHOLDS = {0.0: 1e-6, 1e-3: 1e-5}
 
 def _int_at_least(low: int, name: str):
     """An argparse type for ``name``, an int of at least ``low`` (0 or 1):
-    numpy's generators take nonnegative seeds only, and a pool needs at
-    least one worker."""
+    numpy's generators take nonnegative seeds only, and a grid runs in at
+    least one process."""
 
     def parse(raw: str) -> int:
         value = int(raw)
@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     def harness(name, help_text, run):
         q = train_like(name, help_text)
         q.add_argument("--seeds", default="0,1,2", help="comma-separated run seeds")
-        q.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=1, help="the most workers a grid may fork")
+        q.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=1,
+                       help="the most processes a grid may run in, this one included")
         q.set_defaults(func=partial(_run_harness, run=run))
         return q
 

@@ -4,15 +4,13 @@ Importing this module fixes glibc's allocator policy for the process
 (see ``_keep_freed_memory``) and pins numpy's OpenBLAS to one thread
 (``set_blas_threads``). ``vit``, ``trainer`` and ``cli`` import it, so
 every path that forwards, trains or forks has both in place before its
-first worker starts, and the two ways of forking here are the only
-parallelism: ``map_split`` cuts a whole-dataset no-grad forward's chunks
-into slices and forks a child for each slice but the first, which the
-calling process computes, and ``map_runs`` spreads a grid's independent
-runs over a pool of forked worker processes. ``thread_budget`` caps
-both: the CPUs this process may run on, capped by ``PEGO_THREADS``.
-Neither changes a result, only the wall-clock time. ``map_runs`` loads
-``multiprocessing`` and ``concurrent.futures`` only when it first builds
-a pool, so a process that never forks a grid holds neither.
+first child starts. ``map_split`` is the only parallelism: it cuts a
+list of independent items into contiguous shares, computes the first in
+the calling process and forks a child for each other one. A
+whole-dataset no-grad forward splits its chunks with it, and a grid its
+runs. ``thread_budget`` caps both: the CPUs this process may run on,
+capped by ``PEGO_THREADS``, and 1 inside a share. Neither changes a
+result, only the wall-clock time.
 
 ``pego.entry`` sets the BLAS vendors' thread variables itself: they
 take effect only before numpy loads, which this module imports.
@@ -21,7 +19,6 @@ take effect only before numpy loads, which this module imports.
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import pickle
 import signal
@@ -37,11 +34,11 @@ def _keep_freed_memory() -> None:
     arena. Under glibc's adaptive thresholds, whether a step's tape is
     handed back to the system and faulted in again next step (about 400
     page faults per step on the canonical config) depends on how earlier
-    work left the heap; fixed thresholds keep it. No pego thread
-    computes, but a grid's process pool runs its manager and queue
-    threads in the calling process; a thread that allocates would
-    otherwise get an arena of its own, whose freed pages the fixed trim
-    threshold then keeps as well. Other C libraries are left alone."""
+    work left the heap; fixed thresholds keep it. pego starts no thread,
+    and one arena keeps any thread a library starts from holding memory
+    of its own: a thread that allocates would otherwise get an arena of
+    its own, whose freed pages the fixed trim threshold then keeps as
+    well. Other C libraries are left alone."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -94,12 +91,21 @@ def cores() -> int:
         return os.cpu_count() or 1
 
 
+# Grid shares and forward children are forked wherever ``os`` can fork:
+# a child reads the model, dataset and ``trainer``'s globals as the
+# parent bound them. Elsewhere ``map_split`` runs every item here.
+CAN_FORK = hasattr(os, "fork")
+
+# True while this process computes a share of ``map_split``.
+_in_share = False
+
+
 def thread_budget() -> int:
-    """Processes a no-grad forward's split, or workers a grid's pool, may
-    keep busy at most: ``cores()`` capped by a positive integer in ASCII
-    digits in ``PEGO_THREADS``, read on every call, so a worker's cap
-    holds in it. ``map_split`` uses fewer when it has fewer than
-    ``per_worker`` items per worker."""
+    """Processes ``map_split`` may keep busy at most: 1 inside a share,
+    and otherwise ``cores()`` capped by a positive integer in ASCII digits
+    in ``PEGO_THREADS``, read on every call."""
+    if _in_share:
+        return 1
     budget = cores()
     raw = os.environ.get("PEGO_THREADS")
     if raw:
@@ -109,25 +115,29 @@ def thread_budget() -> int:
     return budget
 
 
-def map_split(fn, items, per_worker: int) -> list:
-    """``fn(item)`` per item of the sequence ``items``, in order. With
-    ``workers = min(thread_budget(), len(items) // per_worker)`` above 1
-    on a platform that forks (``POOL_CONTEXT``), the items are cut into
-    ``workers`` contiguous slices: this process computes the first while
-    a forked child computes each other one and sends back its pickled
-    results, or the exception that stopped it, through a pipe; otherwise
-    every item runs here. A child sees memory as it was at the fork and
-    its writes die with it, so ``fn`` may only read what it shares, and
-    its results must pickle. Every child is reaped before this returns or
-    raises, and killed first when its results are no longer wanted."""
-    workers = min(thread_budget(), len(items) // per_worker)
-    if workers <= 1 or POOL_CONTEXT is None:
+def map_split(fn, items, workers: int) -> list:
+    """``fn(item)`` per item of the sequence ``items``, in order, in
+    ``workers`` processes: pego's one form of parallelism. With
+    ``workers`` above 1, on a platform that forks (``CAN_FORK``) and
+    outside a share, the items are cut into ``workers`` contiguous
+    shares: this process computes the first while a forked child
+    computes each other one and replies once, with its pickled results or
+    the exception that stopped it, through a pipe; otherwise every item
+    runs here. Inside a share, this process's included, ``thread_budget``
+    is 1, so a share never forks again. A child sees memory as it was at
+    the fork and its writes die with it, so ``fn`` may only read what it
+    shares, and its results must pickle. Every child is reaped before
+    this returns or raises, and killed first when its results are no
+    longer wanted."""
+    global _in_share
+    if workers <= 1 or _in_share or not CAN_FORK:
         return [fn(item) for item in items]
     cuts = [len(items) * w // workers for w in range(workers + 1)]
     children = []
+    _in_share = True
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork_slice(fn, items[lo:hi]))
+            children.append(_fork_share(fn, items[lo:hi]))
         results = [fn(item) for item in items[: cuts[1]]]
         for pid, pipe in children:
             results += _receive(pid, pipe)
@@ -137,16 +147,17 @@ def map_split(fn, items, per_worker: int) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        _in_share = False
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
 
 
-def _fork_slice(fn, items):
+def _fork_share(fn, items):
     """Fork a child that sends ``(True, [fn(item) for item in items])``,
-    or ``(False, exception)``, pickled through a pipe, then exits without
-    running any of this process's exit handlers; the child's pid and the
-    pipe's read end."""
+    or ``(False, exception)`` when computing or pickling that fails,
+    pickled through a pipe, then exits without running any of this
+    process's exit handlers; the child's pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -158,11 +169,11 @@ def _fork_slice(fn, items):
         try:
             os.close(read_fd)
             try:
-                reply = (True, [fn(item) for item in items])
+                reply = pickle.dumps((True, [fn(item) for item in items]), pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:
-                reply = (False, exc)
+                reply = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
             with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.write(reply)
         finally:
             os._exit(0)
     os.close(write_fd)
@@ -175,77 +186,27 @@ def _receive(pid: int, pipe) -> list:
     try:
         ok, value = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
-        raise ChildProcessError(f"forward worker {pid} exited without sending its results") from None
+        raise ChildProcessError(f"worker {pid} exited without sending its results") from None
     if not ok:
         raise value
     return value
 
 
-# ``task(shared, payload)`` of the grid a pool worker serves, bound by
-# ``_start_worker``; None in any other process.
-_worker_task = None
-
-
-def _start_worker(task) -> None:
-    # A pool worker's initializer: a budget of one keeps its forwards from
-    # forking, and the grid's task with its shared inputs is kept for
-    # every payload it gets.
-    global _worker_task
-    os.environ["PEGO_THREADS"] = "1"
-    _worker_task = task
-
-
-def _run_in_worker(payload):
-    return _worker_task(payload)
-
-
-# The start method of a grid's pool, by name. Grid workers are forked
-# wherever ``os`` can fork: a worker looks ``run_single`` up in
-# ``trainer``'s globals as the parent bound them, which only a forked
-# worker inherits (Python 3.14 makes forkserver the default on Linux).
-# Elsewhere it is None: the pool takes the platform's default start
-# method, and ``map_split``, whose children must inherit the model, runs
-# serially.
-POOL_CONTEXT = "fork" if hasattr(os, "fork") else None
-
-
 def pool_workers(jobs: int, runs: int) -> int:
-    """The workers ``map_runs`` forks for ``runs`` runs under ``jobs``,
-    1 when it runs them serially. At most one single-threaded worker per
-    run and per CPU of the budget keeps the cores from
-    oversubscription; a lone worker would add only a fork."""
+    """The processes a grid of ``runs`` runs under ``jobs`` computes in,
+    the calling process included; 1 when it runs them all here. At most
+    one single-threaded process per run and per CPU of the budget keeps
+    the cores from oversubscription."""
     return max(1, min(jobs, runs, thread_budget()))
-
-
-def map_runs(task, shared, payloads, jobs: int):
-    """``task(shared, payload)`` per payload, yielded in payload order.
-    ``shared`` reaches each worker once, through the pool's initializer:
-    forked workers inherit it, and only the payloads are pickled per run.
-    Runs are independent and deterministic, so the pool only changes
-    wall-clock time, never results."""
-    call = functools.partial(task, shared)
-    workers = pool_workers(jobs, len(payloads))
-    if workers == 1:
-        yield from map(call, payloads)
-        return
-    # Imported here: with what they load (socket, subprocess, selectors,
-    # queue) they are about 2 MB that only a pool needs.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context(POOL_CONTEXT)
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(call,))
-    with pool:
-        yield from pool.map(_run_in_worker, payloads)
 
 
 def details(jobs: int, workers: int | None) -> dict:
     """How the run could use the CPUs: cores available, the forward
-    budget, the most pool workers ``--jobs`` allows, for a grid the
-    workers its pool forked (1 when it ran serially), and numpy's BLAS
-    with its live thread count and the OpenBLAS kernel chosen for this
-    CPU, which its build configuration may not name (None where
-    unreadable)."""
+    budget, the most processes ``--jobs`` allows a grid, for a grid the
+    processes it ran in, the calling process included (1 when it ran
+    serially), and numpy's BLAS with its live thread count and the
+    OpenBLAS kernel chosen for this CPU, which its build configuration
+    may not name (None where unreadable)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only

@@ -13,14 +13,13 @@ audit of that record.
 Pretraining the base and training the adapters share one step: a batch,
 its loss gradient (``gradcheck.backward``, which alone marks the
 parameters for a tape), one Adam update. Each harness is one grid of
-independent (variant, held-out domain, seed) runs in one process pool
-(``machine.map_runs``), whose workers receive the grid's dataset and
-base once, when they start; within one run training is sequential.
+independent (variant, held-out domain, seed) runs, split over forked
+processes by one ``machine.map_split`` call; a forked child inherits
+the grid's dataset and base, and within one run training is sequential.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import numbers
@@ -356,21 +355,6 @@ def run_single(dataset: DomainDataset, cfg: TrainConfig, base: VitModel, test_do
     return LodoRecord(test_domain, seed, acc, result.selected_iter, result.history)
 
 
-def _run_single_task(shared, payload):
-    # Looks ``run_single`` up in this module's globals when it runs, so a
-    # forked worker calls whatever the parent bound there before the fork,
-    # a closure too, which pickle could not send to it.
-    (dataset, base), (cfg, test_domain, seed) = shared, payload
-    return run_single(dataset, cfg, base, test_domain, seed)
-
-
-def _timed(task, shared, payload):
-    # Wall and CPU seconds, both taken where the task runs: a pool worker,
-    # or the calling process for a serial grid.
-    t0, c0 = time.perf_counter(), time.process_time()
-    return task(shared, payload), time.perf_counter() - t0, time.process_time() - c0
-
-
 def check_grid(dataset: DomainDataset, seeds: list[int]) -> None:
     """Raise ``ConfigError`` unless ``dataset`` and ``seeds`` make a
     leave-one-domain-out grid: at least 3 domains and one seed."""
@@ -381,21 +365,35 @@ def check_grid(dataset: DomainDataset, seeds: list[int]) -> None:
 
 
 def _run_grid(name: str, task, dataset: DomainDataset, variants, seeds: list[int], base: VitModel, jobs: int):
-    """Run ``task`` on ``(dataset, base)`` and each ``(config, held-out
-    domain, seed)`` payload of the (label, config) ``variants`` in one
-    ``machine.map_runs`` call, logging a line per finished run; return one
-    output list per variant."""
+    """Run ``task(dataset, config, base, held-out domain, seed)`` for each
+    run of the (label, config) ``variants`` in one ``machine.map_split``
+    call over ``machine.pool_workers(jobs, runs)`` processes; return one
+    output list per variant, in run order. The runs are dealt round-robin
+    before the split cuts them into contiguous shares, so each share
+    holds every variant alike. Each run logs its progress line, with the
+    wall and CPU seconds it took, in the process that ran it, as it
+    finishes. A forked child inherits ``task`` as the caller passed it:
+    ``run_single`` as bound in this module when the grid started, a
+    wrapper too, which pickle could not send."""
     check_grid(dataset, seeds)
-    payloads = [(cfg, dom, seed) for _, cfg in variants for dom in dataset.domains for seed in seeds]
-    runs = len(dataset.domains) * len(seeds)
-    outputs = []
-    timed = functools.partial(_timed, task)
-    for k, (out, seconds, cpu) in enumerate(machine.map_runs(timed, (dataset, base), payloads, jobs)):
-        outputs.append(out)
-        _, dom, seed = payloads[k]
+    payloads = [(label, cfg, dom, seed) for label, cfg in variants for dom in dataset.domains for seed in seeds]
+
+    def run(k):
+        label, cfg, dom, seed = payloads[k]
+        t0, c0 = time.perf_counter(), time.process_time()
+        out = task(dataset, cfg, base, dom, seed)
+        seconds, cpu = time.perf_counter() - t0, time.process_time() - c0
         score = f"acc={out.accuracy:.4f}" if isinstance(out, LodoRecord) else f"val_acc={out:.4f}"
-        what = " ".join(filter(None, (variants[k // runs][0], dom, f"seed={seed}", score)))
+        what = " ".join(filter(None, (label, dom, f"seed={seed}", score)))
         log.info("[%s %d/%d] %s %.1fs cpu=%.1fs", name, k + 1, len(payloads), what, seconds, cpu)
+        return out
+
+    workers = machine.pool_workers(jobs, len(payloads))
+    dealt = sorted(range(len(payloads)), key=lambda k: k % workers)
+    outputs = [None] * len(payloads)
+    for k, out in zip(dealt, machine.map_split(run, dealt, workers)):
+        outputs[k] = out
+    runs = len(dataset.domains) * len(seeds)
     return [outputs[i : i + runs] for i in range(0, len(outputs), runs)]
 
 
@@ -404,7 +402,7 @@ def leave_one_domain_out(
 ) -> LodoResult:
     """Hold out each domain in turn, train on the rest for every seed, and
     score the merged model on the untouched held-out domain."""
-    (records,) = _run_grid("lodo", _run_single_task, dataset, [("", cfg)], seeds, base, jobs)
+    (records,) = _run_grid("lodo", run_single, dataset, [("", cfg)], seeds, base, jobs)
     return LodoResult(records=records, domains=list(dataset.domains), seeds=list(seeds))
 
 
@@ -431,7 +429,7 @@ def ablate(
         ("none", replace(cfg, preserve_on=False, diversify_on=False)),
         ("lora", replace(cfg, preserve_on=False, diversify_on=False, group_n=1)),
     ]
-    grouped = _run_grid("ablate", _run_single_task, dataset, variants, seeds, base, jobs)
+    grouped = _run_grid("ablate", run_single, dataset, variants, seeds, base, jobs)
     rows = []
     for (label, v), records in zip(variants, grouped):
         accs = list(LodoResult(records, list(dataset.domains), list(seeds)).per_seed_average().values())
@@ -452,10 +450,9 @@ class SweepResult:
     rows: list[SweepRow]
 
 
-def _sweep_task(shared, payload):
+def _sweep_task(*run) -> float:
     # Scores only the source domains' validation split, never the held-out domain.
-    (dataset, base), (cfg, test_domain, seed) = shared, payload
-    return _train_without(dataset, cfg, base, test_domain, seed).best_val_acc
+    return _train_without(*run).best_val_acc
 
 
 def sweep_n(dataset: DomainDataset, cfg: TrainConfig, seeds: list[int], base: VitModel, jobs: int = 1) -> SweepResult:

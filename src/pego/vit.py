@@ -16,7 +16,7 @@ No tensor of a model needs a gradient: ``gradcheck.backward`` marks the
 ones it differentiates for its own tape alone, so every other forward
 records nothing. A model is single-writer: training mutates the
 trainable tensors, while a no-grad forward only reads the model, so
-``machine.map_split`` may hand slices of a forward's chunks of images
+``machine.map_split`` may hand shares of a forward's chunks of images
 to forked children, which read the model as it was at the fork.
 
 ``named_params`` is the one list of parameter names and their order;
@@ -410,10 +410,10 @@ def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
     made: a chunk is a view into one array, and only a chunk that spans
     two arrays is copied. ``machine.map_split`` cuts the chunks into
     ``min(machine.thread_budget(), chunks // FORWARD_CHUNKS_PER_WORKER)``
-    contiguous slices, computes the first here and forks a child for
-    each other one, or computes every chunk here when that is 1 or less;
-    each chunk is computed exactly as in one process, so the result is
-    bitwise the same."""
+    contiguous shares, computes the first here and forks a child for
+    each other one, or computes every chunk here when that is 1 or less,
+    as it is inside a grid's share; each chunk is computed exactly as in
+    one process, so the result is bitwise the same."""
     parts = [_check_images(model.cfg, p) for p in (images if isinstance(images, list) and images else [images])]
     offsets = np.cumsum([0] + [len(p) for p in parts]).tolist()
     starts = range(0, max(offsets[-1], 1), FORWARD_CHUNK)
@@ -424,7 +424,8 @@ def _no_grad_chunks(forward, model: VitModel, images) -> np.ndarray:
         chunk = pieces[0] if len(pieces) == 1 else np.concatenate(pieces or parts[:1])
         return forward(model, chunk).data
 
-    return np.concatenate(machine.map_split(run, starts, FORWARD_CHUNKS_PER_WORKER))
+    workers = min(machine.thread_budget(), len(starts) // FORWARD_CHUNKS_PER_WORKER)
+    return np.concatenate(machine.map_split(run, starts, workers))
 
 
 def features_batch(model: VitModel, images) -> np.ndarray:

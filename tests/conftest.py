@@ -3,8 +3,8 @@
 The leave-one-domain-out batteries are expensive (dozens of full
 training runs), so they are computed once per session and shared
 between the trainer checks and the acceptance suite. Their runs are
-independent and deterministic, so they go through pego's process
-pool with one worker per core; the results equal those of a serial run.
+independent and deterministic, so they are split over one process per
+core by ``machine.map_split``; the results equal those of a serial run.
 
 It also holds six plain helpers that test modules import:
 ``stack_group``, ``penalty_values``, ``feature_orthogonality_gap``,
@@ -157,10 +157,6 @@ def rank_battery(canonical_dataset, canonical_cfg, pretrained_base):
         "plain": replace(canonical_cfg, rank=2, group_n=4, alpha=0.0),
     }
     cfgs = [replace(cfg, seed=s) for cfg in variants.values() for s in SEEDS]
-    adapted = list(machine.map_runs(_train_adapted, (pretrained_base, sources), cfgs, jobs=os.cpu_count()))
+    workers = machine.pool_workers(os.cpu_count(), len(cfgs))
+    adapted = machine.map_split(lambda cfg: trainer.train(pretrained_base, sources, cfg).adapted, cfgs, workers)
     return {label: adapted[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, label in enumerate(variants)}
-
-
-def _train_adapted(shared, cfg):
-    base, sources = shared
-    return trainer.train(base, sources, cfg).adapted

@@ -5,14 +5,9 @@ from pathlib import Path
 import pego
 from pego import errors
 
-# The only imports inside a function: ``entry`` must pin the thread pools
-# before ``cli`` loads numpy, and ``map_runs`` loads the process-pool
-# stack (about 2 MB of module code) only when a grid forks its workers.
-KEPT = {
-    ("__init__.py", "entry", "from . import cli"),
-    ("machine.py", "map_runs", "import multiprocessing"),
-    ("machine.py", "map_runs", "from concurrent.futures import ProcessPoolExecutor"),
-}
+# The only import inside a function: ``entry`` must pin the thread pools
+# before ``cli`` loads numpy.
+KEPT = {("__init__.py", "entry", "from . import cli")}
 
 
 def test_function_local_imports_are_the_one_kept():
@@ -164,11 +159,11 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
 
 
 def test_one_process_pool_and_one_thread_pool():
-    # A grid's runs fork workers in ``machine.map_runs``, and a
-    # whole-dataset no-grad forward forks a child per slice of its chunks
-    # in ``machine.map_split``, through ``_fork_slice``, which nothing else
-    # calls: the package has no other parallelism, and no threads.
-    starters = ("ProcessPoolExecutor", "ThreadPoolExecutor", "Thread", "fork", "_fork_slice")
+    # A grid's runs and a whole-dataset no-grad forward's chunks are split
+    # by ``machine.map_split``, which forks a child per share but the
+    # first through ``_fork_share``, which nothing else calls: the package
+    # has no other parallelism, no process pool and no threads.
+    starters = ("ProcessPoolExecutor", "ThreadPoolExecutor", "Pool", "Process", "Thread", "fork", "_fork_share")
     found = sorted(
         (name, fn, called)
         for name, tree in _sources()
@@ -176,12 +171,9 @@ def test_one_process_pool_and_one_thread_pool():
         if isinstance(node, ast.Call)
         and (called := getattr(node.func, "id", getattr(node.func, "attr", None))) in starters
     )
-    assert found == [
-        ("machine.py", "_fork_slice", "fork"),
-        ("machine.py", "map_runs", "ProcessPoolExecutor"),
-        ("machine.py", "map_split", "_fork_slice"),
-    ]
-    threaded = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(r"threading|ThreadPool", path.read_text())]
+    assert found == [("machine.py", "_fork_share", "fork"), ("machine.py", "map_split", "_fork_share")]
+    pools = r"threading|ThreadPool|multiprocessing|\bconcurrent\b"
+    threaded = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(pools, path.read_text())]
     assert threaded == []
 
 
@@ -193,7 +185,7 @@ MACHINE_OS_NAMES = {"sched_getaffinity", "cpu_count", "environ", "getenv", "pute
 
 def test_only_machine_decides_how_pego_uses_the_cpus_and_memory():
     # One module holds the BLAS and allocator pins, the thread budget and
-    # both pools, and is the only one that runs a call when imported.
+    # the split, and is the only one that runs a call when imported.
     # ``entry`` sets the BLAS variables itself, before numpy loads.
     found = []
     for name, tree in _sources():

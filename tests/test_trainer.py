@@ -1,8 +1,7 @@
 import logging
-import multiprocessing
 import os
 import re
-import time
+import sys
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -541,8 +540,9 @@ class TestLodo:
             leave_one_domain_out(tiny_dataset, _tiny_cfg(), [], base=tiny_base)
 
     def test_pool_workers_call_the_run_single_bound_in_trainer(self, tiny_dataset, tiny_base, monkeypatch):
-        # Workers look ``run_single`` up by name, so a wrapper bound there
-        # runs in them although pickle cannot send a closure.
+        # A grid runs the ``run_single`` bound in trainer when it starts,
+        # in every share: a wrapper bound there runs in a forked child
+        # too, although pickle cannot send a closure.
         real = trainer.run_single
 
         def marking(*args):
@@ -551,32 +551,32 @@ class TestLodo:
             return record
 
         monkeypatch.setattr(trainer, "run_single", marking)
-        assert machine.POOL_CONTEXT == "fork"
-        calls = _count_map_runs(monkeypatch)
+        assert machine.CAN_FORK
+        calls = _count_grid_splits(monkeypatch)
         result = leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
         assert len(result.records) == 4 and all(getattr(r, "marked", False) for r in result.records)
-        assert calls == [4]
-
-    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(), reason="no forkserver")
-    def test_a_forkserver_pool_matches_the_serial_grid(self, tiny_dataset, tiny_base, monkeypatch):
-        # Workers that import the package afresh, as forkserver's do, give
-        # the serial grid's records: results do not hang on the start method.
-        cfg = _tiny_cfg(iterations=2)
-        serial = leave_one_domain_out(tiny_dataset, cfg, [0], base=tiny_base, jobs=1)
-        monkeypatch.setattr(machine, "POOL_CONTEXT", "forkserver")
-        calls = _count_map_runs(monkeypatch)
-        pooled = leave_one_domain_out(tiny_dataset, cfg, [0], base=tiny_base, jobs=2)
-        assert calls == [4] and pooled.records == serial.records
+        assert [len(items) for items in calls] == [4]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_every_progress_line_ends_with_wall_and_cpu_seconds(self, tiny_dataset, tiny_base, caplog, jobs):
-        caplog.set_level(logging.INFO, logger="pego")
-        three = tiny_dataset.without("d3")
-        leave_one_domain_out(three, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=jobs)
-        lines = [r.getMessage() for r in caplog.records if r.name == "pego"]
+    def test_every_progress_line_ends_with_wall_and_cpu_seconds(self, tiny_dataset, tiny_base, capfd, jobs):
+        # Each run logs its line where it ran: a forked child's records
+        # reach only the stderr it inherited, so fd 2 is read. Lines come
+        # in run order from one process and in finishing order from two.
+        handler, level = logging.StreamHandler(sys.stderr), trainer.log.level
+        trainer.log.addHandler(handler)
+        trainer.log.setLevel(logging.INFO)
+        try:
+            three = tiny_dataset.without("d3")
+            leave_one_domain_out(three, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=jobs)
+        finally:
+            trainer.log.removeHandler(handler)
+            trainer.log.setLevel(level)
+        lines = capfd.readouterr().err.splitlines()
         assert len(lines) == 3
-        line_re = r"\[lodo \d/3\] d\d seed=0 acc=\S+ \d+\.\ds cpu=\d+\.\ds"
+        line_re = r"\[lodo (\d)/3\] d\d seed=0 acc=\S+ \d+\.\ds cpu=\d+\.\ds"
         assert all(re.fullmatch(line_re, line) for line in lines), lines
+        numbers = [re.fullmatch(line_re, line).group(1) for line in lines]
+        assert (numbers if jobs == 1 else sorted(numbers)) == ["1", "2", "3"]
 
     def test_a_library_call_prints_no_progress(self, tiny_dataset, tiny_base, capfd):
         leave_one_domain_out(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base)
@@ -602,9 +602,14 @@ class TestAblate:
         assert rows[3].mean_acc == np.mean(list(baseline.per_seed_average().values()))
 
     def test_one_pool_for_every_variant(self, tiny_dataset, tiny_base, monkeypatch):
-        calls = _count_map_runs(monkeypatch)
+        # 5 variants x 4 domains in two processes: the runs are dealt
+        # round-robin, so each contiguous half holds two runs of each.
+        monkeypatch.setattr(machine, "thread_budget", lambda: 2)
+        calls = _count_grid_splits(monkeypatch)
         trainer.ablate(tiny_dataset, _tiny_cfg(iterations=2), [0], base=tiny_base, jobs=2)
-        assert calls == [5 * 4]
+        assert [len(items) for items in calls] == [5 * 4]
+        halves = [sorted(k // 4 for k in calls[0][:10]), sorted(k // 4 for k in calls[0][10:])]
+        assert halves == [[0, 0, 1, 1, 2, 2, 3, 3, 4, 4]] * 2
 
     def test_pool_matches_serial(self, tiny_dataset, tiny_base):
         cfg = _tiny_cfg(iterations=3)
@@ -630,19 +635,22 @@ def _holds(obj, types) -> bool:
     return isinstance(obj, types) or (isinstance(obj, (tuple, list)) and any(_holds(o, types) for o in obj))
 
 
-def _count_map_runs(monkeypatch) -> list[int]:
-    """Patch ``machine.map_runs`` to record the payload count of each
-    call, and check that no payload holds the dataset or the base: those
-    reach a pool's workers once, as the shared inputs."""
-    calls: list[int] = []
-    real = machine.map_runs
+def _count_grid_splits(monkeypatch) -> list[list[int]]:
+    """Patch ``machine.map_split`` to record the payloads of each call a
+    grid makes, and check that they are the runs' indices, each once,
+    holding neither the dataset nor the base: a forked child inherits
+    those."""
+    calls: list[list[int]] = []
+    real = machine.map_split
 
-    def counting(task, shared, payloads, jobs):
-        assert not _holds(payloads, (DomainDataset, vit.VitModel))
-        calls.append(len(payloads))
-        return real(task, shared, payloads, jobs)
+    def counting(fn, items, workers):
+        if fn.__qualname__ == "_run_grid.<locals>.run":
+            assert not _holds(list(items), (DomainDataset, vit.VitModel))
+            assert sorted(items) == list(range(len(items)))
+            calls.append(list(items))
+        return real(fn, items, workers)
 
-    monkeypatch.setattr(machine, "map_runs", counting)
+    monkeypatch.setattr(machine, "map_split", counting)
     return calls
 
 
@@ -692,9 +700,9 @@ class TestSweep:
             sweep_n(tiny_dataset, _tiny_cfg(iterations=2, n_search=(2,)), [0], base=tiny_base)
 
     def test_one_pool_for_every_size(self, tiny_dataset, tiny_base, monkeypatch):
-        calls = _count_map_runs(monkeypatch)
+        calls = _count_grid_splits(monkeypatch)
         result = sweep_n(tiny_dataset, _tiny_cfg(iterations=2, n_search=(1, 2, 4)), [0, 1], base=tiny_base, jobs=2)
-        assert calls == [3 * 4 * 2]
+        assert [len(items) for items in calls] == [3 * 4 * 2]
         assert [r.n for r in result.rows] == [1, 2, 4]
 
     def test_requires_three_domains(self, tiny_dataset, tiny_base):
@@ -719,54 +727,36 @@ def test_stderr_behaviour():
     assert stderr([0.5, 0.5, 0.5]) == 0.0
 
 
-def _reported_thread_budget(shared, _):
-    return shared, machine.thread_budget()
+def _reported_thread_budget(_):
+    return machine.thread_budget()
 
 
 def test_pool_workers_run_their_forwards_on_one_thread(monkeypatch):
+    # A grid's shares, this process's included, have a budget of one; a
+    # grid run here alone keeps the whole budget.
     monkeypatch.setenv("PEGO_THREADS", "2")
-    assert list(machine.map_runs(_reported_thread_budget, "s", range(4), jobs=2)) == [("s", 1)] * 4
-    assert list(machine.map_runs(_reported_thread_budget, "s", range(1), jobs=1)) == [("s", machine.thread_budget())]
-    assert os.environ["PEGO_THREADS"] == "2"
+    assert machine.map_split(_reported_thread_budget, range(4), machine.pool_workers(2, 4)) == [1] * 4
+    budget = machine.thread_budget()
+    assert machine.map_split(_reported_thread_budget, range(1), machine.pool_workers(1, 1)) == [budget]
+    assert os.environ["PEGO_THREADS"] == "2" and machine.thread_budget() == budget
 
 
-def _reported_blas_threads(shared, _):
+def _reported_blas_threads(_):
     return machine.blas_threads()
 
 
 @pytest.mark.skipif(machine.blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read")
 def test_openblas_runs_one_thread_here_and_in_pool_workers(monkeypatch):
-    # Importing machine pins it, and workers keep the pin: the worker
-    # initializer caps their forward threads alone.
+    # Importing machine pins it, and forked shares keep the pin whatever
+    # PEGO_THREADS says: that caps processes alone.
     assert machine.blas_threads() == 1
-    assert list(machine.map_runs(_reported_blas_threads, None, range(4), jobs=2)) == [1] * 4
     monkeypatch.setenv("PEGO_THREADS", "2")
-    monkeypatch.setattr(machine, "_worker_task", None)
-    machine._start_worker(len)
-    assert os.environ["PEGO_THREADS"] == "1" and machine.thread_budget() == 1 and machine.blas_threads() == 1
-    assert machine._run_in_worker("run") == 3
+    assert machine.map_split(_reported_blas_threads, range(4), workers=2) == [1] * 4
+    assert machine.blas_threads() == 1
 
 
-def _pid_after_meeting(_, payload):
-    """This process's pid, once ``count`` processes have each left a file
-    in ``directory`` (or after 30 s), so every worker of a pool of
-    ``count`` takes a run rather than one worker taking them all."""
-    directory, count = payload
-    (directory / str(os.getpid())).touch()
-    deadline = time.monotonic() + 30
-    while len(list(directory.iterdir())) < count and time.monotonic() < deadline:
-        time.sleep(0.01)
+def _pid(_):
     return os.getpid()
-
-
-def _pids_and_peak_children(directory, count, runs, jobs):
-    """The pids ``map_runs`` returns for ``runs`` meeting runs, and the
-    most live child processes seen while its results were consumed."""
-    pids, peak = [], 0
-    for pid in machine.map_runs(_pid_after_meeting, None, [(directory, count)] * runs, jobs=jobs):
-        pids.append(pid)
-        peak = max(peak, len(multiprocessing.active_children()))
-    return pids, peak
 
 
 def test_pool_workers_is_the_least_of_jobs_runs_and_budget(monkeypatch):
@@ -777,26 +767,24 @@ def test_pool_workers_is_the_least_of_jobs_runs_and_budget(monkeypatch):
     assert machine.pool_workers(4, 4) == 1
 
 
-@pytest.mark.skipif(machine.cores() < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif(machine.cores() < 2, reason="a split needs two CPUs")
 class TestPoolSize:
-    # The pool forks machine.pool_workers(jobs, runs) workers, and none
-    # when that is 1.
-    def test_runs_cap_the_pool(self, tmp_path, monkeypatch):
+    # A grid's split forks machine.pool_workers(jobs, runs) - 1 children
+    # and runs a share here, and forks none when that is 1.
+    def test_runs_cap_the_pool(self, monkeypatch, forks):
         monkeypatch.delenv("PEGO_THREADS", raising=False)
-        pids, peak = _pids_and_peak_children(tmp_path, 2, runs=2, jobs=4)
-        assert len(set(pids)) == 2 and os.getpid() not in pids
-        assert peak <= 2
+        pids = machine.map_split(_pid, range(2), machine.pool_workers(4, 2))
+        assert len(forks) == 1 and pids == [os.getpid(), forks[0]]
 
-    def test_the_thread_budget_caps_the_pool(self, tmp_path, monkeypatch):
+    def test_the_thread_budget_caps_the_pool(self, monkeypatch, forks):
         monkeypatch.setenv("PEGO_THREADS", "2")
-        pids, peak = _pids_and_peak_children(tmp_path, 2, runs=4, jobs=3)
-        assert len(set(pids)) == 2 and os.getpid() not in pids
-        assert peak <= 2
+        pids = machine.map_split(_pid, range(4), machine.pool_workers(3, 4))
+        assert len(forks) == 1 and pids == [os.getpid()] * 2 + [forks[0]] * 2
 
-    def test_a_budget_of_one_thread_runs_serially(self, tmp_path, monkeypatch):
+    def test_a_budget_of_one_thread_runs_serially(self, monkeypatch, forks):
         monkeypatch.setenv("PEGO_THREADS", "1")
-        pids, peak = _pids_and_peak_children(tmp_path, 1, runs=3, jobs=2)
-        assert pids == [os.getpid()] * 3 and peak == 0
+        pids = machine.map_split(_pid, range(3), machine.pool_workers(2, 3))
+        assert pids == [os.getpid()] * 3 and forks == []
 
 
 def test_pretrain_base_is_deterministic_and_cached():

@@ -326,14 +326,14 @@ def _record_across_the_split(monkeypatch, calls):
     this process."""
     real = machine.map_split
 
-    def split(fn, items, per_worker):
+    def split(fn, items, workers):
         before = len(calls)
 
         def run(item):
             start = len(calls)
             return fn(item), calls[start:]
 
-        pairs = real(run, items, per_worker)
+        pairs = real(run, items, workers)
         del calls[before:]
         calls.extend(record for _, records in pairs for record in records)
         return [out for out, _ in pairs]
@@ -392,7 +392,7 @@ def test_a_forward_starts_threads_only_with_enough_chunks_per_thread(monkeypatch
     images = np.zeros(((chunks - 1) * vit.FORWARD_CHUNK + 1, 16, 16))
     out = vit._no_grad_chunks(forward, init_vit(_cfg(), make_rng(40)), images)
     assert out.shape == (len(images), 1) and len(calls) == chunks
-    split = chunks >= 2 * vit.FORWARD_CHUNKS_PER_WORKER and machine.POOL_CONTEXT == "fork"
+    split = chunks >= 2 * vit.FORWARD_CHUNKS_PER_WORKER and machine.CAN_FORK
     assert len(forks) == (1 if split else 0)
     main = os.getpid()
     assert calls[: chunks // 2] == [main] * (chunks // 2)
